@@ -38,7 +38,7 @@ from .errors import (
     Validation,
 )
 from .cauchy import CauchyDatum, _mass_at_point
-from .fraclap import NonlocalOperator, operator_row
+from .fraclap import NonlocalOperator, _Stencil
 from .grid import Field, Grid, Window
 from .nonlinearity import Nonlinearity
 from .solver import LinearProblem, NewtonConfig, solve_linear, solve_semilinear
@@ -170,22 +170,14 @@ class _DnAssembler:
         if np.linalg.matrix_rank(pw) < len(self.fields):
             raise RankDeficientProbes("probes are dependent as window vectors")
 
-        params = op.params
-        xw = window.points
-        yi = grid.interior_nodes
-        d = np.linalg.norm(xw[:, None, :] - yi[None, :, :], axis=-1)
-        kern = params.cns * grid.h**grid.dim / d ** (grid.dim + 2 * params.s)
+        stencil = _Stencil(grid, op.params)
+        kern = stencil.midpoint(window.indices, grid.interior_index)
         self.neumann_lin = -kern                       # action on interior values
         self.neumann_diag = kern.sum(axis=1)           # coefficient of u(x_w)
-        self.mass = np.array([_mass_at_point(grid.domain, params, x) for x in xw])
+        self.mass = np.array([_mass_at_point(grid.domain, op.params, x)
+                              for x in window.points])
         # operator rows at window nodes, for the zero-extension term
-        rows, tails = [], []
-        for idx in window.indices:
-            w, tail_coeff = operator_row(op, int(idx))
-            rows.append(w)
-            tails.append(tail_coeff)
-        self.rows = np.array(rows)
-        self.row_tails = np.array(tails)
+        self.rows, self.row_tails = stencil.rows(window.indices)
         self.rhs = np.array([-(op.a_ie @ f.exterior_values) for f in self.fields]).T
         self.probe_w = pw                              # window values per probe
         self.probe_nodes = np.array([f.values for f in self.fields]).T
@@ -301,11 +293,11 @@ def strong_uniqueness_probe(grid: Grid, op: NonlocalOperator,
     n = grid.n_nodes
     k = window.size
     t_matrix = np.zeros((2 * k, n))
+    weights, tails = _Stencil(op.grid, op.params).rows(window.indices)
     for r, idx in enumerate(window.indices):
         t_matrix[r, idx] = 1.0
-        w, tail_coeff = operator_row(op, int(idx))
-        row = -w
-        row[idx] = np.sum(w) + tail_coeff
+        row = -weights[r]
+        row[idx] = np.sum(weights[r]) + tails[r]
         t_matrix[k + r] = row / np.linalg.norm(row)
     if 2 * k < n:
         return 0.0

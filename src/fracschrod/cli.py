@@ -114,12 +114,8 @@ def _profile_values(spec: dict, points: np.ndarray) -> np.ndarray:
 
 
 def _exterior_field(grid, bumps: list) -> Field:
-    values = np.zeros(grid.n_nodes)
-    for b in bumps:
-        f = c3_bump(b["center"], float(b["width"]), float(b.get("amplitude", 1.0)))
-        ext = grid.exterior_index
-        values[ext] += np.asarray([f(*p) for p in grid.nodes[ext]])
-    return Field.from_values(grid, values)
+    values = _profile_values({"kind": "bumps", "bumps": bumps}, grid.exterior_nodes)
+    return Field.from_values(grid, _scatter(grid, values))
 
 
 def _window(cfg, grid) -> Window:
@@ -301,18 +297,12 @@ def run(experiment: str, config_path: str, out_dir: str) -> int:
             raise Validation(
                 f"config declares experiment {declared!r}, invoked as {experiment!r}")
         summary = _RUNNERS[experiment](cfg, out)
-    except ToolkitError as err:
-        record = {"error": type(err).__name__, "message": str(err),
-                  "experiment": experiment}
-        dump(record, out / "error.json")
-        print(json.dumps(record), file=sys.stderr)
-        return 1
     except Exception as err:  # malformed configs can fail in arbitrary ways
         record = {"error": type(err).__name__, "message": str(err),
                   "experiment": experiment}
         dump(record, out / "error.json")
         print(json.dumps(record), file=sys.stderr)
-        return 2
+        return 1 if isinstance(err, ToolkitError) else 2
     manifest = {
         "experiment": experiment,
         "config": cfg,

@@ -43,7 +43,7 @@ class OrderOutOfRange(ToolkitError):
 
 
 class SingularOverlap(ToolkitError):
-    """Two distinct nodes closer than h/2; impossible on a valid lattice."""
+    """A node or boundary point is off the center-anchored h-lattice, or two overlap."""
 
 
 class NonPositiveRadius(ToolkitError):

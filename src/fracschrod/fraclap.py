@@ -6,10 +6,12 @@ The operator acts on a nodal field u by the singular-integral definition
 
 with the normalization C(n, s) = Gamma(n/2 + s) 4^s / (|Gamma(-s)| pi^(n/2)).
 
-Quadrature scheme, per evaluation node x:
+Every weight is read off one lattice stencil: nodes and boundary points sit
+on the spacing-h lattice anchored at the domain center, so a weight depends
+only on their integer offset k.  Quadrature scheme, per evaluation node x:
 
 * every lattice cell inside the truncation ball carries the midpoint weight
-  h^n / |x - y_j|^(n + 2s) against the difference u(x) - u(y_j);
+  C h^n / |h k|^(n + 2s) against the difference u(x) - u(y_j);
 * the cell centered at x itself is integrated through the symmetric
   second-difference form, whose numerator vanishes to second order and
   cancels the kernel singularity; its mass lands on the nearest axis
@@ -21,8 +23,8 @@ Quadrature scheme, per evaluation node x:
 * everything beyond the truncation ball is integrated in closed form and
   multiplies u(x) minus the assumed far-field value.
 
-Assembly is row-independent over immutable grid data; the assembled
-operator is immutable and apply() is a pure function.
+The stencil is cheap enough to rebuild per call; the assembled operator
+is immutable and apply() is a pure function.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .errors import (
     OrderOutOfRange,
     SingularOverlap,
 )
-from .grid import Field, Grid, Region
+from .grid import _TOL, Field, Grid, Region
 
 __all__ = [
     "FracParams",
@@ -112,96 +114,111 @@ def _singular_weight(params: FracParams, h: float) -> float:
     return params.cns * cell / (4.0 * h * h)
 
 
-class _Quadrature:
-    """Shared per-grid machinery for building operator rows.
+_BLOCK = 1 << 16  # float64 entries per batch of rows (512 KiB)
 
-    Holds the integer-lattice lookup, the per-axis singular-cell weight, and
-    the outward attribution targets for every excluded boundary point; all
-    of it immutable once built, so rows can be produced independently.
+
+def _blocks(count: int, width: int) -> list[slice]:
+    """Slices covering range(count) whose rows of length width fit in _BLOCK."""
+    step = max(1, _BLOCK // max(width, 1))
+    return [slice(a, min(a + step, count)) for a in range(0, count, step)]
+
+
+class _Stencil:
+    """Offset-indexed quadrature weights of one grid: the only kernel source.
+
+    Cells are the nodes followed by the boundary points, keyed by integer
+    lattice coordinates; the offset between two keys indexes ``kernel``, the
+    midpoint weights over [-2K, 2K]^n (zero at the origin), K the largest
+    coordinate (floor(R/h) on a grid from build_grid).  ``share[c]``
+    lists the nodes receiving the mass of cell c (itself, or the outward
+    exterior neighbors of a boundary point; -1 padded), ``count[c]`` how
+    many; a cell with none feeds the tail.
     """
 
     def __init__(self, grid: Grid, params: FracParams):
-        self.grid = grid
-        self.params = params
-        self.h = grid.h
-        self.center = grid.domain.center
-        self.w_sing = _singular_weight(params, grid.h)
-        self.table = {self._key(p): g for g, p in enumerate(grid.nodes)}
-        self.bd_points = grid.boundary_points
-        self.bd_cols = [self._outward_columns(b) for b in self.bd_points]
+        h, n = grid.h, grid.dim
+        center = grid.domain.center
+        points = np.concatenate([grid.nodes, grid.boundary_points.reshape(-1, n)])
+        scaled = (points - center) / h
+        coords = np.rint(scaled).astype(np.int64)
+        off = np.any(np.abs(scaled - coords) > _TOL, axis=1)
+        if np.any(off):
+            raise SingularOverlap(f"point {tuple(points[off][0])} is off the h-lattice")
+        k = max(1, int(np.abs(coords).max()))
+        width = 4 * k + 1
+        self.strides = width ** np.arange(n - 1, -1, -1)
+        self.origin = 2 * k * int(self.strides.sum())
+        self.keys = coords @ self.strides
+        self.table = np.full(width**n, -1)
+        self.table[self.origin + self.keys] = np.arange(len(points))
+        if np.count_nonzero(self.table >= 0) < len(points):
+            raise SingularOverlap("two cells share a lattice point")
 
-    def _key(self, p) -> tuple:
-        return tuple(int(round(v)) for v in (np.asarray(p) - self.center) / self.h)
+        axis = h * np.arange(-2 * k, 2 * k + 1)
+        offsets = np.stack(np.meshgrid(*([axis] * n), indexing="ij"), axis=-1)
+        d = np.linalg.norm(offsets, axis=-1).ravel()
+        d[self.origin] = 1.0
+        self.kernel = params.cns * h**n / d ** (n + 2 * params.s)
+        self.kernel[self.origin] = 0.0
 
-    def lookup(self, p):
-        return self.table.get(self._key(p))
+        self.grid, self.params = grid, params
+        self.w_sing = _singular_weight(params, h)
+        nn = grid.n_nodes
+        self.share = np.full((len(points), n), -1)
+        self.share[:nn, 0] = np.arange(nn)
+        # A boundary cell goes to the exterior node one step outward across
+        # each face it lies on (no node is outward of two boundary points);
+        # ext is False past the nodes, so a lookup miss (-1) selects nothing.
+        bd = points[nn:]
+        on_face = np.abs(np.abs(bd - center) - grid.domain.half_widths) <= _TOL * h
+        outward = self.table[self.origin + self.keys[nn:, None]
+                             + np.where(bd > center, 1, -1) * self.strides]
+        ext = np.append(grid.labels == Region.EXTERIOR, np.zeros(len(bd) + 1, bool))
+        self.share[nn:] = np.where(on_face & ext[outward], outward, -1)
+        self.count = np.count_nonzero(self.share >= 0, axis=1)
 
-    def _outward_columns(self, b) -> list[int]:
-        half = self.grid.domain.half_widths
-        tol = 1e-9 * self.h
-        cols = []
-        for ax in range(self.grid.dim):
-            if abs(abs(b[ax] - self.center[ax]) - half[ax]) <= tol:
-                step = np.zeros(self.grid.dim)
-                step[ax] = self.h if b[ax] > self.center[ax] else -self.h
-                g = self.lookup(b + step)
-                if g is not None and self.grid.labels[g] == Region.EXTERIOR:
-                    cols.append(g)
-        return cols
+    def midpoint(self, targets, cols) -> np.ndarray:
+        """Midpoint weights between target nodes (rows) and cells (cols)."""
+        return self.kernel[self.origin + self.keys[targets][:, None]
+                           - self.keys[cols][None, :]]
 
-    def row(self, g: int) -> tuple[np.ndarray, float]:
-        """Quadrature row at node g.
+    def _spread(self, w, tail, rows, cells, mass) -> None:
+        """Add the mass of each (row, cell) pair to the cell's nodes, else to tail."""
+        count = np.where(cells >= 0, self.count[cells], 0)
+        for col in self.share[cells].T:
+            has = (cells >= 0) & (col >= 0)
+            w[rows[has], col[has]] += mass[has] / count[has]
+        np.add.at(tail, rows[count == 0], mass[count == 0])
 
-        Returns (weights, tail_coeff): nonnegative weights w_j over all
-        nodes with w_g = 0, so that
+    def rows(self, targets) -> tuple[np.ndarray, np.ndarray]:
+        """Weights (m, N) over all nodes, zero at the row's own node, and tail
+        coefficients (m,) at the targets, so that at a target node g
 
-            L u (x_g) = sum_j w_j (u_g - u_j) + tail_coeff (u_g - farfield).
+            L u (x_g) = sum_j w_gj (u_g - u_j) + tail_g (u_g - farfield).
         """
-        grid, params = self.grid, self.params
-        h, n, s = self.h, params.n, params.s
-        x = grid.nodes[g]
-        d = np.linalg.norm(grid.nodes - x, axis=1)
-        d[g] = 1.0
-        if np.any(d < 0.5 * h - 1e-12):
-            raise SingularOverlap(f"nodes closer than h/2 near {tuple(x)}")
-        w = params.cns * h**n / d ** (n + 2 * s)
-        w[g] = 0.0
+        targets = np.asarray(targets, dtype=int)
+        nn, m = self.grid.n_nodes, targets.size
+        w = self.midpoint(targets, np.arange(nn))
+        tail = np.zeros(m)
+        bd = np.arange(nn, len(self.keys))
+        rows = np.repeat(np.arange(m), bd.size)
+        self._spread(w, tail, rows, np.tile(bd, m),
+                     self.midpoint(targets, bd).ravel())
+        for step in np.repeat(self.strides, 2) * np.tile([-1, 1], len(self.strides)):
+            cells = self.table[self.origin + self.keys[targets] + step]
+            self._spread(w, tail, np.arange(m), cells, np.full(m, self.w_sing))
+        tail += [self._far_tail(self.grid.nodes[g]) for g in targets]
+        return w, tail
 
-        tail_coeff = 0.0
-        if len(self.bd_points):
-            wb = params.cns * h**n / np.linalg.norm(
-                x - self.bd_points, axis=1) ** (n + 2 * s)
-            for mass, cols in zip(wb, self.bd_cols):
-                if cols:
-                    for c in cols:
-                        w[c] += mass / len(cols)
-                else:
-                    tail_coeff += mass
-
-        for ax in range(n):
-            for sign in (-1.0, 1.0):
-                step = np.zeros(n)
-                step[ax] = sign * h
-                nb = self.lookup(x + step)
-                if nb is not None:
-                    w[nb] += self.w_sing
-                else:
-                    cols = self._outward_columns(x + step)
-                    if cols:
-                        for c in cols:
-                            w[c] += self.w_sing / len(cols)
-                    else:
-                        tail_coeff += self.w_sing
-
-        if n == 1:
-            dd = float(x[0] - self.center[0])
-            left = max(grid.R + dd, 0.5 * h)
-            right = max(grid.R - dd, 0.5 * h)
-            tail_coeff += 0.5 * (tail_mass(params, left) + tail_mass(params, right))
-        else:
-            r_eff = max(grid.R - float(np.linalg.norm(x - self.center)), 0.5 * h)
-            tail_coeff += tail_mass(params, r_eff)
-        return w, tail_coeff
+    def _far_tail(self, x: np.ndarray) -> float:
+        """Closed-form kernel mass beyond the truncation ball, seen from x."""
+        R, h, center = self.grid.R, self.grid.h, self.grid.domain.center
+        if self.grid.dim == 1:
+            dd = float(x[0] - center[0])
+            return 0.5 * (tail_mass(self.params, max(R + dd, 0.5 * h))
+                          + tail_mass(self.params, max(R - dd, 0.5 * h)))
+        r_eff = max(R - float(np.linalg.norm(x - center)), 0.5 * h)
+        return tail_mass(self.params, r_eff)
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,37 +240,29 @@ class NonlocalOperator:
     def apply(self, u: Field, farfield: float = 0.0) -> np.ndarray:
         return apply_operator(self, u, farfield)
 
-    @property
-    def _quadrature(self) -> _Quadrature:
-        q = getattr(self, "_quadrature_cache", None)
-        if q is None:
-            q = _Quadrature(self.grid, self.params)
-            object.__setattr__(self, "_quadrature_cache", q)
-        return q
-
 
 def assemble(grid: Grid, s: float) -> NonlocalOperator:
-    """Assemble the discrete operator for a grid and fractional order."""
+    """Assemble the discrete operator for a grid and fractional order.
+
+    Raises SingularOverlap, before allocating the blocks, when a node or
+    boundary point is off the lattice.
+    """
     params = frac_params(grid.dim, s)
-    quadrature = _Quadrature(grid, params)
+    stencil = _Stencil(grid, params)
+    interior, exterior = grid.interior_index, grid.exterior_index
     ni = grid.n_interior
-    a_ii = np.zeros((ni, ni))
-    a_ie = np.zeros((ni, grid.n_exterior))
-    tail = np.zeros(ni)
-
-    loc = grid.local_of_global()
-    for r, g in enumerate(grid.interior_index):
-        w, tail_coeff = quadrature.row(g)
-        a_ii[r] = -w[grid.interior_index]
-        a_ie[r] = -w[grid.exterior_index]
-        tail[r] = tail_coeff
-        a_ii[r, loc[g]] = np.sum(w[grid.interior_index]) + np.sum(w[grid.exterior_index])
-
+    a_ii = np.empty((ni, ni))
+    a_ie = np.empty((ni, grid.n_exterior))
+    tail = np.empty(ni)
+    for sl in _blocks(ni, grid.n_nodes):
+        w, tail[sl] = stencil.rows(interior[sl])
+        np.negative(w.take(interior, axis=1, out=a_ii[sl]), out=a_ii[sl])
+        np.negative(w.take(exterior, axis=1, out=a_ie[sl]), out=a_ie[sl])
+        r = np.arange(sl.start, sl.stop)
+        a_ii[r, r] = -(np.sum(a_ii[sl], axis=1) + np.sum(a_ie[sl], axis=1))
     for arr in (a_ii, a_ie, tail):
         arr.setflags(write=False)
-    op = NonlocalOperator(params=params, grid=grid, a_ii=a_ii, a_ie=a_ie, tail=tail)
-    object.__setattr__(op, "_quadrature_cache", quadrature)
-    return op
+    return NonlocalOperator(params=params, grid=grid, a_ii=a_ii, a_ie=a_ie, tail=tail)
 
 
 def apply_operator(op: NonlocalOperator, u: Field, farfield: float = 0.0) -> np.ndarray:
@@ -278,19 +287,20 @@ def evaluate_at(op: NonlocalOperator, u: Field, index: int,
                 farfield: float = 0.0) -> float:
     """Pointwise operator value at an arbitrary node (typically exterior).
 
-    Same quadrature as assembly.  For nodes near the edge of the truncation
+    Same stencil as assembly.  For nodes near the edge of the truncation
     ball the tail distance is clamped below at h/2.
     """
     if not u.grid.same_as(op.grid):
         raise GridMismatch("field grid differs from operator grid")
-    w, tail_coeff = op._quadrature.row(index)
+    w, tail_coeff = operator_row(op, index)
     v = u.values[index]
     return float(np.dot(w, v - u.values) + tail_coeff * (v - farfield))
 
 
 def operator_row(op: NonlocalOperator, index: int) -> tuple[np.ndarray, float]:
-    """Raw quadrature row (weights over all nodes, tail coefficient) at a node."""
-    return op._quadrature.row(index)
+    """Raw stencil row (weights over all nodes, tail coefficient) at a node."""
+    w, tail = _Stencil(op.grid, op.params).rows([index])
+    return w[0], float(tail[0])
 
 
 def operator_to_json(op: NonlocalOperator) -> dict:

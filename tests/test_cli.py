@@ -63,6 +63,19 @@ def test_malformed_order_rejected(tmp_path):
     assert record["error"] == "OrderOutOfRange"
 
 
+@pytest.mark.parametrize("override, code, error", [
+    ({"s": 1.2}, 1, "OrderOutOfRange"),   # a ToolkitError
+    ({"h": "abc"}, 2, "ValueError"),      # anything else
+])
+def test_exit_codes(tmp_path, capsys, override, code, error):
+    out = tmp_path / "out"
+    cfg_path = write_config(tmp_path, dict(GETOOR, **override))
+    assert main(["solve", "--config", cfg_path, "--out", str(out)]) == code
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == error and record["experiment"] == "solve"
+    assert json.loads(capsys.readouterr().err) == record
+
+
 def test_experiment_name_mismatch(tmp_path):
     cfg_path = write_config(tmp_path, GETOOR)
     out = tmp_path / "out"

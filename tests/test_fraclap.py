@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -16,7 +17,13 @@ from fracschrod import (
     sample_function,
     tail_mass,
 )
-from fracschrod.errors import GridMismatch, NonPositiveRadius, OrderOutOfRange
+from fracschrod.errors import (
+    GridMismatch,
+    NonPositiveRadius,
+    OrderOutOfRange,
+    SingularOverlap,
+)
+from fracschrod.cauchy import neumann_derivative
 from oracles import fraclap_quad_1d, tail_mass_quad_2d
 
 
@@ -148,3 +155,24 @@ def test_operator_json_dump(op_small):
     assert doc["params"]["s"] == 0.5
     assert len(doc["a_ii"]) == op_small.grid.n_interior
     json.dumps(doc)  # must be JSON-compatible plain types
+
+
+def _moved(grid, index, shift):
+    nodes = grid.nodes.copy()
+    nodes[index] += shift
+    return dataclasses.replace(grid, nodes=nodes)
+
+
+def test_off_lattice_grid_rejected(grid_2d):
+    # the stencil indexes weights by integer offset, so every node must sit
+    # on the h-lattice anchored at the domain center
+    h = grid_2d.h
+    g = int(grid_2d.interior_index[7])
+    with pytest.raises(SingularOverlap, match="off the h-lattice"):
+        assemble(_moved(grid_2d, g, np.array([h / 3, 0.0])), 0.5)
+    moved = _moved(grid_2d, int(grid_2d.exterior_index[0]), np.array([0.0, h / 3]))
+    with pytest.raises(SingularOverlap):
+        neumann_derivative(moved, frac_params(2, 0.5), Field.zeros(moved),
+                           grid_2d.exterior_index[-1:])
+    with pytest.raises(SingularOverlap, match="share a lattice point"):
+        assemble(_moved(grid_2d, g, np.array([h, 0.0])), 0.5)
