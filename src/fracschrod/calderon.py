@@ -41,7 +41,8 @@ from .cauchy import CauchyDatum, _mass_at_point
 from .fraclap import NonlocalOperator, _Stencil
 from .grid import Field, Grid, Window
 from .nonlinearity import Nonlinearity
-from .solver import LinearProblem, NewtonConfig, solve_linear, solve_semilinear
+from .solver import (LinearProblem, NewtonConfig, _factor_system, solve_linear,
+                     solve_semilinear)
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
@@ -188,17 +189,15 @@ class _DnAssembler:
                       - self.mass[:, None] * self.probe_w + e0)
 
     def solutions(self, a: np.ndarray) -> np.ndarray:
-        matrix = self.op.a_ii + np.diag(self.op.tail + a)
-        return scipy.linalg.cho_solve(scipy.linalg.cho_factor(matrix), self.rhs)
+        factor = _factor_system(self.op, self.op.tail + a)
+        return scipy.linalg.cho_solve(factor, self.rhs)
 
     def matrix(self, a: np.ndarray) -> np.ndarray:
         return self.const + self.neumann_lin @ self.solutions(a)
 
     def jacobian(self, a: np.ndarray) -> np.ndarray:
         """Stacked derivative of vec(matrix) with respect to the potential."""
-        op = self.op
-        system = op.a_ii + np.diag(op.tail + a)
-        factor = scipy.linalg.cho_factor(system)
+        factor = _factor_system(self.op, self.op.tail + a)
         sols = scipy.linalg.cho_solve(factor, self.rhs)
         green = self.neumann_lin @ scipy.linalg.cho_solve(
             factor, np.eye(len(a)))

@@ -50,6 +50,10 @@ class NonPositiveRadius(ToolkitError):
     """Effective truncation radius must be positive."""
 
 
+class OperatorTooLarge(ToolkitError):
+    """The dense operator blocks would not fit in physical memory."""
+
+
 # --- nonlinearity ---
 
 class NonFiniteValue(ToolkitError):

@@ -23,12 +23,17 @@ only on their integer offset k.  Quadrature scheme, per evaluation node x:
 * everything beyond the truncation ball is integrated in closed form and
   multiplies u(x) minus the assumed far-field value.
 
-The stencil is cheap enough to rebuild per call; the assembled operator
-is immutable and apply() is a pure function.
+Assembly gathers the midpoint weights of each block of interior rows
+straight into the dense blocks a_ii and a_ie, negated, then subtracts the
+sparse corrections the stencil lists (boundary cells first, then the
+singular cell) and sets the diagonal from the finished rows; no row over
+all nodes is formed.  The stencil is cheap enough to rebuild per call; the
+assembled operator is immutable and apply() is a pure function.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gamma, pi
@@ -39,6 +44,7 @@ from scipy.integrate import quad
 from .errors import (
     GridMismatch,
     NonPositiveRadius,
+    OperatorTooLarge,
     OrderOutOfRange,
     SingularOverlap,
 )
@@ -114,7 +120,7 @@ def _singular_weight(params: FracParams, h: float) -> float:
     return params.cns * cell / (4.0 * h * h)
 
 
-_BLOCK = 1 << 16  # float64 entries per batch of rows (512 KiB)
+_BLOCK = 1 << 19  # float64 entries per batch of rows (4 MiB)
 
 
 def _blocks(count: int, width: int) -> list[slice]:
@@ -177,17 +183,48 @@ class _Stencil:
         self.share[nn:] = np.where(on_face & ext[outward], outward, -1)
         self.count = np.count_nonzero(self.share >= 0, axis=1)
 
-    def midpoint(self, targets, cols) -> np.ndarray:
-        """Midpoint weights between target nodes (rows) and cells (cols)."""
-        return self.kernel[self.origin + self.keys[targets][:, None]
-                           - self.keys[cols][None, :]]
+    def midpoint(self, targets, cols, out=None) -> np.ndarray:
+        """Midpoint weights between target nodes (rows) and cells (cols).
 
-    def _spread(self, w, tail, rows, cells, mass) -> None:
-        """Add the mass of each (row, cell) pair to the cell's nodes, else to tail."""
+        Each row is one gather from a shifted view of the kernel, so no
+        index array of the block's size is formed; out receives the block.
+        """
+        keys = self.keys[targets]
+        low = keys.min(initial=0)
+        base = self.origin + low - self.keys[cols]
+        if out is None:
+            out = np.empty((keys.size, base.size))
+        for row, shift in zip(out, keys - low):
+            np.take(self.kernel[shift:], base, out=row)
+        return out
+
+    def corrections(self, targets) -> tuple[list, np.ndarray]:
+        """Sparse additions to the midpoint rows at the targets, and their tails.
+
+        Returns (adds, tail): adds lists (row, node, mass) batches, row local
+        to targets, in the order they apply (the boundary cells, then the
+        singular mass of each -/+ axis step); no batch repeats a (row, node)
+        pair.  Mass no node receives goes to tail, with the far-field mass.
+        """
+        targets = np.asarray(targets, dtype=int)
+        m = targets.size
+        adds, tail = [], np.zeros(m)
+        bd = np.arange(self.grid.n_nodes, len(self.keys))
+        self._spread(adds, tail, np.repeat(np.arange(m), bd.size), np.tile(bd, m),
+                     self.midpoint(targets, bd).ravel())
+        steps = np.repeat(self.strides, 2) * np.tile([-1, 1], len(self.strides))
+        cells = self.table[self.origin + self.keys[targets] + steps[:, None]].ravel()
+        self._spread(adds, tail, np.tile(np.arange(m), steps.size), cells,
+                     np.full(cells.size, self.w_sing))
+        tail += [self._far_tail(self.grid.nodes[g]) for g in targets]
+        return adds, tail
+
+    def _spread(self, adds, tail, rows, cells, mass) -> None:
+        """Share the mass of each (row, cell) pair among the cell's nodes, else tail."""
         count = np.where(cells >= 0, self.count[cells], 0)
         for col in self.share[cells].T:
             has = (cells >= 0) & (col >= 0)
-            w[rows[has], col[has]] += mass[has] / count[has]
+            adds.append((rows[has], col[has], mass[has] / count[has]))
         np.add.at(tail, rows[count == 0], mass[count == 0])
 
     def rows(self, targets) -> tuple[np.ndarray, np.ndarray]:
@@ -196,18 +233,10 @@ class _Stencil:
 
             L u (x_g) = sum_j w_gj (u_g - u_j) + tail_g (u_g - farfield).
         """
-        targets = np.asarray(targets, dtype=int)
-        nn, m = self.grid.n_nodes, targets.size
-        w = self.midpoint(targets, np.arange(nn))
-        tail = np.zeros(m)
-        bd = np.arange(nn, len(self.keys))
-        rows = np.repeat(np.arange(m), bd.size)
-        self._spread(w, tail, rows, np.tile(bd, m),
-                     self.midpoint(targets, bd).ravel())
-        for step in np.repeat(self.strides, 2) * np.tile([-1, 1], len(self.strides)):
-            cells = self.table[self.origin + self.keys[targets] + step]
-            self._spread(w, tail, np.arange(m), cells, np.full(m, self.w_sing))
-        tail += [self._far_tail(self.grid.nodes[g]) for g in targets]
+        w = self.midpoint(targets, np.arange(self.grid.n_nodes))
+        adds, tail = self.corrections(targets)
+        for row, node, mass in adds:
+            w[row, node] += mass
         return w, tail
 
     def _far_tail(self, x: np.ndarray) -> float:
@@ -244,25 +273,44 @@ class NonlocalOperator:
 def assemble(grid: Grid, s: float) -> NonlocalOperator:
     """Assemble the discrete operator for a grid and fractional order.
 
-    Raises SingularOverlap, before allocating the blocks, when a node or
-    boundary point is off the lattice.
+    Raises OperatorTooLarge when the dense blocks would not fit in physical
+    memory, and SingularOverlap when a node or boundary point is off the
+    lattice, both before allocating the blocks.
     """
     params = frac_params(grid.dim, s)
+    ni, nn = grid.n_interior, grid.n_nodes
+    need, have = ni * nn * 8, _physical_memory()
+    if need > have:
+        raise OperatorTooLarge(
+            f"dense blocks need {need / 2**30:.1f} GiB, physical memory is "
+            f"{have / 2**30:.1f} GiB")
     stencil = _Stencil(grid, params)
     interior, exterior = grid.interior_index, grid.exterior_index
-    ni = grid.n_interior
+    inner = grid.labels == Region.INTERIOR
+    column = grid.local_of_global()
     a_ii = np.empty((ni, ni))
     a_ie = np.empty((ni, grid.n_exterior))
     tail = np.empty(ni)
-    for sl in _blocks(ni, grid.n_nodes):
-        w, tail[sl] = stencil.rows(interior[sl])
-        np.negative(w.take(interior, axis=1, out=a_ii[sl]), out=a_ii[sl])
-        np.negative(w.take(exterior, axis=1, out=a_ie[sl]), out=a_ie[sl])
+    for sl in _blocks(ni, nn):
+        rows = interior[sl]
+        b_ii, b_ie = a_ii[sl], a_ie[sl]
+        np.negative(stencil.midpoint(rows, interior, out=b_ii), out=b_ii)
+        np.negative(stencil.midpoint(rows, exterior, out=b_ie), out=b_ie)
+        adds, tail[sl] = stencil.corrections(rows)
+        for row, node, mass in adds:
+            into = inner[node]
+            b_ii[row[into], column[node[into]]] -= mass[into]
+            b_ie[row[~into], column[node[~into]]] -= mass[~into]
         r = np.arange(sl.start, sl.stop)
-        a_ii[r, r] = -(np.sum(a_ii[sl], axis=1) + np.sum(a_ie[sl], axis=1))
+        a_ii[r, r] = -(np.sum(b_ii, axis=1) + np.sum(b_ie, axis=1))
     for arr in (a_ii, a_ie, tail):
         arr.setflags(write=False)
     return NonlocalOperator(params=params, grid=grid, a_ii=a_ii, a_ie=a_ie, tail=tail)
+
+
+def _physical_memory() -> int:
+    """Bytes of physical memory on this machine."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
 def apply_operator(op: NonlocalOperator, u: Field, farfield: float = 0.0) -> np.ndarray:

@@ -6,7 +6,10 @@ data prescribed on the truncated ring.  The system matrix is the assembled
 interior block plus the nonnegative diagonal (truncation tail and
 potential), a symmetric positive-definite M-matrix; solves use a dense
 Cholesky factorization, so sign- and order-principle checks are not
-confounded by iterative tolerances.
+confounded by iterative tolerances.  Each system matrix is built as one
+Fortran-order copy of the interior block with the diagonal added in place,
+and LAPACK factors that copy in place, so a factorization holds one matrix
+(and cho_factor's byte-per-entry finiteness mask) beyond the operator.
 
 The barrier construction follows the cutoff recipe: a radial profile equal
 to one on the domain and falling smoothly to zero at the truncation sphere.
@@ -28,6 +31,7 @@ from .errors import (
     NewtonDiverged,
     NonPositiveLambda,
     SingularSystem,
+    ToolkitError,
     Validation,
 )
 from .fraclap import NonlocalOperator, apply_operator
@@ -106,11 +110,20 @@ def _full_field(grid: Grid, interior: np.ndarray, exterior: np.ndarray) -> Field
     return Field.from_values(grid, values)
 
 
-def _factor(matrix: np.ndarray):
+def _factor_system(op: NonlocalOperator, diagonal: np.ndarray,
+                   error: type[ToolkitError] = SingularSystem):
+    """Cholesky factor of the system matrix op.a_ii + diag(diagonal).
+
+    The matrix is one Fortran-order copy of a_ii with the diagonal added in
+    place, and LAPACK factors that copy without copying it again; op.a_ii
+    is left untouched.  A failed factorization raises error.
+    """
+    matrix = np.array(op.a_ii, order="F")
+    matrix[np.diag_indices_from(matrix)] += diagonal
     try:
-        return scipy.linalg.cho_factor(matrix)
+        return scipy.linalg.cho_factor(matrix, overwrite_a=True)
     except scipy.linalg.LinAlgError as err:
-        raise SingularSystem(str(err)) from err
+        raise error(str(err)) from err
 
 
 def homogenize(op: NonlocalOperator, g: Field) -> tuple[Field, np.ndarray]:
@@ -135,9 +148,8 @@ def solve_linear(problem: LinearProblem) -> Field:
     solution exists and is unique.
     """
     op = problem.op
-    matrix = op.a_ii + np.diag(op.tail + problem.a)
     rhs = problem.f - op.a_ie @ problem.g.exterior_values
-    u_int = scipy.linalg.cho_solve(_factor(matrix), rhs)
+    u_int = scipy.linalg.cho_solve(_factor_system(op, op.tail + problem.a), rhs)
     return _full_field(op.grid, u_int, problem.g.exterior_values)
 
 
@@ -178,11 +190,8 @@ def solve_semilinear(op: NonlocalOperator, nl: Nonlinearity, g: Field,
         dq = nl.dq(xi, u)
         if np.any(dq < 0):
             raise JacobianSingular("q has negative t-derivative on the iterate")
-        jac = op.a_ii + np.diag(op.tail + dq)
-        try:
-            step = scipy.linalg.cho_solve(scipy.linalg.cho_factor(jac), -res)
-        except scipy.linalg.LinAlgError as err:
-            raise JacobianSingular(str(err)) from err
+        step = scipy.linalg.cho_solve(
+            _factor_system(op, op.tail + dq, JacobianSingular), -res)
         alpha = 1.0
         while True:
             u_new = u + alpha * step

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from fracschrod import Domain, build_grid
 from fracschrod.cli import main
+from fracschrod.fraclap import _physical_memory
 
 GETOOR = {
     "experiment": "solve",
@@ -74,6 +76,19 @@ def test_exit_codes(tmp_path, capsys, override, code, error):
     record = json.loads((out / "error.json").read_text())
     assert record["error"] == error and record["experiment"] == "solve"
     assert json.loads(capsys.readouterr().err) == record
+
+
+def test_operator_too_large_exit_code(tmp_path):
+    # (-1,1)^2 at h=2^-7, R=3 needs 224 GiB of dense blocks
+    grid = build_grid(Domain.box((-1.0, -1.0), (1.0, 1.0)), 2.0**-7, 3.0)
+    if grid.n_interior * grid.n_nodes * 8 <= _physical_memory():
+        pytest.skip("this machine holds the dense blocks of the test grid")
+    box = {"kind": "box-2d", "lower": [-1.0, -1.0], "upper": [1.0, 1.0]}
+    cfg_path = write_config(tmp_path, dict(GETOOR, domain=box, h=2.0**-7, R=3.0))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg_path, "--out", str(out)]) == 1
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "OperatorTooLarge"
 
 
 def test_experiment_name_mismatch(tmp_path):

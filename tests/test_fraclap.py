@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,10 +21,12 @@ from fracschrod import (
 from fracschrod.errors import (
     GridMismatch,
     NonPositiveRadius,
+    OperatorTooLarge,
     OrderOutOfRange,
     SingularOverlap,
 )
 from fracschrod.cauchy import neumann_derivative
+from fracschrod.fraclap import _physical_memory, _Stencil
 from oracles import fraclap_quad_1d, tail_mass_quad_2d
 
 
@@ -176,3 +179,41 @@ def test_off_lattice_grid_rejected(grid_2d):
                            grid_2d.exterior_index[-1:])
     with pytest.raises(SingularOverlap, match="share a lattice point"):
         assemble(_moved(grid_2d, g, np.array([h, 0.0])), 0.5)
+
+
+# the three non-dyadic grids of the stencil refactor and the 2D golden box
+STENCIL_GRIDS = {
+    "1d-h0.1": (Domain.interval(-1.0, 1.0), 0.1, 3.0, 0.3),
+    "1d-offset": (Domain.interval(0.3, 1.3), 1.0 / 8, 2.0, 0.8),
+    "2d-h0.1": (Domain.box((0.1, 0.2), (0.7, 0.5)), 0.1, 1.0, 0.7),
+    "2d-box": (Domain.box((-1.0, -1.0), (1.0, 1.0)), 2.0**-3, 3.0, 0.5),
+}
+
+
+@pytest.mark.parametrize("name", STENCIL_GRIDS)
+def test_assembled_blocks_are_the_stencil_rows(name):
+    # assembly gathers into the blocks without going through rows(); both
+    # must still read the same weights, bit for bit, off the diagonal
+    domain, h, R, s = STENCIL_GRIDS[name]
+    grid = build_grid(domain, h, R)
+    op = assemble(grid, s)
+    w, tail = _Stencil(grid, op.params).rows(grid.interior_index)
+    off = ~np.eye(grid.n_interior, dtype=bool)
+    assert (-op.a_ii)[off].tobytes() == w[:, grid.interior_index][off].tobytes()
+    assert (-op.a_ie).tobytes() == w[:, grid.exterior_index].tobytes()
+    assert op.tail.tobytes() == tail.tobytes()
+
+
+def test_operator_too_large_raises_before_allocating():
+    # (-1,1)^2 at h=2^-7, R=3: 65025 interior rows over 463k nodes, 224 GiB
+    grid = build_grid(Domain.box((-1.0, -1.0), (1.0, 1.0)), 2.0**-7, 3.0)
+    if grid.n_interior * grid.n_nodes * 8 <= _physical_memory():
+        pytest.skip("this machine holds the dense blocks of the test grid")
+    tracemalloc.start()
+    try:
+        with pytest.raises(OperatorTooLarge, match="GiB"):
+            assemble(grid, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

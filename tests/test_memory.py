@@ -1,0 +1,46 @@
+"""Peak memory of assembly and of the system factorization.
+
+tracemalloc sees numpy's buffers, so the peak counts every array the call
+allocates, including the ones it returns.  Measured on (-1,1)^2 at h=2^-4,
+R=3, where the stencil tables are small next to the dense blocks.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from fracschrod import Domain, assemble, build_grid
+from fracschrod.solver import _factor_system
+
+
+def traced_peak(fn, *args):
+    """Result of fn(*args) and the peak bytes allocated while it ran."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+@pytest.fixture(scope="module")
+def traced_assembly():
+    grid = build_grid(Domain.box((-1.0, -1.0), (1.0, 1.0)), 2.0**-4, 3.0)
+    return traced_peak(assemble, grid, 0.5)
+
+
+def test_assembly_peak_is_the_blocks(traced_assembly):
+    # no full-width row block and no take copy on top of a_ii and a_ie
+    op, peak = traced_assembly
+    assert peak <= 1.25 * (op.a_ii.nbytes + op.a_ie.nbytes)
+
+
+def test_factorization_peak_is_one_matrix(traced_assembly):
+    # one Fortran-order copy, factored in place, plus the finiteness mask
+    op, _ = traced_assembly
+    diagonal = op.tail + np.linspace(0.0, 1.0, op.grid.n_interior)
+    _, peak = traced_peak(_factor_system, op, diagonal)
+    assert peak <= 1.25 * op.a_ii.nbytes

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.integrate import quad
 
 from fracschrod import (
@@ -9,6 +10,7 @@ from fracschrod import (
     NewtonConfig,
     Nonlinearity,
     apply_operator,
+    assemble,
     build_barrier,
     build_grid,
     catalogue,
@@ -20,7 +22,8 @@ from fracschrod import (
     solve_linear,
     solve_semilinear,
 )
-from fracschrod.errors import JacobianSingular, NewtonDiverged, Validation
+from fracschrod.errors import JacobianSingular, NewtonDiverged, SingularSystem, Validation
+from fracschrod.solver import _factor_system
 from conftest import exterior_bump
 from oracles import picard_semilinear
 
@@ -179,6 +182,27 @@ def test_jacobian_singular_on_negative_derivative(op_small):
     g = exterior_bump(op_small.grid, 1.5, 0.25)
     with pytest.raises(JacobianSingular):
         solve_semilinear(op_small, bad, g)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_factor_system_is_the_dense_cholesky(dim, op_small, grid_2d):
+    op = op_small if dim == 1 else assemble(grid_2d, 0.5)
+    before = op.a_ii.copy()
+    diagonal = op.tail + np.linspace(0.0, 2.0, op.grid.n_interior)
+    factor, lower = _factor_system(op, diagonal)
+    dense, dense_lower = scipy.linalg.cho_factor(op.a_ii + np.diag(diagonal))
+    assert lower == dense_lower
+    assert np.asfortranarray(factor).tobytes() == np.asfortranarray(dense).tobytes()
+    assert op.a_ii.tobytes() == before.tobytes()
+    assert not op.a_ii.flags.writeable
+
+
+def test_factor_system_names_the_failure(op_small):
+    indefinite = np.full(op_small.grid.n_interior, -1e6)
+    with pytest.raises(SingularSystem):
+        _factor_system(op_small, indefinite)
+    with pytest.raises(JacobianSingular):
+        _factor_system(op_small, indefinite, JacobianSingular)
 
 
 def test_barrier_validity_and_tail_bound():
