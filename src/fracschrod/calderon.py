@@ -153,7 +153,12 @@ def canonical_probes(window: Window) -> list[tuple[str, Field]]:
 
 
 class _DnAssembler:
-    """Shared machinery for DN matrices and their potential derivatives."""
+    """Shared machinery for DN matrices and their potential derivatives.
+
+    The factorization and probe solutions of the last potential factored
+    are kept, so a Jacobian at the potential just evaluated (as trf asks
+    for it) factors nothing; at most one factor is held.
+    """
 
     def __init__(self, op: NonlocalOperator, window: Window,
                  probes: list[tuple[str, Field]]):
@@ -187,18 +192,25 @@ class _DnAssembler:
               - self.rows @ self.probe_nodes)
         self.const = (self.probe_w * self.neumann_diag[:, None]
                       - self.mass[:, None] * self.probe_w + e0)
+        self._factored = None                          # (a, factor, solutions)
 
-    def solutions(self, a: np.ndarray) -> np.ndarray:
-        factor = _factor_system(self.op, self.op.tail + a)
-        return scipy.linalg.cho_solve(factor, self.rhs)
+    def solutions(self, a: np.ndarray) -> tuple:
+        """Factor of the system matrix at potential a and the probe solutions."""
+        if self._factored is None or not np.array_equal(self._factored[0], a):
+            self._factored = None              # free the old factor first
+            factor = _factor_system(self.op, self.op.tail + a)
+            self._factored = (np.array(a), factor,
+                              scipy.linalg.cho_solve(factor, self.rhs))
+        return self._factored[1:]
 
     def matrix(self, a: np.ndarray) -> np.ndarray:
-        return self.const + self.neumann_lin @ self.solutions(a)
+        return self.const + self.neumann_lin @ self.solutions(a)[1]
 
     def jacobian(self, a: np.ndarray) -> np.ndarray:
         """Stacked derivative of vec(matrix) with respect to the potential."""
-        factor = _factor_system(self.op, self.op.tail + a)
-        sols = scipy.linalg.cho_solve(factor, self.rhs)
+        factor, sols = self.solutions(a)
+        # ni right-hand sides: a solve against neumann_lin.T would need only
+        # the window's, but changes the last bits of the recovery
         green = self.neumann_lin @ scipy.linalg.cho_solve(
             factor, np.eye(len(a)))
         k, p = self.window.size, len(self.fields)

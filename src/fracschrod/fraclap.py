@@ -254,10 +254,11 @@ class _Stencil:
 class NonlocalOperator:
     """Assembled fractional Laplacian restricted to interior rows.
 
-    a_ii is symmetric with positive diagonal and nonpositive off-diagonal
-    entries; a_ie is nonpositive; tail holds the closed-form kernel mass
-    beyond the truncation ball per interior node.  Row sums of [a_ii a_ie]
-    vanish, so constants with matching far-field are annihilated exactly.
+    a_ii is symmetric bit for bit, with positive diagonal and nonpositive
+    off-diagonal entries; a_ie is nonpositive; tail holds the closed-form
+    kernel mass beyond the truncation ball per interior node.  Row sums of
+    [a_ii a_ie] vanish, so constants with matching far-field are annihilated
+    exactly.
     """
 
     params: FracParams
@@ -318,17 +319,26 @@ def apply_operator(op: NonlocalOperator, u: Field, farfield: float = 0.0) -> np.
 
     Evaluated in the difference form sum_j w_ij (u_i - u_j), so constants
     with matching far-field are annihilated exactly, not merely to roundoff.
+    Per block of interior rows, the differences u_j - u_i against all
+    interior and all exterior nodes are formed at once (at most 1 MiB each)
+    and each row is reduced with a (1, n) @ (n, 1) matmul, which numpy hands
+    to the same BLAS dot as np.dot of two vectors.  Since a (u_j - u_i) is
+    exactly (-a)(u_i - u_j) in IEEE arithmetic, every value is bit-identical
+    to one dot per row over the negated weights.
     """
     if not u.grid.same_as(op.grid):
         raise GridMismatch("field grid differs from operator grid")
     ui = u.interior_values
     ue = u.exterior_values
     out = np.empty(op.grid.n_interior)
-    for r in range(op.grid.n_interior):
-        out[r] = (np.dot(-op.a_ii[r], ui[r] - ui)
-                  + np.dot(-op.a_ie[r], ui[r] - ue)
-                  + op.tail[r] * (ui[r] - farfield))
-    return out
+    # a quarter of _BLOCK: freed 4 MiB temporaries stay in the malloc heap
+    # and raised the peak RSS of a 1D principles run by 3%
+    for sl in _blocks(op.grid.n_interior, 4 * op.grid.n_nodes):
+        own = ui[sl, None]
+        inner = np.matmul(op.a_ii[sl, None, :], (ui - own)[:, :, None])
+        outer = np.matmul(op.a_ie[sl, None, :], (ue - own)[:, :, None])
+        out[sl] = inner[:, 0, 0] + outer[:, 0, 0]
+    return out + op.tail * (ui - farfield)
 
 
 def evaluate_at(op: NonlocalOperator, u: Field, index: int,

@@ -9,7 +9,9 @@ Cholesky factorization, so sign- and order-principle checks are not
 confounded by iterative tolerances.  Each system matrix is built as one
 Fortran-order copy of the interior block with the diagonal added in place,
 and LAPACK factors that copy in place, so a factorization holds one matrix
-(and cho_factor's byte-per-entry finiteness mask) beyond the operator.
+(and cho_factor's byte-per-entry finiteness mask) beyond the operator.  The
+copy is a plain memory copy of the block's transpose, which relies on
+assembly making the interior block bitwise symmetric (a test pins that).
 
 The barrier construction follows the cutoff recipe: a radial profile equal
 to one on the domain and falling smoothly to zero at the truncation sphere.
@@ -116,9 +118,12 @@ def _factor_system(op: NonlocalOperator, diagonal: np.ndarray,
 
     The matrix is one Fortran-order copy of a_ii with the diagonal added in
     place, and LAPACK factors that copy without copying it again; op.a_ii
-    is left untouched.  A failed factorization raises error.
+    is left untouched.  The copy is taken of the transpose, a plain memory
+    copy instead of a strided one, which is the same matrix because
+    assembly makes a_ii bitwise symmetric.  A failed factorization raises
+    error.
     """
-    matrix = np.array(op.a_ii, order="F")
+    matrix = op.a_ii.T.copy(order="F")
     matrix[np.diag_indices_from(matrix)] += diagonal
     try:
         return scipy.linalg.cho_factor(matrix, overwrite_a=True)

@@ -218,6 +218,26 @@ def test_dn_map_locally_injective(op_coarse):
     assert sigma_min > 0.0
 
 
+def test_jacobian_reuses_the_factor_of_the_last_potential(op_coarse, monkeypatch):
+    # trf asks for the Jacobian at the potential it just evaluated
+    from fracschrod import calderon
+
+    window = recovery_window(op_coarse.grid)
+    a = two_bump_potential(op_coarse.grid)
+    fresh = calderon._DnAssembler(op_coarse, window, canonical_probes(window))
+    want = fresh.jacobian(a)
+    calls = []
+    factor_system = calderon._factor_system
+    monkeypatch.setattr(calderon, "_factor_system",
+                        lambda *args: calls.append(1) or factor_system(*args))
+    asm = calderon._DnAssembler(op_coarse, window, canonical_probes(window))
+    asm.matrix(a)
+    assert asm.jacobian(a.copy()).tobytes() == want.tobytes()
+    assert len(calls) == 1
+    asm.matrix(0.5 * a)
+    assert len(calls) == 2
+
+
 def test_recover_zero_potential(op_coarse):
     window = recovery_window(op_coarse.grid)
     ni = op_coarse.grid.n_interior

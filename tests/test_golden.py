@@ -2,8 +2,9 @@
 
 Every CSV (and the Cauchy bank) written by the six sample configs, the
 assembled 2D operator arrays, the raw quadrature rows at every exterior
-node, and a 2D Neumann trace are pinned by sha256.  A refactor that is
-meant to leave the numbers alone must leave these hashes alone.
+node, a 2D Neumann trace and a 2D operator application are pinned by
+sha256.  A refactor that is meant to leave the numbers alone must leave
+these hashes alone.
 
 The pins hold for one numpy/scipy/BLAS build; a different build may
 round the last bit of a transcendental or a reduction differently, in
@@ -20,6 +21,7 @@ import pytest
 from fracschrod import (
     Domain,
     annulus_window,
+    apply_operator,
     assemble,
     build_grid,
     neumann_derivative,
@@ -75,6 +77,16 @@ NEUMANN_PINS = {
     "rect-s0.25": "47ea6782a76e13f08dcb0134876c1927e69f6a04340506ebe6e2269d3b4f534c",
 }
 
+# apply_operator of the Neumann test's field with far-field value 0.25
+APPLY_PINS = {
+    "box-s0.5": "d4975a04e98bfc88ee7aa38a493eadec4b9f6cebb80307d775daa24818108f3e",
+    "rect-s0.25": "91254b39d952fe97b05ed0ed36e746f25ffd460e577e321946d1fe95bf97a553",
+}
+
+
+def smooth_field(grid):
+    return sample_function(grid, lambda x, y: np.cos(1.3 * x - 0.4) * np.exp(-y * y))
+
 
 def sha(*arrays) -> str:
     digest = hashlib.sha256()
@@ -125,7 +137,14 @@ def test_exterior_rows_2d(ops_2d, name):
 def test_neumann_annulus_2d(ops_2d, name):
     op = ops_2d[name]
     grid = op.grid
-    u = sample_function(grid, lambda x, y: np.cos(1.3 * x - 0.4) * np.exp(-y * y))
+    u = smooth_field(grid)
     window = annulus_window(grid, 0.25, 1.0)
     vals = neumann_derivative(grid, op.params, u, window.indices)
     assert sha(window.indices.astype(float), vals) == NEUMANN_PINS[name]
+
+
+@pytest.mark.parametrize("name", sorted(GRIDS_2D))
+def test_apply_2d(ops_2d, name):
+    op = ops_2d[name]
+    vals = apply_operator(op, smooth_field(op.grid), farfield=0.25)
+    assert sha(vals) == APPLY_PINS[name]

@@ -1,4 +1,4 @@
-"""Peak memory of assembly and of the system factorization.
+"""Peak memory of assembly, the system factorization and the operator apply.
 
 tracemalloc sees numpy's buffers, so the peak counts every array the call
 allocates, including the ones it returns.  Measured on (-1,1)^2 at h=2^-4,
@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fracschrod import Domain, assemble, build_grid
+from fracschrod import Domain, Field, apply_operator, assemble, build_grid
 from fracschrod.solver import _factor_system
 
 
@@ -44,3 +44,12 @@ def test_factorization_peak_is_one_matrix(traced_assembly):
     diagonal = op.tail + np.linspace(0.0, 1.0, op.grid.n_interior)
     _, peak = traced_peak(_factor_system, op, diagonal)
     assert peak <= 1.25 * op.a_ii.nbytes
+
+
+def test_apply_peak_is_one_block(traced_assembly):
+    # the difference rows are formed one block at a time; all interior rows
+    # against all exterior nodes at once would be a_ie.nbytes (47 MB)
+    op, _ = traced_assembly
+    u = Field.from_values(op.grid, np.linspace(-1.0, 1.0, op.grid.n_nodes))
+    out, peak = traced_peak(apply_operator, op, u)
+    assert peak <= 2**21 + out.nbytes
