@@ -3,8 +3,10 @@
 Subcommands: solve | forward | principles | linearize | recover | probe,
 each taking --config <path> (a JSON document) and --out <dir>.  Every run
 writes manifest.json with the fully resolved configuration, the library
-version, and wall-clock time, next to experiment-specific CSV files whose
-numeric content is byte-identical across runs for a fixed config and seed.
+version, the environment (python, numpy, scipy and BLAS versions, thread
+variables, usable CPUs) and wall-clock time, next to experiment-specific
+CSV files whose numeric content is byte-identical across runs for a fixed
+config and seed.
 Failures exit nonzero and leave a machine-readable error record naming the
 error class.
 """
@@ -13,11 +15,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .calderon import (
@@ -286,6 +291,24 @@ _RUNNERS = {
 }
 
 
+def _environment() -> dict:
+    """Versions, BLAS build, *_NUM_THREADS variables and usable CPU count."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.26 has no dict form
+        blas = {}
+    affinity = getattr(os, "sched_getaffinity", None)
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "thread_variables": {k: v for k, v in sorted(os.environ.items())
+                             if k.endswith("_NUM_THREADS")},
+        "cpu_affinity": len(affinity(0)) if affinity else os.cpu_count(),
+    }
+
+
 def run(experiment: str, config_path: str, out_dir: str) -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -307,6 +330,7 @@ def run(experiment: str, config_path: str, out_dir: str) -> int:
         "experiment": experiment,
         "config": cfg,
         "library_version": __version__,
+        "environment": _environment(),
         "wall_clock_seconds": time.time() - started,
         "summary": summary,
     }

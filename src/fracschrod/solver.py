@@ -13,6 +13,17 @@ and LAPACK factors that copy in place, so a factorization holds one matrix
 copy is a plain memory copy of the block's transpose, which relies on
 assembly making the interior block bitwise symmetric (a test pins that).
 
+Each assembled operator retains two pieces of state here, held through a
+weak reference so they die with the operator: the last system solve_linear
+factored (a copy of its diagonal and the Cholesky factor, a_ii.nbytes, so
+126 MB at 2D h=2^-5), and the barrier cutoff eta with its image L eta.
+solve_linear reuses the factor while the diagonal is bit for bit the same
+and frees it before factoring a new one, so at most one factor is held;
+build_barrier applies the operator to eta once per operator.  A reused
+factor or image is the very array the call would have recomputed, so every
+result is unchanged.  The state is not thread-safe: share an operator
+between threads only with a lock around these calls.
+
 The barrier construction follows the cutoff recipe: a radial profile equal
 to one on the domain and falling smoothly to zero at the truncation sphere.
 Because the cutoff attains its maximum on the domain, the assembled
@@ -22,6 +33,7 @@ keeps the bound constant strictly positive.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +73,8 @@ class LinearProblem:
         f = np.asarray(self.f, dtype=float)
         if a.shape != (ni,) or f.shape != (ni,):
             raise GridMismatch("a and f must have one value per interior node")
+        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(f))):
+            raise Validation("potential a and source f must be finite")
         if not self.g.grid.same_as(self.op.grid):
             raise GridMismatch("exterior data lives on a different grid")
         if np.any(a < 0):
@@ -103,6 +117,19 @@ class SemilinearSolution:
     u: Field
     residuals: tuple[float, ...]
     iterations: int
+
+
+@dataclass(eq=False)
+class _Retained:
+    """What solve_linear and build_barrier keep for one operator."""
+
+    diagonal: np.ndarray | None = None     # of the last factored system
+    factor: tuple | None = None            # its Cholesky factor
+    cutoff: tuple[Field, np.ndarray] | None = None     # eta and L eta
+
+
+_RETAINED: weakref.WeakKeyDictionary[NonlocalOperator, _Retained] = (
+    weakref.WeakKeyDictionary())
 
 
 def _full_field(grid: Grid, interior: np.ndarray, exterior: np.ndarray) -> Field:
@@ -150,11 +177,18 @@ def solve_linear(problem: LinearProblem) -> Field:
     """Solve L u + a u = f with u = g outside; returns the full nodal field.
 
     The system matrix is symmetric positive definite for a >= 0, so the
-    solution exists and is unique.
+    solution exists and is unique.  Its factor is kept with the operator
+    and reused while the potential is bit for bit the same.
     """
     op = problem.op
+    diagonal = op.tail + problem.a
+    state = _RETAINED.setdefault(op, _Retained())
+    if state.diagonal is None or state.diagonal.tobytes() != diagonal.tobytes():
+        state.diagonal = state.factor = None       # free the old factor first
+        state.factor = _factor_system(op, diagonal)
+        state.diagonal = diagonal
     rhs = problem.f - op.a_ie @ problem.g.exterior_values
-    u_int = scipy.linalg.cho_solve(_factor_system(op, op.tail + problem.a), rhs)
+    u_int = scipy.linalg.cho_solve(state.factor, rhs)
     return _full_field(op.grid, u_int, problem.g.exterior_values)
 
 
@@ -223,6 +257,21 @@ def _smoothstep(t: np.ndarray) -> np.ndarray:
     return 1.0 - (10.0 * t**3 - 15.0 * t**4 + 6.0 * t**5)
 
 
+def _cutoff(op: NonlocalOperator) -> tuple[Field, np.ndarray]:
+    """The cutoff eta of op's grid and L eta, computed once per operator."""
+    state = _RETAINED.setdefault(op, _Retained())
+    if state.cutoff is None:
+        grid = op.grid
+        center = grid.domain.center
+        r_in = float(np.linalg.norm(grid.domain.half_widths))
+        if not grid.R > r_in:
+            raise NonPositiveLambda("truncation ball does not strictly contain the domain")
+        rho = np.linalg.norm(grid.nodes - center, axis=1)
+        eta = Field.from_values(grid, _smoothstep((rho - r_in) / (grid.R - r_in)))
+        state.cutoff = (eta, apply_operator(op, eta, farfield=0.0))
+    return state.cutoff
+
+
 def build_barrier(op: NonlocalOperator, a: np.ndarray) -> Barrier:
     """Construct the barrier phi = eta / lam from the radial cutoff eta.
 
@@ -233,15 +282,12 @@ def build_barrier(op: NonlocalOperator, a: np.ndarray) -> Barrier:
     a = np.asarray(a, dtype=float)
     if a.shape != (grid.n_interior,):
         raise GridMismatch("potential must have one value per interior node")
+    if not np.all(np.isfinite(a)):
+        raise Validation("potential a must be finite")
     if np.any(a < 0):
         raise Validation("potential a must be nonnegative")
-    center = grid.domain.center
-    r_in = float(np.linalg.norm(grid.domain.half_widths))
-    if not grid.R > r_in:
-        raise NonPositiveLambda("truncation ball does not strictly contain the domain")
-    rho = np.linalg.norm(grid.nodes - center, axis=1)
-    eta = Field.from_values(grid, _smoothstep((rho - r_in) / (grid.R - r_in)))
-    values = apply_operator(op, eta, farfield=0.0) + a * eta.interior_values
+    eta, image = _cutoff(op)
+    values = image + a * eta.interior_values
     lam = float(np.min(values))
     if lam <= 0:
         raise NonPositiveLambda(f"cutoff gives lam = {lam}; enlarge R")

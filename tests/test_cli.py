@@ -45,6 +45,11 @@ def test_solve_getoor_config(tmp_path):
     assert manifest["experiment"] == "solve"
     assert manifest["config"]["s"] == 0.5
     assert "library_version" in manifest
+    env = manifest["environment"]
+    assert set(env) == {"python", "numpy", "scipy", "blas", "thread_variables",
+                        "cpu_affinity"}
+    assert env["numpy"] == np.__version__ and set(env["blas"]) == {"name", "version"}
+    assert env["cpu_affinity"] >= 1
 
 
 def test_solve_deterministic(tmp_path):
@@ -68,6 +73,7 @@ def test_malformed_order_rejected(tmp_path):
 @pytest.mark.parametrize("override, code, error", [
     ({"s": 1.2}, 1, "OrderOutOfRange"),   # a ToolkitError
     ({"h": "abc"}, 2, "ValueError"),      # anything else
+    ({"potential": {"kind": "constant", "value": float("nan")}}, 1, "Validation"),
 ])
 def test_exit_codes(tmp_path, capsys, override, code, error):
     out = tmp_path / "out"

@@ -1,4 +1,5 @@
-"""Peak memory of assembly, the system factorization and the operator apply.
+"""Peak memory of assembly, the system factorization, linear solves and the
+operator apply.
 
 tracemalloc sees numpy's buffers, so the peak counts every array the call
 allocates, including the ones it returns.  Measured on (-1,1)^2 at h=2^-4,
@@ -10,7 +11,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fracschrod import Domain, Field, apply_operator, assemble, build_grid
+from fracschrod import (
+    Domain,
+    Field,
+    LinearProblem,
+    apply_operator,
+    assemble,
+    build_grid,
+    solve_linear,
+)
 from fracschrod.solver import _factor_system
 
 
@@ -43,6 +52,21 @@ def test_factorization_peak_is_one_matrix(traced_assembly):
     op, _ = traced_assembly
     diagonal = op.tail + np.linspace(0.0, 1.0, op.grid.n_interior)
     _, peak = traced_peak(_factor_system, op, diagonal)
+    assert peak <= 1.25 * op.a_ii.nbytes
+
+
+def test_solves_hold_one_factor(traced_assembly):
+    # the operator keeps the last factor; a new potential frees it before
+    # factoring, so two factors (2.1 x a_ii.nbytes) never coexist
+    op, _ = traced_assembly
+    grid = op.grid
+    ni = grid.n_interior
+
+    def solve_two_potentials():
+        for a in (np.full(ni, 0.25), np.linspace(0.0, 1.0, ni)):
+            solve_linear(LinearProblem(op=op, a=a, f=np.ones(ni), g=Field.zeros(grid)))
+
+    _, peak = traced_peak(solve_two_potentials)
     assert peak <= 1.25 * op.a_ii.nbytes
 
 

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -22,6 +25,7 @@ from fracschrod import (
     solve_linear,
     solve_semilinear,
 )
+from fracschrod import solver
 from fracschrod.errors import JacobianSingular, NewtonDiverged, SingularSystem, Validation
 from fracschrod.solver import _factor_system
 from conftest import exterior_bump
@@ -128,6 +132,87 @@ def test_negative_potential_rejected(op_small):
     with pytest.raises(Validation):
         LinearProblem(op=op_small, a=np.full(op_small.grid.n_interior, -0.1),
                       f=zeros_like_interior(op_small), g=Field.zeros(op_small.grid))
+
+
+def counted(monkeypatch, name):
+    """Replace solver.<name> by a wrapper; returns the list of its calls."""
+    calls = []
+    real = getattr(solver, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver, name, wrapper)
+    return calls
+
+
+def principles_data(grid, seed):
+    rng = np.random.default_rng(seed)
+    values = np.zeros(grid.n_nodes)
+    values[grid.exterior_index] = rng.uniform(0, 1, grid.n_exterior)
+    return (rng.uniform(0, 1, grid.n_interior), rng.uniform(0, 1, grid.n_interior),
+            Field.from_values(grid, values))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_data_rejected(monkeypatch, bad):
+    grid = build_grid(Domain.interval(-1, 1), 1.0 / 16, 3.0)
+    op = assemble(grid, 0.5)
+    factors = counted(monkeypatch, "_factor_system")
+    applies = counted(monkeypatch, "apply_operator")
+    ni = grid.n_interior
+    spoiled = np.zeros(ni)
+    spoiled[ni // 2] = bad
+    for a, f in ((spoiled, np.ones(ni)), (np.zeros(ni), spoiled)):
+        with pytest.raises(Validation):
+            LinearProblem(op=op, a=a, f=f, g=Field.zeros(grid))
+    with pytest.raises(Validation):
+        build_barrier(op, spoiled)
+    assert factors == [] and applies == []
+
+
+def test_solve_linear_factors_each_potential_once(monkeypatch):
+    grid = build_grid(Domain.interval(-1, 1), 1.0 / 16, 3.0)
+    op = assemble(grid, 0.5)
+    a0, f0, g0 = principles_data(grid, 0)
+    a1, f1, g1 = principles_data(grid, 1)
+    problems = [(a0, f0, g0), (a0, f1, g1), (a1, f0, g0), (a0, f0, g0)]
+    expected = [solve_linear(LinearProblem(op=assemble(grid, 0.5), a=a, f=f, g=g))
+                for a, f, g in problems]
+    factors = counted(monkeypatch, "_factor_system")
+    counts = []
+    for (a, f, g), want in zip(problems, expected):
+        u = solve_linear(LinearProblem(op=op, a=a.copy(), f=f, g=g))
+        assert u.values.tobytes() == want.values.tobytes()
+        counts.append(len(factors))
+    # a repeated potential reuses the factor; only the last one is kept
+    assert counts == [1, 1, 2, 3]
+
+
+def test_barrier_applies_the_operator_once(monkeypatch):
+    grid = build_grid(Domain.interval(-1, 1), 1.0 / 16, 3.0)
+    op = assemble(grid, 0.5)
+    potentials = [principles_data(grid, seed)[0] for seed in (0, 1)]
+    expected = [build_barrier(assemble(grid, 0.5), a) for a in potentials]
+    applies = counted(monkeypatch, "apply_operator")
+    for a, want in zip(potentials, expected):
+        barrier = build_barrier(op, a)
+        assert barrier.phi.values.tobytes() == want.phi.values.tobytes()
+        assert (barrier.lam, barrier.big_c) == (want.lam, want.big_c)
+    assert len(applies) == 1
+
+
+def test_retained_state_dies_with_the_operator():
+    grid = build_grid(Domain.interval(-1, 1), 1.0 / 16, 3.0)
+    op = assemble(grid, 0.5)
+    a, f, g = principles_data(grid, 0)
+    solve_linear(LinearProblem(op=op, a=a, f=f, g=g))
+    build_barrier(op, a)
+    ref = weakref.ref(op)
+    del op
+    gc.collect()
+    assert ref() is None
 
 
 def test_semilinear_zero_model_matches_linear(op_medium):
