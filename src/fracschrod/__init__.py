@@ -36,7 +36,6 @@ from .fraclap import (
     cns,
     evaluate_at,
     frac_params,
-    operator_to_json,
     tail_mass,
 )
 from .grid import (
@@ -48,8 +47,6 @@ from .grid import (
     annulus_window,
     build_grid,
     c3_bump,
-    field_to_json,
-    grid_to_json,
     sample_function,
 )
 from .nonlinearity import (

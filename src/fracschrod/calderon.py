@@ -37,11 +37,11 @@ from .errors import (
     RankDeficientProbes,
     Validation,
 )
-from .cauchy import CauchyDatum, _mass_at_point
+from .cauchy import CauchyDatum, mass_m
 from .fraclap import NonlocalOperator, _Stencil
 from .grid import Field, Grid, Window
 from .nonlinearity import Nonlinearity
-from .solver import (LinearProblem, NewtonConfig, _factor_system, solve_linear,
+from .solver import (LinearProblem, NewtonConfig, _retained_factor, solve_linear,
                      solve_semilinear)
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -155,9 +155,11 @@ def canonical_probes(window: Window) -> list[tuple[str, Field]]:
 class _DnAssembler:
     """Shared machinery for DN matrices and their potential derivatives.
 
-    The factorization and probe solutions of the last potential factored
-    are kept, so a Jacobian at the potential just evaluated (as trf asks
-    for it) factors nothing; at most one factor is held.
+    The system factor is the operator's retained one (solver's
+    _retained_factor, shared with solve_linear), so a Jacobian at the
+    potential just evaluated (as trf asks for it) factors nothing and the
+    operator holds at most one factor; the probe solutions are one
+    cho_solve against it per call.
     """
 
     def __init__(self, op: NonlocalOperator, window: Window,
@@ -180,8 +182,7 @@ class _DnAssembler:
         kern = stencil.midpoint(window.indices, grid.interior_index)
         self.neumann_lin = -kern                       # action on interior values
         self.neumann_diag = kern.sum(axis=1)           # coefficient of u(x_w)
-        self.mass = np.array([_mass_at_point(grid.domain, op.params, x)
-                              for x in window.points])
+        self.mass = mass_m(grid, op.params, window.indices)
         # operator rows at window nodes, for the zero-extension term
         self.rows, self.row_tails = stencil.rows(window.indices)
         self.rhs = np.array([-(op.a_ie @ f.exterior_values) for f in self.fields]).T
@@ -192,16 +193,11 @@ class _DnAssembler:
               - self.rows @ self.probe_nodes)
         self.const = (self.probe_w * self.neumann_diag[:, None]
                       - self.mass[:, None] * self.probe_w + e0)
-        self._factored = None                          # (a, factor, solutions)
 
     def solutions(self, a: np.ndarray) -> tuple:
         """Factor of the system matrix at potential a and the probe solutions."""
-        if self._factored is None or not np.array_equal(self._factored[0], a):
-            self._factored = None              # free the old factor first
-            factor = _factor_system(self.op, self.op.tail + a)
-            self._factored = (np.array(a), factor,
-                              scipy.linalg.cho_solve(factor, self.rhs))
-        return self._factored[1:]
+        factor = _retained_factor(self.op, self.op.tail + a)
+        return factor, scipy.linalg.cho_solve(factor, self.rhs)
 
     def matrix(self, a: np.ndarray) -> np.ndarray:
         return self.const + self.neumann_lin @ self.solutions(a)[1]
@@ -246,7 +242,7 @@ class RecoveryResult:
 
 
 def recover_potential(reference_op: NonlocalOperator, measurements: DnMatrix,
-                      lambda_reg: float, true_dim: int | None = None,
+                      lambda_reg: float, *,
                       max_evaluations: int = 500) -> RecoveryResult:
     """Regularized least-squares recovery of the potential from a DN matrix.
 
@@ -259,8 +255,6 @@ def recover_potential(reference_op: NonlocalOperator, measurements: DnMatrix,
     if lambda_reg < 0:
         raise Validation("lambda_reg must be nonnegative")
     ni = reference_op.grid.n_interior
-    if true_dim is not None and true_dim != ni:
-        raise Validation(f"expected {ni} interior nodes, caller says {true_dim}")
     asm = _DnAssembler(reference_op, measurements.window,
                        list(zip(measurements.probe_ids, measurements.probes)))
     target = measurements.matrix

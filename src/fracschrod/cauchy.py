@@ -32,7 +32,7 @@ import numpy as np
 from scipy.integrate import dblquad
 
 from .errors import GridMismatch, Validation, WindowTouchesBoundary
-from .fraclap import FracParams, NonlocalOperator, _blocks, _Stencil
+from .fraclap import FracParams, NonlocalOperator, _blocks, _Stencil, evaluate_at
 from .grid import Field, Grid, Region, Window
 from .nonlinearity import Nonlinearity
 from .solver import NewtonConfig, solve_semilinear
@@ -103,13 +103,14 @@ def _mass_at_point(domain, params: FracParams, x: np.ndarray) -> float:
     return params.cns * val
 
 
-def mass_m(grid: Grid, params: FracParams, index: int) -> float:
-    """Kernel mass m at an exterior node, exact in 1D and adaptive in 2D."""
-    if grid.labels[index] != Region.EXTERIOR:
+def mass_m(grid: Grid, params: FracParams, indices) -> np.ndarray:
+    """Kernel mass m at exterior nodes, exact in 1D and adaptive in 2D."""
+    indices = np.asarray(indices, dtype=int)
+    if not np.all(grid.labels[indices] == Region.EXTERIOR):
         raise Validation("m is defined at exterior nodes")
-    x = grid.nodes[index]
-    _require_clear_of_boundary(grid, x[None, :])
-    return _mass_at_point(grid.domain, params, x)
+    points = grid.nodes[indices]
+    _require_clear_of_boundary(grid, points)
+    return np.array([_mass_at_point(grid.domain, params, x) for x in points])
 
 
 def exterior_identity_check(grid: Grid, op: NonlocalOperator, u: Field,
@@ -125,18 +126,12 @@ def exterior_identity_check(grid: Grid, op: NonlocalOperator, u: Field,
         raise GridMismatch("fields live on a different grid")
     if not np.allclose(u.exterior_values, g.exterior_values, atol=1e-12):
         raise Validation("u must equal g on exterior nodes")
-    _require_clear_of_boundary(grid, window.points)
-
     idx = window.indices
+    rhs = (neumann_derivative(grid, op.params, u, idx)
+           - mass_m(grid, op.params, idx) * u.values[idx])
     # L u - L(E0 g) = L(u - E0 g), both at far-field zero
     v = u.values - np.where(grid.labels == Region.EXTERIOR, g.values, 0.0)
-    stencil = _Stencil(grid, op.params)
-    lhs = np.empty(idx.size)
-    for sl in _blocks(idx.size, grid.n_nodes):
-        w, tail = stencil.rows(idx[sl])
-        lhs[sl] = np.einsum("kj,kj->k", w, v[idx[sl], None] - v) + tail * v[idx[sl]]
-    mass = np.array([_mass_at_point(grid.domain, op.params, x) for x in window.points])
-    rhs = neumann_derivative(grid, op.params, u, idx) - mass * u.values[idx]
+    lhs = evaluate_at(op, Field.from_values(grid, v), idx)
     return float(np.max(np.abs(lhs - rhs)))
 
 

@@ -112,7 +112,11 @@ def _profile_values(spec: dict, points: np.ndarray) -> np.ndarray:
     if kind == "bumps":
         total = np.zeros(points.shape[0])
         for b in spec.get("bumps", []):
-            f = c3_bump(b["center"], float(b["width"]), float(b.get("amplitude", 1.0)))
+            try:
+                f = c3_bump(b["center"], float(b["width"]),
+                            float(b.get("amplitude", 1.0)))
+            except (KeyError, TypeError, ValueError) as err:
+                raise Validation(f"bad bump spec: {err}") from err
             total += np.asarray([f(*p) for p in points])
         return total
     raise Validation(f"unknown profile kind {kind!r}")
@@ -123,11 +127,15 @@ def _exterior_field(grid, bumps: list) -> Field:
     return Field.from_values(grid, _scatter(grid, values))
 
 
-def _window(cfg, grid) -> Window:
+def _band(cfg) -> tuple[float, float]:
+    """The window's distance band (inner, outer), read before any work."""
     spec = cfg.get("window")
     if not isinstance(spec, dict):
         raise Validation("config needs a window object {inner, outer}")
-    return annulus_window(grid, float(spec["inner"]), float(spec["outer"]))
+    try:
+        return float(spec["inner"]), float(spec["outer"])
+    except (KeyError, TypeError, ValueError) as err:
+        raise Validation(f"bad window spec: {err}") from err
 
 
 def _newton(cfg) -> NewtonConfig:
@@ -154,6 +162,7 @@ def run_solve(cfg: dict, out: Path) -> dict:
 
 
 def run_forward(cfg: dict, out: Path) -> dict:
+    band = _band(cfg) if cfg.get("window") is not None else None
     grid, op = _grid_and_operator(cfg)
     nl = _nonlinearity(cfg)
     g = _exterior_field(grid, cfg["exterior_data"])
@@ -162,8 +171,8 @@ def run_forward(cfg: dict, out: Path) -> dict:
     trace_to_csv(out / "newton_trace.csv", sol.residuals)
     summary = {"iterations": sol.iterations,
                "final_residual": float(sol.residuals[-1])}
-    if cfg.get("window") is not None:
-        window = _window(cfg, grid)
+    if band is not None:
+        window = annulus_window(grid, *band)
         probes = [(f"g-{k}", _exterior_field(grid, [bump_spec]))
                   for k, bump_spec in enumerate(cfg["exterior_data"])]
         bank = build_cauchy_bank(grid, op, nl, probes, window, _newton(cfg))
@@ -229,8 +238,9 @@ def run_linearize(cfg: dict, out: Path) -> dict:
 
 
 def run_recover(cfg: dict, out: Path) -> dict:
+    band = _band(cfg)
     grid, op = _grid_and_operator(cfg)
-    window = _window(cfg, grid)
+    window = annulus_window(grid, *band)
     a_true = _profile_values(cfg["truth"], grid.interior_nodes)
     if np.any(a_true < 0):
         raise Validation("truth potential must be nonnegative")

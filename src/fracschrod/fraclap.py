@@ -59,7 +59,6 @@ __all__ = [
     "assemble",
     "apply_operator",
     "evaluate_at",
-    "operator_to_json",
 ]
 
 
@@ -341,33 +340,24 @@ def apply_operator(op: NonlocalOperator, u: Field, farfield: float = 0.0) -> np.
     return out + op.tail * (ui - farfield)
 
 
-def evaluate_at(op: NonlocalOperator, u: Field, index: int,
-                farfield: float = 0.0) -> float:
-    """Pointwise operator value at an arbitrary node (typically exterior).
+def evaluate_at(op: NonlocalOperator, u: Field, indices,
+                farfield: float = 0.0) -> np.ndarray:
+    """Operator values at any nodes (typically exterior), from one stencil.
 
-    Same stencil as assembly.  For nodes near the edge of the truncation
-    ball the tail distance is clamped below at h/2.
+    Same stencil as assembly; for nodes near the edge of the truncation ball
+    the tail distance is clamped below at h/2.  Per block of nodes the
+    stencil rows are formed once and each is reduced with the matmul row
+    dot of apply_operator, so every value is bit-identical to
+    np.dot(w, u_g - u) + tail (u_g - farfield) over that node's row.
     """
     if not u.grid.same_as(op.grid):
         raise GridMismatch("field grid differs from operator grid")
-    w, tail_coeff = operator_row(op, index)
-    v = u.values[index]
-    return float(np.dot(w, v - u.values) + tail_coeff * (v - farfield))
-
-
-def operator_row(op: NonlocalOperator, index: int) -> tuple[np.ndarray, float]:
-    """Raw stencil row (weights over all nodes, tail coefficient) at a node."""
-    w, tail = _Stencil(op.grid, op.params).rows([index])
-    return w[0], float(tail[0])
-
-
-def operator_to_json(op: NonlocalOperator) -> dict:
-    """Binary-free JSON dump of the assembled matrices for diffing."""
-    return {
-        "params": {"n": op.params.n, "s": op.params.s, "cns": op.params.cns},
-        "h": op.grid.h,
-        "R": op.grid.R,
-        "a_ii": [[float(v) for v in row] for row in op.a_ii],
-        "a_ie": [[float(v) for v in row] for row in op.a_ie],
-        "tail": [float(v) for v in op.tail],
-    }
+    indices = np.asarray(indices, dtype=int)
+    stencil = _Stencil(op.grid, op.params)
+    out = np.empty(indices.size)
+    for sl in _blocks(indices.size, op.grid.n_nodes):
+        w, tail = stencil.rows(indices[sl])
+        own = u.values[indices[sl], None]
+        dots = np.matmul(w[:, None, :], (own - u.values)[:, :, None])
+        out[sl] = dots[:, 0, 0] + tail * (own[:, 0] - farfield)
+    return out

@@ -307,21 +307,3 @@ def annulus_window(grid: Grid, inner: float, outer: float) -> Window:
     sel = (d >= inner - 1e-12) & (d <= outer + 1e-12)
     return Window(grid, _freeze(grid.exterior_index[np.flatnonzero(sel)]))
 
-
-def grid_to_json(grid: Grid) -> dict:
-    """JSON document for a grid: domain, spacings, nodes, labels."""
-    return {
-        "domain": {"kind": grid.domain.kind,
-                   "lower": list(grid.domain.lower),
-                   "upper": list(grid.domain.upper)},
-        "h": grid.h,
-        "R": grid.R,
-        "nodes": [list(map(float, p)) for p in grid.nodes],
-        "labels": [lab.value for lab in grid.labels],
-    }
-
-
-def field_to_json(f: Field) -> dict:
-    doc = grid_to_json(f.grid)
-    doc["values"] = [float(v) for v in f.values]
-    return doc

@@ -14,10 +14,12 @@ copy is a plain memory copy of the block's transpose, which relies on
 assembly making the interior block bitwise symmetric (a test pins that).
 
 Each assembled operator retains two pieces of state here, held through a
-weak reference so they die with the operator: the last system solve_linear
-factored (a copy of its diagonal and the Cholesky factor, a_ii.nbytes, so
-126 MB at 2D h=2^-5), and the barrier cutoff eta with its image L eta.
-solve_linear reuses the factor while the diagonal is bit for bit the same
+weak reference so they die with the operator: the last system factored
+through _retained_factor (its diagonal and the Cholesky factor, a_ii.nbytes,
+so 126 MB at 2D h=2^-5), and the barrier cutoff eta with its image L eta.
+_retained_factor is the one place that decides factor reuse; solve_linear
+and the DN assembly in calderon both go through it, so they share the one
+factor.  It reuses the factor while the diagonal is bit for bit the same
 and frees it before factoring a new one, so at most one factor is held;
 build_barrier applies the operator to eta once per operator.  A reused
 factor or image is the very array the call would have recomputed, so every
@@ -90,7 +92,6 @@ class NewtonConfig:
     max_iters: int = 50
     residual_tol: float = 1e-10
     damping: float = 0.5
-    initial_guess: Field | None = None
 
     def __post_init__(self):
         if not self.residual_tol > 0:
@@ -121,7 +122,7 @@ class SemilinearSolution:
 
 @dataclass(eq=False)
 class _Retained:
-    """What solve_linear and build_barrier keep for one operator."""
+    """What _retained_factor and build_barrier keep for one operator."""
 
     diagonal: np.ndarray | None = None     # of the last factored system
     factor: tuple | None = None            # its Cholesky factor
@@ -158,6 +159,21 @@ def _factor_system(op: NonlocalOperator, diagonal: np.ndarray,
         raise error(str(err)) from err
 
 
+def _retained_factor(op: NonlocalOperator, diagonal: np.ndarray):
+    """Factor of op.a_ii + diag(diagonal), kept with the operator.
+
+    Reused while diagonal is bit for bit the one last factored; otherwise
+    the old factor is dropped before the new one is computed, so one
+    operator holds at most one factor.
+    """
+    state = _RETAINED.setdefault(op, _Retained())
+    if state.diagonal is None or state.diagonal.tobytes() != diagonal.tobytes():
+        state.diagonal = state.factor = None       # free the old factor first
+        state.factor = _factor_system(op, diagonal)
+        state.diagonal = diagonal
+    return state.factor
+
+
 def homogenize(op: NonlocalOperator, g: Field) -> tuple[Field, np.ndarray]:
     """Split exterior data off the unknown.
 
@@ -177,18 +193,13 @@ def solve_linear(problem: LinearProblem) -> Field:
     """Solve L u + a u = f with u = g outside; returns the full nodal field.
 
     The system matrix is symmetric positive definite for a >= 0, so the
-    solution exists and is unique.  Its factor is kept with the operator
-    and reused while the potential is bit for bit the same.
+    solution exists and is unique.  Its factor is the operator's retained
+    one, reused while the potential is bit for bit the same.
     """
     op = problem.op
-    diagonal = op.tail + problem.a
-    state = _RETAINED.setdefault(op, _Retained())
-    if state.diagonal is None or state.diagonal.tobytes() != diagonal.tobytes():
-        state.diagonal = state.factor = None       # free the old factor first
-        state.factor = _factor_system(op, diagonal)
-        state.diagonal = diagonal
+    factor = _retained_factor(op, op.tail + problem.a)
     rhs = problem.f - op.a_ie @ problem.g.exterior_values
-    u_int = scipy.linalg.cho_solve(state.factor, rhs)
+    u_int = scipy.linalg.cho_solve(factor, rhs)
     return _full_field(op.grid, u_int, problem.g.exterior_values)
 
 
@@ -196,9 +207,9 @@ def solve_semilinear(op: NonlocalOperator, nl: Nonlinearity, g: Field,
                      cfg: NewtonConfig = NewtonConfig()) -> SemilinearSolution:
     """Damped Newton for L u + q(x, u) = 0 with u = g outside.
 
-    Starts from the zero interior iterate unless cfg.initial_guess is set;
-    the returned residual trace is the sup-norm of the nonlinear residual
-    per iteration, for convergence-order checks.
+    Starts from the zero interior iterate; the returned residual trace is
+    the sup-norm of the nonlinear residual per iteration, for
+    convergence-order checks.
     """
     grid = op.grid
     if not g.grid.same_as(grid):
@@ -208,13 +219,7 @@ def solve_semilinear(op: NonlocalOperator, nl: Nonlinearity, g: Field,
     xi = grid.interior_nodes
     ge = g.exterior_values
     ext_part = op.a_ie @ ge
-
-    if cfg.initial_guess is None:
-        u = np.zeros(grid.n_interior)
-    else:
-        if not cfg.initial_guess.grid.same_as(grid):
-            raise GridMismatch("initial guess lives on a different grid")
-        u = cfg.initial_guess.interior_values.copy()
+    u = np.zeros(grid.n_interior)
 
     def residual(vec):
         return op.a_ii @ vec + ext_part + op.tail * vec + nl.q(xi, vec)

@@ -219,18 +219,21 @@ def test_dn_map_locally_injective(op_coarse):
 
 
 def test_jacobian_reuses_the_factor_of_the_last_potential(op_coarse, monkeypatch):
-    # trf asks for the Jacobian at the potential it just evaluated
-    from fracschrod import calderon
+    # trf asks for the Jacobian at the potential it just evaluated; the factor
+    # memo is the operator's, so count on an operator no other test touched
+    from fracschrod import calderon, solver
 
-    window = recovery_window(op_coarse.grid)
-    a = two_bump_potential(op_coarse.grid)
+    grid = op_coarse.grid
+    window = recovery_window(grid)
+    a = two_bump_potential(grid)
     fresh = calderon._DnAssembler(op_coarse, window, canonical_probes(window))
     want = fresh.jacobian(a)
     calls = []
-    factor_system = calderon._factor_system
-    monkeypatch.setattr(calderon, "_factor_system",
+    factor_system = solver._factor_system
+    monkeypatch.setattr(solver, "_factor_system",
                         lambda *args: calls.append(1) or factor_system(*args))
-    asm = calderon._DnAssembler(op_coarse, window, canonical_probes(window))
+    op = assemble(grid, op_coarse.params.s)
+    asm = calderon._DnAssembler(op, window, canonical_probes(window))
     asm.matrix(a)
     assert asm.jacobian(a.copy()).tobytes() == want.tobytes()
     assert len(calls) == 1
@@ -242,8 +245,7 @@ def test_recover_zero_potential(op_coarse):
     window = recovery_window(op_coarse.grid)
     ni = op_coarse.grid.n_interior
     measurements = dn_map(op_coarse, np.zeros(ni), window)
-    result = recover_potential(op_coarse, measurements, lambda_reg=0.0,
-                               true_dim=ni)
+    result = recover_potential(op_coarse, measurements, lambda_reg=0.0)
     assert np.max(np.abs(result.a_estimate)) <= 1e-6
     assert result.misfit <= 1e-9
 
@@ -253,8 +255,7 @@ def test_recover_constant_potential(op_coarse):
     ni = op_coarse.grid.n_interior
     a_true = 0.5 * np.ones(ni)
     measurements = dn_map(op_coarse, a_true, window)
-    result = recover_potential(op_coarse, measurements, lambda_reg=0.0,
-                               true_dim=ni)
+    result = recover_potential(op_coarse, measurements, lambda_reg=0.0)
     rel = np.linalg.norm(result.a_estimate - a_true) / np.linalg.norm(a_true)
     assert rel < 0.10, rel
 
@@ -346,7 +347,7 @@ def test_probe_detects_hidden_bump():
     values[grid.interior_index] = np.maximum(0, 1 - (xi / 0.5) ** 2) ** 4
     psi = Field.from_values(grid, values)
     assert np.all(psi.values[window.indices] == 0.0)
-    operator_values = [evaluate_at(op, psi, int(i)) for i in window.indices[:10]]
+    operator_values = evaluate_at(op, psi, window.indices[:10])
     assert np.max(np.abs(operator_values)) > 1e-6
 
 

@@ -74,6 +74,10 @@ def test_malformed_order_rejected(tmp_path):
     ({"s": 1.2}, 1, "OrderOutOfRange"),   # a ToolkitError
     ({"h": "abc"}, 2, "ValueError"),      # anything else
     ({"potential": {"kind": "constant", "value": float("nan")}}, 1, "Validation"),
+    ({"exterior_data": [{"width": 0.4}]}, 1, "Validation"),
+    ({"exterior_data": [{"center": [1.5], "width": "wide"}]}, 1, "Validation"),
+    ({"source": {"kind": "bumps", "bumps": [{"center": "mid", "width": 0.4}]}},
+     1, "Validation"),
 ])
 def test_exit_codes(tmp_path, capsys, override, code, error):
     out = tmp_path / "out"
@@ -82,6 +86,27 @@ def test_exit_codes(tmp_path, capsys, override, code, error):
     record = json.loads((out / "error.json").read_text())
     assert record["error"] == error and record["experiment"] == "solve"
     assert json.loads(capsys.readouterr().err) == record
+
+
+@pytest.mark.parametrize("experiment, window", [
+    ("forward", {"outer": 1.0}),
+    ("recover", {"inner": 0.125}),
+    ("recover", {"inner": "near", "outer": 1.0}),
+])
+def test_malformed_window_rejected_before_assembly(tmp_path, monkeypatch,
+                                                   experiment, window):
+    from fracschrod import cli
+
+    def no_assembly(*args):
+        raise AssertionError("assembled before the window was read")
+
+    monkeypatch.setattr(cli, "assemble", no_assembly)
+    cfg = dict(GETOOR, experiment=experiment, window=window)
+    out = tmp_path / "out"
+    assert main([experiment, "--config", write_config(tmp_path, cfg),
+                 "--out", str(out)]) == 1
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "Validation" and "window" in record["message"]
 
 
 def test_operator_too_large_exit_code(tmp_path):

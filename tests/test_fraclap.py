@@ -1,5 +1,4 @@
 import dataclasses
-import json
 import tracemalloc
 
 import numpy as np
@@ -13,8 +12,8 @@ from fracschrod import (
     assemble,
     build_grid,
     cns,
+    evaluate_at,
     frac_params,
-    operator_to_json,
     sample_function,
     tail_mass,
 )
@@ -26,7 +25,7 @@ from fracschrod.errors import (
     SingularOverlap,
 )
 from fracschrod.cauchy import neumann_derivative
-from fracschrod.fraclap import _physical_memory, _Stencil
+from fracschrod.fraclap import _blocks, _physical_memory, _Stencil
 from oracles import fraclap_quad_1d, tail_mass_quad_2d
 
 
@@ -153,13 +152,6 @@ def test_grid_mismatch_rejected(op_small):
         apply_operator(op_small, u)
 
 
-def test_operator_json_dump(op_small):
-    doc = operator_to_json(op_small)
-    assert doc["params"]["s"] == 0.5
-    assert len(doc["a_ii"]) == op_small.grid.n_interior
-    json.dumps(doc)  # must be JSON-compatible plain types
-
-
 def _moved(grid, index, shift):
     nodes = grid.nodes.copy()
     nodes[index] += shift
@@ -253,3 +245,30 @@ def test_apply_is_the_row_dots(stencil_op):
     assert got.tobytes() == row_dot_apply(stencil_op, u, 0.3).tobytes()
     constant = Field.from_values(grid, np.full(grid.n_nodes, 1.7))
     assert np.all(apply_operator(stencil_op, constant, farfield=1.7) == 0.0)
+
+
+def row_dot_evaluate(op, u, indices, farfield):
+    """Reference: one np.dot per stencil row, node by node."""
+    stencil = _Stencil(op.grid, op.params)
+    out = np.empty(indices.size)
+    for sl in _blocks(indices.size, op.grid.n_nodes):
+        w, tail = stencil.rows(indices[sl])
+        for r, g in enumerate(indices[sl]):
+            v = u.values[g]
+            out[sl.start + r] = np.dot(w[r], v - u.values) + tail[r] * (v - farfield)
+    return out
+
+
+def test_evaluate_at_is_the_row_dots(stencil_op):
+    grid = stencil_op.grid
+    u = Field.from_values(grid, np.random.default_rng(12).standard_normal(grid.n_nodes))
+    got = evaluate_at(stencil_op, u, grid.exterior_index, farfield=0.3)
+    want = row_dot_evaluate(stencil_op, u, grid.exterior_index, 0.3)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_evaluate_at_annihilates_constants(stencil_op):
+    grid = stencil_op.grid
+    constant = Field.from_values(grid, np.full(grid.n_nodes, 1.7))
+    got = evaluate_at(stencil_op, constant, grid.exterior_index, farfield=1.7)
+    assert np.all(got == 0.0)

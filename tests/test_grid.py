@@ -11,8 +11,6 @@ from fracschrod import (
     annulus_window,
     build_grid,
     c3_bump,
-    field_to_json,
-    grid_to_json,
     sample_function,
 )
 from fracschrod.errors import (
@@ -140,23 +138,9 @@ def test_c3_bump_support_and_smoothness():
 
 def test_json_round_trip():
     grid = build_grid(Domain.interval(-1, 1), 0.5, 2.0)
-    f = sample_function(grid, lambda x: x / 3.0, Region.ALL)
-    doc = json.loads(dumps(field_to_json(f)))
-    assert doc["h"] == 0.5
-    assert doc["labels"][0] == "EXTERIOR"
-    assert doc["nodes"][0] == [-2.0]
+    values = [float(v) for v in sample_function(grid, lambda x: x / 3.0).values]
     # 17 significant digits round-trip exactly
-    assert doc["values"] == [float(v) for v in f.values]
-    gdoc = json.loads(dumps(grid_to_json(grid)))
-    assert gdoc["domain"]["kind"] == "interval-1d"
-
-
-def test_json_2d_grid():
-    grid = build_grid(Domain.box((-1, -1), (1, 1)), 0.5, 3.0)
-    doc = json.loads(dumps(grid_to_json(grid)))
-    assert doc["domain"]["kind"] == "box-2d"
-    assert all(len(p) == 2 for p in doc["nodes"])
-    assert len(doc["labels"]) == grid.n_nodes
+    assert json.loads(dumps(values)) == values
 
 
 def test_domain_geometry():

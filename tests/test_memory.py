@@ -1,5 +1,5 @@
-"""Peak memory of assembly, the system factorization, linear solves and the
-operator apply.
+"""Peak memory of assembly, the system factorization, linear solves, DN
+assembly and the operator apply.
 
 tracemalloc sees numpy's buffers, so the peak counts every array the call
 allocates, including the ones it returns.  Measured on (-1,1)^2 at h=2^-4,
@@ -15,11 +15,14 @@ from fracschrod import (
     Domain,
     Field,
     LinearProblem,
+    annulus_window,
     apply_operator,
     assemble,
     build_grid,
+    canonical_probes,
     solve_linear,
 )
+from fracschrod.calderon import _DnAssembler
 from fracschrod.solver import _factor_system
 
 
@@ -67,6 +70,25 @@ def test_solves_hold_one_factor(traced_assembly):
             solve_linear(LinearProblem(op=op, a=a, f=np.ones(ni), g=Field.zeros(grid)))
 
     _, peak = traced_peak(solve_two_potentials)
+    assert peak <= 1.25 * op.a_ii.nbytes
+
+
+def test_solve_and_dn_assembly_share_one_factor(traced_assembly):
+    # solve_linear and the DN assembler keep their factor in the operator's
+    # one memo, so a DN matrix after a solve replaces the solve's factor
+    # rather than holding a second one (2.1 x a_ii.nbytes)
+    grid = traced_assembly[0].grid
+    op = assemble(grid, 0.5)
+    ni = grid.n_interior
+    window = annulus_window(grid, grid.h, grid.h)
+    asm = _DnAssembler(op, window, canonical_probes(window)[:2])
+
+    def solve_then_dn_matrix():
+        solve_linear(LinearProblem(op=op, a=np.full(ni, 0.25), f=np.ones(ni),
+                                   g=Field.zeros(grid)))
+        asm.matrix(np.linspace(0.0, 1.0, ni))
+
+    _, peak = traced_peak(solve_then_dn_matrix)
     assert peak <= 1.25 * op.a_ii.nbytes
 
 
