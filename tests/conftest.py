@@ -1,7 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from fracschrod import Domain, Field, assemble, build_grid, c3_bump, sample_function
+from fracschrod.cli import EXPERIMENTS, run
 from fracschrod.grid import Region
 
 
@@ -48,3 +51,34 @@ def exterior_bump(grid, center, width, amplitude=1.0, mirrored=False) -> Field:
         mirror = sample_function(grid, f2, Region.EXTERIOR)
         field = Field.from_values(grid, field.values + mirror.values)
     return field
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+CONFIG_OF = {"solve": "getoor", "forward": "forward", "principles": "principles",
+             "linearize": "linearize", "recover": "recover", "probe": "probe"}
+
+# (-1,1)^2 at h=2^-3, s=0.5 and (-1,1)x(-0.5,0.5) at h=1/8, s=0.25; R=3
+GRIDS_2D = {
+    "box-s0.5": (Domain.box((-1.0, -1.0), (1.0, 1.0)), 2.0**-3, 3.0, 0.5),
+    "rect-s0.25": (Domain.box((-1.0, -0.5), (1.0, 0.5)), 1.0 / 8, 3.0, 0.25),
+}
+
+
+def smooth_field(grid):
+    return sample_function(grid, lambda x, y: np.cos(1.3 * x - 0.4) * np.exp(-y * y))
+
+
+@pytest.fixture(scope="session")
+def cli_outputs(tmp_path_factory):
+    """Output directory of one run of every sample config, per experiment."""
+    root = tmp_path_factory.mktemp("golden")
+    for experiment in EXPERIMENTS:
+        cfg = CONFIGS / f"{CONFIG_OF[experiment]}.json"
+        assert run(experiment, str(cfg), str(root / experiment)) == 0
+    return root
+
+
+@pytest.fixture(scope="session")
+def ops_2d():
+    return {name: assemble(build_grid(dom, h, R), s)
+            for name, (dom, h, R, s) in GRIDS_2D.items()}

@@ -13,26 +13,13 @@ after an independent check that the change is roundoff.
 """
 
 import hashlib
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fracschrod import (
-    Domain,
-    annulus_window,
-    apply_operator,
-    assemble,
-    build_grid,
-    neumann_derivative,
-    sample_function,
-)
-from fracschrod.cli import EXPERIMENTS, run
+from conftest import GRIDS_2D, smooth_field
+from fracschrod import annulus_window, apply_operator, neumann_derivative
 from fracschrod.fraclap import _blocks, _Stencil
-
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
-CONFIG_OF = {"solve": "getoor", "forward": "forward", "principles": "principles",
-             "linearize": "linearize", "recover": "recover", "probe": "probe"}
 
 CLI_PINS = {
     "forward/cauchy_bank.json":
@@ -53,12 +40,6 @@ CLI_PINS = {
         "884ba036bc4bbd3c6e09ea9c7e946c48e180b83c8373f3bd7d3750a04c677019",
     "solve/solution.csv":
         "30b52e3e65d0fc7e3d88207baa34fb878abfd84462eb7355b839019588ca71ad",
-}
-
-# (-1,1)^2 at h=2^-3, s=0.5 and (-1,1)x(-0.5,0.5) at h=1/8, s=0.25; R=3
-GRIDS_2D = {
-    "box-s0.5": (Domain.box((-1.0, -1.0), (1.0, 1.0)), 2.0**-3, 3.0, 0.5),
-    "rect-s0.25": (Domain.box((-1.0, -0.5), (1.0, 0.5)), 1.0 / 8, 3.0, 0.25),
 }
 
 OPERATOR_PINS = {
@@ -84,30 +65,11 @@ APPLY_PINS = {
 }
 
 
-def smooth_field(grid):
-    return sample_function(grid, lambda x, y: np.cos(1.3 * x - 0.4) * np.exp(-y * y))
-
-
 def sha(*arrays) -> str:
     digest = hashlib.sha256()
     for a in arrays:
         digest.update(np.ascontiguousarray(a, dtype=float).tobytes())
     return digest.hexdigest()
-
-
-@pytest.fixture(scope="module")
-def cli_outputs(tmp_path_factory):
-    root = tmp_path_factory.mktemp("golden")
-    for experiment in EXPERIMENTS:
-        cfg = CONFIGS / f"{CONFIG_OF[experiment]}.json"
-        assert run(experiment, str(cfg), str(root / experiment)) == 0
-    return root
-
-
-@pytest.fixture(scope="module")
-def ops_2d():
-    return {name: assemble(build_grid(dom, h, R), s)
-            for name, (dom, h, R, s) in GRIDS_2D.items()}
 
 
 @pytest.mark.parametrize("name", sorted(CLI_PINS))
