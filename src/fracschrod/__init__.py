@@ -29,6 +29,7 @@ from .cauchy import (
     neumann_derivative,
 )
 from .fraclap import (
+    ExteriorBlock,
     FracParams,
     NonlocalOperator,
     apply_operator,

@@ -185,7 +185,10 @@ class _DnAssembler:
         self.mass = mass_m(grid, op.params, window.indices)
         # operator rows at window nodes, for the zero-extension term
         self.rows, self.row_tails = stencil.rows(window.indices)
-        self.rhs = np.array([-(op.a_ie @ f.exterior_values) for f in self.fields]).T
+        # the probes' exterior support, gathered as exact columns of a_ie
+        ext = np.array([f.exterior_values for f in self.fields]).T
+        support = np.flatnonzero(np.any(ext != 0.0, axis=1))
+        self.rhs = -(op.a_ie.columns(support) @ ext[support])
         self.probe_w = pw                              # window values per probe
         self.probe_nodes = np.array([f.values for f in self.fields]).T
         # constant-in-potential part of each column

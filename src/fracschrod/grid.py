@@ -289,11 +289,15 @@ def c3_bump(center, width: float, amplitude: float = 1.0):
 
     Returns the profile amplitude * (1 - r^2)^4 on r < 1 with
     r = |x - center| / width, which vanishes to third order at the support
-    edge.  Works for 1D (scalar center) and 2D (pair center).
+    edge.  Works for 1D (scalar center) and 2D (pair center); a point
+    whose dimension differs from the center's raises Validation.
     """
     c = np.atleast_1d(np.asarray(center, dtype=float))
 
     def profile(*coords):
+        if len(coords) != c.size:
+            raise Validation(f"bump center {tuple(c.tolist())} has {c.size} "
+                             f"component(s), the point has {len(coords)}")
         p = np.asarray(coords, dtype=float)
         r2 = float(np.sum(((p - c) / width) ** 2))
         return amplitude * max(0.0, 1.0 - r2) ** 4

@@ -88,6 +88,22 @@ def test_exit_codes(tmp_path, capsys, override, code, error):
     assert json.loads(capsys.readouterr().err) == record
 
 
+@pytest.mark.parametrize("override", [
+    # a pair center on the 1D grid
+    {"exterior_data": [{"center": [1.5, 0.0], "width": 0.4}]},
+    # a one-component center on a 2D grid
+    {"domain": {"kind": "box-2d", "lower": [-1.0, -1.0], "upper": [1.0, 1.0]},
+     "h": 0.25, "R": 3.0, "exterior_data": [{"center": [1.5], "width": 0.4}]},
+])
+def test_bump_center_of_another_dimension_rejected(tmp_path, override):
+    out = tmp_path / "out"
+    cfg_path = write_config(tmp_path, dict(GETOOR, **override))
+    assert main(["solve", "--config", cfg_path, "--out", str(out)]) == 1
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "Validation" and "bump center" in record["message"]
+    assert not (out / "solution.csv").exists()
+
+
 @pytest.mark.parametrize("experiment, window", [
     ("forward", {"outer": 1.0}),
     ("recover", {"inner": 0.125}),

@@ -25,6 +25,7 @@ from fracschrod.errors import (
     SingularOverlap,
 )
 from fracschrod.cauchy import neumann_derivative
+from fracschrod import fraclap
 from fracschrod.fraclap import _blocks, _physical_memory, _Stencil
 from oracles import fraclap_quad_1d, tail_mass_quad_2d
 
@@ -71,8 +72,13 @@ def test_constant_annihilation_1d(s):
     assert np.max(np.abs(apply_operator(op, ones, farfield=1.0))) <= 1e-12
 
 
+def dense_exterior(op):
+    """Every column of the exterior block, gathered exactly."""
+    return op.a_ie.columns(np.arange(op.grid.n_exterior))
+
+
 def test_sign_pattern_and_symmetry(op_small):
-    a_ii, a_ie = op_small.a_ii, op_small.a_ie
+    a_ii, a_ie = op_small.a_ii, dense_exterior(op_small)
     off = a_ii - np.diag(np.diag(a_ii))
     assert np.all(np.diag(a_ii) > 0)
     assert np.all(off <= 0)
@@ -139,10 +145,11 @@ def test_sign_pattern_2d(grid_2d):
     off = op.a_ii - np.diag(np.diag(op.a_ii))
     assert np.all(np.diag(op.a_ii) > 0)
     assert np.all(off <= 0)
-    assert np.all(op.a_ie <= 0)
+    assert np.all(dense_exterior(op) <= 0)
     assert np.max(np.abs(op.a_ii - op.a_ii.T)) <= 1e-12 * np.max(np.abs(op.a_ii))
+    # the exterior product is a convolution: roundoff, within criterion 2
     ones = Field.from_values(grid_2d, np.ones(grid_2d.n_nodes))
-    assert np.max(np.abs(apply_operator(op, ones, farfield=1.0))) == 0.0
+    assert np.max(np.abs(apply_operator(op, ones, farfield=1.0))) <= 1e-12
 
 
 def test_grid_mismatch_rejected(op_small):
@@ -201,15 +208,17 @@ def test_assembled_blocks_are_the_stencil_rows(name):
     w, tail = _Stencil(grid, op.params).rows(grid.interior_index)
     off = ~np.eye(grid.n_interior, dtype=bool)
     assert (-op.a_ii)[off].tobytes() == w[:, grid.interior_index][off].tobytes()
-    assert (-op.a_ie).tobytes() == w[:, grid.exterior_index].tobytes()
+    dense = dense_exterior(op)
+    assert dense.tobytes() == (-w[:, grid.exterior_index]).tobytes()
+    assert op.a_ie.row_sums.tobytes() == np.sum(dense, axis=1).tobytes()
     assert op.tail.tobytes() == tail.tobytes()
 
 
 def test_operator_too_large_raises_before_allocating():
-    # (-1,1)^2 at h=2^-7, R=3: 65025 interior rows over 463k nodes, 224 GiB
+    # (-1,1)^2 at h=2^-7, R=3: a_ii and one factor of 65025 rows, 63 GiB
     grid = build_grid(Domain.box((-1.0, -1.0), (1.0, 1.0)), 2.0**-7, 3.0)
-    if grid.n_interior * grid.n_nodes * 8 <= _physical_memory():
-        pytest.skip("this machine holds the dense blocks of the test grid")
+    if 2 * grid.n_interior**2 * 8 <= _physical_memory():
+        pytest.skip("this machine holds a_ii and one factor of the test grid")
     tracemalloc.start()
     try:
         with pytest.raises(OperatorTooLarge, match="GiB"):
@@ -220,6 +229,59 @@ def test_operator_too_large_raises_before_allocating():
     assert peak < 2**20
 
 
+def test_size_guard_budgets_the_interior_block_and_one_factor(monkeypatch):
+    # 2D h=2^-4: 961 interior rows, 7085 nodes; the guard needs
+    # 2 ni^2 8 bytes (14.8 MB), not the old dense ni N 8 (54.5 MB)
+    grid = build_grid(Domain.box((-1.0, -1.0), (1.0, 1.0)), 2.0**-4, 3.0)
+    budget = 2 * grid.n_interior**2 * 8
+    assert grid.n_interior * grid.n_nodes * 8 > budget
+    monkeypatch.setattr(fraclap, "_physical_memory", lambda: budget)
+    assert assemble(grid, 0.5).a_ii.shape == (grid.n_interior, grid.n_interior)
+    monkeypatch.setattr(fraclap, "_physical_memory", lambda: budget - 1)
+    with pytest.raises(OperatorTooLarge, match="interior block and one factor"):
+        assemble(grid, 0.5)
+
+
+# 1D h=2^-5 at three orders and the two 2D golden grids
+PRODUCT_GRIDS = {
+    "1d-s0.25": (Domain.interval(-1.0, 1.0), 2.0**-5, 4.0, 0.25),
+    "1d-s0.5": (Domain.interval(-1.0, 1.0), 2.0**-5, 4.0, 0.5),
+    "1d-s0.75": (Domain.interval(-1.0, 1.0), 2.0**-5, 4.0, 0.75),
+    "2d-box": STENCIL_GRIDS["2d-box"],
+    "2d-rect": STENCIL_GRIDS["2d-rect"],
+}
+
+# the exterior product's stated bound: 16 eps times the largest row of
+# |a_ie| |g|; the convolution measured at most 4.5 eps on these grids
+PRODUCT_EPS = 16
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCT_GRIDS))
+def test_exterior_product_is_the_dense_block(name):
+    domain, h, R, s = PRODUCT_GRIDS[name]
+    grid = build_grid(domain, h, R)
+    op = assemble(grid, s)
+    w, _ = _Stencil(grid, op.params).rows(grid.interior_index)
+    dense = -w[:, grid.exterior_index]
+    rng = np.random.default_rng(5)
+    bump = sample_function(grid, lambda *x: np.exp(-np.sum(np.square(x))),
+                           Region.EXTERIOR).exterior_values
+    for g in (np.ones(grid.n_exterior), rng.standard_normal(grid.n_exterior), bump):
+        scale = np.max(np.abs(dense) @ np.abs(g))
+        err = np.max(np.abs(op.a_ie @ g - dense @ g))
+        assert err <= PRODUCT_EPS * np.finfo(float).eps * scale
+
+
+def test_operator_holds_no_interior_by_exterior_array(stencil_op):
+    op = stencil_op
+    ni, ne = op.grid.n_interior, op.grid.n_exterior
+    held = list(vars(op.a_ie).values())
+    held += [x for v in held if isinstance(v, (list, tuple)) for x in v]
+    sizes = [v.size for v in held if isinstance(v, np.ndarray)]
+    assert op.a_ii.shape == (ni, ni) and op.tail.shape == (ni,)
+    assert len(sizes) > 3 and max(sizes) < ni * ne
+
+
 def test_interior_block_is_bitwise_symmetric(stencil_op):
     # the kernel is read at offsets that are exact negations of each other,
     # the singular-step masses are symmetric and boundary mass lands only in
@@ -228,23 +290,29 @@ def test_interior_block_is_bitwise_symmetric(stencil_op):
 
 
 def row_dot_apply(op, u, farfield):
-    """Reference: the operator applied one interior row at a time."""
+    """Reference: the operator applied one interior row at a time, over the
+    dense exterior block; also the scale |a_ie| |u_e| + |rowsum| |u_i|."""
     ui, ue = u.interior_values, u.exterior_values
+    a_ie = dense_exterior(op)
     out = np.empty(op.grid.n_interior)
     for r in range(op.grid.n_interior):
         out[r] = (np.dot(-op.a_ii[r], ui[r] - ui)
-                  + np.dot(-op.a_ie[r], ui[r] - ue)
+                  + np.dot(-a_ie[r], ui[r] - ue)
                   + op.tail[r] * (ui[r] - farfield))
-    return out
+    scale = np.abs(a_ie) @ np.abs(ue) + np.abs(op.a_ie.row_sums * ui)
+    return out, np.max(scale)
 
 
 def test_apply_is_the_row_dots(stencil_op):
+    # the interior part is the same BLAS row dot bit for bit; the exterior
+    # part is the product bound plus the rounding of u_i * rowsum
     grid = stencil_op.grid
     u = Field.from_values(grid, np.random.default_rng(11).standard_normal(grid.n_nodes))
     got = apply_operator(stencil_op, u, farfield=0.3)
-    assert got.tobytes() == row_dot_apply(stencil_op, u, 0.3).tobytes()
+    want, scale = row_dot_apply(stencil_op, u, 0.3)
+    assert np.max(np.abs(got - want)) <= (PRODUCT_EPS + 2) * np.finfo(float).eps * scale
     constant = Field.from_values(grid, np.full(grid.n_nodes, 1.7))
-    assert np.all(apply_operator(stencil_op, constant, farfield=1.7) == 0.0)
+    assert np.max(np.abs(apply_operator(stencil_op, constant, farfield=1.7))) <= 1e-12
 
 
 def row_dot_evaluate(op, u, indices, farfield):

@@ -6,10 +6,13 @@ node, a 2D Neumann trace and a 2D operator application are pinned by
 sha256.  A refactor that is meant to leave the numbers alone must leave
 these hashes alone.
 
-The pins hold for one numpy/scipy/BLAS build; a different build may
-round the last bit of a transcendental or a reduction differently, in
-which case every pin here moves at once and should be re-recorded only
-after an independent check that the change is roundoff.
+A change that legitimately reorders a summation may re-record the pins
+it moves, provided tests/test_bounded.py still passes against references
+it did not edit.  The pins hold for one numpy/scipy/BLAS build; a
+different build may round the last bit of a transcendental or a
+reduction differently, in which case every pin here moves at once and
+should be re-recorded only after an independent check that the change is
+roundoff.
 """
 
 import hashlib
@@ -21,17 +24,20 @@ from conftest import GRIDS_2D, smooth_field
 from fracschrod import annulus_window, apply_operator, neumann_derivative
 from fracschrod.fraclap import _blocks, _Stencil
 
+# forward/, principles/ and linearize/ were re-recorded when the exterior
+# product became a lattice convolution (a summation-order change); they pass
+# the bounded tier against tests/golden/, recorded before that change
 CLI_PINS = {
     "forward/cauchy_bank.json":
-        "80720be4ed67b5070c855133ba5eac9c09ccf284f1587cb54c743b44863a5b6b",
+        "45ad533bc5ad4fec3f2f40f2bda6edde01993db1a15066d2b13767ccfc46e79f",
     "forward/newton_trace.csv":
-        "6daa8047e9bc719a241d8e6e25dbb2f4625709d3acdca243432a17b05b313ebb",
+        "9f646b09a41f5b79e1acf50b67103c7b5775153217d8e8cd1c4d21708d3d948d",
     "forward/solution.csv":
-        "03955fe9e6092abafa8eb4427379c105a8c0412d06ccf45dbddd129114b561a9",
+        "6712052b858ea22dc67fcd6e8509b935ad9ce797485e3841a04d5dc20008fcce",
     "linearize/linearize.csv":
-        "8ea075ea21ed21cefed59a2049ff6dbba6b43093b7e28216dcb44585452c09d5",
+        "ade40d56abb9a0549b90714530c686d6ab6566fe3bfafe6dca7bc0ea62ea59c7",
     "principles/principles.csv":
-        "1d3565adaab7fbf27f3735d18a695857312ea56dd77f881ec3c42217637f6e9d",
+        "6f4913c0505830b8fbdd0ce9744d0f984c977d7b5b0d06683a03cc8ded35b797",
     "probe/probe.csv":
         "018f540c6682b237d05a879ec0916b79ce85c6b9bab48c78f9f21abf7dc54108",
     "recover/misfit.csv":
@@ -58,10 +64,11 @@ NEUMANN_PINS = {
     "rect-s0.25": "47ea6782a76e13f08dcb0134876c1927e69f6a04340506ebe6e2269d3b4f534c",
 }
 
-# apply_operator of the Neumann test's field with far-field value 0.25
+# apply_operator of the Neumann test's field with far-field value 0.25;
+# re-recorded with the convolution, like the CLI pins above
 APPLY_PINS = {
-    "box-s0.5": "d4975a04e98bfc88ee7aa38a493eadec4b9f6cebb80307d775daa24818108f3e",
-    "rect-s0.25": "91254b39d952fe97b05ed0ed36e746f25ffd460e577e321946d1fe95bf97a553",
+    "box-s0.5": "eaa3711bd23ac168e318a45be13abe5265980aaee182042c838c4a0471bd0575",
+    "rect-s0.25": "c4c074fc5d8b5f5e6d17ed1f33854be3d29db82bf4cbdfa62b0b9393a90223da",
 }
 
 
@@ -80,8 +87,10 @@ def test_cli_output_bytes(cli_outputs, name):
 
 @pytest.mark.parametrize("name", sorted(GRIDS_2D))
 def test_operator_bytes_2d(ops_2d, name):
+    # the exterior block's exact columns are the bytes of the dense block
     op = ops_2d[name]
-    assert sha(op.a_ii, op.a_ie, op.tail) == OPERATOR_PINS[name]
+    columns = op.a_ie.columns(np.arange(op.grid.n_exterior))
+    assert sha(op.a_ii, columns, op.tail) == OPERATOR_PINS[name]
 
 
 @pytest.mark.parametrize("name", sorted(GRIDS_2D))

@@ -136,6 +136,16 @@ def test_c3_bump_support_and_smoothness():
     assert bump(1.75 - eps) < 2.0 * (2.1 * eps / 0.25) ** 4
 
 
+def test_c3_bump_rejects_a_center_of_another_dimension():
+    # numpy broadcasting would put [1.5] at (1.5, 1.5) in 2D, and a pair
+    # center on a 1D point would read as zero everywhere
+    with pytest.raises(Validation, match="1 component"):
+        c3_bump([1.5], 0.4)(1.5, 1.5)
+    with pytest.raises(Validation, match="2 component"):
+        c3_bump([1.5, 0.0], 0.4)(1.5)
+    assert c3_bump([1.5, 0.0], 0.4)(1.5, 0.0) == 1.0
+
+
 def test_json_round_trip():
     grid = build_grid(Domain.interval(-1, 1), 0.5, 2.0)
     values = [float(v) for v in sample_function(grid, lambda x: x / 3.0).values]

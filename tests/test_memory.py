@@ -3,7 +3,7 @@ assembly and the operator apply.
 
 tracemalloc sees numpy's buffers, so the peak counts every array the call
 allocates, including the ones it returns.  Measured on (-1,1)^2 at h=2^-4,
-R=3, where the stencil tables are small next to the dense blocks.
+R=3: a_ii is 7.4 MB, and a dense exterior block would be 47 MB.
 """
 
 import tracemalloc
@@ -15,14 +15,19 @@ from fracschrod import (
     Domain,
     Field,
     LinearProblem,
+    Region,
+    Window,
     annulus_window,
     apply_operator,
     assemble,
     build_grid,
     canonical_probes,
+    catalogue,
     solve_linear,
+    solve_semilinear,
 )
 from fracschrod.calderon import _DnAssembler
+from fracschrod.fraclap import _BLOCK
 from fracschrod.solver import _factor_system
 
 
@@ -45,9 +50,36 @@ def traced_assembly():
 
 
 def test_assembly_peak_is_the_blocks(traced_assembly):
-    # no full-width row block and no take copy on top of a_ii and a_ie
+    # a_ii plus the block temporaries: one reused exterior row buffer of
+    # _BLOCK floats (4 MiB), and at most twice that again for the stencil
+    # tables, the correction lists and the exterior block's set-up
+    # (measured: 5.8 MiB over a_ii here, 12.5 MiB at h=2^-5)
     op, peak = traced_assembly
-    assert peak <= 1.25 * (op.a_ii.nbytes + op.a_ie.nbytes)
+    assert peak <= op.a_ii.nbytes + 3 * _BLOCK * 8
+    assert op.a_ie.nbytes < 0.05 * op.a_ii.nbytes
+
+
+def test_no_call_forms_a_dense_exterior_block(traced_assembly):
+    # a dense (ni, n_exterior) array alone would be 47 MB here
+    op, assembly_peak = traced_assembly
+    grid = op.grid
+    ni = grid.n_interior
+    dense = ni * grid.n_exterior * 8
+    g = Field.from_values(grid, np.where(grid.labels == Region.EXTERIOR, 0.5, 0.0))
+    # two window nodes: the DN set-up's kernel-mass quadrature is slow
+    window = Window(grid, annulus_window(grid, grid.h, grid.h).indices[:2])
+    peaks = {"assemble": assembly_peak}
+    calls = {
+        "apply_operator": lambda: apply_operator(op, g),
+        "solve_linear": lambda: solve_linear(LinearProblem(
+            op=op, a=np.full(ni, 0.25), f=np.ones(ni), g=g)),
+        "solve_semilinear": lambda: solve_semilinear(
+            op, catalogue("saturating-cubic", 1.0), g),
+        "_DnAssembler": lambda: _DnAssembler(op, window, canonical_probes(window)),
+    }
+    for name, call in calls.items():
+        peaks[name] = traced_peak(call)[1]
+    assert all(peak < dense for peak in peaks.values()), peaks
 
 
 def test_factorization_peak_is_one_matrix(traced_assembly):
@@ -93,8 +125,9 @@ def test_solve_and_dn_assembly_share_one_factor(traced_assembly):
 
 
 def test_apply_peak_is_one_block(traced_assembly):
-    # the difference rows are formed one block at a time; all interior rows
-    # against all exterior nodes at once would be a_ie.nbytes (47 MB)
+    # the interior difference rows are formed one block at a time, and the
+    # exterior product is one lattice convolution; all interior rows against
+    # all exterior nodes at once would be 47 MB
     op, _ = traced_assembly
     u = Field.from_values(op.grid, np.linspace(-1.0, 1.0, op.grid.n_nodes))
     out, peak = traced_peak(apply_operator, op, u)
