@@ -51,7 +51,7 @@ class NonPositiveRadius(ToolkitError):
 
 
 class OperatorTooLarge(ToolkitError):
-    """The dense operator blocks would not fit in physical memory."""
+    """The interior block and one factor would not fit in physical memory."""
 
 
 # --- nonlinearity ---
