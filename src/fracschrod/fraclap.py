@@ -307,7 +307,7 @@ class ExteriorBlock:
         t_low = targets.min(axis=0)
         t_span = targets.max(axis=0) + 1 - t_low
         self._span = tuple(int(v) for v in span)
-        self._at = np.ravel_multi_index((coords - low).T, self._span)
+        at = np.ravel_multi_index((coords - low).T, self._span)
         self._t_at = np.ravel_multi_index((targets - t_low).T, tuple(t_span))
         # boundary cells that pass mass on: one (cell, exterior node, count)
         # triple per receiving node, as lattice maps into G
@@ -315,9 +315,9 @@ class ExteriorBlock:
         nn = grid.n_nodes
         cell, slot = np.nonzero(stencil.share[nn:] >= 0)
         node = stencil.share[nn:][cell, slot]
-        self._fold = (self._at[nn + cell], column[node],
+        self._fold = (at[nn + cell], column[node],
                       stencil.count[nn + cell].astype(float))
-        self._ext = self._at[grid.exterior_index]
+        self._ext = at[grid.exterior_index]
 
         # offsets d = t - m over targets t and source keys m
         d_low = t_low - (low + span - 1)
@@ -342,8 +342,7 @@ class ExteriorBlock:
 
     @property
     def nbytes(self) -> int:
-        arrays = (self.row_sums, self._at, self._t_at, self._ext, self._spectrum,
-                  *self._fold)
+        arrays = (self.row_sums, self._t_at, self._ext, self._spectrum, *self._fold)
         return sum(a.nbytes for a in arrays) + 8 * len(self._near)
 
     def __matmul__(self, g: np.ndarray) -> np.ndarray:

@@ -17,6 +17,7 @@ from fracschrod import (
     sample_function,
     tail_mass,
 )
+from fracschrod import fraclap
 from fracschrod.errors import (
     GridMismatch,
     NonPositiveRadius,
@@ -25,7 +26,6 @@ from fracschrod.errors import (
     SingularOverlap,
 )
 from fracschrod.cauchy import neumann_derivative
-from fracschrod import fraclap
 from fracschrod.fraclap import _blocks, _physical_memory, _Stencil
 from oracles import fraclap_quad_1d, tail_mass_quad_2d
 
@@ -304,8 +304,8 @@ def row_dot_apply(op, u, farfield):
 
 
 def test_apply_is_the_row_dots(stencil_op):
-    # the interior part is the same BLAS row dot bit for bit; the exterior
-    # part is the product bound plus the rounding of u_i * rowsum
+    # the interior row dots are the reference's; what remains is the
+    # exterior product's bound plus the rounding of u_i * rowsum
     grid = stencil_op.grid
     u = Field.from_values(grid, np.random.default_rng(11).standard_normal(grid.n_nodes))
     got = apply_operator(stencil_op, u, farfield=0.3)
