@@ -31,6 +31,7 @@ from .cauchy import (
 from .fraclap import (
     ExteriorBlock,
     FracParams,
+    InteriorBlock,
     NonlocalOperator,
     apply_operator,
     assemble,

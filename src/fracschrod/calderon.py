@@ -41,8 +41,8 @@ from .cauchy import CauchyDatum, mass_m
 from .fraclap import NonlocalOperator, _Stencil
 from .grid import Field, Grid, Window
 from .nonlinearity import Nonlinearity
-from .solver import (LinearProblem, NewtonConfig, _retained_factor, solve_linear,
-                     solve_semilinear)
+from .solver import (LinearProblem, NewtonConfig, _retained_factor, _solve,
+                     solve_linear, solve_semilinear)
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
@@ -200,7 +200,7 @@ class _DnAssembler:
     def solutions(self, a: np.ndarray) -> tuple:
         """Factor of the system matrix at potential a and the probe solutions."""
         factor = _retained_factor(self.op, self.op.tail + a)
-        return factor, scipy.linalg.cho_solve(factor, self.rhs)
+        return factor, _solve(factor, self.rhs)
 
     def matrix(self, a: np.ndarray) -> np.ndarray:
         return self.const + self.neumann_lin @ self.solutions(a)[1]
@@ -210,8 +210,7 @@ class _DnAssembler:
         factor, sols = self.solutions(a)
         # ni right-hand sides: a solve against neumann_lin.T would need only
         # the window's, but changes the last bits of the recovery
-        green = self.neumann_lin @ scipy.linalg.cho_solve(
-            factor, np.eye(len(a)))
+        green = self.neumann_lin @ _solve(factor, np.eye(len(a)))
         k, p = self.window.size, len(self.fields)
         jac = np.empty((k * p, len(a)))
         for col in range(p):

@@ -43,7 +43,8 @@ class OrderOutOfRange(ToolkitError):
 
 
 class SingularOverlap(ToolkitError):
-    """A node or boundary point is off the center-anchored h-lattice, or two overlap."""
+    """A node or boundary point is off the center-anchored h-lattice, two
+    overlap, or the interior nodes do not fill a lattice box."""
 
 
 class NonPositiveRadius(ToolkitError):
@@ -51,7 +52,7 @@ class NonPositiveRadius(ToolkitError):
 
 
 class OperatorTooLarge(ToolkitError):
-    """The interior block and one factor would not fit in physical memory."""
+    """One Cholesky factor of the system matrix would not fit in physical memory."""
 
 
 # --- nonlinearity ---

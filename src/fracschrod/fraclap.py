@@ -23,19 +23,21 @@ only on their integer offset k.  Quadrature scheme, per evaluation node x:
 * everything beyond the truncation ball is integrated in closed form and
   multiplies u(x) minus the assumed far-field value.
 
-Assembly gathers the midpoint weights of each block of interior rows
-straight into the dense interior block a_ii and a reused exterior buffer,
-negated, then subtracts the sparse corrections the stencil lists (boundary
-cells first, then the singular cell) and sets the diagonal from the
-finished rows; no row over all nodes is formed, and the exterior rows are
-kept only as their sums.  The exterior block a_ie is stored by structure
-(ExteriorBlock): a product with it is a lattice convolution of the kernel,
-near offsets summed directly and the rest by FFT, equal to the dense
-product to roundoff; its columns can still be gathered exactly.  So
-constants with matching far-field are annihilated to roundoff (below the
-acceptance gate's 1e-12), not exactly.  The stencil is cheap enough to
-rebuild per call; the assembled operator is immutable and apply() is a
-pure function.
+Assembly gathers the midpoint weights of each block of interior rows into
+one reused buffer, negated, subtracts the sparse corrections the stencil
+lists (boundary cells first, then the singular cell), and keeps only the
+finished rows' sums: the diagonal balances them, and the rows are
+discarded.  Both blocks are then stored by structure.  Off the diagonal an
+entry depends only on the lattice offset between its two cells, so a
+product with either block is a lattice convolution of the kernel, near
+offsets summed directly and the rest by FFT, equal to the dense product to
+roundoff (InteriorBlock, ExteriorBlock).  The dense entries can still be
+formed bit for bit: a_ii.fill writes the interior block plus a diagonal,
+the system matrix the solver factors, and a_ie.columns gathers exterior
+columns.  So constants with matching far-field are annihilated to roundoff
+(below the acceptance gate's 1e-12), not exactly.  The stencil is cheap
+enough to rebuild per call; the assembled operator is immutable and
+apply() is a pure function.
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ from .grid import _TOL, Field, Grid, Region
 __all__ = [
     "ExteriorBlock",
     "FracParams",
+    "InteriorBlock",
     "NonlocalOperator",
     "cns",
     "frac_params",
@@ -177,7 +180,7 @@ class _Stencil:
         self.kernel = params.cns * h**n / d ** (n + 2 * params.s)
         self.kernel[self.origin] = 0.0
 
-        self.grid, self.params = grid, params
+        self.grid, self.params, self.center = grid, params, center
         self.w_sing = _singular_weight(params, h)
         nn = grid.n_nodes
         self.share = np.full((len(points), n), -1)
@@ -254,81 +257,72 @@ class _Stencil:
         return w, tail
 
     def far_tails(self, targets) -> list[float]:
-        """Closed-form kernel mass beyond the truncation ball, per target node."""
-        return [self._far_tail(self.grid.nodes[g]) for g in targets]
+        """Closed-form kernel mass beyond the truncation ball, per target node.
 
-    def _far_tail(self, x: np.ndarray) -> float:
-        R, h, center = self.grid.R, self.grid.h, self.grid.domain.center
+        The distances are one array pass, each the square root of a
+        (1, n) @ (n, 1) matmul, the BLAS dot that np.linalg.norm of one
+        vector takes (a sum of squares can round differently); tail_mass
+        stays a scalar power per node.  So each value has the bits of a
+        node-by-node evaluation.
+        """
+        R, h = self.grid.R, self.grid.h
+        x = self.grid.nodes[targets] - self.center
         if self.grid.dim == 1:
-            dd = float(x[0] - center[0])
-            return 0.5 * (tail_mass(self.params, max(R + dd, 0.5 * h))
-                          + tail_mass(self.params, max(R - dd, 0.5 * h)))
-        r_eff = max(R - float(np.linalg.norm(x - center)), 0.5 * h)
-        return tail_mass(self.params, r_eff)
+            return [0.5 * (tail_mass(self.params, max(R + dd, 0.5 * h))
+                           + tail_mass(self.params, max(R - dd, 0.5 * h)))
+                    for dd in x[:, 0].tolist()]
+        norms = np.sqrt(np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0])
+        return [tail_mass(self.params, max(r, 0.5 * h)) for r in (R - norms).tolist()]
 
 
 _NEAR = 8  # kernel offsets with |k|_inf <= _NEAR are summed directly
 
 
-class ExteriorBlock:
-    """The exterior block a_ie of an assembled operator, stored by structure.
+def _interior_box(stencil: _Stencil) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest lattice coordinate and extent of the box the interior nodes fill.
 
-    a_ie holds no dense (ni, n_exterior) array.  Every interior row of the
-    block is the same lattice kernel read at the row's own key, so
+    The interior nodes of a grid from build_grid are every lattice point of
+    a box, in row-major order, so a field over the box flattens to the
+    interior order; any other node set raises SingularOverlap.
+    """
+    targets = stencil.coords[stencil.grid.interior_index]
+    low = targets.min(axis=0)
+    span = targets.max(axis=0) + 1 - low
+    box = np.indices(span).reshape(len(span), -1).T
+    if not np.array_equal(targets - low, box):
+        raise SingularOverlap("the interior nodes do not fill a lattice box")
+    return low, span
 
-        (a_ie @ g)_i = -(K * G)(k_i),
 
-    a convolution on the lattice.  G holds g at the exterior nodes' keys
-    and, at each boundary point, the mean of g over the exterior nodes its
-    cell is attributed to (zero where the cell feeds the tail); K is the
-    stencil's midpoint kernel with the singular weight w_sing added at the
-    -/+ axis unit offsets, where the singular cell's mass lands.  Offsets
-    with |k|_inf <= _NEAR, which carry the large weights, are summed
-    directly; the rest of K is applied by FFT from its stored rfft
-    spectrum, over a box large enough that the circular convolution is
-    exact at every target key.  The product therefore equals the dense one
-    to roundoff, not bit for bit.
+def _offset_kernel(stencil: _Stencil, low, span) -> tuple[np.ndarray, np.ndarray]:
+    """Integer offsets d over the box [low, low + span) and the kernel K(d):
+    the midpoint weights (zero beyond the stencil's reach) with w_sing added
+    at the -/+ axis unit offsets, where the singular cell's mass lands."""
+    axes = [np.arange(a, a + w) for a, w in zip(low, span)]
+    d = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    inside = np.all(np.abs(d) <= stencil.reach, axis=-1)
+    kern = np.zeros(inside.shape)
+    kern[inside] = stencil.kernel[stencil.origin + d[inside] @ stencil.strides]
+    kern[np.sum(np.abs(d), axis=-1) == 1] += stencil.w_sing
+    return d, kern
 
-    columns(idx) gathers exterior columns exactly, in assembly's own order
-    of operations, so they equal the entries of the dense block bit for
-    bit; row_sums are the dense block's row sums, taken during assembly.
+
+class _Convolution:
+    """The kernel K of _offset_kernel convolved with a lattice field.
+
+    (K * F)(t) = sum_m K(t - m) F(m), for t in a target box and F given on
+    a source box that reaches _NEAR past every target.  Offsets with
+    |k|_inf <= _NEAR, which carry the large weights, are summed directly
+    over shifted windows of F, smallest weight first; the rest of K is
+    applied by FFT from its stored rfft spectrum, over a box large enough
+    that the circular convolution is exact at every target.  The result
+    equals the direct sum to roundoff, not bit for bit.
     """
 
-    def __init__(self, stencil: _Stencil, row_sums: np.ndarray):
-        grid, n = stencil.grid, stencil.grid.dim
-        self.grid, self.params = grid, stencil.params
-        self.shape = (grid.n_interior, grid.n_exterior)
-        self.row_sums = row_sums
-        coords = stencil.coords
-        # source box: every cell, padded so each near-field shift stays inside
-        low = coords.min(axis=0) - _NEAR
-        span = coords.max(axis=0) + _NEAR + 1 - low
-        targets = coords[grid.interior_index]
-        t_low = targets.min(axis=0)
-        t_span = targets.max(axis=0) + 1 - t_low
-        self._span = tuple(int(v) for v in span)
-        at = np.ravel_multi_index((coords - low).T, self._span)
-        self._t_at = np.ravel_multi_index((targets - t_low).T, tuple(t_span))
-        # boundary cells that pass mass on: one (cell, exterior node, count)
-        # triple per receiving node, as lattice maps into G
-        column = grid.local_of_global()
-        nn = grid.n_nodes
-        cell, slot = np.nonzero(stencil.share[nn:] >= 0)
-        node = stencil.share[nn:][cell, slot]
-        self._fold = (at[nn + cell], column[node],
-                      stencil.count[nn + cell].astype(float))
-        self._ext = at[grid.exterior_index]
-
-        # offsets d = t - m over targets t and source keys m
-        d_low = t_low - (low + span - 1)
+    def __init__(self, stencil: _Stencil, low, span, t_low, t_span):
+        self.span = tuple(int(w) for w in span)
         d_span = t_span + span - 1
-        axes = [np.arange(d_low[a], d_low[a] + d_span[a]) for a in range(n)]
-        d = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-        inside = np.all(np.abs(d) <= stencil.reach, axis=-1)
-        kern = np.zeros(inside.shape)
-        kern[inside] = stencil.kernel[stencil.origin + d[inside] @ stencil.strides]
-        unit = np.sum(np.abs(d), axis=-1) == 1
-        kern[unit] += stencil.w_sing
+        d, kern = _offset_kernel(stencil, t_low - (low + span - 1), d_span)
         near = np.all(np.abs(d) <= _NEAR, axis=-1)
         self._near = [(kern[tuple(i)], tuple(slice(s, s + w) for s, w in
                        zip(t_low - (d[tuple(i)] + low), t_span)))
@@ -342,23 +336,73 @@ class ExteriorBlock:
 
     @property
     def nbytes(self) -> int:
-        arrays = (self.row_sums, self._t_at, self._ext, self._spectrum, *self._fold)
-        return sum(a.nbytes for a in arrays) + 8 * len(self._near)
+        return self._spectrum.nbytes + 8 * len(self._near)
+
+    def __call__(self, field: np.ndarray) -> np.ndarray:
+        """(K * field) over the target box, flattened in row-major order."""
+        total = scipy.fft.irfftn(scipy.fft.rfftn(field, self._size) * self._spectrum,
+                                 self._size)[self._valid]
+        for weight, window in self._near:
+            total += weight * field[window]
+        return total.reshape(-1)
+
+
+class ExteriorBlock:
+    """The exterior block a_ie of an assembled operator, stored by structure.
+
+    a_ie holds no dense (ni, n_exterior) array.  Every interior row of the
+    block is the same lattice kernel read at the row's own key, so
+
+        (a_ie @ g)_i = -(K * G)(k_i),
+
+    a convolution on the lattice (_Convolution).  G holds g at the exterior
+    nodes' keys and, at each boundary point, the mean of g over the
+    exterior nodes its cell is attributed to (zero where the cell feeds the
+    tail); K is the stencil's midpoint kernel with the singular weight
+    w_sing added at the -/+ axis unit offsets.  The product therefore
+    equals the dense one to roundoff, not bit for bit.
+
+    columns(idx) gathers exterior columns exactly, in assembly's own order
+    of operations, so they equal the entries of the dense block bit for
+    bit; row_sums are the dense block's row sums, taken during assembly.
+    """
+
+    def __init__(self, stencil: _Stencil, row_sums: np.ndarray):
+        grid = stencil.grid
+        self.grid, self.params = grid, stencil.params
+        self.shape = (grid.n_interior, grid.n_exterior)
+        self.row_sums = row_sums
+        coords = stencil.coords
+        # source box: every cell, padded so each near-field shift stays inside
+        low = coords.min(axis=0) - _NEAR
+        span = coords.max(axis=0) + _NEAR + 1 - low
+        self._conv = _Convolution(stencil, low, span, *_interior_box(stencil))
+        at = np.ravel_multi_index((coords - low).T, self._conv.span)
+        # boundary cells that pass mass on: one (cell, exterior node, count)
+        # triple per receiving node, as lattice maps into G
+        column = grid.local_of_global()
+        nn = grid.n_nodes
+        cell, slot = np.nonzero(stencil.share[nn:] >= 0)
+        node = stencil.share[nn:][cell, slot]
+        self._fold = (at[nn + cell], column[node],
+                      stencil.count[nn + cell].astype(float))
+        self._ext = at[grid.exterior_index]
+
+    @property
+    def nbytes(self) -> int:
+        arrays = (self.row_sums, self._ext, *self._fold)
+        return sum(a.nbytes for a in arrays) + self._conv.nbytes
 
     def __matmul__(self, g: np.ndarray) -> np.ndarray:
         g = np.asarray(g, dtype=float)
         if g.shape != (self.shape[1],):
             raise ValueError(f"a_ie @ g needs g of shape ({self.shape[1]},), got {g.shape}")
-        field = np.zeros(self._span)
+        field = np.zeros(self._conv.span)
         flat = field.reshape(-1)
         flat[self._ext] = g
         cell, node, count = self._fold
         np.add.at(flat, cell, g[node] / count)
-        total = scipy.fft.irfftn(scipy.fft.rfftn(field, self._size) * self._spectrum,
-                                 self._size)[self._valid]
-        for weight, window in self._near:
-            total += weight * field[window]
-        return -total.reshape(-1)[self._t_at]
+        return -self._conv(field)
 
     def columns(self, idx) -> np.ndarray:
         """Exterior columns idx (distinct local indices), shape (ni, len(idx)),
@@ -378,6 +422,70 @@ class ExteriorBlock:
         return out
 
 
+class InteriorBlock:
+    """The interior block a_ii of an assembled operator, stored by structure.
+
+    a_ii holds no dense (ni, ni) array.  Off the diagonal, entry (i, j) is
+    -K(k_i - k_j), with K the kernel of ExteriorBlock, so a_ii is block
+    Toeplitz with Toeplitz blocks on the interior box; the diagonal, which
+    balances each row of [a_ii a_ie], and the off-diagonal row sums
+    off_sums are taken during assembly.
+
+    a_ii @ v is diagonal * v plus off_diagonal(v), a lattice convolution
+    over the interior box padded by _NEAR (equal to the dense product to
+    roundoff).  fill(out, shift) writes the dense block plus diag(shift),
+    bit for bit, by copying from a strided view of the negated kernel
+    over the offsets [-(w - 1), w - 1] per axis of box width w.  Because
+    K(d) = K(-d) bit for bit, the block is bitwise symmetric.
+    """
+
+    def __init__(self, stencil: _Stencil, diagonal: np.ndarray, off_sums: np.ndarray):
+        ni = stencil.grid.n_interior
+        self.shape = (ni, ni)
+        self.diagonal, self.off_sums = diagonal, off_sums
+        low, span = _interior_box(stencil)
+        self._conv = _Convolution(stencil, low - _NEAR, span + 2 * _NEAR, low, span)
+        self._box = tuple(int(w) for w in span)
+        self._pad = tuple(slice(_NEAR, _NEAR + w) for w in self._box)
+        self._kernel = -_offset_kernel(stencil, 1 - span, 2 * span - 1)[1]
+        # view[i..., j...] = kernel[(w - 1) + i - j], i and j the box
+        # coordinates of two interior nodes; built once, since a per-call
+        # view costs more than a small matrix's whole fill
+        center = np.ravel_multi_index(tuple(span - 1), self._kernel.shape)
+        strides = self._kernel.strides
+        self._view = np.lib.stride_tricks.as_strided(
+            self._kernel.reshape(-1)[center:], shape=self._box * 2,
+            strides=strides + tuple(-s for s in strides), writeable=False)
+
+    @property
+    def nbytes(self) -> int:
+        arrays = (self.diagonal, self.off_sums, self._kernel)
+        return sum(a.nbytes for a in arrays) + self._conv.nbytes
+
+    def off_diagonal(self, v: np.ndarray) -> np.ndarray:
+        """(a_ii - diag(a_ii)) @ v by lattice convolution."""
+        v = np.asarray(v, dtype=float)
+        if v.shape != (self.shape[1],):
+            raise ValueError(f"a_ii @ v needs v of shape ({self.shape[1]},), "
+                             f"got {v.shape}")
+        field = np.zeros(self._conv.span)
+        field[self._pad] = v.reshape(self._box)
+        return -self._conv(field)
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        return self.diagonal * v + self.off_diagonal(v)
+
+    def fill(self, out: np.ndarray, shift: np.ndarray) -> None:
+        """Write a_ii + diag(shift) into out, an (ni, ni) Fortran-order array,
+        bit for bit the dense sum: the off-diagonal entries assembly
+        computes, and diagonal + shift.  A zero shift writes a_ii itself."""
+        if out.shape != self.shape or not out.flags.f_contiguous:
+            raise ValueError(f"fill needs a Fortran-order array of shape {self.shape}")
+        # splitting each axis into the box's axes is a view for any strides
+        np.copyto(out.reshape(self._view.shape), self._view)
+        np.add(self.diagonal, shift, out=out.ravel(order="F")[:: self.shape[0] + 1])
+
+
 def _subtract(block: np.ndarray, where: np.ndarray, adds: list) -> None:
     """block[row, where[node]] -= mass for each add whose node has a column."""
     for row, node, mass in adds:
@@ -389,17 +497,19 @@ def _subtract(block: np.ndarray, where: np.ndarray, adds: list) -> None:
 class NonlocalOperator:
     """Assembled fractional Laplacian restricted to interior rows.
 
-    a_ii is symmetric bit for bit, with positive diagonal and nonpositive
-    off-diagonal entries; a_ie is the nonpositive exterior block, stored as
-    a lattice convolution (ExteriorBlock); tail holds the closed-form
-    kernel mass beyond the truncation ball per interior node.  Row sums of
-    [a_ii a_ie] vanish, so constants with matching far-field are
-    annihilated up to the roundoff of the exterior product.
+    a_ii is the interior block, stored as a lattice convolution
+    (InteriorBlock): bitwise symmetric, with positive diagonal and
+    nonpositive off-diagonal entries.  a_ie is the nonpositive exterior
+    block, likewise stored as a lattice convolution (ExteriorBlock); tail
+    holds the closed-form kernel mass beyond the truncation ball per
+    interior node.  Row sums of [a_ii a_ie] vanish, so constants with
+    matching far-field are annihilated up to the roundoff of the
+    convolutions.  No array of the operator grows like ni^2 or ni N.
     """
 
     params: FracParams
     grid: Grid
-    a_ii: np.ndarray
+    a_ii: InteriorBlock
     a_ie: ExteriorBlock
     tail: np.ndarray
 
@@ -410,19 +520,19 @@ class NonlocalOperator:
 def assemble(grid: Grid, s: float) -> NonlocalOperator:
     """Assemble the discrete operator for a grid and fractional order.
 
-    Raises OperatorTooLarge when a_ii and one Cholesky factor of the system
-    matrix would not fit in physical memory, and SingularOverlap when a
-    node or boundary point is off the lattice, both before allocating a_ii.
-    Per block of interior rows the exterior entries are formed in one
-    reused buffer (at most 4 MiB), summed into the diagonal and the
-    exterior row sums, and discarded.
+    Raises OperatorTooLarge when one Cholesky factor of the system matrix
+    (ni^2 float64) would not fit in physical memory, and SingularOverlap
+    when a node or boundary point is off the lattice, both before the row
+    gathers start.  Per block of interior rows the entries are formed in one
+    reused buffer (at most 4 MiB); only their row sums are kept, which set
+    the diagonal, and the rows are discarded.
     """
     params = frac_params(grid.dim, s)
     ni, nn = grid.n_interior, grid.n_nodes
-    need, have = 2 * ni * ni * 8, _physical_memory()
+    need, have = ni * ni * 8, _physical_memory()
     if need > have:
         raise OperatorTooLarge(
-            f"the interior block and one factor need {need / 2**30:.1f} GiB, "
+            f"one factor of the system matrix needs {need / 2**30:.1f} GiB, "
             f"physical memory is {have / 2**30:.1f} GiB")
     stencil = _Stencil(grid, params)
     interior, exterior = grid.interior_index, grid.exterior_index
@@ -430,26 +540,27 @@ def assemble(grid: Grid, s: float) -> NonlocalOperator:
     at_interior = np.where(grid.labels == Region.INTERIOR, column, -1)
     at_exterior = np.where(grid.labels == Region.EXTERIOR, column, -1)
     blocks = _blocks(ni, nn)
-    a_ii = np.empty((ni, ni))
-    buffer = np.empty((blocks[0].stop - blocks[0].start, grid.n_exterior))
-    row_sums = np.empty(ni)
-    tail = np.empty(ni)
+    buffer = np.empty((blocks[0].stop - blocks[0].start) * nn)
+    off_sums, row_sums, tail = np.empty(ni), np.empty(ni), np.empty(ni)
     for sl in blocks:
         rows = interior[sl]
-        b_ii, b_ie = a_ii[sl], buffer[:rows.size]
+        b_ii = buffer[:rows.size * ni].reshape(rows.size, ni)
+        b_ie = buffer[rows.size * ni:rows.size * nn].reshape(rows.size, nn - ni)
         np.negative(stencil.midpoint(rows, interior, out=b_ii), out=b_ii)
         np.negative(stencil.midpoint(rows, exterior, out=b_ie), out=b_ie)
         adds, tail[sl] = stencil.corrections(rows)
         tail[sl] += stencil.far_tails(rows)
         _subtract(b_ii, at_interior, adds)
         _subtract(b_ie, at_exterior, adds)
+        # the own column holds -0.0, so this is the off-diagonal sum
+        off_sums[sl] = np.sum(b_ii, axis=1)
         row_sums[sl] = np.sum(b_ie, axis=1)
-        r = np.arange(sl.start, sl.stop)
-        a_ii[r, r] = -(np.sum(b_ii, axis=1) + row_sums[sl])
     del buffer
-    for arr in (a_ii, row_sums, tail):
+    diagonal = -(off_sums + row_sums)
+    for arr in (diagonal, off_sums, row_sums, tail):
         arr.setflags(write=False)
-    return NonlocalOperator(params=params, grid=grid, a_ii=a_ii,
+    return NonlocalOperator(params=params, grid=grid,
+                            a_ii=InteriorBlock(stencil, diagonal, off_sums),
                             a_ie=ExteriorBlock(stencil, row_sums), tail=tail)
 
 
@@ -461,24 +572,22 @@ def _physical_memory() -> int:
 def apply_operator(op: NonlocalOperator, u: Field, farfield: float = 0.0) -> np.ndarray:
     """Operator value at every interior node.
 
-    The interior part is evaluated in the difference form
-    sum_j w_ij (u_i - u_j): per block of interior rows the differences
-    u_j - u_i are formed at once (at most 1 MiB) and each row is reduced
-    with a (1, n) @ (n, 1) matmul, the BLAS dot of two vectors.  The
-    exterior part is (a_ie @ u_e) - u_i * rowsum(a_ie), one lattice
-    convolution, so constants with matching far-field are annihilated to
-    the roundoff of that product (far below 1e-12 at the sizes the
-    acceptance gate checks), not exactly.
+    Both parts are lattice convolutions in difference form.  The interior
+    part sum_j a_ij (u_j - u_i) is off_diagonal(w) - w * off_sums with
+    w = u_i - mean(u_i): equal in exact arithmetic for any shift, and the
+    shift makes w vanish for constant u_i, so the convolution's roundoff
+    scales with the variation of u_i rather than its size.  The exterior
+    part is (a_ie @ u_e) - u_i * rowsum(a_ie).  Constants with matching
+    far-field are therefore annihilated to the roundoff of the exterior
+    product (far below 1e-12 at the sizes the acceptance gate checks), not
+    exactly.
     """
     if not u.grid.same_as(op.grid):
         raise GridMismatch("field grid differs from operator grid")
     ui = u.interior_values
+    w = ui - np.mean(ui)
     out = op.a_ie @ u.exterior_values - ui * op.a_ie.row_sums
-    # a quarter of _BLOCK: freed 4 MiB temporaries stay in the malloc heap
-    # and raised the peak RSS of a 1D principles run by 3%
-    for sl in _blocks(op.grid.n_interior, 4 * op.grid.n_interior):
-        inner = np.matmul(op.a_ii[sl, None, :], (ui - ui[sl, None])[:, :, None])
-        out[sl] += inner[:, 0, 0]
+    out += op.a_ii.off_diagonal(w) - w * op.a_ii.off_sums
     return out + op.tail * (ui - farfield)
 
 

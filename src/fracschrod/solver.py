@@ -6,22 +6,25 @@ data prescribed on the truncated ring.  The system matrix is the assembled
 interior block plus the nonnegative diagonal (truncation tail and
 potential), a symmetric positive-definite M-matrix; solves use a dense
 Cholesky factorization, so sign- and order-principle checks are not
-confounded by iterative tolerances.  Each system matrix is built as one
-Fortran-order copy of the interior block with the diagonal added in place,
-and LAPACK factors that copy in place, so a factorization holds one matrix
-(and cho_factor's byte-per-entry finiteness mask) beyond the operator.  The
-copy is a plain memory copy of the block's transpose, which relies on
-assembly making the interior block bitwise symmetric (a test pins that).
+confounded by iterative tolerances.  The factor is the only dense ni x ni
+matrix: the operator stores its blocks as lattice convolutions, and each
+system matrix is one Fortran-order array filled from the interior block's
+kernel (bit for bit the dense block) with the diagonal added in place,
+which LAPACK factors in place.  LAPACK is called without scipy's
+finiteness scans, which would allocate a byte per matrix entry; the
+diagonal and each right-hand side, the only places a non-finite value can
+enter, are checked instead and raise the caller's error.
 
 Each assembled operator retains two pieces of state here, held through a
 weak reference so they die with the operator: the last system factored
-through _retained_factor (its diagonal and the Cholesky factor, a_ii.nbytes,
-so 126 MB at 2D h=2^-5), and the barrier cutoff eta with its image L eta.
-_retained_factor is the one place that decides factor reuse; solve_linear
-and the DN assembly in calderon both go through it, so they share the one
-factor.  It reuses the factor while the diagonal is bit for bit the same
-and frees it before factoring a new one, so at most one factor is held;
-build_barrier applies the operator to eta once per operator.  A reused
+through _retained_factor (its diagonal and the Cholesky factor, ni^2
+float64, so 126 MB at 2D h=2^-5), and the barrier cutoff eta with its
+image L eta.  _retained_factor is the one place that decides factor
+reuse; solve_linear and the DN assembly in calderon both go through it, so
+they share the one factor.  It reuses the factor while the diagonal is bit
+for bit the same and frees it before factoring a new one, so at most one
+factor is held; build_barrier applies the operator to eta once per
+operator.  A reused
 factor or image is the very array the call would have recomputed, so every
 result is unchanged.  The state is not thread-safe: share an operator
 between threads only with a lock around these calls.
@@ -144,19 +147,28 @@ def _factor_system(op: NonlocalOperator, diagonal: np.ndarray,
                    error: type[ToolkitError] = SingularSystem):
     """Cholesky factor of the system matrix op.a_ii + diag(diagonal).
 
-    The matrix is one Fortran-order copy of a_ii with the diagonal added in
-    place, and LAPACK factors that copy without copying it again; op.a_ii
-    is left untouched.  The copy is taken of the transpose, a plain memory
-    copy instead of a strided one, which is the same matrix because
-    assembly makes a_ii bitwise symmetric.  A failed factorization raises
-    error.
+    The matrix is one Fortran-order array filled from the interior block
+    and the diagonal in one pass, and LAPACK factors it without copying it
+    again.  Only diagonal can carry a non-finite value into the matrix,
+    so it is checked instead of scanning the whole matrix; a non-finite
+    diagonal or a failed factorization raises error.
     """
-    matrix = op.a_ii.T.copy(order="F")
-    matrix[np.diag_indices_from(matrix)] += diagonal
+    if not np.isfinite(diagonal).all():
+        raise error("the system matrix has a non-finite diagonal entry")
+    matrix = np.empty(op.a_ii.shape, order="F")
+    op.a_ii.fill(matrix, diagonal)
     try:
-        return scipy.linalg.cho_factor(matrix, overwrite_a=True)
+        return scipy.linalg.cho_factor(matrix, overwrite_a=True, check_finite=False)
     except scipy.linalg.LinAlgError as err:
         raise error(str(err)) from err
+
+
+def _solve(factor, rhs: np.ndarray, error: type[ToolkitError] = SingularSystem):
+    """cho_solve against a factor of _factor_system; the factor is finite by
+    construction, so only the right-hand side is checked, raising error."""
+    if not np.isfinite(rhs).all():
+        raise error("the right-hand side has a non-finite entry")
+    return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
 
 
 def _retained_factor(op: NonlocalOperator, diagonal: np.ndarray):
@@ -199,7 +211,7 @@ def solve_linear(problem: LinearProblem) -> Field:
     op = problem.op
     factor = _retained_factor(op, op.tail + problem.a)
     rhs = problem.f - op.a_ie @ problem.g.exterior_values
-    u_int = scipy.linalg.cho_solve(factor, rhs)
+    u_int = _solve(factor, rhs)
     return _full_field(op.grid, u_int, problem.g.exterior_values)
 
 
@@ -234,8 +246,8 @@ def solve_semilinear(op: NonlocalOperator, nl: Nonlinearity, g: Field,
         dq = nl.dq(xi, u)
         if np.any(dq < 0):
             raise JacobianSingular("q has negative t-derivative on the iterate")
-        step = scipy.linalg.cho_solve(
-            _factor_system(op, op.tail + dq, JacobianSingular), -res)
+        step = _solve(_factor_system(op, op.tail + dq, JacobianSingular), -res,
+                      JacobianSingular)
         alpha = 1.0
         while True:
             u_new = u + alpha * step

@@ -64,6 +64,14 @@ GRIDS_2D = {
 }
 
 
+def dense_interior(op):
+    """The interior block as a dense array, filled in Fortran order like the
+    solver's system matrix (a zero shift leaves the positive diagonal's bits)."""
+    out = np.empty(op.a_ii.shape, order="F")
+    op.a_ii.fill(out, np.zeros(op.grid.n_interior))
+    return out
+
+
 def smooth_field(grid):
     return sample_function(grid, lambda x, y: np.cos(1.3 * x - 0.4) * np.exp(-y * y))
 

@@ -20,22 +20,24 @@ import hashlib
 import numpy as np
 import pytest
 
-from conftest import GRIDS_2D, smooth_field
+from conftest import GRIDS_2D, dense_interior, smooth_field
 from fracschrod import annulus_window, apply_operator, neumann_derivative
 from fracschrod.fraclap import _blocks, _Stencil
 
 # forward/, principles/ and linearize/ were re-recorded when the exterior
-# product became a lattice convolution (a summation-order change); they pass
-# the bounded tier against tests/golden/, recorded before that change
+# product became a lattice convolution, and forward/ and linearize/ again
+# when the interior product did (Newton's residual); both are summation-order
+# changes, and the outputs pass the bounded tier against tests/golden/,
+# recorded before either
 CLI_PINS = {
     "forward/cauchy_bank.json":
-        "45ad533bc5ad4fec3f2f40f2bda6edde01993db1a15066d2b13767ccfc46e79f",
+        "c760265621e4e26a677aa1a345376023f4a1223c429c6e390e204d58fafa4116",
     "forward/newton_trace.csv":
-        "9f646b09a41f5b79e1acf50b67103c7b5775153217d8e8cd1c4d21708d3d948d",
+        "7ec89a0e242115c8f3b625dd90576c1f7b0b4b7d7fc959d6f18dd5301d026ff6",
     "forward/solution.csv":
-        "6712052b858ea22dc67fcd6e8509b935ad9ce797485e3841a04d5dc20008fcce",
+        "4896561fdda3a82e73f7c6fac628d1d3de9554862535e1aa143f2bb761ffe7c9",
     "linearize/linearize.csv":
-        "ade40d56abb9a0549b90714530c686d6ab6566fe3bfafe6dca7bc0ea62ea59c7",
+        "a060ed1880002784cfbc5e53cce3306b908047a83b4da1a399278ffaeb0b8c24",
     "principles/principles.csv":
         "6f4913c0505830b8fbdd0ce9744d0f984c977d7b5b0d06683a03cc8ded35b797",
     "probe/probe.csv":
@@ -65,10 +67,10 @@ NEUMANN_PINS = {
 }
 
 # apply_operator of the Neumann test's field with far-field value 0.25;
-# re-recorded with the convolution, like the CLI pins above
+# re-recorded with each convolution, like the CLI pins above
 APPLY_PINS = {
-    "box-s0.5": "eaa3711bd23ac168e318a45be13abe5265980aaee182042c838c4a0471bd0575",
-    "rect-s0.25": "c4c074fc5d8b5f5e6d17ed1f33854be3d29db82bf4cbdfa62b0b9393a90223da",
+    "box-s0.5": "24f90879028064d54ba8e5840147f6e44989328d454b6b053c6c790caa273a63",
+    "rect-s0.25": "bc6a53b0e6df42c91019375435a0e90d02a123f746795a6a010200f987d83c5a",
 }
 
 
@@ -87,10 +89,11 @@ def test_cli_output_bytes(cli_outputs, name):
 
 @pytest.mark.parametrize("name", sorted(GRIDS_2D))
 def test_operator_bytes_2d(ops_2d, name):
-    # the exterior block's exact columns are the bytes of the dense block
+    # the interior block's dense fill and the exterior block's exact columns
+    # are the bytes of the dense blocks
     op = ops_2d[name]
     columns = op.a_ie.columns(np.arange(op.grid.n_exterior))
-    assert sha(op.a_ii, columns, op.tail) == OPERATOR_PINS[name]
+    assert sha(dense_interior(op), columns, op.tail) == OPERATOR_PINS[name]
 
 
 @pytest.mark.parametrize("name", sorted(GRIDS_2D))

@@ -28,7 +28,7 @@ from fracschrod import (
 from fracschrod import solver
 from fracschrod.errors import JacobianSingular, NewtonDiverged, SingularSystem, Validation
 from fracschrod.solver import _factor_system
-from conftest import exterior_bump
+from conftest import dense_interior, exterior_bump
 from oracles import picard_semilinear
 
 
@@ -269,17 +269,27 @@ def test_jacobian_singular_on_negative_derivative(op_small):
         solve_semilinear(op_small, bad, g)
 
 
+def test_jacobian_singular_on_non_finite_coefficient(op_small):
+    # LAPACK is called without scipy's finiteness scan, so the solver's own
+    # check of the diagonal must name the failure (it was a raw ValueError)
+    node = op_small.grid.interior_nodes[5]
+    coeff = lambda x: np.where(np.all(np.atleast_2d(x) == node, axis=1), np.nan, 1.0)
+    g = exterior_bump(op_small.grid, 1.5, 0.25)
+    with pytest.raises(JacobianSingular, match="non-finite"):
+        solve_semilinear(op_small, catalogue("linear", coeff, a_sup=1.0), g)
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_factor_system_is_the_dense_cholesky(dim, op_small, grid_2d):
     op = op_small if dim == 1 else assemble(grid_2d, 0.5)
-    before = op.a_ii.copy()
+    before = op.a_ii.diagonal.copy()
     diagonal = op.tail + np.linspace(0.0, 2.0, op.grid.n_interior)
     factor, lower = _factor_system(op, diagonal)
-    dense, dense_lower = scipy.linalg.cho_factor(op.a_ii + np.diag(diagonal))
+    dense, dense_lower = scipy.linalg.cho_factor(dense_interior(op) + np.diag(diagonal))
     assert lower == dense_lower
     assert np.asfortranarray(factor).tobytes() == np.asfortranarray(dense).tobytes()
-    assert op.a_ii.tobytes() == before.tobytes()
-    assert not op.a_ii.flags.writeable
+    assert op.a_ii.diagonal.tobytes() == before.tobytes()
+    assert not op.a_ii.diagonal.flags.writeable
 
 
 def test_factor_system_names_the_failure(op_small):
@@ -288,6 +298,15 @@ def test_factor_system_names_the_failure(op_small):
         _factor_system(op_small, indefinite)
     with pytest.raises(JacobianSingular):
         _factor_system(op_small, indefinite, JacobianSingular)
+    not_finite = op_small.tail.copy()
+    not_finite[3] = np.inf
+    with pytest.raises(SingularSystem, match="non-finite"):
+        _factor_system(op_small, not_finite)
+    factor = _factor_system(op_small, op_small.tail)
+    rhs = np.ones(op_small.grid.n_interior)
+    rhs[2] = np.nan
+    with pytest.raises(JacobianSingular, match="non-finite"):
+        solver._solve(factor, rhs, JacobianSingular)
 
 
 def test_barrier_validity_and_tail_bound():
