@@ -313,6 +313,7 @@ def test_exterior_product_is_the_dense_block(name):
 
 @pytest.mark.parametrize("name", sorted(PRODUCT_GRIDS))
 def test_interior_product_is_the_dense_block(name):
+    # the exterior product's bound; the interior one measured at most 2.5 eps
     domain, h, R, s = PRODUCT_GRIDS[name]
     grid = build_grid(domain, h, R)
     op = assemble(grid, s)
