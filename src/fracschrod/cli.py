@@ -163,10 +163,11 @@ def run_solve(cfg: dict, out: Path) -> dict:
 
 def run_forward(cfg: dict, out: Path) -> dict:
     band = _band(cfg) if cfg.get("window") is not None else None
+    newton = _newton(cfg)
     grid, op = _grid_and_operator(cfg)
     nl = _nonlinearity(cfg)
     g = _exterior_field(grid, cfg["exterior_data"])
-    sol = solve_semilinear(op, nl, g, _newton(cfg))
+    sol = solve_semilinear(op, nl, g, newton)
     solution_to_csv(out / "solution.csv", sol.u)
     trace_to_csv(out / "newton_trace.csv", sol.residuals)
     summary = {"iterations": sol.iterations,
@@ -175,7 +176,7 @@ def run_forward(cfg: dict, out: Path) -> dict:
         window = annulus_window(grid, *band)
         probes = [(f"g-{k}", _exterior_field(grid, [bump_spec]))
                   for k, bump_spec in enumerate(cfg["exterior_data"])]
-        bank = build_cauchy_bank(grid, op, nl, probes, window, _newton(cfg))
+        bank = build_cauchy_bank(grid, op, nl, probes, window, newton)
         dump(bank_to_json(bank), out / "cauchy_bank.json")
         summary["bank_size"] = len(bank)
     return summary
@@ -224,11 +225,12 @@ def _scatter(grid, exterior_values) -> np.ndarray:
 
 
 def run_linearize(cfg: dict, out: Path) -> dict:
+    newton = _newton(cfg)
     grid, op = _grid_and_operator(cfg)
     nl = _nonlinearity(cfg)
     g = _exterior_field(grid, cfg["exterior_data"])
     h = _exterior_field(grid, cfg["probe_data"] or cfg["exterior_data"])
-    study = linearization_study(op, nl, g, h, cfg["eta_schedule"], _newton(cfg))
+    study = linearization_study(op, nl, g, h, cfg["eta_schedule"], newton)
     write_csv(out / "linearize.csv", ["eta", "e_l2", "e_sup", "converged"],
               [(float(e), float(l2), float(sup), int(conv))
                for e, l2, sup, conv in zip(study.etas, study.errors_l2,

@@ -23,21 +23,18 @@ only on their integer offset k.  Quadrature scheme, per evaluation node x:
 * everything beyond the truncation ball is integrated in closed form and
   multiplies u(x) minus the assumed far-field value.
 
-Assembly gathers the midpoint weights of each block of interior rows into
-one reused buffer, negated, subtracts the sparse corrections the stencil
-lists (boundary cells first, then the singular cell), and keeps only the
-finished rows' sums: the diagonal balances them, and the rows are
-discarded.  Both blocks are then stored by structure.  Off the diagonal an
-entry depends only on the lattice offset between its two cells, so a
-product with either block is a lattice convolution of the kernel, near
-offsets summed directly and the rest by FFT, equal to the dense product to
-roundoff (InteriorBlock, ExteriorBlock).  The dense entries can still be
-formed bit for bit: a_ii.fill writes the interior block plus a diagonal,
-the system matrix the solver factors, and a_ie.columns gathers exterior
-columns.  So constants with matching far-field are annihilated to roundoff
-(below the acceptance gate's 1e-12), not exactly.  The stencil is cheap
-enough to rebuild per call; the assembled operator is immutable and
-apply() is a pure function.
+Both blocks are stored by structure.  Off the diagonal an entry depends
+only on the lattice offset between its two cells, so a product with either
+block is a lattice convolution of the kernel, near offsets summed directly
+and the rest by FFT, equal to the dense product to roundoff
+(InteriorBlock, ExteriorBlock).  Assembly forms no row: each block takes
+its row sums as its own product with a vector of ones, and the diagonal
+balances them.  The dense entries can still be formed bit for bit:
+a_ii.fill writes the interior block plus a diagonal, the system matrix the
+solver factors, and a_ie.columns gathers exterior columns.  So constants
+with matching far-field are annihilated to roundoff (below the acceptance
+gate's 1e-12), not exactly.  The stencil is cheap enough to rebuild per
+call; the assembled operator is immutable and apply() is a pure function.
 """
 
 from __future__ import annotations
@@ -362,16 +359,15 @@ class ExteriorBlock:
     w_sing added at the -/+ axis unit offsets.  The product therefore
     equals the dense one to roundoff, not bit for bit.
 
-    columns(idx) gathers exterior columns exactly, in assembly's own order
-    of operations, so they equal the entries of the dense block bit for
-    bit; row_sums are the dense block's row sums, taken during assembly.
+    columns(idx) gathers exact exterior columns from the stencil rows, bit
+    for bit the entries of the dense block.  row_sums is a_ie @ 1, the
+    block's row sums by the same convolution.
     """
 
-    def __init__(self, stencil: _Stencil, row_sums: np.ndarray):
+    def __init__(self, stencil: _Stencil):
         grid = stencil.grid
         self.grid, self.params = grid, stencil.params
         self.shape = (grid.n_interior, grid.n_exterior)
-        self.row_sums = row_sums
         coords = stencil.coords
         # source box: every cell, padded so each near-field shift stays inside
         low = coords.min(axis=0) - _NEAR
@@ -387,6 +383,8 @@ class ExteriorBlock:
         self._fold = (at[nn + cell], column[node],
                       stencil.count[nn + cell].astype(float))
         self._ext = at[grid.exterior_index]
+        self.row_sums = self @ np.ones(self.shape[1])
+        self.row_sums.setflags(write=False)
 
     @property
     def nbytes(self) -> int:
@@ -405,8 +403,8 @@ class ExteriorBlock:
         return -self._conv(field)
 
     def columns(self, idx) -> np.ndarray:
-        """Exterior columns idx (distinct local indices), shape (ni, len(idx)),
-        bit for bit the entries assembly computes for them."""
+        """Exterior columns idx (distinct local indices), shape (ni, len(idx)):
+        the stencil's midpoint weights, negated, less its sparse corrections."""
         idx = np.asarray(idx, dtype=int)
         grid = self.grid
         stencil = _Stencil(grid, self.params)
@@ -427,9 +425,10 @@ class InteriorBlock:
 
     a_ii holds no dense (ni, ni) array.  Off the diagonal, entry (i, j) is
     -K(k_i - k_j), with K the kernel of ExteriorBlock, so a_ii is block
-    Toeplitz with Toeplitz blocks on the interior box; the diagonal, which
-    balances each row of [a_ii a_ie], and the off-diagonal row sums
-    off_sums are taken during assembly.
+    Toeplitz with Toeplitz blocks on the interior box.  off_sums is
+    off_diagonal(1), the off-diagonal row sums, and the diagonal balances
+    each row of [a_ii a_ie]: -(off_sums + exterior_sums), given the
+    exterior block's row sums.
 
     a_ii @ v is diagonal * v plus off_diagonal(v), a lattice convolution
     over the interior box padded by _NEAR (equal to the dense product to
@@ -439,10 +438,9 @@ class InteriorBlock:
     K(d) = K(-d) bit for bit, the block is bitwise symmetric.
     """
 
-    def __init__(self, stencil: _Stencil, diagonal: np.ndarray, off_sums: np.ndarray):
+    def __init__(self, stencil: _Stencil, exterior_sums: np.ndarray):
         ni = stencil.grid.n_interior
         self.shape = (ni, ni)
-        self.diagonal, self.off_sums = diagonal, off_sums
         low, span = _interior_box(stencil)
         self._conv = _Convolution(stencil, low - _NEAR, span + 2 * _NEAR, low, span)
         self._box = tuple(int(w) for w in span)
@@ -456,6 +454,10 @@ class InteriorBlock:
         self._view = np.lib.stride_tricks.as_strided(
             self._kernel.reshape(-1)[center:], shape=self._box * 2,
             strides=strides + tuple(-s for s in strides), writeable=False)
+        self.off_sums = self.off_diagonal(np.ones(ni))
+        self.diagonal = -(self.off_sums + exterior_sums)
+        for arr in (self.off_sums, self.diagonal):
+            arr.setflags(write=False)
 
     @property
     def nbytes(self) -> int:
@@ -502,9 +504,10 @@ class NonlocalOperator:
     nonpositive off-diagonal entries.  a_ie is the nonpositive exterior
     block, likewise stored as a lattice convolution (ExteriorBlock); tail
     holds the closed-form kernel mass beyond the truncation ball per
-    interior node.  Row sums of [a_ii a_ie] vanish, so constants with
-    matching far-field are annihilated up to the roundoff of the
-    convolutions.  No array of the operator grows like ni^2 or ni N.
+    interior node.  The diagonal balances the blocks' row sums, so rows of
+    [a_ii a_ie] sum to zero and constants with matching far-field are
+    annihilated, both up to the roundoff of the convolutions.  No array of
+    the operator grows like ni^2 or ni N.
     """
 
     params: FracParams
@@ -522,46 +525,26 @@ def assemble(grid: Grid, s: float) -> NonlocalOperator:
 
     Raises OperatorTooLarge when one Cholesky factor of the system matrix
     (ni^2 float64) would not fit in physical memory, and SingularOverlap
-    when a node or boundary point is off the lattice, both before the row
-    gathers start.  Per block of interior rows the entries are formed in one
-    reused buffer (at most 4 MiB); only their row sums are kept, which set
-    the diagonal, and the rows are discarded.
+    when a node or boundary point is off the lattice, both before the blocks
+    are built.  No row is formed: each block's row sums are its product with
+    ones, and tail is the closed-form far mass alone.  On a grid from
+    build_grid an interior row spills nothing to the tail: its axis steps
+    land on nodes or boundary cells, and every boundary cell has an
+    exterior receiver, because R is at least the domain diameter.
     """
     params = frac_params(grid.dim, s)
-    ni, nn = grid.n_interior, grid.n_nodes
-    need, have = ni * ni * 8, _physical_memory()
+    need, have = grid.n_interior ** 2 * 8, _physical_memory()
     if need > have:
         raise OperatorTooLarge(
             f"one factor of the system matrix needs {need / 2**30:.1f} GiB, "
             f"physical memory is {have / 2**30:.1f} GiB")
     stencil = _Stencil(grid, params)
-    interior, exterior = grid.interior_index, grid.exterior_index
-    column = grid.local_of_global()
-    at_interior = np.where(grid.labels == Region.INTERIOR, column, -1)
-    at_exterior = np.where(grid.labels == Region.EXTERIOR, column, -1)
-    blocks = _blocks(ni, nn)
-    buffer = np.empty((blocks[0].stop - blocks[0].start) * nn)
-    off_sums, row_sums, tail = np.empty(ni), np.empty(ni), np.empty(ni)
-    for sl in blocks:
-        rows = interior[sl]
-        b_ii = buffer[:rows.size * ni].reshape(rows.size, ni)
-        b_ie = buffer[rows.size * ni:rows.size * nn].reshape(rows.size, nn - ni)
-        np.negative(stencil.midpoint(rows, interior, out=b_ii), out=b_ii)
-        np.negative(stencil.midpoint(rows, exterior, out=b_ie), out=b_ie)
-        adds, tail[sl] = stencil.corrections(rows)
-        tail[sl] += stencil.far_tails(rows)
-        _subtract(b_ii, at_interior, adds)
-        _subtract(b_ie, at_exterior, adds)
-        # the own column holds -0.0, so this is the off-diagonal sum
-        off_sums[sl] = np.sum(b_ii, axis=1)
-        row_sums[sl] = np.sum(b_ie, axis=1)
-    del buffer
-    diagonal = -(off_sums + row_sums)
-    for arr in (diagonal, off_sums, row_sums, tail):
-        arr.setflags(write=False)
+    a_ie = ExteriorBlock(stencil)
+    tail = np.array(stencil.far_tails(grid.interior_index))
+    tail.setflags(write=False)
     return NonlocalOperator(params=params, grid=grid,
-                            a_ii=InteriorBlock(stencil, diagonal, off_sums),
-                            a_ie=ExteriorBlock(stencil, row_sums), tail=tail)
+                            a_ii=InteriorBlock(stencil, a_ie.row_sums),
+                            a_ie=a_ie, tail=tail)
 
 
 def _physical_memory() -> int:

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 import scipy.linalg
@@ -97,6 +98,8 @@ class NewtonConfig:
     damping: float = 0.5
 
     def __post_init__(self):
+        if not isinstance(self.max_iters, Integral) or self.max_iters < 0:
+            raise Validation("max_iters must be a nonnegative integer")
         if not self.residual_tol > 0:
             raise Validation("residual_tol must be positive")
         if not 0.0 < self.damping < 1.0:

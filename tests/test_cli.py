@@ -78,13 +78,16 @@ def test_malformed_order_rejected(tmp_path):
     ({"exterior_data": [{"center": [1.5], "width": "wide"}]}, 1, "Validation"),
     ({"source": {"kind": "bumps", "bumps": [{"center": "mid", "width": 0.4}]}},
      1, "Validation"),
+    # with zero exterior data Newton would report -3 iterations
+    ({"experiment": "forward", "newton": {"max_iters": -3}}, 1, "Validation"),
 ])
 def test_exit_codes(tmp_path, capsys, override, code, error):
     out = tmp_path / "out"
+    experiment = override.get("experiment", "solve")
     cfg_path = write_config(tmp_path, dict(GETOOR, **override))
-    assert main(["solve", "--config", cfg_path, "--out", str(out)]) == code
+    assert main([experiment, "--config", cfg_path, "--out", str(out)]) == code
     record = json.loads((out / "error.json").read_text())
-    assert record["error"] == error and record["experiment"] == "solve"
+    assert record["error"] == error and record["experiment"] == experiment
     assert json.loads(capsys.readouterr().err) == record
 
 

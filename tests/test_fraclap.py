@@ -213,24 +213,43 @@ FILL_GRIDS = {**STENCIL_GRIDS,
 
 @pytest.mark.parametrize("name", FILL_GRIDS)
 def test_assembled_blocks_are_the_stencil_rows(name):
-    # assembly gathers into the blocks without going through rows(), and the
-    # interior fill reads a view of the kernel; all must read the same
-    # weights, bit for bit, and the diagonal balances the dense rows
+    # the interior fill reads a view of the kernel and the exterior columns
+    # gather from the stencil without going through rows(); both, and the
+    # tail, must read the same weights bit for bit.  The row sums are the
+    # blocks' convolutions with ones, so they and the diagonal equal the
+    # dense rows' sums to roundoff, within the products' bound
     domain, h, R, s = FILL_GRIDS[name]
     grid = build_grid(domain, h, R)
     op = assemble(grid, s)
     w, tail = _Stencil(grid, op.params).rows(grid.interior_index)
-    # C order, as assembly's row blocks: the row sums are pairwise sums
-    want = -np.ascontiguousarray(w[:, grid.interior_index])
-    exterior = -np.ascontiguousarray(w[:, grid.exterior_index])
-    off_sums = np.sum(want, axis=1)
-    np.fill_diagonal(want, -(off_sums + np.sum(exterior, axis=1)))
-    assert dense_interior(op).tobytes(order="C") == want.tobytes()
-    assert op.a_ii.off_sums.tobytes() == off_sums.tobytes()
-    dense = dense_exterior(op)
-    assert dense.tobytes() == exterior.tobytes()
-    assert op.a_ie.row_sums.tobytes() == np.sum(dense, axis=1).tobytes()
+    interior = -w[:, grid.interior_index]
+    exterior = -w[:, grid.exterior_index]
+    fill = dense_interior(op)
+    off = ~np.eye(grid.n_interior, dtype=bool)
+    assert fill[off].tobytes() == interior[off].tobytes()
+    assert np.diag(fill).tobytes() == op.a_ii.diagonal.tobytes()
+    assert dense_exterior(op).tobytes() == exterior.tobytes()
     assert op.tail.tobytes() == tail.tobytes()
+    off_sums, row_sums = np.sum(interior, axis=1), np.sum(exterior, axis=1)
+    bound = PRODUCT_EPS * np.finfo(float).eps * np.max(np.sum(np.abs(w), axis=1))
+    for got, want in ((op.a_ii.off_sums, off_sums), (op.a_ie.row_sums, row_sums),
+                      (op.a_ii.diagonal, -(off_sums + row_sums))):
+        assert np.max(np.abs(got - want)) <= bound
+
+
+def test_assembly_forms_no_row(monkeypatch):
+    # both row sums are convolutions with ones, so assembly gathers no
+    # stencil row and applies no sparse correction
+    def forbidden(*args, **kwargs):
+        raise AssertionError("assemble formed stencil rows")
+
+    monkeypatch.setattr(_Stencil, "midpoint", forbidden)
+    monkeypatch.setattr(_Stencil, "corrections", forbidden)
+    monkeypatch.setattr(fraclap, "_subtract", forbidden)
+    for name in ("1d-offset", "2d-rect"):
+        domain, h, R, s = FILL_GRIDS[name]
+        op = assemble(build_grid(domain, h, R), s)
+        assert np.all(op.a_ii.diagonal > 0)
 
 
 @pytest.mark.parametrize("name", STENCIL_GRIDS)

@@ -26,33 +26,36 @@ from fracschrod.fraclap import _blocks, _Stencil
 
 # forward/, principles/ and linearize/ were re-recorded when the exterior
 # product became a lattice convolution, and forward/ and linearize/ again
-# when the interior product did (Newton's residual); both are summation-order
-# changes, and the outputs pass the bounded tier against tests/golden/,
-# recorded before either
+# when the interior product did (Newton's residual); all but probe/ were
+# re-recorded when the row sums that set the diagonal became the blocks'
+# convolutions with ones.  Each is a summation-order change, and the outputs
+# pass the bounded tier against tests/golden/, recorded before any of them
 CLI_PINS = {
     "forward/cauchy_bank.json":
-        "c760265621e4e26a677aa1a345376023f4a1223c429c6e390e204d58fafa4116",
+        "a1fc2c89d7465cc0b3bb1f0f8e7a4c72f06d063b7bc03cdaabed5404c11aa90f",
     "forward/newton_trace.csv":
-        "7ec89a0e242115c8f3b625dd90576c1f7b0b4b7d7fc959d6f18dd5301d026ff6",
+        "df011359025b965be2d8cecb3b015c7684f515a833e1cb91085faf62199b8dd7",
     "forward/solution.csv":
-        "4896561fdda3a82e73f7c6fac628d1d3de9554862535e1aa143f2bb761ffe7c9",
+        "6f9dbaf9276978cb126001a002df1a904a390636fce6844b1a0f2975c56e58c5",
     "linearize/linearize.csv":
-        "a060ed1880002784cfbc5e53cce3306b908047a83b4da1a399278ffaeb0b8c24",
+        "0d922a3f9b7667b8dd024908f6abcc3eed4bedca409427dc142362f8a56d7ad6",
     "principles/principles.csv":
-        "6f4913c0505830b8fbdd0ce9744d0f984c977d7b5b0d06683a03cc8ded35b797",
+        "306fcdd0dcfc83dde6983717f55efe25255aab36c606bf72e42b700f1bee4f19",
     "probe/probe.csv":
         "018f540c6682b237d05a879ec0916b79ce85c6b9bab48c78f9f21abf7dc54108",
     "recover/misfit.csv":
-        "86499ec09eb4a9db3f1f173593158f049b221eb8cf53617d2c696dbaef59a081",
+        "bfca31522574abcdf16509d64f56d226dad1a517dd41c076624a009805aa9076",
     "recover/recover.csv":
-        "884ba036bc4bbd3c6e09ea9c7e946c48e180b83c8373f3bd7d3750a04c677019",
+        "8b172c813c3160f1ce5ba5df23baa56be1d315463ccfeda53ca54238a4ac4f06",
     "solve/solution.csv":
-        "30b52e3e65d0fc7e3d88207baa34fb878abfd84462eb7355b839019588ca71ad",
+        "129be51493b5da5489a5cece738e9fda46766d50ecd2d419c080f116eda8bc4a",
 }
 
+# the diagonal moved with the row sums; the off-diagonal fill, the exterior
+# columns and the tail kept their bytes
 OPERATOR_PINS = {
-    "box-s0.5": "5ac50c61b91243292a01c7a90ea3376473da49ef8ab34d3e40d8d891c24804f8",
-    "rect-s0.25": "1cb94a49806512d2beb78e1e0ec6d4d28d29fb0ea38c576a7df226af6ef7996b",
+    "box-s0.5": "97eb5b858ff6b5048516b3817b176b16d65ec24d45d8a722b4f05908e8b65065",
+    "rect-s0.25": "240b6f4f46f8d34ab68d87d4521251f4ceff2e11cc008cbe0cb8d673d9e59792",
 }
 
 # stencil rows at every exterior node: tail clamp near R, face and corner cells
@@ -67,10 +70,10 @@ NEUMANN_PINS = {
 }
 
 # apply_operator of the Neumann test's field with far-field value 0.25;
-# re-recorded with each convolution, like the CLI pins above
+# re-recorded with each convolution and with the row sums, like the CLI pins
 APPLY_PINS = {
-    "box-s0.5": "24f90879028064d54ba8e5840147f6e44989328d454b6b053c6c790caa273a63",
-    "rect-s0.25": "bc6a53b0e6df42c91019375435a0e90d02a123f746795a6a010200f987d83c5a",
+    "box-s0.5": "f8899118a0fd93930fa5a985f7c3e163fdfec6b86eebd135f67890afa34f53cb",
+    "rect-s0.25": "1fdb3e1c88b9b4a33aefecab343b68d89370c1b9743006bdc8a01eb3392cc60f",
 }
 
 

@@ -260,6 +260,15 @@ def test_newton_diverged_max_iters(op_medium):
                          NewtonConfig(max_iters=1, residual_tol=1e-14))
 
 
+@pytest.mark.parametrize("max_iters", [-3, 2.5])
+def test_bad_max_iters_rejected(max_iters):
+    # -3 would report -3 iterations on zero data, and NewtonDiverged "after
+    # -3 iterations" otherwise; 2.5 would raise TypeError inside Newton
+    with pytest.raises(Validation, match="max_iters"):
+        NewtonConfig(max_iters=max_iters)
+    assert NewtonConfig(max_iters=np.int64(0)).max_iters == 0
+
+
 def test_jacobian_singular_on_negative_derivative(op_small):
     bad = Nonlinearity(name="bad", q=lambda x, t: -np.asarray(t, dtype=float),
                        dq=lambda x, t: -np.ones_like(np.asarray(t, dtype=float)),
