@@ -174,28 +174,24 @@ class _DnAssembler:
         for f in self.fields:
             if np.any(f.interior_values != 0.0):
                 raise Validation("probes must be supported on exterior nodes")
-        pw = np.array([f.values[window.indices] for f in self.fields]).T
+        values = np.array([f.values for f in self.fields]).T  # (N, p)
+        pw = values[window.indices]                    # window values per probe
         if np.linalg.matrix_rank(pw) < len(self.fields):
             raise RankDeficientProbes("probes are dependent as window vectors")
 
         stencil = _Stencil(grid, op.params)
         kern = stencil.midpoint(window.indices, grid.interior_index)
         self.neumann_lin = -kern                       # action on interior values
-        self.neumann_diag = kern.sum(axis=1)           # coefficient of u(x_w)
-        self.mass = mass_m(grid, op.params, window.indices)
-        # operator rows at window nodes, for the zero-extension term
-        self.rows, self.row_tails = stencil.rows(window.indices)
-        # the probes' exterior support, gathered as exact columns of a_ie
-        ext = np.array([f.exterior_values for f in self.fields]).T
-        support = np.flatnonzero(np.any(ext != 0.0, axis=1))
-        self.rhs = -(op.a_ie.columns(support) @ ext[support])
-        self.probe_w = pw                              # window values per probe
-        self.probe_nodes = np.array([f.values for f in self.fields]).T
-        # constant-in-potential part of each column
-        e0 = (self.probe_w * (self.rows.sum(axis=1) + self.row_tails)[:, None]
-              - self.rows @ self.probe_nodes)
-        self.const = (self.probe_w * self.neumann_diag[:, None]
-                      - self.mass[:, None] * self.probe_w + e0)
+        # the probes' exterior support, by exact columns of -a_ie
+        support = np.flatnonzero(np.any(values != 0.0, axis=1))
+        self.rhs = stencil.rows(grid.interior_index, support)[0] @ values[support]
+        # constant-in-potential part of each column: the Neumann kernel's
+        # mass, the kernel mass m and the zero-extension term, by the
+        # operator rows at window nodes
+        rows, row_tails = stencil.rows(window.indices)
+        e0 = pw * (rows.sum(axis=1) + row_tails)[:, None] - rows @ values
+        self.const = (pw * kern.sum(axis=1)[:, None]
+                      - mass_m(grid, op.params, window.indices)[:, None] * pw + e0)
 
     def solutions(self, a: np.ndarray) -> tuple:
         """Factor of the system matrix at potential a and the probe solutions."""

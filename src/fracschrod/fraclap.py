@@ -29,12 +29,14 @@ block is a lattice convolution of the kernel, near offsets summed directly
 and the rest by FFT, equal to the dense product to roundoff
 (InteriorBlock, ExteriorBlock).  Assembly forms no row: each block takes
 its row sums as its own product with a vector of ones, and the diagonal
-balances them.  The dense entries can still be formed bit for bit:
-a_ii.fill writes the interior block plus a diagonal, the system matrix the
-solver factors, and a_ie.columns gathers exterior columns.  So constants
-with matching far-field are annihilated to roundoff (below the acceptance
-gate's 1e-12), not exactly.  The stencil is cheap enough to rebuild per
-call; the assembled operator is immutable and apply() is a pure function.
+balances them, so constants with matching far-field are annihilated to
+roundoff (below the acceptance gate's 1e-12), not exactly.  The dense
+entries can still be formed bit for bit: a_ii.fill writes the interior
+block plus a diagonal, the system matrix the solver factors, and
+_Stencil.rows, the one place the sparse corrections are applied, gives
+a_ie's entries negated when restricted to exterior columns.  The stencil
+is cheap enough to rebuild per call; the assembled operator is immutable
+and apply() is a pure function.
 """
 
 from __future__ import annotations
@@ -240,17 +242,25 @@ class _Stencil:
             adds.append((rows[has], col[has], mass[has] / count[has]))
         np.add.at(tail, rows[count == 0], mass[count == 0])
 
-    def rows(self, targets) -> tuple[np.ndarray, np.ndarray]:
-        """Weights (m, N) over all nodes, zero at the row's own node, and tail
+    def rows(self, targets, cols=None) -> tuple[np.ndarray, np.ndarray]:
+        """Weights (m, len(cols)) from the targets to the distinct nodes cols
+        (default: every node), zero at a row's own node, and tail
         coefficients (m,) at the targets, so that at a target node g
 
-            L u (x_g) = sum_j w_gj (u_g - u_j) + tail_g (u_g - farfield).
+            L u (x_g) = sum_j w_gj (u_g - u_j) + tail_g (u_g - farfield),
+
+        the sum over every node j.  The only code that applies corrections.
         """
-        w = self.midpoint(targets, np.arange(self.grid.n_nodes))
+        nn = self.grid.n_nodes
+        cols = np.arange(nn) if cols is None else np.asarray(cols, dtype=int)
+        where = np.full(nn, -1)
+        where[cols] = np.arange(cols.size)
+        w = self.midpoint(targets, cols)
         adds, tail = self.corrections(targets)
         tail += self.far_tails(targets)
         for row, node, mass in adds:
-            w[row, node] += mass
+            hit = where[node] >= 0
+            w[row[hit], where[node[hit]]] += mass[hit]
         return w, tail
 
     def far_tails(self, targets) -> list[float]:
@@ -357,16 +367,13 @@ class ExteriorBlock:
     exterior nodes its cell is attributed to (zero where the cell feeds the
     tail); K is the stencil's midpoint kernel with the singular weight
     w_sing added at the -/+ axis unit offsets.  The product therefore
-    equals the dense one to roundoff, not bit for bit.
-
-    columns(idx) gathers exact exterior columns from the stencil rows, bit
-    for bit the entries of the dense block.  row_sums is a_ie @ 1, the
-    block's row sums by the same convolution.
+    equals the dense one to roundoff, not bit for bit; the exact entries
+    are -_Stencil.rows(interior, exterior) of the same stencil.  row_sums
+    is a_ie @ 1, the block's row sums by the same convolution.
     """
 
     def __init__(self, stencil: _Stencil):
         grid = stencil.grid
-        self.grid, self.params = grid, stencil.params
         self.shape = (grid.n_interior, grid.n_exterior)
         coords = stencil.coords
         # source box: every cell, padded so each near-field shift stays inside
@@ -401,23 +408,6 @@ class ExteriorBlock:
         cell, node, count = self._fold
         np.add.at(flat, cell, g[node] / count)
         return -self._conv(field)
-
-    def columns(self, idx) -> np.ndarray:
-        """Exterior columns idx (distinct local indices), shape (ni, len(idx)):
-        the stencil's midpoint weights, negated, less its sparse corrections."""
-        idx = np.asarray(idx, dtype=int)
-        grid = self.grid
-        stencil = _Stencil(grid, self.params)
-        cols = grid.exterior_index[idx]
-        where = np.full(grid.n_nodes, -1)
-        where[cols] = np.arange(idx.size)
-        out = np.empty((grid.n_interior, idx.size))
-        for sl in _blocks(grid.n_interior, grid.n_nodes):
-            block = out[sl]
-            rows = grid.interior_index[sl]
-            np.negative(stencil.midpoint(rows, cols, out=block), out=block)
-            _subtract(block, where, stencil.corrections(rows)[0])
-        return out
 
 
 class InteriorBlock:
@@ -486,13 +476,6 @@ class InteriorBlock:
         # splitting each axis into the box's axes is a view for any strides
         np.copyto(out.reshape(self._view.shape), self._view)
         np.add(self.diagonal, shift, out=out.ravel(order="F")[:: self.shape[0] + 1])
-
-
-def _subtract(block: np.ndarray, where: np.ndarray, adds: list) -> None:
-    """block[row, where[node]] -= mass for each add whose node has a column."""
-    for row, node, mass in adds:
-        hit = where[node] >= 0
-        block[row[hit], where[node[hit]]] -= mass[hit]
 
 
 @dataclass(frozen=True, eq=False)

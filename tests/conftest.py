@@ -5,6 +5,7 @@ import pytest
 
 from fracschrod import Domain, Field, assemble, build_grid, c3_bump, sample_function
 from fracschrod.cli import EXPERIMENTS, run
+from fracschrod.fraclap import _Stencil
 from fracschrod.grid import Region
 
 
@@ -70,6 +71,13 @@ def dense_interior(op):
     out = np.empty(op.a_ii.shape, order="F")
     op.a_ii.fill(out, np.zeros(op.grid.n_interior))
     return out
+
+
+def dense_exterior(op):
+    """Every column of the exterior block, exactly: the stencil's rows at the
+    interior nodes over the exterior nodes, negated."""
+    grid = op.grid
+    return -_Stencil(grid, op.params).rows(grid.interior_index, grid.exterior_index)[0]
 
 
 def smooth_field(grid):

@@ -241,6 +241,23 @@ def test_jacobian_reuses_the_factor_of_the_last_potential(op_coarse, monkeypatch
     assert len(calls) == 2
 
 
+def test_jacobian_is_the_derivative_of_the_matrix(op_coarse):
+    # vec(matrix) stacks the probe columns, as recover_potential's residual
+    # does; central differences with step 1e-5 (measured: 1.5e-9 relative)
+    from fracschrod.calderon import _DnAssembler
+
+    grid = op_coarse.grid
+    window = recovery_window(grid)
+    asm = _DnAssembler(op_coarse, window, canonical_probes(window))
+    a = two_bump_potential(grid)
+    jac = asm.jacobian(a)
+    step = 1e-5
+    diff = np.empty_like(jac)
+    for j, e in enumerate(step * np.eye(grid.n_interior)):
+        diff[:, j] = (asm.matrix(a + e) - asm.matrix(a - e)).T.reshape(-1) / (2 * step)
+    assert np.max(np.abs(jac - diff)) <= 1e-6 * np.max(np.abs(jac))
+
+
 def test_recover_zero_potential(op_coarse):
     window = recovery_window(op_coarse.grid)
     ni = op_coarse.grid.n_interior

@@ -27,7 +27,7 @@ from fracschrod.errors import (
 )
 from fracschrod.cauchy import neumann_derivative
 from fracschrod.fraclap import _blocks, _physical_memory, _Stencil
-from conftest import dense_interior
+from conftest import dense_exterior, dense_interior
 from oracles import fraclap_quad_1d, tail_mass_quad_2d
 
 
@@ -71,11 +71,6 @@ def test_constant_annihilation_1d(s):
     op = assemble(grid, s)
     ones = Field.from_values(grid, np.ones(grid.n_nodes))
     assert np.max(np.abs(apply_operator(op, ones, farfield=1.0))) <= 1e-12
-
-
-def dense_exterior(op):
-    """Every column of the exterior block, gathered exactly."""
-    return op.a_ie.columns(np.arange(op.grid.n_exterior))
 
 
 def test_sign_pattern_and_symmetry(op_small):
@@ -237,6 +232,24 @@ def test_assembled_blocks_are_the_stencil_rows(name):
         assert np.max(np.abs(got - want)) <= bound
 
 
+@pytest.mark.parametrize("name", STENCIL_GRIDS)
+def test_rows_over_columns_are_columns_of_the_rows(name):
+    # a column set selects columns of the full rows, corrections included,
+    # bit for bit: interior targets over the exterior nodes (the exact
+    # exterior block), and every fifth exterior node over a shuffled third
+    # of all nodes
+    domain, h, R, s = STENCIL_GRIDS[name]
+    grid = build_grid(domain, h, R)
+    stencil = _Stencil(grid, frac_params(grid.dim, s))
+    some = np.random.default_rng(5).permutation(grid.n_nodes)[: grid.n_nodes // 3]
+    for targets, cols in ((grid.interior_index, grid.exterior_index),
+                          (grid.exterior_index[::5], some)):
+        w, tail = stencil.rows(targets)
+        got, got_tail = stencil.rows(targets, cols)
+        assert got.tobytes() == w[:, cols].tobytes()
+        assert got_tail.tobytes() == tail.tobytes()
+
+
 def test_assembly_forms_no_row(monkeypatch):
     # both row sums are convolutions with ones, so assembly gathers no
     # stencil row and applies no sparse correction
@@ -245,7 +258,6 @@ def test_assembly_forms_no_row(monkeypatch):
 
     monkeypatch.setattr(_Stencil, "midpoint", forbidden)
     monkeypatch.setattr(_Stencil, "corrections", forbidden)
-    monkeypatch.setattr(fraclap, "_subtract", forbidden)
     for name in ("1d-offset", "2d-rect"):
         domain, h, R, s = FILL_GRIDS[name]
         op = assemble(build_grid(domain, h, R), s)

@@ -20,7 +20,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from conftest import GRIDS_2D, dense_interior, smooth_field
+from conftest import GRIDS_2D, dense_exterior, dense_interior, smooth_field
 from fracschrod import annulus_window, apply_operator, neumann_derivative
 from fracschrod.fraclap import _blocks, _Stencil
 
@@ -92,11 +92,10 @@ def test_cli_output_bytes(cli_outputs, name):
 
 @pytest.mark.parametrize("name", sorted(GRIDS_2D))
 def test_operator_bytes_2d(ops_2d, name):
-    # the interior block's dense fill and the exterior block's exact columns
-    # are the bytes of the dense blocks
+    # the interior block's dense fill and the stencil's exact exterior
+    # columns are the bytes of the dense blocks
     op = ops_2d[name]
-    columns = op.a_ie.columns(np.arange(op.grid.n_exterior))
-    assert sha(dense_interior(op), columns, op.tail) == OPERATOR_PINS[name]
+    assert sha(dense_interior(op), dense_exterior(op), op.tail) == OPERATOR_PINS[name]
 
 
 @pytest.mark.parametrize("name", sorted(GRIDS_2D))

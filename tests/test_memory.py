@@ -27,6 +27,7 @@ from fracschrod import (
     solve_linear,
     solve_semilinear,
 )
+from fracschrod import calderon
 from fracschrod.calderon import _DnAssembler
 from fracschrod.fraclap import _Stencil
 from fracschrod.solver import _factor_system
@@ -138,3 +139,25 @@ def test_apply_peak_is_one_block(traced_assembly):
     u = Field.from_values(op.grid, np.linspace(-1.0, 1.0, op.grid.n_nodes))
     out, peak = traced_peak(apply_operator, op, u)
     assert peak <= 2**21 + out.nbytes
+
+
+def test_dn_assembler_keeps_its_three_arrays(traced_assembly, monkeypatch):
+    # the window rows, the probe-value block and the exact exterior columns
+    # are set-up temporaries: the assembler keeps the Neumann kernel, the
+    # probe right-hand sides and the constant part (measured: 29.3 MiB
+    # retained of a 205 MiB peak with 1220 probes; 172.6 MiB retained
+    # before).  The adaptive 2D kernel mass of every window node takes
+    # about a minute and its result is one vector, so it is stubbed
+    op, _ = traced_assembly
+    window = annulus_window(op.grid, op.grid.h, 0.5)
+    probes = canonical_probes(window)
+    monkeypatch.setattr(calderon, "mass_m", lambda grid, params, idx: np.zeros(len(idx)))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        asm = calderon._DnAssembler(op, window, probes)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert len(probes) == 1220
+    assert held <= asm.neumann_lin.nbytes + asm.rhs.nbytes + asm.const.nbytes + 2**20
