@@ -204,14 +204,8 @@ class _DnAssembler:
     def jacobian(self, a: np.ndarray) -> np.ndarray:
         """Stacked derivative of vec(matrix) with respect to the potential."""
         factor, sols = self.solutions(a)
-        # ni right-hand sides: a solve against neumann_lin.T would need only
-        # the window's, but changes the last bits of the recovery
-        green = self.neumann_lin @ _solve(factor, np.eye(len(a)))
-        k, p = self.window.size, len(self.fields)
-        jac = np.empty((k * p, len(a)))
-        for col in range(p):
-            jac[col * k:(col + 1) * k] = -sols[:, col][None, :] * green
-        return jac
+        green = _solve(factor, self.neumann_lin.T).T
+        return (-sols.T[:, None, :] * green).reshape(-1, len(a))
 
 
 def dn_map(op: NonlocalOperator, a: np.ndarray, window: Window,

@@ -44,9 +44,9 @@ CLI_PINS = {
     "probe/probe.csv":
         "018f540c6682b237d05a879ec0916b79ce85c6b9bab48c78f9f21abf7dc54108",
     "recover/misfit.csv":
-        "bfca31522574abcdf16509d64f56d226dad1a517dd41c076624a009805aa9076",
+        "e37d1abd3d4b005ee23735274f0410b597d1cc9d1388c494a4303e2d1c969b2a",
     "recover/recover.csv":
-        "8b172c813c3160f1ce5ba5df23baa56be1d315463ccfeda53ca54238a4ac4f06",
+        "b9fa656f282f428eff101e601e462605316614b2e41acbd7a513af900389047e",
     "solve/solution.csv":
         "129be51493b5da5489a5cece738e9fda46766d50ecd2d419c080f116eda8bc4a",
 }
