@@ -203,10 +203,6 @@ class Window:
     def size(self) -> int:
         return self.indices.size
 
-    @property
-    def points(self) -> np.ndarray:
-        return self.grid.nodes[self.indices]
-
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
@@ -292,14 +288,16 @@ def c3_bump(center, width: float, amplitude: float = 1.0):
     edge.  Works for 1D (scalar center) and 2D (pair center); a point
     whose dimension differs from the center's raises Validation.
     """
-    c = np.atleast_1d(np.asarray(center, dtype=float))
+    c = np.atleast_1d(np.asarray(center, dtype=float)).tolist()
 
     def profile(*coords):
-        if len(coords) != c.size:
-            raise Validation(f"bump center {tuple(c.tolist())} has {c.size} "
+        if len(coords) != len(c):
+            raise Validation(f"bump center {tuple(c)} has {len(c)} "
                              f"component(s), the point has {len(coords)}")
-        p = np.asarray(coords, dtype=float)
-        r2 = float(np.sum(((p - c) / width) ** 2))
+        r2 = 0.0
+        for x, ci in zip(coords, c):
+            d = (float(x) - ci) / width
+            r2 += d * d
         return amplitude * max(0.0, 1.0 - r2) ** 4
 
     return profile
