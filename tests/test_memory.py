@@ -27,7 +27,6 @@ from fracschrod import (
     solve_linear,
     solve_semilinear,
 )
-from fracschrod import calderon
 from fracschrod.calderon import _DnAssembler
 from fracschrod.fraclap import _Stencil
 from fracschrod.solver import _factor_system
@@ -145,17 +144,18 @@ def test_dn_assembler_keeps_its_three_arrays(traced_assembly, monkeypatch):
     # the window rows, the probe-value block and the exact exterior columns
     # are set-up temporaries: the assembler keeps the Neumann kernel, the
     # probe right-hand sides and the constant part (measured: 29.3 MiB
-    # retained of a 205 MiB peak with 1220 probes; 172.6 MiB retained
-    # before).  The adaptive 2D kernel mass of every window node takes
-    # about a minute and its result is one vector, so it is stubbed
+    # retained of a 205 MiB peak with 1220 probes).  The adaptive 2D
+    # kernel mass of the window nodes takes 8 s, over a minute under
+    # tracemalloc, and its result is one vector, so it is stubbed
     op, _ = traced_assembly
     window = annulus_window(op.grid, op.grid.h, 0.5)
     probes = canonical_probes(window)
-    monkeypatch.setattr(calderon, "mass_m", lambda grid, params, idx: np.zeros(len(idx)))
+    monkeypatch.setattr("fracschrod.calderon.mass_m",
+                        lambda grid, params, idx: np.zeros(len(idx)))
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        asm = calderon._DnAssembler(op, window, probes)
+        asm = _DnAssembler(op, window, probes)
         held = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
