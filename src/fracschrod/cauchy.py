@@ -9,9 +9,9 @@ by midpoint quadrature over the interior cells.  The kernel mass
 
     m(x) = C(n, s) integral over Omega of |x - y|^(-n-2s) dy
 
-is evaluated in closed form in 1D and by adaptive quadrature in 2D, which
-makes it an independent ingredient when cross-checking the exterior
-operator identity
+is evaluated in closed form, as a flux through the faces of the box (the
+divergence theorem), which makes it an independent ingredient when
+cross-checking the exterior operator identity
 
     L u = N u - m u + L(E0 g)   on the window,
 
@@ -29,10 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import dblquad
 
 from .errors import GridMismatch, Validation, WindowTouchesBoundary
-from .fraclap import FracParams, NonlocalOperator, _blocks, _Stencil, evaluate_at
+from .fraclap import (FracParams, NonlocalOperator, _blocks, _face_integral, _Stencil,
+                      evaluate_at)
 from .grid import Field, Grid, Region, Window
 from .nonlinearity import Nonlinearity
 from .solver import NewtonConfig, solve_semilinear
@@ -85,32 +85,33 @@ def neumann_derivative(grid: Grid, params: FracParams, u: Field,
     return out
 
 
-def _mass_at_point(domain, params: FracParams, x: np.ndarray) -> float:
-    """Exact kernel mass of the domain seen from an exterior point."""
-    s = params.s
-    if params.n == 1:
-        a, b = domain.lower[0], domain.upper[0]
-        xv = float(x[0])
-        if xv > b:
-            return params.cns * ((xv - b) ** (-2 * s) - (xv - a) ** (-2 * s)) / (2 * s)
-        if xv < a:
-            return params.cns * ((a - xv) ** (-2 * s) - (b - xv) ** (-2 * s)) / (2 * s)
-        raise Validation("point lies inside the domain")
-    (ax, ay), (bx, by) = domain.lower, domain.upper
-    val, _ = dblquad(
-        lambda yy, yx: ((x[0] - yx) ** 2 + (x[1] - yy) ** 2) ** (-(1 + s)),
-        ax, bx, ay, by)
-    return params.cns * val
-
-
 def mass_m(grid: Grid, params: FracParams, indices) -> np.ndarray:
-    """Kernel mass m at exterior nodes, exact in 1D and adaptive in 2D."""
+    """Kernel mass m at exterior nodes, in closed form.
+
+    By the divergence theorem m(x) is -C/(2s) times the outward flux of
+    (y - x) |y - x|^(-n-2s) through the faces of the box.  A face at signed
+    normal distance d from x contributes sign(d) |d|^(-2s) in 1D, where it
+    is a point, and in 2D d times the face integral at p = 1 + s between
+    the face's ends; a face seen edge-on (d = 0) contributes 0.
+    """
     indices = np.asarray(indices, dtype=int)
     if not np.all(grid.labels[indices] == Region.EXTERIOR):
         raise Validation("m is defined at exterior nodes")
     points = grid.nodes[indices]
     _require_clear_of_boundary(grid, points)
-    return np.array([_mass_at_point(grid.domain, params, x) for x in points])
+    lo = np.asarray(grid.domain.lower) - points
+    hi = np.asarray(grid.domain.upper) - points
+    d = np.concatenate([hi, -lo], axis=1)  # upper faces, then lower faces
+    s = params.s
+    if params.n == 1:
+        flux = np.sign(d) * np.abs(d) ** (-2 * s)
+    else:
+        # the face normal to one axis spans the other
+        ends = np.tile(lo[:, ::-1], 2), np.tile(hi[:, ::-1], 2)
+        safe = np.where(d == 0.0, 1.0, d)
+        flux = d * (_face_integral(safe, ends[1], 1 + s)
+                    - _face_integral(safe, ends[0], 1 + s))
+    return params.cns * -flux.sum(axis=1) / (2 * s)
 
 
 def exterior_identity_check(grid: Grid, op: NonlocalOperator, u: Field,

@@ -49,6 +49,7 @@ from math import gamma, pi
 import numpy as np
 import scipy.fft
 from scipy.integrate import quad
+from scipy.special import hyp2f1
 
 from .errors import (
     GridMismatch,
@@ -112,6 +113,16 @@ def tail_mass(params: FracParams, r_eff: float) -> float:
     if params.n == 1:
         return params.cns * 2.0 * r_eff ** (-2 * params.s) / (2 * params.s)
     return params.cns * 2.0 * pi * r_eff ** (-2 * params.s) / (2 * params.s)
+
+
+def _face_integral(d, t, p):
+    """Integral of (d^2 + tau^2)^(-p) over tau in [0, t], for d != 0.
+
+    t |d|^(-2p) 2F1(1/2, p; 3/2; -t^2/d^2): odd in t, elementwise over
+    arrays.  The kernel masses integrate it over the faces of a box, by
+    div_y((y - x) |y - x|^(-n-2s)) = -2s |y - x|^(-n-2s).
+    """
+    return t * np.abs(d) ** (-2.0 * p) * hyp2f1(0.5, p, 1.5, -((t / d) ** 2))
 
 
 @lru_cache(maxsize=None)

@@ -7,7 +7,7 @@ semilinear problem.
 """
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import dblquad, quad
 
 from fracschrod import LinearProblem, cns, solve_linear
 from fracschrod.grid import Field
@@ -34,6 +34,23 @@ def domain_mass_quad_1d(x: float, s: float, lo: float, hi: float) -> float:
     c = cns(1, s)
     val, _ = quad(lambda y: abs(x - y) ** (-1.0 - 2.0 * s), lo, hi, limit=300)
     return c * val
+
+
+def domain_mass_quad_2d(x, s: float, lower, upper) -> float:
+    """Adaptive quadrature of the kernel mass of the box [lower, upper] seen
+    from x, the box split at its point nearest to x so that the integrand
+    peaks at a corner of each piece."""
+    c = cns(2, s)
+    near = np.clip(x, lower, upper)
+    total = 0.0
+    for ax, bx in ((lower[0], near[0]), (near[0], upper[0])):
+        for ay, by in ((lower[1], near[1]), (near[1], upper[1])):
+            if bx > ax and by > ay:
+                val, _ = dblquad(
+                    lambda yy, yx: ((x[0] - yx) ** 2 + (x[1] - yy) ** 2) ** (-1.0 - s),
+                    ax, bx, ay, by, epsabs=0.0, epsrel=1e-13)
+                total += val
+    return c * total
 
 
 def tail_mass_quad_2d(s: float, r_eff: float, r_outer: float = np.inf) -> float:

@@ -16,7 +16,9 @@ from fracschrod import (
     dn_map,
     evaluate_at,
     linearization_study,
+    mass_m,
     mean_potential,
+    neumann_derivative,
     recover_potential,
     solve_linear,
     solve_linearized,
@@ -163,6 +165,24 @@ def test_dn_map_deterministic(op_coarse):
     m1 = dn_map(op_coarse, a, window)
     m2 = dn_map(op_coarse, a, window)
     assert np.array_equal(m1.matrix, m2.matrix)
+
+
+def test_dn_map_2d_is_the_exterior_identity(grid_2d):
+    # each column is N v - m v + L(probe) on the window, v the linearized
+    # solution driven by the probe: the Neumann trace, the closed-form kernel
+    # mass and the operator rows, each evaluated on its own
+    op = assemble(grid_2d, 0.5)
+    window = annulus_window(grid_2d, grid_2d.h, 0.5)
+    probes = canonical_probes(window)[::37]
+    a = 0.5 * np.exp(-np.sum(grid_2d.interior_nodes ** 2, axis=1))
+    dn = dn_map(op, a, window, probes)
+    idx = window.indices
+    mass = mass_m(grid_2d, op.params, idx)
+    for column, (_, probe) in zip(dn.matrix.T, probes):
+        v = solve_linearized(op, a, probe)
+        want = (neumann_derivative(grid_2d, op.params, v, idx) - mass * v.values[idx]
+                + evaluate_at(op, probe, idx))
+        assert np.max(np.abs(column - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("h", [1.0 / 8, 1.0 / 16])

@@ -22,8 +22,8 @@ from fracschrod import (
     solve_linear,
 )
 from fracschrod.errors import Validation, WindowTouchesBoundary
-from conftest import exterior_bump
-from oracles import domain_mass_quad_1d
+from conftest import GRIDS_2D, exterior_bump
+from oracles import domain_mass_quad_1d, domain_mass_quad_2d
 
 
 def exterior_index_at(grid, x):
@@ -198,6 +198,22 @@ def test_mass_2d_monotone_and_positive(grid_2d):
            for x in (1.5, 2.0, 2.5)]
     vals = mass_m(grid_2d, params, idx)
     assert vals[0] > vals[1] > vals[2] > 0
+
+
+@pytest.mark.parametrize("name", sorted(GRIDS_2D))
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+def test_mass_2d_matches_adaptive_oracle(name, s):
+    # one step off a face, on a face's extension (that face is seen
+    # edge-on, d = 0), one step off a corner, and far away
+    dom, h, R, _ = GRIDS_2D[name]
+    grid = build_grid(dom, h, R)
+    (ax, ay), (bx, by) = dom.lower, dom.upper
+    points = [(bx + h, 0.25), (bx, by + h), (ax - h, ay - h), (-2.0, -2.0)]
+    idx = [int(np.flatnonzero(np.all(grid.nodes == p, axis=1))[0]) for p in points]
+    vals = mass_m(grid, frac_params(2, s), idx)
+    for x, val in zip(grid.nodes[idx], vals):
+        oracle = domain_mass_quad_2d(x, s, dom.lower, dom.upper)
+        assert val == pytest.approx(oracle, rel=1e-12, abs=0.0)
 
 
 def test_identity_2d(grid_2d):

@@ -17,7 +17,6 @@ from fracschrod import (
     Field,
     LinearProblem,
     Region,
-    Window,
     annulus_window,
     apply_operator,
     assemble,
@@ -71,8 +70,9 @@ def test_no_call_forms_a_dense_exterior_block(traced_assembly):
     ni = grid.n_interior
     dense = ni * grid.n_exterior * 8
     g = Field.from_values(grid, np.where(grid.labels == Region.EXTERIOR, 0.5, 0.0))
-    # two window nodes: the DN set-up's kernel-mass quadrature is slow
-    window = Window(grid, annulus_window(grid, grid.h, grid.h).indices[:2])
+    # the 132 nodes one step off the domain (measured: 27.5 MiB for the DN
+    # set-up, against 44.9 MiB for a dense exterior block)
+    window = annulus_window(grid, grid.h, grid.h)
     peaks = {"assemble": assembly_peak}
     calls = {
         "apply_operator": lambda: apply_operator(op, g),
@@ -140,18 +140,14 @@ def test_apply_peak_is_one_block(traced_assembly):
     assert peak <= 2**21 + out.nbytes
 
 
-def test_dn_assembler_keeps_its_three_arrays(traced_assembly, monkeypatch):
+def test_dn_assembler_keeps_its_three_arrays(traced_assembly):
     # the window rows, the probe-value block and the exact exterior columns
     # are set-up temporaries: the assembler keeps the Neumann kernel, the
     # probe right-hand sides and the constant part (measured: 29.3 MiB
-    # retained of a 205 MiB peak with 1220 probes).  The adaptive 2D
-    # kernel mass of the window nodes takes 8 s, over a minute under
-    # tracemalloc, and its result is one vector, so it is stubbed
+    # retained of a 205 MiB peak with 1220 probes)
     op, _ = traced_assembly
     window = annulus_window(op.grid, op.grid.h, 0.5)
     probes = canonical_probes(window)
-    monkeypatch.setattr("fracschrod.calderon.mass_m",
-                        lambda grid, params, idx: np.zeros(len(idx)))
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
