@@ -8,6 +8,7 @@ semilinear problem.
 
 import numpy as np
 from scipy.integrate import dblquad, quad
+from scipy.special import gamma, hyp1f1
 
 from fracschrod import LinearProblem, cns, solve_linear
 from fracschrod.grid import Field
@@ -53,12 +54,30 @@ def domain_mass_quad_2d(x, s: float, lower, upper) -> float:
     return c * total
 
 
+def cell_mass_quad_2d(s: float) -> float:
+    """Adaptive quadrature of |z|^(-2s) over [-1/2, 1/2]^2, as four quarters
+    that meet at the singular origin."""
+    quarter, _ = dblquad(lambda y, x: (x * x + y * y) ** (-s), 0.0, 0.5, 0.0, 0.5,
+                         epsabs=0.0, epsrel=1e-13)
+    return 4.0 * quarter
+
+
 def tail_mass_quad_2d(s: float, r_eff: float, r_outer: float = np.inf) -> float:
     """Radial quadrature of the 2D kernel mass beyond radius r_eff."""
     c = cns(2, s)
     val, _ = quad(lambda r: 2.0 * np.pi * r ** (-1.0 - 2.0 * s), r_eff, r_outer,
                   limit=300)
     return c * val
+
+
+def fraclap_gaussian(x, s: float, sigma: float) -> np.ndarray:
+    """(-Delta)^s exp(-|x|^2 / sigma^2) at the points x (..., n), in closed
+    form: sigma^(-2s) 4^s Gamma(n/2 + s) / Gamma(n/2)
+    1F1(n/2 + s; n/2; -|x|^2 / sigma^2)."""
+    x = np.asarray(x, dtype=float)
+    n = x.shape[-1]
+    scale = sigma ** (-2 * s) * 4.0**s * gamma(n / 2 + s) / gamma(n / 2)
+    return scale * hyp1f1(n / 2 + s, n / 2, -np.sum(x * x, axis=-1) / sigma**2)
 
 
 def picard_semilinear(op, nl, g: Field, tol: float = 1e-10,

@@ -28,7 +28,7 @@ from fracschrod.errors import (
 from fracschrod.cauchy import neumann_derivative
 from fracschrod.fraclap import _blocks, _physical_memory, _Stencil
 from conftest import dense_exterior, dense_interior
-from oracles import fraclap_quad_1d, tail_mass_quad_2d
+from oracles import cell_mass_quad_2d, fraclap_gaussian, fraclap_quad_1d, tail_mass_quad_2d
 
 
 def test_cns_half_order_values():
@@ -63,6 +63,29 @@ def test_tail_mass_closed_forms():
     assert tail_mass(p2, 4.0) == pytest.approx(tail_mass_quad_2d(0.25, 4.0), rel=1e-9)
     with pytest.raises(NonPositiveRadius):
         tail_mass(p, 0.0)
+
+
+def test_square_cell_mass_closed_form():
+    # the integral of 1/|z| over [-1/2, 1/2]^2 is 4 asinh(1)
+    assert fraclap._square_cell_mass(0.5) == pytest.approx(4.0 * np.arcsinh(1.0),
+                                                           rel=1e-15)
+    for s in (0.1, 0.25, 0.75, 0.9):
+        assert fraclap._square_cell_mass(s) == pytest.approx(cell_mass_quad_2d(s),
+                                                             rel=1e-10)
+
+
+@pytest.mark.parametrize("s, bound", [(0.5, 0.05), (0.75, 0.5)])
+def test_gaussian_2d_vs_closed_form(s, bound):
+    # exp(-|x|^2 / sigma^2) with sigma = 1/4 nearly vanishes at the boundary,
+    # so the boundary attribution costs nothing and the error is the
+    # interior scheme's and the far tail's (measured at h = 2^-5: 0.0321 at
+    # s = 1/2 and 0.361 at s = 3/4; 0.171 and 1.68 with half the singular
+    # cell's mass)
+    grid = build_grid(Domain.box((-1.0, -1.0), (1.0, 1.0)), 2.0**-5, 3.0)
+    op = assemble(grid, s)
+    u = sample_function(grid, lambda x, y: np.exp(-(x * x + y * y) / 0.0625))
+    want = fraclap_gaussian(grid.interior_nodes, s, 0.25)
+    assert np.max(np.abs(apply_operator(op, u) - want)) <= bound
 
 
 @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
