@@ -289,15 +289,15 @@ def strong_uniqueness_probe(grid: Grid, op: NonlocalOperator,
         raise GridMismatch("window grid differs")
     n = grid.n_nodes
     k = window.size
-    t_matrix = np.zeros((2 * k, n))
-    weights, tails = _Stencil(op.grid, op.params).rows(window.indices)
-    for r, idx in enumerate(window.indices):
-        t_matrix[r, idx] = 1.0
-        row = -weights[r]
-        row[idx] = np.sum(weights[r]) + tails[r]
-        t_matrix[k + r] = row / np.linalg.norm(row)
     if 2 * k < n:
         return 0.0
+    weights, tails = _Stencil(op.grid, op.params).rows(window.indices)
+    # L psi(x_g) = psi_g (sum_j w_gj + tail_g) - sum_j w_gj psi_j; the
+    # weight at g itself, from a boundary cell attributed to g, cancels
+    rows = -weights
+    rows[np.arange(k), window.indices] += weights.sum(axis=1) + tails
+    t_matrix = np.vstack([np.eye(n)[window.indices],
+                          rows / np.linalg.norm(rows, axis=1, keepdims=True)])
     return float(scipy.linalg.svdvals(t_matrix)[-1])
 
 

@@ -256,12 +256,15 @@ class _Stencil:
 
     def rows(self, targets, cols=None) -> tuple[np.ndarray, np.ndarray]:
         """Weights (m, len(cols)) from the targets to the distinct nodes cols
-        (default: every node), zero at a row's own node, and tail
-        coefficients (m,) at the targets, so that at a target node g
+        (default: every node), and tail coefficients (m,) at the targets, so
+        that at a target node g
 
             L u (x_g) = sum_j w_gj (u_g - u_j) + tail_g (u_g - farfield),
 
-        the sum over every node j.  The only code that applies corrections.
+        the sum over every node j.  A row's weight at its own node is zero
+        except at an exterior node one step off a face, which receives the
+        mass of the boundary cell between it and the domain; that weight
+        multiplies u_g - u_g.  The only code that applies corrections.
         """
         nn = self.grid.n_nodes
         cols = np.arange(nn) if cols is None else np.asarray(cols, dtype=int)

@@ -362,6 +362,27 @@ def probe_windows(grid, sizes):
         yield Window(grid, np.sort(grid.exterior_index[order[:size]]))
 
 
+def test_probe_operator_rows_are_evaluate_at(op_coarse, monkeypatch):
+    # the lower block of the probed map is L psi on the window for every
+    # nodal psi, row-normalized; a boundary cell attributed to a window
+    # node gives that node's stencil row a weight at the node itself,
+    # which multiplies psi_g - psi_g and must not enter
+    import scipy.linalg
+
+    grid = op_coarse.grid
+    window = next(probe_windows(grid, [48]))
+    captured = []
+    svdvals = scipy.linalg.svdvals
+    monkeypatch.setattr(scipy.linalg, "svdvals",
+                        lambda m: captured.append(m.copy()) or svdvals(m))
+    strong_uniqueness_probe(grid, op_coarse, window)
+    columns = [evaluate_at(op_coarse, Field.from_values(grid, unit), window.indices)
+               for unit in np.eye(grid.n_nodes)]
+    want = np.array(columns).T
+    want /= np.linalg.norm(want, axis=1, keepdims=True)
+    assert np.max(np.abs(captured[0][window.size:] - want)) <= 1e-12
+
+
 def test_probe_full_window_positive_and_largest():
     grid = build_grid(Domain.interval(-1, 1), 2.0**-3, 4.0)
     op = assemble(grid, 0.5)
