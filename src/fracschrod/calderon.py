@@ -292,12 +292,11 @@ def strong_uniqueness_probe(grid: Grid, op: NonlocalOperator,
     if 2 * k < n:
         return 0.0
     weights, tails = _Stencil(op.grid, op.params).rows(window.indices)
-    # L psi(x_g) = psi_g (sum_j w_gj + tail_g) - sum_j w_gj psi_j; the
-    # weight at g itself, from a boundary cell attributed to g, cancels
-    rows = -weights
-    rows[np.arange(k), window.indices] += weights.sum(axis=1) + tails
-    t_matrix = np.vstack([np.eye(n)[window.indices],
-                          rows / np.linalg.norm(rows, axis=1, keepdims=True)])
+    t_matrix = np.vstack([np.zeros((k, n)), -weights])
+    t_matrix[np.arange(k), window.indices] = 1.0
+    # add, not overwrite: w_gg multiplies psi_g - psi_g
+    t_matrix[np.arange(k, 2 * k), window.indices] += weights.sum(axis=1) + tails
+    t_matrix[k:] /= np.linalg.norm(t_matrix[k:], axis=1, keepdims=True)
     return float(scipy.linalg.svdvals(t_matrix)[-1])
 
 

@@ -86,14 +86,10 @@ def neumann_derivative(grid: Grid, params: FracParams, u: Field,
 
 
 def mass_m(grid: Grid, params: FracParams, indices) -> np.ndarray:
-    """Kernel mass m at exterior nodes, in closed form.
-
-    By the divergence theorem m(x) is -C/(2s) times the outward flux of
-    (y - x) |y - x|^(-n-2s) through the faces of the box.  A face at signed
-    normal distance d from x contributes sign(d) |d|^(-2s) in 1D, where it
-    is a point, and in 2D d times the face integral at p = 1 + s between
-    the face's ends; a face seen edge-on (d = 0) contributes 0.
-    """
+    """Kernel mass m at exterior nodes, in closed form: -C/(2s) times the
+    outward flux of (y - x) |y - x|^(-n-2s) through the faces of the box.  A
+    face at signed normal distance d contributes sign(d) |d|^(-2s) in 1D and
+    d times its face integral at p = 1 + s in 2D (0 for a face seen edge-on)."""
     indices = np.asarray(indices, dtype=int)
     if not np.all(grid.labels[indices] == Region.EXTERIOR):
         raise Validation("m is defined at exterior nodes")
@@ -105,12 +101,10 @@ def mass_m(grid: Grid, params: FracParams, indices) -> np.ndarray:
     s = params.s
     if params.n == 1:
         flux = np.sign(d) * np.abs(d) ** (-2 * s)
-    else:
-        # the face normal to one axis spans the other
-        ends = np.tile(lo[:, ::-1], 2), np.tile(hi[:, ::-1], 2)
+    else:  # the face normal to one axis spans the other
         safe = np.where(d == 0.0, 1.0, d)
-        flux = d * (_face_integral(safe, ends[1], 1 + s)
-                    - _face_integral(safe, ends[0], 1 + s))
+        flux = d * (_face_integral(safe, np.tile(hi[:, ::-1], 2), 1 + s)
+                    - _face_integral(safe, np.tile(lo[:, ::-1], 2), 1 + s))
     return params.cns * -flux.sum(axis=1) / (2 * s)
 
 

@@ -114,23 +114,15 @@ def tail_mass(params: FracParams, r_eff: float) -> float:
 
 
 def _face_integral(d, t, p):
-    """Integral of (d^2 + tau^2)^(-p) over tau in [0, t], for d != 0.
-
-    t |d|^(-2p) 2F1(1/2, p; 3/2; -t^2/d^2): odd in t, elementwise over
-    arrays.  The kernel masses integrate it over the faces of a box, by
-    div_y((y - x) |y - x|^(-n-2s)) = -2s |y - x|^(-n-2s).
-    """
+    """Integral of (d^2 + tau^2)^(-p) over tau in [0, t], d != 0, elementwise:
+    t |d|^(-2p) 2F1(1/2, p; 3/2; -t^2/d^2), odd in t."""
     return t * np.abs(d) ** (-2.0 * p) * hyp2f1(0.5, p, 1.5, -((t / d) ** 2))
 
 
 def _square_cell_mass(s: float) -> float:
-    """Integral of |z|^(-2s) over the unit square [-1/2, 1/2]^2.
-
-    div(z |z|^(-2s)) = (2 - 2s) |z|^(-2s), integrable at the origin, so the
-    mass is the outward flux through the four faces, each at distance 1/2
-    and each contributing 1/2 times twice the face integral to t = 1/2.
-    """
-    return 4.0 * float(_face_integral(0.5, 0.5, s)) / (2.0 - 2.0 * s)
+    """Integral of |z|^(-2s) over [-1/2, 1/2]^2: the flux of z |z|^(-2s), whose
+    divergence is (2 - 2s) |z|^(-2s), through four faces at distance 1/2."""
+    return 4.0 * _face_integral(0.5, 0.5, s) / (2.0 - 2.0 * s)
 
 
 def _singular_weight(params: FracParams, h: float) -> float:
@@ -261,10 +253,9 @@ class _Stencil:
 
             L u (x_g) = sum_j w_gj (u_g - u_j) + tail_g (u_g - farfield),
 
-        the sum over every node j.  A row's weight at its own node is zero
-        except at an exterior node one step off a face, which receives the
-        mass of the boundary cell between it and the domain; that weight
-        multiplies u_g - u_g.  The only code that applies corrections.
+        the sum over every node j; w_gg is nonzero one step off a face (g
+        receives the boundary cell's mass) and multiplies u_g - u_g.  The
+        only code that applies corrections.
         """
         nn = self.grid.n_nodes
         cols = np.arange(nn) if cols is None else np.asarray(cols, dtype=int)
