@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.optimize import least_squares
 
 from .errors import (
     BankMismatch,
@@ -159,7 +158,7 @@ class _DnAssembler:
     _retained_factor, shared with solve_linear), so a Jacobian at the
     potential just evaluated (as trf asks for it) factors nothing and the
     operator holds at most one factor; the probe solutions are one
-    cho_solve against it per call.
+    _solve against it per call.
     """
 
     def __init__(self, op: NonlocalOperator, window: Window,
@@ -244,6 +243,9 @@ def recover_potential(reference_op: NonlocalOperator, measurements: DnMatrix,
     a trust-region Gauss-Newton iteration honoring the bound.  Raises
     MisfitStagnation (carrying the last iterate) when no descent happens.
     """
+    # scipy.optimize takes about 0.1 s to import and only this function uses it
+    from scipy.optimize import least_squares
+
     if lambda_reg < 0:
         raise Validation("lambda_reg must be nonnegative")
     ni = reference_op.grid.n_interior

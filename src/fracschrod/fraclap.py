@@ -31,10 +31,11 @@ and the rest by FFT, equal to the dense product to roundoff
 its row sums as its own product with a vector of ones, and the diagonal
 balances them, so constants with matching far-field are annihilated to
 roundoff (below the acceptance gate's 1e-12), not exactly.  The dense
-entries can still be formed bit for bit: a_ii.fill writes the interior
-block plus a diagonal, the system matrix the solver factors, and
-_Stencil.rows, the one place the sparse corrections are applied, gives
-a_ie's entries negated when restricted to exterior columns.  The stencil
+entries can still be formed bit for bit: a_ii.fill writes the lower
+triangle of the interior block plus a diagonal in packed storage, the
+system matrix the solver factors, and _Stencil.rows, the one place the
+sparse corrections are applied, gives a_ie's entries negated when
+restricted to exterior columns.  The stencil
 is cheap enough to rebuild per call; the assembled operator is immutable
 and apply() is a pure function.
 """
@@ -416,6 +417,15 @@ class ExteriorBlock:
         return -self._conv(field)
 
 
+def _pairs(table: np.ndarray) -> np.ndarray:
+    """Read-only view v[i0, i1, j0, j1] = table[(r - 1) + i0 - j0,
+    (w - 1) + i1 - j1] of a table over the offsets of an (r, w) box."""
+    (r, w), (s0, s1) = [(n + 1) // 2 for n in table.shape], table.strides
+    return np.lib.stride_tricks.as_strided(
+        table[r - 1:, w - 1:], shape=(r, w, r, w), strides=(s0, s1, -s0, -s1),
+        writeable=False)
+
+
 class InteriorBlock:
     """The interior block a_ii of an assembled operator, stored by structure.
 
@@ -428,10 +438,12 @@ class InteriorBlock:
 
     a_ii @ v is diagonal * v plus off_diagonal(v), a lattice convolution
     over the interior box padded by _NEAR (equal to the dense product to
-    roundoff).  fill(out, shift) writes the dense block plus diag(shift),
-    bit for bit, by copying from a strided view of the negated kernel
-    over the offsets [-(w - 1), w - 1] per axis of box width w.  Because
-    K(d) = K(-d) bit for bit, the block is bitwise symmetric.
+    roundoff).  fill(out, shift) writes the lower triangle of a_ii +
+    diag(shift), bit for bit, as ni (ni + 1) / 2 floats in rectangular
+    full packed storage (half the dense block: 63 MB at 2D h=2^-5), by
+    a few copies from strided views of the negated kernel over the offsets
+    [-(w - 1), w - 1] per axis of box width w.  Because K(d) = K(-d) bit
+    for bit, the block is bitwise symmetric, so either triangle is it.
     """
 
     def __init__(self, stencil: _Stencil, exterior_sums: np.ndarray):
@@ -442,14 +454,14 @@ class InteriorBlock:
         self._box = tuple(int(w) for w in span)
         self._pad = tuple(slice(_NEAR, _NEAR + w) for w in self._box)
         self._kernel = -_offset_kernel(stencil, 1 - span, 2 * span - 1)[1]
-        # view[i..., j...] = kernel[(w - 1) + i - j], i and j the box
-        # coordinates of two interior nodes; built once, since a per-call
-        # view costs more than a small matrix's whole fill
-        center = np.ravel_multi_index(tuple(span - 1), self._kernel.shape)
-        strides = self._kernel.strides
-        self._view = np.lib.stride_tricks.as_strided(
-            self._kernel.reshape(-1)[center:], shape=self._box * 2,
-            strides=strides + tuple(-s for s in strides), writeable=False)
+        # with the box as (r, w) = (box rows, last axis), pairs[i0, i1, j0,
+        # j1] is entry (i, j) off the diagonal and upper[...] says i <= j in
+        # the interior order; built once, since per-call views cost more
+        # than a small matrix's whole fill
+        r, w = ni // self._box[-1], self._box[-1]
+        self._upper_table = np.add.outer(w * np.arange(1 - r, r), np.arange(1 - w, w)) <= 0
+        self._pairs = _pairs(self._kernel.reshape(2 * r - 1, 2 * w - 1))
+        self._upper = _pairs(self._upper_table)
         self.off_sums = self.off_diagonal(np.ones(ni))
         self.diagonal = -(self.off_sums + exterior_sums)
         for arr in (self.off_sums, self.diagonal):
@@ -457,7 +469,7 @@ class InteriorBlock:
 
     @property
     def nbytes(self) -> int:
-        arrays = (self.diagonal, self.off_sums, self._kernel)
+        arrays = (self.diagonal, self.off_sums, self._kernel, self._upper_table)
         return sum(a.nbytes for a in arrays) + self._conv.nbytes
 
     def off_diagonal(self, v: np.ndarray) -> np.ndarray:
@@ -474,14 +486,43 @@ class InteriorBlock:
         return self.diagonal * v + self.off_diagonal(v)
 
     def fill(self, out: np.ndarray, shift: np.ndarray) -> None:
-        """Write a_ii + diag(shift) into out, an (ni, ni) Fortran-order array,
-        bit for bit the dense sum: the off-diagonal entries assembly
-        computes, and diagonal + shift.  A zero shift writes a_ii itself."""
-        if out.shape != self.shape or not out.flags.f_contiguous:
-            raise ValueError(f"fill needs a Fortran-order array of shape {self.shape}")
-        # splitting each axis into the box's axes is a view for any strides
-        np.copyto(out.reshape(self._view.shape), self._view)
-        np.add(self.diagonal, shift, out=out.ravel(order="F")[:: self.shape[0] + 1])
+        """Write the lower triangle of a = a_ii + diag(shift) into out, a flat
+        array of ni (ni + 1) / 2 floats in LAPACK's rectangular full packed
+        layout (TRANSR='N', UPLO='L'), bit for bit the dense sum: the
+        off-diagonal entries assembly computes, and diagonal + shift.
+
+        With m = ni - ni // 2, e = 1 - ni % 2 and ld = ni + e, out is the
+        Fortran-order (ld, m) array p with p[e + i, j] = a[i, j] for i >= j
+        and p[i, j + 1 - e] = a[m + i, m + j] for i <= j < ni // 2.
+        """
+        ni = self.shape[0]
+        n2, e = ni // 2, 1 - ni % 2
+        m, ld = ni - n2, ni + e
+        if out.shape != (ld * m,) or out.dtype != float or not out.flags.c_contiguous:
+            raise ValueError(f"fill needs a contiguous array of {ld * m} float64")
+        pairs, upper = self._pairs, self._upper
+        r, w = pairs.shape[:2]
+        first, skip = divmod(m, w)          # column m is (first, skip) in the box
+        packed = out.reshape(m, ld).T
+        # a[:, :m], whose part above the diagonal the triangle overwrites: the
+        # whole box rows of columns, then the part of row first (splitting an
+        # axis into the box's axes is a view for any strides)
+        rect = packed[e:]
+        np.copyto(rect[:, : m - skip].reshape(r, w, first, w), pairs[:, :, :first])
+        if skip:
+            np.copyto(rect[:, m - skip:].reshape(r, w, skip), pairs[:, :, first, :skip])
+        # the a[m:, m:] triangle, masked to i <= j: the rest of box row first
+        # against itself and the rows below it, and those rows among themselves
+        if n2:
+            tri, head, k = packed[:n2, 1 - e:], w - skip, r - first - 1
+            below = slice(first + 1, r)
+            np.copyto(tri[:head, :head], pairs[first, skip:, first, skip:],
+                      where=upper[first, skip:, first, skip:])
+            np.copyto(tri[:head, head:].reshape(head, k, w), pairs[first, skip:, below])
+            np.copyto(tri[head:, head:].reshape(k, w, k, w), pairs[below, :, below],
+                      where=upper[below, :, below])
+        np.add(self.diagonal[:m], shift[:m], out=out[e:: ld + 1])
+        np.add(self.diagonal[m:], shift[m:], out=out[(1 - e) * ld:: ld + 1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -512,8 +553,9 @@ class NonlocalOperator:
 def assemble(grid: Grid, s: float) -> NonlocalOperator:
     """Assemble the discrete operator for a grid and fractional order.
 
-    Raises OperatorTooLarge when one Cholesky factor of the system matrix
-    (ni^2 float64) would not fit in physical memory, and SingularOverlap
+    Raises OperatorTooLarge when one Cholesky factor of the system matrix,
+    packed as ni (ni + 1) / 2 float64, would not fit in physical memory (2D
+    h=2^-6 needs 1.04 GB, h=2^-7 15.8 GiB), and SingularOverlap
     when a node or boundary point is off the lattice, both before the blocks
     are built.  No row is formed: each block's row sums are its product with
     ones, and tail is the closed-form far mass alone.  On a grid from
@@ -522,11 +564,12 @@ def assemble(grid: Grid, s: float) -> NonlocalOperator:
     exterior receiver, because R is at least the domain diameter.
     """
     params = frac_params(grid.dim, s)
-    need, have = grid.n_interior ** 2 * 8, _physical_memory()
+    ni = grid.n_interior
+    need, have = ni * (ni + 1) // 2 * 8, _physical_memory()
     if need > have:
         raise OperatorTooLarge(
-            f"one factor of the system matrix needs {need / 2**30:.1f} GiB, "
-            f"physical memory is {have / 2**30:.1f} GiB")
+            f"one packed factor of the system matrix, ni (ni + 1) / 2 floats, "
+            f"needs {need / 2**30:.1f} GiB, physical memory is {have / 2**30:.1f} GiB")
     stencil = _Stencil(grid, params)
     a_ie = ExteriorBlock(stencil)
     tail = np.array(stencil.far_tails(grid.interior_index))

@@ -6,28 +6,29 @@ data prescribed on the truncated ring.  The system matrix is the assembled
 interior block plus the nonnegative diagonal (truncation tail and
 potential), a symmetric positive-definite M-matrix; solves use a dense
 Cholesky factorization, so sign- and order-principle checks are not
-confounded by iterative tolerances.  The factor is the only dense ni x ni
-matrix: the operator stores its blocks as lattice convolutions, and each
-system matrix is one Fortran-order array filled from the interior block's
-kernel (bit for bit the dense block) with the diagonal added in place,
-which LAPACK factors in place.  LAPACK is called without scipy's
-finiteness scans, which would allocate a byte per matrix entry; the
-diagonal and each right-hand side, the only places a non-finite value can
-enter, are checked instead and raise the caller's error.
+confounded by iterative tolerances.  The factor is the only array that
+grows like ni^2: the operator stores its blocks as lattice convolutions,
+and each system matrix is its lower triangle in LAPACK's rectangular full
+packed layout, ni (ni + 1) / 2 floats filled from the interior block's
+kernel (bit for bit the dense entries) with the diagonal added, which
+dpftrf factors in place with level-3 BLAS and dpftrs solves against.
+LAPACK is called without finiteness scans of the matrix; the diagonal and
+each right-hand side, the only places a non-finite value can enter, are
+checked instead and raise the caller's error.
 
 Each assembled operator retains two pieces of state here, held through a
 weak reference so they die with the operator: the last system factored
-through _retained_factor (its diagonal and the Cholesky factor, ni^2
-float64, so 126 MB at 2D h=2^-5), and the barrier cutoff eta with its
-image L eta.  _retained_factor is the one place that decides factor
-reuse; solve_linear and the DN assembly in calderon both go through it, so
-they share the one factor.  It reuses the factor while the diagonal is bit
-for bit the same and frees it before factoring a new one, so at most one
-factor is held; build_barrier applies the operator to eta once per
-operator.  A reused
-factor or image is the very array the call would have recomputed, so every
-result is unchanged.  The state is not thread-safe: share an operator
-between threads only with a lock around these calls.
+through _retained_factor (its diagonal and the packed Cholesky factor,
+ni (ni + 1) / 2 float64, so 63 MB at 2D h=2^-5), and the barrier cutoff
+eta with its image L eta.  _retained_factor is the one place that decides
+factor reuse; solve_linear and the DN assembly in calderon both go through
+it, so they share the one factor.  It reuses the factor while the diagonal
+is bit for bit the same and frees it before factoring a new one, so at
+most one factor is held; build_barrier applies the operator to eta once
+per operator.  A reused factor or image is the very array the call would
+have recomputed, so every result is unchanged.  The state is not
+thread-safe: share an operator between threads only with a lock around
+these calls.
 
 The barrier construction follows the cutoff recipe: a radial profile equal
 to one on the domain and falling smoothly to zero at the truncation sphere.
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 from numbers import Integral
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpftrf, dpftrs
 
 from .errors import (
     GridMismatch,
@@ -131,7 +132,7 @@ class _Retained:
     """What _retained_factor and build_barrier keep for one operator."""
 
     diagonal: np.ndarray | None = None     # of the last factored system
-    factor: tuple | None = None            # its Cholesky factor
+    factor: np.ndarray | None = None       # its packed Cholesky factor, ni (ni + 1) / 2
     cutoff: tuple[Field, np.ndarray] | None = None     # eta and L eta
 
 
@@ -147,31 +148,39 @@ def _full_field(grid: Grid, interior: np.ndarray, exterior: np.ndarray) -> Field
 
 
 def _factor_system(op: NonlocalOperator, diagonal: np.ndarray,
-                   error: type[ToolkitError] = SingularSystem):
-    """Cholesky factor of the system matrix op.a_ii + diag(diagonal).
+                   error: type[ToolkitError] = SingularSystem) -> np.ndarray:
+    """Cholesky factor of the system matrix op.a_ii + diag(diagonal), in
+    rectangular full packed storage (TRANSR='N', UPLO='L').
 
-    The matrix is one Fortran-order array filled from the interior block
-    and the diagonal in one pass, and LAPACK factors it without copying it
-    again.  Only diagonal can carry a non-finite value into the matrix,
-    so it is checked instead of scanning the whole matrix; a non-finite
-    diagonal or a failed factorization raises error.
+    The lower triangle is one flat array of ni (ni + 1) / 2 floats, filled
+    from the interior block and the diagonal in one pass, which LAPACK
+    factors in place.  Only diagonal can carry a non-finite value into the
+    matrix, so it is checked instead of scanning the whole matrix; a
+    non-finite diagonal or a failed factorization raises error.
     """
     if not np.isfinite(diagonal).all():
         raise error("the system matrix has a non-finite diagonal entry")
-    matrix = np.empty(op.a_ii.shape, order="F")
-    op.a_ii.fill(matrix, diagonal)
-    try:
-        return scipy.linalg.cho_factor(matrix, overwrite_a=True, check_finite=False)
-    except scipy.linalg.LinAlgError as err:
-        raise error(str(err)) from err
+    ni = op.a_ii.shape[0]
+    packed = np.empty(ni * (ni + 1) // 2)
+    op.a_ii.fill(packed, diagonal)
+    factor, info = dpftrf(ni, packed, transr="N", uplo="L", overwrite_a=True)
+    if info > 0:
+        raise error(f"the leading minor of order {info} is not positive definite")
+    return factor
 
 
-def _solve(factor, rhs: np.ndarray, error: type[ToolkitError] = SingularSystem):
-    """cho_solve against a factor of _factor_system; the factor is finite by
-    construction, so only the right-hand side is checked, raising error."""
+def _solve(factor: np.ndarray, rhs: np.ndarray,
+           error: type[ToolkitError] = SingularSystem) -> np.ndarray:
+    """Solve against a factor of _factor_system for one right-hand side or
+    its columns; the factor is finite by construction, so only the
+    right-hand side is checked, raising error."""
     if not np.isfinite(rhs).all():
         raise error("the right-hand side has a non-finite entry")
-    return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+    ni = rhs.shape[0]
+    if factor.shape != (ni * (ni + 1) // 2,):
+        raise ValueError(f"the factor does not have order {ni}")
+    x, _ = dpftrs(ni, factor, rhs.reshape(ni, -1), transr="N", uplo="L")
+    return x.reshape(rhs.shape)
 
 
 def _retained_factor(op: NonlocalOperator, diagonal: np.ndarray):

@@ -2,6 +2,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dtfttr
 
 from fracschrod import Domain, Field, assemble, build_grid, c3_bump, sample_function
 from fracschrod.cli import EXPERIMENTS, run
@@ -66,11 +67,18 @@ GRIDS_2D = {
 
 
 def dense_interior(op):
-    """The interior block as a dense array, filled in Fortran order like the
-    solver's system matrix (a zero shift leaves the positive diagonal's bits)."""
-    out = np.empty(op.a_ii.shape, order="F")
-    op.a_ii.fill(out, np.zeros(op.grid.n_interior))
-    return out
+    """The interior block as a dense array: the packed fill the solver
+    factors (a zero shift leaves the positive diagonal's bits), unpacked
+    with dtfttr and its lower triangle mirrored by assignment, which keeps
+    every bit, negative zeros included."""
+    ni = op.grid.n_interior
+    packed = np.empty(ni * (ni + 1) // 2)
+    op.a_ii.fill(packed, np.zeros(ni))
+    dense, info = dtfttr(ni, packed, transr="N", uplo="L")
+    assert info == 0
+    upper = np.triu_indices(ni, 1)
+    dense[upper] = dense.T[upper]
+    return dense
 
 
 def dense_exterior(op):

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import fracschrod
 from fracschrod import (
     Domain,
     Field,
@@ -446,3 +452,16 @@ def test_compare_banks_mismatch(op_small):
                               [("other", exterior_bump(grid, 1.5, 0.3))], window)
     with pytest.raises(BankMismatch):
         compare_cauchy_banks(bank1, bank2, tol=1e-10)
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # recover_potential imports least_squares when it runs, so importing the
+    # package skips scipy.optimize (about 0.1 s)
+    src = str(Path(fracschrod.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    code = "import sys, fracschrod; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -308,9 +308,10 @@ def test_far_tails_are_the_per_node_form(name):
 
 
 def test_operator_too_large_raises_before_allocating():
-    # (-1,1)^2 at h=2^-7, R=3: one factor of 65025 rows, 31.5 GiB
+    # (-1,1)^2 at h=2^-7, R=3: one packed factor of 65025 rows, 15.8 GiB
     grid = build_grid(Domain.box((-1.0, -1.0), (1.0, 1.0)), 2.0**-7, 3.0)
-    if grid.n_interior**2 * 8 <= _physical_memory():
+    ni = grid.n_interior
+    if ni * (ni + 1) // 2 * 8 <= _physical_memory():
         pytest.skip("this machine holds one factor of the test grid")
     tracemalloc.start()
     try:
@@ -323,15 +324,16 @@ def test_operator_too_large_raises_before_allocating():
 
 
 def test_size_guard_budgets_one_factor(monkeypatch):
-    # 2D h=2^-4: 961 interior rows, 7085 nodes; the guard needs one factor,
-    # ni^2 8 bytes (7.4 MB), not a dense a_ii besides it or a dense ni N 8
+    # 2D h=2^-4: 961 interior rows, 7085 nodes; the guard needs one packed
+    # factor, ni (ni + 1) / 2 8 bytes (3.7 MB), not a dense ni^2 8 or ni N 8
     grid = build_grid(Domain.box((-1.0, -1.0), (1.0, 1.0)), 2.0**-4, 3.0)
-    budget = grid.n_interior**2 * 8
-    assert grid.n_interior * grid.n_nodes * 8 > 2 * budget
+    ni = grid.n_interior
+    budget = ni * (ni + 1) // 2 * 8
+    assert ni * grid.n_nodes * 8 > 2 * budget
     monkeypatch.setattr(fraclap, "_physical_memory", lambda: budget)
-    assert assemble(grid, 0.5).a_ii.shape == (grid.n_interior, grid.n_interior)
+    assert assemble(grid, 0.5).a_ii.shape == (ni, ni)
     monkeypatch.setattr(fraclap, "_physical_memory", lambda: budget - 1)
-    with pytest.raises(OperatorTooLarge, match="one factor of the system matrix"):
+    with pytest.raises(OperatorTooLarge, match="one packed factor of the system matrix"):
         assemble(grid, 0.5)
 
 

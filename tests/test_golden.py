@@ -33,26 +33,39 @@ from fracschrod.fraclap import _blocks, _Stencil
 # pass the bounded tier against tests/golden/, recorded before any of them.
 # probe/ alone was re-recorded, with its reference, by the declared fix of
 # the probe's self-weight (tests/golden/README.md): sigma_min moved by at
-# most 4.3e-4 relative (4.27e-17 absolute)
+# most 4.3e-4 relative (4.27e-17 absolute).
+# All but probe/ were re-recorded again, a summation-order change, when the
+# Cholesky factor moved to rectangular full packed storage ("packed factor":
+# LAPACK's dpftrf and dpftrs block the factorization and the solves
+# differently); each such pin names its largest deviation from its
+# reference, relative to its bound (tests/golden/README.md)
 CLI_PINS = {
+    # packed factor: g-1/neumann 5.55e-17 off, 0.20 of its bound
     "forward/cauchy_bank.json":
-        "a1fc2c89d7465cc0b3bb1f0f8e7a4c72f06d063b7bc03cdaabed5404c11aa90f",
+        "83bc5a59ff8f3a2cebcf0f5bfecf8e7827f5061564b0aaf3ea9cf4cf5a64751f",
+    # packed factor: residual 4.63e-15 off, 0.17 of its bound
     "forward/newton_trace.csv":
-        "df011359025b965be2d8cecb3b015c7684f515a833e1cb91085faf62199b8dd7",
+        "8570e080d1fb278ece09284b1d1087cf61ec037ecc4c7bbc87a585ad64f7777b",
+    # packed factor: value 3.89e-16 off, 0.23 of its bound
     "forward/solution.csv":
-        "6f9dbaf9276978cb126001a002df1a904a390636fce6844b1a0f2975c56e58c5",
+        "709e074fc09ca700bdb07632d3aa4ca52068fa74e55ee1004dc6ef34af4486d5",
+    # packed factor: e_sup 6.94e-13 off, 0.04 of its bound
     "linearize/linearize.csv":
-        "0d922a3f9b7667b8dd024908f6abcc3eed4bedca409427dc142362f8a56d7ad6",
+        "f54eea69e0ad87245b9bf2f3e7afe2c4638a910995eddeb2221bafbfdc5dbd62",
+    # packed factor: min_u 6.11e-16 off, 0.55 of its bound
     "principles/principles.csv":
-        "306fcdd0dcfc83dde6983717f55efe25255aab36c606bf72e42b700f1bee4f19",
+        "cec051a450a2e9597b029fc83d7c2f6eda90d2994e8ef02bb5e1d69ff37865c5",
     "probe/probe.csv":
         "45841a257404ce20da1e8fb106cd9a6c77f28527aca160637da5abe86a7e781c",
+    # packed factor: misfit 1.37e-16 off, 0.02 of its bound
     "recover/misfit.csv":
-        "e37d1abd3d4b005ee23735274f0410b597d1cc9d1388c494a4303e2d1c969b2a",
+        "63d69a9fb2dfb89c0847e40ef6048b67df71d5d2e5a3937cc63d37dc18350e37",
+    # packed factor: a_estimate 2.5e-09 off, 0.05 of its bound
     "recover/recover.csv":
-        "b9fa656f282f428eff101e601e462605316614b2e41acbd7a513af900389047e",
+        "966065641bd72a09fe354dfa6115419e77046b06b2aa1746fb564ea4d375ba0e",
+    # packed factor: value 1.37e-14 off, 0.01 of its bound
     "solve/solution.csv":
-        "129be51493b5da5489a5cece738e9fda46766d50ecd2d419c080f116eda8bc4a",
+        "0bd014401efc4b518b2c6bcf0a17b71e3b373ae073ccedddda4de28ccd5b0c58",
 }
 
 # the diagonal moved with the row sums; the off-diagonal fill, the exterior

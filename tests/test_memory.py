@@ -3,8 +3,9 @@ assembly and the operator apply.
 
 tracemalloc sees numpy's buffers, so the peak counts every array the call
 allocates, including the ones it returns.  Measured on (-1,1)^2 at h=2^-4,
-R=3: one dense ni x ni matrix (the factor) is 7.4 MB, and a dense exterior
-block would be 47 MB.  The operator itself holds neither.
+R=3: the factor, packed as ni (ni + 1) / 2 floats, is 3.7 MB, a dense
+ni x ni matrix would be 7.4 MB and a dense exterior block 47 MB.  The
+operator itself holds none of them.
 """
 
 import tracemalloc
@@ -50,17 +51,19 @@ def traced_assembly():
 
 
 def matrix_bytes(op) -> int:
-    """Bytes of one dense ni x ni float64 matrix: a factor of the system."""
-    return op.grid.n_interior ** 2 * 8
+    """Bytes of one factor of the system: ni (ni + 1) / 2 float64, packed."""
+    ni = op.grid.n_interior
+    return ni * (ni + 1) // 2 * 8
 
 
 def test_assembly_peak_is_the_blocks(traced_assembly):
     # no row is formed: the peak is the stencil's tables and the blocks'
     # set-up, a few arrays the size of the stencil kernel, (4K+1)^n floats
     # (measured: 2.4 MiB here and 9.5 MiB at h=2^-5, both 8.4 kernels)
+    # the blocks hold under a twentieth of a dense ni x ni matrix
     op, peak = traced_assembly
     assert peak < 12 * _Stencil(op.grid, op.params).kernel.nbytes
-    assert op.a_ii.nbytes + op.a_ie.nbytes < 0.05 * matrix_bytes(op)
+    assert op.a_ii.nbytes + op.a_ie.nbytes < 0.05 * op.grid.n_interior ** 2 * 8
 
 
 def test_no_call_forms_a_dense_exterior_block(traced_assembly):
@@ -88,8 +91,9 @@ def test_no_call_forms_a_dense_exterior_block(traced_assembly):
 
 
 def test_factorization_peak_is_one_matrix(traced_assembly):
-    # one Fortran-order matrix filled from the interior block and factored in
-    # place; no finiteness mask (measured: 18.5 KiB over the matrix here)
+    # one packed array filled from the interior block and factored in place;
+    # no finiteness mask and no dense ni x ni array (measured: 1.3 KiB over
+    # the packed factor here)
     op, _ = traced_assembly
     diagonal = op.tail + np.linspace(0.0, 1.0, op.grid.n_interior)
     _, peak = traced_peak(_factor_system, op, diagonal)
@@ -98,8 +102,8 @@ def test_factorization_peak_is_one_matrix(traced_assembly):
 
 def test_solves_hold_one_factor(traced_assembly):
     # the operator keeps the last factor; a new potential frees it before
-    # factoring, so two factors never coexist (measured: 566 KiB over one
-    # matrix, mostly the exterior product's FFT buffers)
+    # factoring, so two factors never coexist (measured: 564 KiB over one
+    # packed factor, mostly the exterior product's FFT buffers)
     op, _ = traced_assembly
     grid = op.grid
     ni = grid.n_interior
@@ -115,7 +119,8 @@ def test_solves_hold_one_factor(traced_assembly):
 def test_solve_and_dn_assembly_share_one_factor(traced_assembly):
     # solve_linear and the DN assembler keep their factor in the operator's
     # one memo, so a DN matrix after a solve replaces the solve's factor
-    # rather than holding a second one (measured: 556 KiB over one matrix)
+    # rather than holding a second one (measured: 556 KiB over one packed
+    # factor)
     grid = traced_assembly[0].grid
     op = assemble(grid, 0.5)
     ni = grid.n_interior
