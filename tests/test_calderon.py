@@ -458,8 +458,8 @@ def test_import_leaves_scipy_optimize_unloaded():
     # recover_potential imports least_squares when it runs, so importing the
     # package skips scipy.optimize (about 0.1 s)
     src = str(Path(fracschrod.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
     code = "import sys, fracschrod; print('scipy.optimize' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=60)

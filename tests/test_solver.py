@@ -296,10 +296,9 @@ def even_order(grid):
     """grid with the last lattice row of its interior box relabeled exterior:
     build_grid's interior boxes are odd along every axis, so this is the way
     to an even order."""
-    x = grid.nodes[:, 0]
+    inner = grid.interior_index
     labels = grid.labels.copy()
-    labels[grid.interior_index[x[grid.interior_index] == x[grid.interior_index].max()]] = (
-        Region.EXTERIOR)
+    labels[inner[grid.nodes[inner, 0] == grid.nodes[inner, 0].max()]] = Region.EXTERIOR
     return dataclasses.replace(grid, labels=labels,
                                interior_index=np.flatnonzero(labels == Region.INTERIOR),
                                exterior_index=np.flatnonzero(labels == Region.EXTERIOR))
