@@ -68,7 +68,6 @@ from .solver import (
     build_barrier,
     check_comparison,
     check_linf_bound,
-    homogenize,
     solution_to_csv,
     solve_linear,
     solve_semilinear,

@@ -37,11 +37,11 @@ from .errors import (
     Validation,
 )
 from .cauchy import CauchyDatum, mass_m
-from .fraclap import NonlocalOperator, _Stencil
+from .fraclap import NonlocalOperator, _blocks, _Stencil
 from .grid import Field, Grid, Window
 from .nonlinearity import Nonlinearity
-from .solver import (LinearProblem, NewtonConfig, _retained_factor, _solve,
-                     solve_linear, solve_semilinear)
+from .solver import (LinearProblem, NewtonConfig, _solve_system, solve_linear,
+                     solve_semilinear)
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
@@ -154,11 +154,13 @@ def canonical_probes(window: Window) -> list[tuple[str, Field]]:
 class _DnAssembler:
     """Shared machinery for DN matrices and their potential derivatives.
 
-    The system factor is the operator's retained one (solver's
-    _retained_factor, shared with solve_linear), so a Jacobian at the
-    potential just evaluated (as trf asks for it) factors nothing and the
-    operator holds at most one factor; the probe solutions are one
-    _solve against it per call.
+    Every solve is one solver._solve_system call at the potential, which
+    owns the system matrix and the operator's retained factor (shared with
+    solve_linear), so a Jacobian at the potential just evaluated (as trf
+    asks for it) factors nothing and the operator holds at most one factor.
+    Set-up forms no array over all N nodes against all p probes: probe
+    values are held at their support and at the window only, and the window
+    rows are formed one batch at a time.
     """
 
     def __init__(self, op: NonlocalOperator, window: Window,
@@ -173,37 +175,38 @@ class _DnAssembler:
         for f in self.fields:
             if np.any(f.interior_values != 0.0):
                 raise Validation("probes must be supported on exterior nodes")
-        values = np.array([f.values for f in self.fields]).T  # (N, p)
-        pw = values[window.indices]                    # window values per probe
+        pw = np.stack([f.values[window.indices] for f in self.fields], axis=1)
         if np.linalg.matrix_rank(pw) < len(self.fields):
             raise RankDeficientProbes("probes are dependent as window vectors")
 
         stencil = _Stencil(grid, op.params)
         kern = stencil.midpoint(window.indices, grid.interior_index)
         self.neumann_lin = -kern                       # action on interior values
-        # the probes' exterior support, by exact columns of -a_ie
-        support = np.flatnonzero(np.any(values != 0.0, axis=1))
-        self.rhs = stencil.rows(grid.interior_index, support)[0] @ values[support]
+        # the probes' exterior support and their values there, by exact
+        # columns of -a_ie
+        support = np.unique(np.concatenate([np.flatnonzero(f.values)
+                                            for f in self.fields]))
+        values = np.stack([f.values[support] for f in self.fields], axis=1)
+        self.rhs = stencil.rows(grid.interior_index, support)[0] @ values
         # constant-in-potential part of each column: the Neumann kernel's
         # mass, the kernel mass m and the zero-extension term, by the
         # operator rows at window nodes
-        rows, row_tails = stencil.rows(window.indices)
-        e0 = pw * (rows.sum(axis=1) + row_tails)[:, None] - rows @ values
+        e0 = np.empty(pw.shape)
+        for sl in _blocks(window.size, grid.n_nodes):
+            rows, tails = stencil.rows(window.indices[sl])
+            e0[sl] = (pw[sl] * (rows.sum(axis=1) + tails)[:, None]
+                      - rows[:, support] @ values)
         self.const = (pw * kern.sum(axis=1)[:, None]
                       - mass_m(grid, op.params, window.indices)[:, None] * pw + e0)
 
-    def solutions(self, a: np.ndarray) -> tuple:
-        """Factor of the system matrix at potential a and the probe solutions."""
-        factor = _retained_factor(self.op, self.op.tail + a)
-        return factor, _solve(factor, self.rhs)
-
     def matrix(self, a: np.ndarray) -> np.ndarray:
-        return self.const + self.neumann_lin @ self.solutions(a)[1]
+        return self.const + self.neumann_lin @ _solve_system(self.op, a, self.rhs)
 
     def jacobian(self, a: np.ndarray) -> np.ndarray:
-        """Stacked derivative of vec(matrix) with respect to the potential."""
-        factor, sols = self.solutions(a)
-        green = _solve(factor, self.neumann_lin.T).T
+        """Stacked derivative of vec(matrix) with respect to the potential;
+        both solves use one factor, since the diagonal is bitwise equal."""
+        sols = _solve_system(self.op, a, self.rhs)
+        green = _solve_system(self.op, a, self.neumann_lin.T).T
         return (-sols.T[:, None, :] * green).reshape(-1, len(a))
 
 

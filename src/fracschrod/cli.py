@@ -7,7 +7,7 @@ version, the environment (python, numpy, scipy and BLAS versions, thread
 variables, usable CPUs) and wall-clock time, next to experiment-specific
 CSV files whose numeric content is byte-identical across runs for a fixed
 config and seed and BLAS thread count (with OPENBLAS_NUM_THREADS=1 the
-getoor solve/ values move by up to 6.44e-15 from the two-thread run).
+getoor solve/ values move by up to 7.55e-15 from the two-thread run).
 Failures exit nonzero and leave a machine-readable error record naming the
 error class.
 """
@@ -35,7 +35,8 @@ from .calderon import (
 from .cauchy import bank_to_json, build_cauchy_bank
 from .errors import ConfigParse, ToolkitError, Validation
 from .fraclap import assemble
-from .grid import Domain, Field, Window, annulus_window, build_grid, c3_bump
+from .grid import (Domain, Field, Region, Window, annulus_window, build_grid, c3_bump,
+                   sample_function)
 from .nonlinearity import catalogue
 from .serialize import dump, write_csv
 from .solver import (
@@ -106,26 +107,26 @@ def _grid_and_operator(cfg):
     return grid, op
 
 
-def _profile_values(spec: dict, points: np.ndarray) -> np.ndarray:
+def _profile_values(spec: dict, grid) -> np.ndarray:
+    """The profile at the interior nodes."""
     kind = spec.get("kind", "constant")
     if kind == "constant":
-        return np.full(points.shape[0], float(spec.get("value", 0.0)))
+        return np.full(grid.n_interior, float(spec.get("value", 0.0)))
     if kind == "bumps":
-        total = np.zeros(points.shape[0])
-        for b in spec.get("bumps", []):
-            try:
-                f = c3_bump(b["center"], float(b["width"]),
-                            float(b.get("amplitude", 1.0)))
-            except (KeyError, TypeError, ValueError) as err:
-                raise Validation(f"bad bump spec: {err}") from err
-            total += np.asarray([f(*p) for p in points])
-        return total
+        return _bump_field(grid, spec.get("bumps", []), Region.INTERIOR).interior_values
     raise Validation(f"unknown profile kind {kind!r}")
 
 
-def _exterior_field(grid, bumps: list) -> Field:
-    values = _profile_values({"kind": "bumps", "bumps": bumps}, grid.exterior_nodes)
-    return Field.from_values(grid, _scatter(grid, values))
+def _bump_field(grid, bumps: list, region: Region = Region.EXTERIOR) -> Field:
+    """The sum of the bumps' fields, each sampled on region."""
+    total = np.zeros(grid.n_nodes)
+    for b in bumps:
+        try:
+            f = c3_bump(b["center"], float(b["width"]), float(b.get("amplitude", 1.0)))
+        except (KeyError, TypeError, ValueError) as err:
+            raise Validation(f"bad bump spec: {err}") from err
+        total += sample_function(grid, f, region).values
+    return Field.from_values(grid, total)
 
 
 def _band(cfg) -> tuple[float, float]:
@@ -153,9 +154,9 @@ def _nonlinearity(cfg):
 
 def run_solve(cfg: dict, out: Path) -> dict:
     grid, op = _grid_and_operator(cfg)
-    a = _profile_values(cfg["potential"], grid.interior_nodes)
-    f = _profile_values(cfg["source"], grid.interior_nodes)
-    g = _exterior_field(grid, cfg["exterior_data"])
+    a = _profile_values(cfg["potential"], grid)
+    f = _profile_values(cfg["source"], grid)
+    g = _bump_field(grid, cfg["exterior_data"])
     u = solve_linear(LinearProblem(op=op, a=a, f=f, g=g))
     solution_to_csv(out / "solution.csv", u)
     return {"nodes": grid.n_nodes,
@@ -167,7 +168,7 @@ def run_forward(cfg: dict, out: Path) -> dict:
     newton = _newton(cfg)
     grid, op = _grid_and_operator(cfg)
     nl = _nonlinearity(cfg)
-    g = _exterior_field(grid, cfg["exterior_data"])
+    g = _bump_field(grid, cfg["exterior_data"])
     sol = solve_semilinear(op, nl, g, newton)
     solution_to_csv(out / "solution.csv", sol.u)
     trace_to_csv(out / "newton_trace.csv", sol.residuals)
@@ -175,7 +176,7 @@ def run_forward(cfg: dict, out: Path) -> dict:
                "final_residual": float(sol.residuals[-1])}
     if band is not None:
         window = annulus_window(grid, *band)
-        probes = [(f"g-{k}", _exterior_field(grid, [bump_spec]))
+        probes = [(f"g-{k}", _bump_field(grid, [bump_spec]))
                   for k, bump_spec in enumerate(cfg["exterior_data"])]
         bank = build_cauchy_bank(grid, op, nl, probes, window, newton)
         dump(bank_to_json(bank), out / "cauchy_bank.json")
@@ -229,8 +230,8 @@ def run_linearize(cfg: dict, out: Path) -> dict:
     newton = _newton(cfg)
     grid, op = _grid_and_operator(cfg)
     nl = _nonlinearity(cfg)
-    g = _exterior_field(grid, cfg["exterior_data"])
-    h = _exterior_field(grid, cfg["probe_data"] or cfg["exterior_data"])
+    g = _bump_field(grid, cfg["exterior_data"])
+    h = _bump_field(grid, cfg["probe_data"] or cfg["exterior_data"])
     study = linearization_study(op, nl, g, h, cfg["eta_schedule"], newton)
     write_csv(out / "linearize.csv", ["eta", "e_l2", "e_sup", "converged"],
               [(float(e), float(l2), float(sup), int(conv))
@@ -244,7 +245,7 @@ def run_recover(cfg: dict, out: Path) -> dict:
     band = _band(cfg)
     grid, op = _grid_and_operator(cfg)
     window = annulus_window(grid, *band)
-    a_true = _profile_values(cfg["truth"], grid.interior_nodes)
+    a_true = _profile_values(cfg["truth"], grid)
     if np.any(a_true < 0):
         raise Validation("truth potential must be nonnegative")
     measurements = dn_map(op, a_true, window)

@@ -51,10 +51,6 @@ class NonPositiveRadius(ToolkitError):
     """Effective truncation radius must be positive."""
 
 
-class OperatorTooLarge(ToolkitError):
-    """One Cholesky factor of the system matrix would not fit in physical memory."""
-
-
 # --- nonlinearity ---
 
 class NonFiniteValue(ToolkitError):
@@ -77,6 +73,10 @@ class NegativeCoefficient(ToolkitError):
 
 class SingularSystem(ToolkitError):
     """Linear system factorization failed; signals an assembly bug."""
+
+
+class OperatorTooLarge(ToolkitError):
+    """One Cholesky factor of the system matrix would not fit in physical memory."""
 
 
 class NewtonDiverged(ToolkitError):

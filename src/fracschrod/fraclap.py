@@ -42,7 +42,6 @@ and apply() is a pure function.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from math import gamma, pi
 
@@ -53,7 +52,6 @@ from scipy.special import hyp2f1
 from .errors import (
     GridMismatch,
     NonPositiveRadius,
-    OperatorTooLarge,
     OrderOutOfRange,
     SingularOverlap,
 )
@@ -553,23 +551,17 @@ class NonlocalOperator:
 def assemble(grid: Grid, s: float) -> NonlocalOperator:
     """Assemble the discrete operator for a grid and fractional order.
 
-    Raises OperatorTooLarge when one Cholesky factor of the system matrix,
-    packed as ni (ni + 1) / 2 float64, would not fit in physical memory (2D
-    h=2^-6 needs 1.04 GB, h=2^-7 15.8 GiB), and SingularOverlap
-    when a node or boundary point is off the lattice, both before the blocks
-    are built.  No row is formed: each block's row sums are its product with
-    ones, and tail is the closed-form far mass alone.  On a grid from
+    Builds the operator only; whether a factor of its system matrix fits in
+    memory is the solver's question, asked when a factor is requested.
+    Raises SingularOverlap, before the blocks are built, when a node or
+    boundary point is off the lattice.  No row is formed: each block's row
+    sums are its product with ones, and tail is the closed-form far mass
+    alone (2D h=2^-7 assembles in under a second).  On a grid from
     build_grid an interior row spills nothing to the tail: its axis steps
     land on nodes or boundary cells, and every boundary cell has an
     exterior receiver, because R is at least the domain diameter.
     """
     params = frac_params(grid.dim, s)
-    ni = grid.n_interior
-    need, have = ni * (ni + 1) // 2 * 8, _physical_memory()
-    if need > have:
-        raise OperatorTooLarge(
-            f"one packed factor of the system matrix, ni (ni + 1) / 2 floats, "
-            f"needs {need / 2**30:.1f} GiB, physical memory is {have / 2**30:.1f} GiB")
     stencil = _Stencil(grid, params)
     a_ie = ExteriorBlock(stencil)
     tail = np.array(stencil.far_tails(grid.interior_index))
@@ -577,11 +569,6 @@ def assemble(grid: Grid, s: float) -> NonlocalOperator:
     return NonlocalOperator(params=params, grid=grid,
                             a_ii=InteriorBlock(stencil, a_ie.row_sums),
                             a_ie=a_ie, tail=tail)
-
-
-def _physical_memory() -> int:
-    """Bytes of physical memory on this machine."""
-    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
 def apply_operator(op: NonlocalOperator, u: Field, farfield: float = 0.0) -> np.ndarray:
@@ -612,8 +599,8 @@ def evaluate_at(op: NonlocalOperator, u: Field, indices,
 
     Same stencil as assembly; for nodes near the edge of the truncation ball
     the tail distance is clamped below at h/2.  Per block of nodes the
-    stencil rows are formed once and each is reduced with the matmul row
-    dot of apply_operator, so every value is bit-identical to
+    stencil rows are formed once and each is reduced by one BLAS dot, a
+    (1, N) @ (N, 1) matmul, so every value is bit-identical to
     np.dot(w, u_g - u) + tail (u_g - farfield) over that node's row.
     """
     if not u.grid.same_as(op.grid):

@@ -2,33 +2,35 @@
 
 Solves the linear problem  L u + a(x) u = f  in the domain with u = g
 outside, and the semilinear problem  L u + q(x, u) = 0, both with exterior
-data prescribed on the truncated ring.  The system matrix is the assembled
-interior block plus the nonnegative diagonal (truncation tail and
-potential), a symmetric positive-definite M-matrix; solves use a dense
-Cholesky factorization, so sign- and order-principle checks are not
-confounded by iterative tolerances.  The factor is the only array that
-grows like ni^2: the operator stores its blocks as lattice convolutions,
-and each system matrix is its lower triangle in LAPACK's rectangular full
-packed layout, ni (ni + 1) / 2 floats filled from the interior block's
-kernel (bit for bit the dense entries) with the diagonal added, which
-dpftrf factors in place with level-3 BLAS and dpftrs solves against.
-LAPACK is called without finiteness scans of the matrix; the diagonal and
-each right-hand side, the only places a non-finite value can enter, are
-checked instead and raise the caller's error.
+data prescribed on the truncated ring.  This module is the only one that
+knows the system matrix, a_ii + diag(tail + potential): a symmetric
+positive-definite M-matrix, solved by a dense Cholesky factorization so
+sign- and order-principle checks are not confounded by iterative
+tolerances.  The factor is the only array that grows like ni^2: the
+operator stores its blocks as lattice convolutions, and each system matrix
+is its lower triangle in LAPACK's rectangular full packed layout,
+ni (ni + 1) / 2 floats filled from the interior block's kernel (bit for
+bit the dense entries) with the diagonal added, which dpftrf factors in
+place with level-3 BLAS and dpftrs solves against.  _factor_system, the one
+place a factor is allocated, raises OperatorTooLarge before allocating one
+that would not fit in physical memory, so any operator can be assembled and
+applied.  LAPACK is called without finiteness scans of the matrix; the
+diagonal and each right-hand side, the only places a non-finite value can
+enter, are checked instead and raise the caller's error.
 
 Each assembled operator retains two pieces of state here, held through a
 weak reference so they die with the operator: the last system factored
-through _retained_factor (its diagonal and the packed Cholesky factor,
+through _solve_system (its diagonal and the packed Cholesky factor,
 ni (ni + 1) / 2 float64, so 63 MB at 2D h=2^-5), and the barrier cutoff
-eta with its image L eta.  _retained_factor is the one place that decides
-factor reuse; solve_linear and the DN assembly in calderon both go through
+eta with its image L eta.  _solve_system is the one call for a solve at a
+potential; solve_linear and the DN assembly in calderon both go through
 it, so they share the one factor.  It reuses the factor while the diagonal
 is bit for bit the same and frees it before factoring a new one, so at
-most one factor is held; build_barrier applies the operator to eta once
-per operator.  A reused factor or image is the very array the call would
-have recomputed, so every result is unchanged.  The state is not
-thread-safe: share an operator between threads only with a lock around
-these calls.
+most one factor is held; Newton factors each Jacobian afresh and keeps
+none.  build_barrier applies the operator to eta once per operator.  A
+reused factor or image is the very array the call would have recomputed,
+so every result is unchanged.  The state is not thread-safe: share an
+operator between threads only with a lock around these calls.
 
 The barrier construction follows the cutoff recipe: a radial profile equal
 to one on the domain and falling smoothly to zero at the truncation sphere.
@@ -39,6 +41,7 @@ keeps the bound constant strictly positive.
 
 from __future__ import annotations
 
+import os
 import weakref
 from dataclasses import dataclass
 from numbers import Integral
@@ -51,6 +54,7 @@ from .errors import (
     JacobianSingular,
     NewtonDiverged,
     NonPositiveLambda,
+    OperatorTooLarge,
     SingularSystem,
     ToolkitError,
     Validation,
@@ -129,7 +133,7 @@ class SemilinearSolution:
 
 @dataclass(eq=False)
 class _Retained:
-    """What _retained_factor and build_barrier keep for one operator."""
+    """What _solve_system and build_barrier keep for one operator."""
 
     diagonal: np.ndarray | None = None     # of the last factored system
     factor: np.ndarray | None = None       # its packed Cholesky factor, ni (ni + 1) / 2
@@ -147,6 +151,11 @@ def _full_field(grid: Grid, interior: np.ndarray, exterior: np.ndarray) -> Field
     return Field.from_values(grid, values)
 
 
+def _physical_memory() -> int:
+    """Bytes of physical memory on this machine."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
 def _factor_system(op: NonlocalOperator, diagonal: np.ndarray,
                    error: type[ToolkitError] = SingularSystem) -> np.ndarray:
     """Cholesky factor of the system matrix op.a_ii + diag(diagonal), in
@@ -156,11 +165,18 @@ def _factor_system(op: NonlocalOperator, diagonal: np.ndarray,
     from the interior block and the diagonal in one pass, which LAPACK
     factors in place.  Only diagonal can carry a non-finite value into the
     matrix, so it is checked instead of scanning the whole matrix; a
-    non-finite diagonal or a failed factorization raises error.
+    non-finite diagonal or a failed factorization raises error.  A factor
+    that would not fit in physical memory (2D h=2^-6 needs 1.04 GB, h=2^-7
+    15.8 GiB) raises OperatorTooLarge before anything is allocated.
     """
     if not np.isfinite(diagonal).all():
         raise error("the system matrix has a non-finite diagonal entry")
     ni = op.a_ii.shape[0]
+    need, have = ni * (ni + 1) // 2 * 8, _physical_memory()
+    if need > have:
+        raise OperatorTooLarge(
+            f"one packed factor of the system matrix, ni (ni + 1) / 2 floats, "
+            f"needs {need / 2**30:.1f} GiB, physical memory is {have / 2**30:.1f} GiB")
     packed = np.empty(ni * (ni + 1) // 2)
     op.a_ii.fill(packed, diagonal)
     factor, info = dpftrf(ni, packed, transr="N", uplo="L", overwrite_a=True)
@@ -183,34 +199,21 @@ def _solve(factor: np.ndarray, rhs: np.ndarray,
     return x.reshape(rhs.shape)
 
 
-def _retained_factor(op: NonlocalOperator, diagonal: np.ndarray):
-    """Factor of op.a_ii + diag(diagonal), kept with the operator.
+def _solve_system(op: NonlocalOperator, a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve (op.a_ii + diag(op.tail + a)) x = rhs, for one right-hand side
+    or its columns, against the factor kept with the operator.
 
-    Reused while diagonal is bit for bit the one last factored; otherwise
-    the old factor is dropped before the new one is computed, so one
-    operator holds at most one factor.
+    The factor is reused while the diagonal is bit for bit the one last
+    factored; otherwise the old factor is dropped before the new one is
+    computed, so one operator holds at most one factor.
     """
+    diagonal = op.tail + a
     state = _RETAINED.setdefault(op, _Retained())
     if state.diagonal is None or state.diagonal.tobytes() != diagonal.tobytes():
         state.diagonal = state.factor = None       # free the old factor first
         state.factor = _factor_system(op, diagonal)
         state.diagonal = diagonal
-    return state.factor
-
-
-def homogenize(op: NonlocalOperator, g: Field) -> tuple[Field, np.ndarray]:
-    """Split exterior data off the unknown.
-
-    Returns (g_tilde, h_source): the zero extension of g and the interior
-    source it induces, so that solving with zero exterior data and the
-    shifted source reproduces the original solution after adding g_tilde.
-    """
-    if not g.grid.same_as(op.grid):
-        raise GridMismatch("exterior data lives on a different grid")
-    if np.any(g.interior_values != 0.0):
-        raise Validation("exterior data must vanish on interior nodes")
-    h_source = apply_operator(op, g, farfield=0.0)
-    return g, h_source
+    return _solve(state.factor, rhs)
 
 
 def solve_linear(problem: LinearProblem) -> Field:
@@ -221,9 +224,8 @@ def solve_linear(problem: LinearProblem) -> Field:
     one, reused while the potential is bit for bit the same.
     """
     op = problem.op
-    factor = _retained_factor(op, op.tail + problem.a)
     rhs = problem.f - op.a_ie @ problem.g.exterior_values
-    u_int = _solve(factor, rhs)
+    u_int = _solve_system(op, problem.a, rhs)
     return _full_field(op.grid, u_int, problem.g.exterior_values)
 
 

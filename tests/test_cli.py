@@ -5,7 +5,7 @@ import pytest
 
 from fracschrod import Domain, build_grid
 from fracschrod.cli import main
-from fracschrod.fraclap import _physical_memory
+from fracschrod.solver import _physical_memory
 
 GETOOR = {
     "experiment": "solve",
@@ -129,10 +129,12 @@ def test_malformed_window_rejected_before_assembly(tmp_path, monkeypatch,
 
 
 def test_operator_too_large_exit_code(tmp_path):
-    # (-1,1)^2 at h=2^-7, R=3 needs 224 GiB of dense blocks
+    # (-1,1)^2 at h=2^-7, R=3 assembles, and its first solve needs one packed
+    # factor of 65025 rows, 15.8 GiB
     grid = build_grid(Domain.box((-1.0, -1.0), (1.0, 1.0)), 2.0**-7, 3.0)
-    if grid.n_interior * grid.n_nodes * 8 <= _physical_memory():
-        pytest.skip("this machine holds the dense blocks of the test grid")
+    ni = grid.n_interior
+    if ni * (ni + 1) // 2 * 8 <= _physical_memory():
+        pytest.skip("this machine holds one factor of the test grid")
     box = {"kind": "box-2d", "lower": [-1.0, -1.0], "upper": [1.0, 1.0]}
     cfg_path = write_config(tmp_path, dict(GETOOR, domain=box, h=2.0**-7, R=3.0))
     out = tmp_path / "out"

@@ -1,5 +1,4 @@
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,12 +20,11 @@ from fracschrod import fraclap
 from fracschrod.errors import (
     GridMismatch,
     NonPositiveRadius,
-    OperatorTooLarge,
     OrderOutOfRange,
     SingularOverlap,
 )
 from fracschrod.cauchy import neumann_derivative
-from fracschrod.fraclap import _blocks, _physical_memory, _Stencil
+from fracschrod.fraclap import _blocks, _Stencil
 from conftest import dense_exterior, dense_interior
 from oracles import cell_mass_quad_2d, fraclap_gaussian, fraclap_quad_1d, tail_mass_quad_2d
 
@@ -305,36 +303,6 @@ def test_far_tails_are_the_per_node_form(name):
             want.append(tail_mass(params, r_eff))
     got = _Stencil(grid, params).far_tails(np.arange(grid.n_nodes))
     assert np.array(got).tobytes() == np.array(want).tobytes()
-
-
-def test_operator_too_large_raises_before_allocating():
-    # (-1,1)^2 at h=2^-7, R=3: one packed factor of 65025 rows, 15.8 GiB
-    grid = build_grid(Domain.box((-1.0, -1.0), (1.0, 1.0)), 2.0**-7, 3.0)
-    ni = grid.n_interior
-    if ni * (ni + 1) // 2 * 8 <= _physical_memory():
-        pytest.skip("this machine holds one factor of the test grid")
-    tracemalloc.start()
-    try:
-        with pytest.raises(OperatorTooLarge, match="GiB"):
-            assemble(grid, 0.5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
-
-
-def test_size_guard_budgets_one_factor(monkeypatch):
-    # 2D h=2^-4: 961 interior rows, 7085 nodes; the guard needs one packed
-    # factor, ni (ni + 1) / 2 8 bytes (3.7 MB), not a dense ni^2 8 or ni N 8
-    grid = build_grid(Domain.box((-1.0, -1.0), (1.0, 1.0)), 2.0**-4, 3.0)
-    ni = grid.n_interior
-    budget = ni * (ni + 1) // 2 * 8
-    assert ni * grid.n_nodes * 8 > 2 * budget
-    monkeypatch.setattr(fraclap, "_physical_memory", lambda: budget)
-    assert assemble(grid, 0.5).a_ii.shape == (ni, ni)
-    monkeypatch.setattr(fraclap, "_physical_memory", lambda: budget - 1)
-    with pytest.raises(OperatorTooLarge, match="one packed factor of the system matrix"):
-        assemble(grid, 0.5)
 
 
 # 1D h=2^-5 at three orders and the two 2D golden grids

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -23,15 +24,23 @@ from fracschrod import (
     check_comparison,
     check_linf_bound,
     cns,
-    homogenize,
+    dn_map,
+    evaluate_at,
     solution_to_csv,
     solve_linear,
     solve_semilinear,
 )
 from fracschrod import solver
-from fracschrod.errors import JacobianSingular, NewtonDiverged, SingularSystem, Validation
+from fracschrod.errors import (
+    JacobianSingular,
+    NewtonDiverged,
+    OperatorTooLarge,
+    SingularSystem,
+    Validation,
+)
 from fracschrod.fraclap import _Stencil
-from fracschrod.solver import _factor_system
+from fracschrod.grid import Window
+from fracschrod.solver import _factor_system, _physical_memory, _solve_system
 from conftest import exterior_bump
 from oracles import picard_semilinear
 
@@ -40,18 +49,17 @@ def zeros_like_interior(op):
     return np.zeros(op.grid.n_interior)
 
 
+# homogenization: the zero extension of exterior data g induces the
+# interior source apply_operator(op, g), so solving with zero exterior data
+# and the shifted source reproduces the solution after adding g back
 def test_homogenize_zero_data(op_small):
-    g = Field.zeros(op_small.grid)
-    g_tilde, h_source = homogenize(op_small, g)
-    assert np.all(g_tilde.values == 0.0)
-    assert np.all(h_source == 0.0)
+    assert np.all(apply_operator(op_small, Field.zeros(op_small.grid)) == 0.0)
 
 
 def test_homogenize_sign(op_small):
     # interior nodes see an exterior bump only through the negative coupling
     g = exterior_bump(op_small.grid, 1.5, 0.25)
-    _, h_source = homogenize(op_small, g)
-    assert np.all(h_source < 0.0)
+    assert np.all(apply_operator(op_small, g) < 0.0)
 
 
 def test_homogenize_reconstruction(op_small):
@@ -61,11 +69,60 @@ def test_homogenize_reconstruction(op_small):
     f = rng.uniform(-1, 1, grid.n_interior)
     g = exterior_bump(grid, 1.5, 0.4, 0.8)
     direct = solve_linear(LinearProblem(op=op_small, a=a, f=f, g=g))
-    g_tilde, h_source = homogenize(op_small, g)
-    shifted = solve_linear(LinearProblem(op=op_small, a=a, f=f - h_source,
+    shifted = solve_linear(LinearProblem(op=op_small, a=a,
+                                         f=f - apply_operator(op_small, g),
                                          g=Field.zeros(grid)))
-    reconstructed = shifted.values + g_tilde.values
+    reconstructed = shifted.values + g.values
     assert np.max(np.abs(reconstructed - direct.values)) <= 1e-10
+
+
+def test_size_guard_budgets_one_factor(monkeypatch):
+    # 2D h=2^-4: 961 interior rows, 7085 nodes; the guard sits at the factor
+    # request and needs one packed factor, ni (ni + 1) / 2 8 bytes (3.7 MB),
+    # not a dense ni^2 8 or ni N 8; the operator itself never needs it
+    grid = build_grid(Domain.box((-1.0, -1.0), (1.0, 1.0)), 2.0**-4, 3.0)
+    ni = grid.n_interior
+    budget = ni * (ni + 1) // 2 * 8
+    assert ni * grid.n_nodes * 8 > 2 * budget
+    g = exterior_bump(grid, (1.5, 0.0), 0.5)
+    window = Window(grid, grid.exterior_index[:2])
+    monkeypatch.setattr(solver, "_physical_memory", lambda: budget)
+    solve_linear(LinearProblem(op=assemble(grid, 0.5), a=np.zeros(ni),
+                               f=np.ones(ni), g=g))
+    monkeypatch.setattr(solver, "_physical_memory", lambda: budget - 1)
+    op = assemble(grid, 0.5)
+    assert apply_operator(op, g).shape == (ni,)
+    assert evaluate_at(op, g, window.indices).shape == (2,)
+    solves = (
+        lambda: solve_linear(LinearProblem(op=op, a=np.zeros(ni), f=np.ones(ni), g=g)),
+        lambda: solve_semilinear(op, catalogue("saturating-cubic", 1.0), g),
+        lambda: dn_map(op, np.zeros(ni), window),
+    )
+    for call in solves:
+        with pytest.raises(OperatorTooLarge, match="one packed factor of the system matrix"):
+            call()
+
+
+def test_operator_too_large_raises_before_allocating():
+    # (-1,1)^2 at h=2^-7, R=3: the operator assembles and applies, and one
+    # packed factor of 65025 rows, 15.8 GiB, is refused before allocation
+    grid = build_grid(Domain.box((-1.0, -1.0), (1.0, 1.0)), 2.0**-7, 3.0)
+    ni = grid.n_interior
+    if ni * (ni + 1) // 2 * 8 <= _physical_memory():
+        pytest.skip("this machine holds one factor of the test grid")
+    op = assemble(grid, 0.5)
+    assert apply_operator(op, Field.zeros(grid)).shape == (ni,)
+    a, rhs = np.zeros(ni), np.ones(ni)
+    tracemalloc.start()
+    try:
+        with pytest.raises(OperatorTooLarge, match="GiB"):
+            _solve_system(op, a, rhs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    with pytest.raises(OperatorTooLarge):
+        solve_linear(LinearProblem(op=op, a=a, f=rhs, g=Field.zeros(grid)))
 
 
 def test_solve_linear_getoor(op_fine):
