@@ -40,8 +40,8 @@ from .cauchy import CauchyDatum, mass_m
 from .fraclap import NonlocalOperator, _blocks, _Stencil
 from .grid import Field, Grid, Window
 from .nonlinearity import Nonlinearity
-from .solver import (LinearProblem, NewtonConfig, _solve_system, solve_linear,
-                     solve_semilinear)
+from .solver import (LinearProblem, NewtonConfig, _checked_potential, _solve_system,
+                     solve_linear, solve_semilinear)
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
@@ -138,6 +138,8 @@ class DnMatrix:
     def __post_init__(self):
         if self.matrix.shape != (self.window.size, len(self.probes)):
             raise GridMismatch("response matrix shape does not match probes")
+        if not np.all(np.isfinite(self.matrix)):
+            raise Validation("response matrix contains non-finite values")
 
 
 def canonical_probes(window: Window) -> list[tuple[str, Field]]:
@@ -160,7 +162,8 @@ class _DnAssembler:
     asks for it) factors nothing and the operator holds at most one factor.
     Set-up forms no array over all N nodes against all p probes: probe
     values are held at their support and at the window only, and the window
-    rows are formed one batch at a time.
+    rows are formed one batch at a time, each giving the zero-extension
+    term and the Neumann kernel, its interior columns negated.
     """
 
     def __init__(self, op: NonlocalOperator, window: Window,
@@ -178,10 +181,9 @@ class _DnAssembler:
         pw = np.stack([f.values[window.indices] for f in self.fields], axis=1)
         if np.linalg.matrix_rank(pw) < len(self.fields):
             raise RankDeficientProbes("probes are dependent as window vectors")
+        mass = mass_m(grid, op.params, window.indices)
 
         stencil = _Stencil(grid, op.params)
-        kern = stencil.midpoint(window.indices, grid.interior_index)
-        self.neumann_lin = -kern                       # action on interior values
         # the probes' exterior support and their values there, by exact
         # columns of -a_ie
         support = np.unique(np.concatenate([np.flatnonzero(f.values)
@@ -190,14 +192,16 @@ class _DnAssembler:
         self.rhs = stencil.rows(grid.interior_index, support)[0] @ values
         # constant-in-potential part of each column: the Neumann kernel's
         # mass, the kernel mass m and the zero-extension term, by the
-        # operator rows at window nodes
+        # operator rows at window nodes; no correction reaches an interior
+        # column from a window node, at least h from the domain (mass_m)
+        self.neumann_lin = np.empty((window.size, grid.n_interior))
         e0 = np.empty(pw.shape)
         for sl in _blocks(window.size, grid.n_nodes):
             rows, tails = stencil.rows(window.indices[sl])
+            np.negative(rows[:, grid.interior_index], out=self.neumann_lin[sl])
             e0[sl] = (pw[sl] * (rows.sum(axis=1) + tails)[:, None]
                       - rows[:, support] @ values)
-        self.const = (pw * kern.sum(axis=1)[:, None]
-                      - mass_m(grid, op.params, window.indices)[:, None] * pw + e0)
+        self.const = pw * -self.neumann_lin.sum(axis=1)[:, None] - mass[:, None] * pw + e0
 
     def matrix(self, a: np.ndarray) -> np.ndarray:
         return self.const + self.neumann_lin @ _solve_system(self.op, a, self.rhs)
@@ -215,11 +219,10 @@ def dn_map(op: NonlocalOperator, a: np.ndarray, window: Window,
     """Assemble the linearized DN matrix for a nonnegative potential.
 
     Column k holds the operator values of the linearized solution driven by
-    probe k, evaluated on the window through the exterior identity.
+    probe k, evaluated on the window through the exterior identity.  The
+    potential is checked as the solver checks it, before any set-up.
     """
-    a = np.asarray(a, dtype=float)
-    if np.any(a < 0):
-        raise Validation("potential a must be nonnegative")
+    a = _checked_potential(op, a)
     if probes is None:
         probes = canonical_probes(window)
     asm = _DnAssembler(op, window, probes)
@@ -230,6 +233,7 @@ def dn_map(op: NonlocalOperator, a: np.ndarray, window: Window,
 @dataclass(frozen=True, eq=False)
 class RecoveryResult:
     a_estimate: np.ndarray
+    fitted: DnMatrix        # the DN matrix at a_estimate
     misfit: float
     objective: float
     n_evaluations: int
@@ -243,14 +247,15 @@ def recover_potential(reference_op: NonlocalOperator, measurements: DnMatrix,
     Minimizes the squared Frobenius misfit plus lambda_reg ||a||^2 over
     a >= 0, with the Tikhonov term carried as augmented residual rows and
     the analytic potential-derivative of the forward map; the optimizer is
-    a trust-region Gauss-Newton iteration honoring the bound.  Raises
-    MisfitStagnation (carrying the last iterate) when no descent happens.
+    a trust-region Gauss-Newton iteration honoring the bound.  The result
+    carries the DN matrix at the estimate, fitted.  Raises MisfitStagnation
+    (carrying the last iterate) when no descent happens.
     """
     # scipy.optimize takes about 0.1 s to import and only this function uses it
     from scipy.optimize import least_squares
 
-    if lambda_reg < 0:
-        raise Validation("lambda_reg must be nonnegative")
+    if not (np.isfinite(lambda_reg) and lambda_reg >= 0):
+        raise Validation("lambda_reg must be finite and nonnegative")
     ni = reference_op.grid.n_interior
     asm = _DnAssembler(reference_op, measurements.window,
                        list(zip(measurements.probe_ids, measurements.probes)))
@@ -271,11 +276,12 @@ def recover_potential(reference_op: NonlocalOperator, measurements: DnMatrix,
     result = least_squares(residuals, a0, jac=jac, bounds=(0.0, np.inf),
                            method="trf", xtol=1e-15, ftol=1e-15, gtol=1e-15,
                            max_nfev=max_evaluations)
-    misfit = float(np.linalg.norm(asm.matrix(result.x) - target))
+    fitted = DnMatrix(asm.window, asm.fields, asm.ids, asm.matrix(result.x))
     if cost0 > 1e-24 and result.cost >= cost0 * (1 - 1e-12):
         raise MisfitStagnation("recovery made no progress",
                                last_iterate=result.x)
-    return RecoveryResult(a_estimate=result.x, misfit=misfit,
+    return RecoveryResult(a_estimate=result.x, fitted=fitted,
+                          misfit=float(np.linalg.norm(fitted.matrix - target)),
                           objective=float(2 * result.cost),
                           n_evaluations=int(result.nfev))
 
@@ -290,8 +296,8 @@ def strong_uniqueness_probe(grid: Grid, op: NonlocalOperator,
     value, or zero when the map has fewer rows than unknowns and cannot be
     injective.
     """
-    if not window.grid.same_as(grid):
-        raise GridMismatch("window grid differs")
+    if not (window.grid.same_as(grid) and op.grid.same_as(grid)):
+        raise GridMismatch("window or operator grid differs")
     n = grid.n_nodes
     k = window.size
     if 2 * k < n:

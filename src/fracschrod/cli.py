@@ -20,6 +20,7 @@ import os
 import platform
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -69,10 +70,18 @@ DEFAULTS = {
 }
 
 
+def _finite(literal: str) -> float:
+    """A JSON number or NaN/Infinity constant, refused unless finite."""
+    value = float(literal)
+    if not np.isfinite(value):
+        raise Validation(f"config number {literal} is not finite")
+    return value
+
+
 def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_constant=_finite, parse_float=_finite)
     except OSError as err:
         raise ConfigParse(f"cannot read config: {err}") from err
     except json.JSONDecodeError as err:
@@ -246,18 +255,12 @@ def run_recover(cfg: dict, out: Path) -> dict:
     grid, op = _grid_and_operator(cfg)
     window = annulus_window(grid, *band)
     a_true = _profile_values(cfg["truth"], grid)
-    if np.any(a_true < 0):
-        raise Validation("truth potential must be nonnegative")
     measurements = dn_map(op, a_true, window)
     noise = float(cfg["noise"])
     if noise > 0:
         rng = np.random.default_rng(int(cfg["seed"]))
-        noisy = measurements.matrix * (1.0 + noise * rng.standard_normal(
-            measurements.matrix.shape))
-        measurements = type(measurements)(window=measurements.window,
-                                          probes=measurements.probes,
-                                          probe_ids=measurements.probe_ids,
-                                          matrix=noisy)
+        measurements = replace(measurements, matrix=measurements.matrix * (
+            1.0 + noise * rng.standard_normal(measurements.matrix.shape)))
     result = recover_potential(op, measurements, float(cfg["regularization"]))
     rel = (float(np.linalg.norm(result.a_estimate - a_true)
                  / max(np.linalg.norm(a_true), 1e-300)))
@@ -265,10 +268,8 @@ def run_recover(cfg: dict, out: Path) -> dict:
     rows = [tuple(map(float, p)) + (float(t), float(e))
             for p, t, e in zip(grid.interior_nodes, a_true, result.a_estimate)]
     write_csv(out / "recover.csv", header, rows)
-    fitted = dn_map(op, result.a_estimate, window,
-                    probes=list(zip(measurements.probe_ids, measurements.probes)))
     write_csv(out / "misfit.csv", ["probe", "misfit"],
-              [(pid, float(np.linalg.norm(fitted.matrix[:, k]
+              [(pid, float(np.linalg.norm(result.fitted.matrix[:, k]
                                           - measurements.matrix[:, k])))
                for k, pid in enumerate(measurements.probe_ids)])
     return {"misfit": result.misfit, "relative_l2_error": rel,

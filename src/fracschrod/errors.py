@@ -16,6 +16,10 @@ class NonPositiveSpacing(ToolkitError):
     """Grid spacing h must be strictly positive."""
 
 
+class NonFiniteGrid(ToolkitError):
+    """Grid spacing h or truncation radius R is NaN or infinite."""
+
+
 class TruncationTooSmall(ToolkitError):
     """Truncation radius R does not leave room for an exterior ring."""
 

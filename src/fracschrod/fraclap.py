@@ -35,9 +35,8 @@ entries can still be formed bit for bit: a_ii.fill writes the lower
 triangle of the interior block plus a diagonal in packed storage, the
 system matrix the solver factors, and _Stencil.rows, the one place the
 sparse corrections are applied, gives a_ie's entries negated when
-restricted to exterior columns.  The stencil
-is cheap enough to rebuild per call; the assembled operator is immutable
-and apply() is a pure function.
+restricted to exterior columns.  The stencil is cheap enough to rebuild
+per call; the assembled operator is immutable and apply() is pure.
 """
 
 from __future__ import annotations
@@ -198,52 +197,21 @@ class _Stencil:
         self.share[nn:] = np.where(on_face & ext[outward], outward, -1)
         self.count = np.count_nonzero(self.share >= 0, axis=1)
 
-    def midpoint(self, targets, cols, out=None) -> np.ndarray:
+    def midpoint(self, targets, cols) -> np.ndarray:
         """Midpoint weights between target nodes (rows) and cells (cols).
 
         Each row is one gather from a shifted view of the kernel, so no
-        index array of the block's size is formed; out receives the block.
-        The offsets lie inside the kernel by construction, so the gather
-        clips instead of checking bounds (which buffers out, 1.5x slower).
+        index array of the block's size is formed.  The offsets lie inside
+        the kernel by construction, so the gather clips instead of checking
+        bounds (which buffers out, 1.5x slower).
         """
         keys = self.keys[targets]
         low = keys.min(initial=0)
         base = self.origin + low - self.keys[cols]
-        if out is None:
-            out = np.empty((keys.size, base.size))
+        out = np.empty((keys.size, base.size))
         for row, shift in zip(out, keys - low):
             np.take(self.kernel[shift:], base, out=row, mode="clip")
         return out
-
-    def corrections(self, targets) -> tuple[list, np.ndarray]:
-        """Sparse additions to the midpoint rows at the targets, and the mass
-        they leave over.
-
-        Returns (adds, spill): adds lists (row, node, mass) batches, row local
-        to targets, in the order they apply (the boundary cells, then the
-        singular mass of each -/+ axis step); no batch repeats a (row, node)
-        pair.  Mass no node receives goes to spill; a target's tail
-        coefficient is its spill plus far_tails.
-        """
-        targets = np.asarray(targets, dtype=int)
-        m = targets.size
-        adds, tail = [], np.zeros(m)
-        bd = np.arange(self.grid.n_nodes, len(self.keys))
-        self._spread(adds, tail, np.repeat(np.arange(m), bd.size), np.tile(bd, m),
-                     self.midpoint(targets, bd).ravel())
-        steps = np.repeat(self.strides, 2) * np.tile([-1, 1], len(self.strides))
-        cells = self.table[self.origin + self.keys[targets] + steps[:, None]].ravel()
-        self._spread(adds, tail, np.tile(np.arange(m), steps.size), cells,
-                     np.full(cells.size, self.w_sing))
-        return adds, tail
-
-    def _spread(self, adds, tail, rows, cells, mass) -> None:
-        """Share the mass of each (row, cell) pair among the cell's nodes, else tail."""
-        count = np.where(cells >= 0, self.count[cells], 0)
-        for col in self.share[cells].T:
-            has = (cells >= 0) & (col >= 0)
-            adds.append((rows[has], col[has], mass[has] / count[has]))
-        np.add.at(tail, rows[count == 0], mass[count == 0])
 
     def rows(self, targets, cols=None) -> tuple[np.ndarray, np.ndarray]:
         """Weights (m, len(cols)) from the targets to the distinct nodes cols
@@ -254,18 +222,31 @@ class _Stencil:
 
         the sum over every node j; w_gg is nonzero one step off a face (g
         receives the boundary cell's mass) and multiplies u_g - u_g.  The
-        only code that applies corrections.
+        only code that applies corrections: to the midpoint weights it adds
+        the mass of each boundary cell, then the singular mass of each -/+
+        axis step, shared among the nodes the cell is attributed to; mass no
+        node receives spills to the tail, ahead of far_tails.
         """
         nn = self.grid.n_nodes
+        targets = np.asarray(targets, dtype=int)
         cols = np.arange(nn) if cols is None else np.asarray(cols, dtype=int)
-        where = np.full(nn, -1)
+        where = np.full(nn + 1, -1)        # where[-1] = -1: a padding -1 misses
         where[cols] = np.arange(cols.size)
-        w = self.midpoint(targets, cols)
-        adds, tail = self.corrections(targets)
+        w, tail, m = self.midpoint(targets, cols), np.zeros(targets.size), targets.size
+        bd = np.arange(nn, len(self.keys))
+        steps = np.repeat(self.strides, 2) * np.tile([-1, 1], len(self.strides))
+        for rows, cells, mass in (
+                (np.repeat(np.arange(m), bd.size), np.tile(bd, m),
+                 self.midpoint(targets, bd).ravel()),
+                (np.tile(np.arange(m), steps.size),
+                 self.table[self.origin + self.keys[targets] + steps[:, None]].ravel(),
+                 np.full(steps.size * m, self.w_sing))):
+            count = np.where(cells >= 0, self.count[cells], 0)
+            for node in self.share[cells].T:
+                hit = (cells >= 0) & (where[node] >= 0)
+                w[rows[hit], where[node[hit]]] += mass[hit] / count[hit]
+            np.add.at(tail, rows[count == 0], mass[count == 0])
         tail += self.far_tails(targets)
-        for row, node, mass in adds:
-            hit = where[node] >= 0
-            w[row[hit], where[node[hit]]] += mass[hit]
         return w, tail
 
     def far_tails(self, targets) -> list[float]:

@@ -22,6 +22,7 @@ import numpy as np
 from .errors import (
     EmptyInterior,
     GridMismatch,
+    NonFiniteGrid,
     NonFiniteSample,
     NonPositiveSpacing,
     SpacingMismatch,
@@ -213,12 +214,14 @@ def build_grid(domain: Domain, h: float, R: float) -> Grid:
     """Construct the node set for a domain, spacing, and truncation radius.
 
     The lattice is anchored at the domain center, so identical inputs always
-    produce identical node orderings.  Raises NonPositiveSpacing,
-    TruncationTooSmall (R smaller than the domain diameter), SpacingMismatch
-    (h does not divide the domain extent), or EmptyInterior.
+    produce identical node orderings.  Raises NonPositiveSpacing, NonFiniteGrid,
+    TruncationTooSmall (R below the domain diameter) or SpacingMismatch (h
+    does not divide the domain extent) before any array, then EmptyInterior.
     """
     if not h > 0:
         raise NonPositiveSpacing(f"h = {h}")
+    if not (np.isfinite(h) and np.isfinite(R)):
+        raise NonFiniteGrid(f"h = {h} and R = {R} must be finite")
     if R < domain.diameter * (1 - 1e-12):
         raise TruncationTooSmall(
             f"R = {R} must reach at least the domain diameter {domain.diameter}")

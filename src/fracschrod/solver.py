@@ -65,6 +65,19 @@ from .nonlinearity import Nonlinearity
 from .serialize import write_csv
 
 
+def _checked_potential(op: NonlocalOperator, a) -> np.ndarray:
+    """a as floats, checked as every solve at a potential checks it: one
+    value per interior node of op (GridMismatch), finite and >= 0 (Validation)."""
+    a = np.asarray(a, dtype=float)
+    if a.shape != (op.grid.n_interior,):
+        raise GridMismatch("potential a must have one value per interior node")
+    if not np.all(np.isfinite(a)):
+        raise Validation("potential a must be finite")
+    if np.any(a < 0):
+        raise Validation("potential a must be nonnegative")
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class LinearProblem:
     """Data for L u + a u = f with exterior values g.
@@ -79,17 +92,14 @@ class LinearProblem:
     g: Field
 
     def __post_init__(self):
-        ni = self.op.grid.n_interior
-        a = np.asarray(self.a, dtype=float)
+        a = _checked_potential(self.op, self.a)
         f = np.asarray(self.f, dtype=float)
-        if a.shape != (ni,) or f.shape != (ni,):
-            raise GridMismatch("a and f must have one value per interior node")
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(f))):
-            raise Validation("potential a and source f must be finite")
+        if f.shape != a.shape:
+            raise GridMismatch("source f must have one value per interior node")
+        if not np.all(np.isfinite(f)):
+            raise Validation("source f must be finite")
         if not self.g.grid.same_as(self.op.grid):
             raise GridMismatch("exterior data lives on a different grid")
-        if np.any(a < 0):
-            raise Validation("potential a must be nonnegative")
         if np.any(self.g.interior_values != 0.0):
             raise Validation("exterior data must vanish on interior nodes")
         object.__setattr__(self, "a", a)
@@ -310,13 +320,7 @@ def build_barrier(op: NonlocalOperator, a: np.ndarray) -> Barrier:
     sphere; lam is the minimum over interior nodes of L eta + a eta.
     """
     grid = op.grid
-    a = np.asarray(a, dtype=float)
-    if a.shape != (grid.n_interior,):
-        raise GridMismatch("potential must have one value per interior node")
-    if not np.all(np.isfinite(a)):
-        raise Validation("potential a must be finite")
-    if np.any(a < 0):
-        raise Validation("potential a must be nonnegative")
+    a = _checked_potential(op, a)
     eta, image = _cutoff(op)
     values = image + a * eta.interior_values
     lam = float(np.min(values))

@@ -31,7 +31,9 @@ from fracschrod import (
     solve_semilinear,
     strong_uniqueness_probe,
 )
-from fracschrod.errors import BankMismatch, InvalidRange, RankDeficientProbes
+from fracschrod.calderon import DnMatrix
+from fracschrod.errors import (BankMismatch, GridMismatch, InvalidRange,
+                               RankDeficientProbes, Validation)
 from fracschrod.solver import LinearProblem
 from conftest import exterior_bump
 
@@ -231,6 +233,21 @@ def test_dn_map_rank_deficient_probes(op_coarse):
                probes=probes)
 
 
+@pytest.mark.parametrize("a, error", [
+    (np.zeros(5), GridMismatch),            # op_coarse has 15 interior nodes
+    (np.full(15, np.nan), Validation),
+])
+def test_dn_map_checks_its_potential_before_set_up(op_coarse, monkeypatch, a, error):
+    from fracschrod import calderon
+
+    def no_set_up(*args):
+        raise AssertionError("the DN set-up ran before the potential was checked")
+
+    monkeypatch.setattr(calderon, "_DnAssembler", no_set_up)
+    with pytest.raises(error):
+        dn_map(op_coarse, a, recovery_window(op_coarse.grid))
+
+
 def test_dn_map_locally_injective(op_coarse):
     # the potential-to-response map has a trivial-kernel Jacobian at a = 0.5
     from fracschrod.calderon import _DnAssembler
@@ -312,6 +329,35 @@ def test_recover_two_bump_potential(op_coarse):
     assert rel < 0.10, rel
 
 
+def test_recover_returns_the_dn_matrix_it_fitted(op_coarse):
+    window = recovery_window(op_coarse.grid)
+    measurements = dn_map(op_coarse, 0.5 * np.ones(op_coarse.grid.n_interior), window)
+    result = recover_potential(op_coarse, measurements, lambda_reg=0.0,
+                               max_evaluations=20)
+    probes = list(zip(measurements.probe_ids, measurements.probes))
+    want = dn_map(op_coarse, result.a_estimate, window, probes)
+    assert result.fitted.matrix.tobytes() == want.matrix.tobytes()
+    assert result.fitted.probe_ids == want.probe_ids
+    assert result.misfit == float(np.linalg.norm(want.matrix - measurements.matrix))
+
+
+@pytest.mark.parametrize("lambda_reg", [np.nan, np.inf])
+def test_recover_rejects_a_non_finite_lambda(op_coarse, lambda_reg):
+    window = recovery_window(op_coarse.grid)
+    measurements = dn_map(op_coarse, np.zeros(op_coarse.grid.n_interior), window)
+    with pytest.raises(Validation, match="lambda_reg"):
+        recover_potential(op_coarse, measurements, lambda_reg=lambda_reg)
+
+
+def test_dn_matrix_rejects_non_finite_entries(op_coarse):
+    clean = dn_map(op_coarse, np.zeros(op_coarse.grid.n_interior),
+                   recovery_window(op_coarse.grid))
+    spoiled = clean.matrix.copy()
+    spoiled[1, 2] = np.nan
+    with pytest.raises(Validation, match="non-finite"):
+        DnLike(clean, spoiled)
+
+
 def test_recover_stagnation(op_coarse):
     # measurements extrapolated beyond the a >= 0 cone: the best fit needs a
     # negative potential, so the bounded iteration cannot descend
@@ -387,6 +433,15 @@ def test_probe_operator_rows_are_evaluate_at(op_coarse, monkeypatch):
     want = np.array(columns).T
     want /= np.linalg.norm(want, axis=1, keepdims=True)
     assert np.max(np.abs(captured[0][window.size:] - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("h, R", [(1.0 / 4, 3.0), (1.0 / 16, 4.0)])
+def test_probe_rejects_an_operator_of_another_grid(op_coarse, h, R):
+    # a smaller grid's rows would index past it, a larger one's be wrong
+    grid = op_coarse.grid
+    other = assemble(build_grid(Domain.interval(-1, 1), h, R), 0.5)
+    with pytest.raises(GridMismatch):
+        strong_uniqueness_probe(grid, other, next(probe_windows(grid, [grid.n_exterior])))
 
 
 def test_probe_full_window_positive_and_largest():

@@ -20,6 +20,10 @@ GETOOR = {
 }
 
 
+# a recovery that runs to the end on the GETOOR domain
+RECOVER = {"experiment": "recover", "h": 0.25, "window": {"inner": 0.25, "outer": 1.0}}
+
+
 def write_config(tmp_path, cfg, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
@@ -80,6 +84,10 @@ def test_malformed_order_rejected(tmp_path):
      1, "Validation"),
     # with zero exterior data Newton would report -3 iterations
     ({"experiment": "forward", "newton": {"max_iters": -3}}, 1, "Validation"),
+    # JSON's NaN is refused on load, wherever it stands
+    ({"R": float("nan")}, 1, "Validation"),
+    (dict(RECOVER, regularization=float("nan")), 1, "Validation"),
+    (dict(RECOVER, noise=float("nan")), 1, "Validation"),
 ])
 def test_exit_codes(tmp_path, capsys, override, code, error):
     out = tmp_path / "out"

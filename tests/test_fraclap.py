@@ -273,12 +273,13 @@ def test_rows_over_columns_are_columns_of_the_rows(name):
 
 def test_assembly_forms_no_row(monkeypatch):
     # both row sums are convolutions with ones, so assembly gathers no
-    # stencil row and applies no sparse correction
+    # stencil row and applies no sparse correction (rows is the only code
+    # that applies them)
     def forbidden(*args, **kwargs):
         raise AssertionError("assemble formed stencil rows")
 
     monkeypatch.setattr(_Stencil, "midpoint", forbidden)
-    monkeypatch.setattr(_Stencil, "corrections", forbidden)
+    monkeypatch.setattr(_Stencil, "rows", forbidden)
     for name in ("1d-offset", "2d-rect"):
         domain, h, R, s = FILL_GRIDS[name]
         op = assemble(build_grid(domain, h, R), s)

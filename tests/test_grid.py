@@ -15,6 +15,7 @@ from fracschrod import (
 )
 from fracschrod.errors import (
     GridMismatch,
+    NonFiniteGrid,
     NonFiniteSample,
     NonPositiveSpacing,
     SpacingMismatch,
@@ -41,6 +42,14 @@ def test_truncation_too_small():
 def test_nonpositive_spacing():
     with pytest.raises(NonPositiveSpacing):
         build_grid(Domain.interval(-1, 1), 0.0, 2.0)
+
+
+@pytest.mark.parametrize("h, R", [(0.5, np.nan), (0.5, np.inf), (np.inf, 2.0)])
+def test_non_finite_spacing_or_radius(h, R):
+    # checked before any array is built: no raw ValueError, OverflowError
+    # or RuntimeWarning from the lattice
+    with pytest.raises(NonFiniteGrid):
+        build_grid(Domain.interval(-1, 1), h, R)
 
 
 def test_spacing_mismatch():
