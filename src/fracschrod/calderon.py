@@ -101,21 +101,27 @@ def linearization_study(op: NonlocalOperator, nl: Nonlinearity, g: Field,
 
     grid = op.grid
     base = solve_semilinear(op, nl, g, cfg)
+    solutions = []
+    for eta in etas:
+        data = Field.from_values(grid, g.values + eta * h.values)
+        try:
+            solutions.append(solve_semilinear(op, nl, data, cfg).u)
+        except NewtonDiverged:
+            solutions.append(None)
+    # the Newton solves share the operator's factor of J0 and the linearized
+    # system needs its own, so solving it last factors each system once
     dq_ref = np.asarray(nl.dq(grid.interior_nodes, base.u.interior_values))
     u_star = solve_linearized(op, dq_ref, h)
     scale = grid.h ** (grid.dim / 2.0)
 
     errors_l2, errors_sup, converged = [], [], []
-    for eta in etas:
-        data = Field.from_values(grid, g.values + eta * h.values)
-        try:
-            sol = solve_semilinear(op, nl, data, cfg)
-        except NewtonDiverged:
+    for eta, u in zip(etas, solutions):
+        if u is None:
             errors_l2.append(float("nan"))
             errors_sup.append(float("nan"))
             converged.append(False)
             continue
-        w = (sol.u.values - base.u.values) / eta
+        w = (u.values - base.u.values) / eta
         diff = w - u_star.values
         errors_l2.append(float(scale * np.sqrt(np.sum(diff**2))))
         errors_sup.append(float(np.max(np.abs(diff))))

@@ -40,12 +40,14 @@ from .solver import NewtonConfig, solve_semilinear
 
 @dataclass(frozen=True, eq=False)
 class CauchyDatum:
-    """Paired exterior trace and Neumann trace on a window."""
+    """Paired exterior trace and Neumann trace on a window, with the CG
+    iterations of each Newton step of the solve behind it."""
 
     window: Window
     trace: np.ndarray
     neumann: np.ndarray
     provenance: str
+    cg_iterations: tuple[int, ...] = ()
 
     def __post_init__(self):
         k = self.window.size
@@ -79,7 +81,9 @@ def neumann_derivative(grid: Grid, params: FracParams, u: Field,
     ui = u.interior_values
     ux = u.values[indices]
     out = np.empty(indices.size)
-    for sl in _blocks(indices.size, ui.size):
+    # batches of an eighth of _blocks' default, so the kernel rows and the
+    # differences each hold at most 512 KiB
+    for sl in _blocks(indices.size, 8 * ui.size):
         kern = stencil.midpoint(indices[sl], grid.interior_index)
         out[sl] = np.einsum("kj,kj->k", kern, ux[sl, None] - ui[None, :])
     return out
@@ -141,7 +145,7 @@ def make_cauchy_datum(grid: Grid, op: NonlocalOperator, nl: Nonlinearity,
     trace = sol.u.values[window.indices].copy()
     neumann = neumann_derivative(grid, op.params, sol.u, window.indices)
     return CauchyDatum(window=window, trace=trace, neumann=neumann,
-                       provenance=provenance)
+                       provenance=provenance, cg_iterations=sol.cg_iterations)
 
 
 def build_cauchy_bank(grid: Grid, op: NonlocalOperator, nl: Nonlinearity,

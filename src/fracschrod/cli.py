@@ -78,10 +78,19 @@ def _finite(literal: str) -> float:
     return value
 
 
+def _integer(literal: str) -> int:
+    """A JSON integer, refused unless a float can hold it."""
+    if not np.isfinite(float(literal)):
+        raise Validation(
+            f"config integer {literal[:20]}... is beyond the float range")
+    return int(literal)
+
+
 def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            raw = json.load(fh, parse_constant=_finite, parse_float=_finite)
+            raw = json.load(fh, parse_constant=_finite, parse_float=_finite,
+                            parse_int=_integer)
     except OSError as err:
         raise ConfigParse(f"cannot read config: {err}") from err
     except json.JSONDecodeError as err:
@@ -182,6 +191,7 @@ def run_forward(cfg: dict, out: Path) -> dict:
     solution_to_csv(out / "solution.csv", sol.u)
     trace_to_csv(out / "newton_trace.csv", sol.residuals)
     summary = {"iterations": sol.iterations,
+               "cg_iterations": list(sol.cg_iterations),
                "final_residual": float(sol.residuals[-1])}
     if band is not None:
         window = annulus_window(grid, *band)
@@ -190,6 +200,8 @@ def run_forward(cfg: dict, out: Path) -> dict:
         bank = build_cauchy_bank(grid, op, nl, probes, window, newton)
         dump(bank_to_json(bank), out / "cauchy_bank.json")
         summary["bank_size"] = len(bank)
+        summary["bank_cg_iterations"] = {d.provenance: list(d.cg_iterations)
+                                         for d in bank}
     return summary
 
 

@@ -91,6 +91,11 @@ class JacobianSingular(ToolkitError):
     """Newton Jacobian not invertible; signals a negative derivative."""
 
 
+class StepNotConverged(ToolkitError):
+    """Preconditioned CG for a Newton step met a non-positive curvature or
+    missed its tolerance within the iteration cap."""
+
+
 class NonPositiveLambda(ToolkitError):
     """Barrier construction produced a nonpositive kernel-mass bound."""
 

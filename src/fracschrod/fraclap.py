@@ -174,11 +174,16 @@ class _Stencil:
         if np.count_nonzero(self.table >= 0) < len(points):
             raise SingularOverlap("two cells share a lattice point")
 
-        axis = h * np.arange(-2 * k, 2 * k + 1)
-        offsets = np.stack(np.meshgrid(*([axis] * n), indexing="ij"), axis=-1)
-        d = np.linalg.norm(offsets, axis=-1).ravel()
+        # |offset| as the root of the squared axis offsets summed in axis
+        # order (what linalg.norm computes), by broadcasting and in place
+        square = (h * np.arange(-2 * k, 2 * k + 1)) ** 2
+        d = square
+        for _ in range(n - 1):
+            d = np.add.outer(d, square)
+        d = np.sqrt(d, out=d).ravel()
         d[self.origin] = 1.0
-        self.kernel = params.cns * h**n / d ** (n + 2 * params.s)
+        d **= n + 2 * params.s
+        self.kernel = np.divide(params.cns * h**n, d, out=d)
         self.kernel[self.origin] = 0.0
 
         self.grid, self.params, self.center = grid, params, center

@@ -16,7 +16,7 @@ place a factor is allocated, raises OperatorTooLarge before allocating one
 that would not fit in physical memory, so any operator can be assembled and
 applied.  LAPACK is called without finiteness scans of the matrix; the
 diagonal and each right-hand side, the only places a non-finite value can
-enter, are checked instead and raise the caller's error.
+enter, are checked instead and raise SingularSystem.
 
 Each assembled operator retains two pieces of state here, held through a
 weak reference so they die with the operator: the last system factored
@@ -26,11 +26,14 @@ eta with its image L eta.  _solve_system is the one call for a solve at a
 potential; solve_linear and the DN assembly in calderon both go through
 it, so they share the one factor.  It reuses the factor while the diagonal
 is bit for bit the same and frees it before factoring a new one, so at
-most one factor is held; Newton factors each Jacobian afresh and keeps
-none.  build_barrier applies the operator to eta once per operator.  A
-reused factor or image is the very array the call would have recomputed,
-so every result is unchanged.  The state is not thread-safe: share an
-operator between threads only with a lock around these calls.
+most one factor is held.  Newton factors no Jacobian: each Jacobian is
+J0 + diag(dq) with dq >= 0, J0 = a_ii + diag(tail) the system at potential
+zero, so its step is conjugate gradients preconditioned by J0's retained
+factor, and every Newton solve on an operator (and a solve_linear at a = 0)
+shares that one factor.  build_barrier applies the operator to eta once per
+operator.  A reused factor or image is the very array the call would have
+recomputed, so every result is unchanged.  The state is not thread-safe:
+share an operator between threads only with a lock around these calls.
 
 The barrier construction follows the cutoff recipe: a radial profile equal
 to one on the domain and falling smoothly to zero at the truncation sphere.
@@ -56,7 +59,7 @@ from .errors import (
     NonPositiveLambda,
     OperatorTooLarge,
     SingularSystem,
-    ToolkitError,
+    StepNotConverged,
     Validation,
 )
 from .fraclap import NonlocalOperator, apply_operator
@@ -136,9 +139,13 @@ class Barrier:
 
 @dataclass(frozen=True, eq=False)
 class SemilinearSolution:
+    """Newton's solution, the sup-norm residual per iterate and, per Newton
+    step, the CG iterations its linear step took."""
+
     u: Field
     residuals: tuple[float, ...]
     iterations: int
+    cg_iterations: tuple[int, ...]
 
 
 @dataclass(eq=False)
@@ -166,8 +173,7 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-def _factor_system(op: NonlocalOperator, diagonal: np.ndarray,
-                   error: type[ToolkitError] = SingularSystem) -> np.ndarray:
+def _factor_system(op: NonlocalOperator, diagonal: np.ndarray) -> np.ndarray:
     """Cholesky factor of the system matrix op.a_ii + diag(diagonal), in
     rectangular full packed storage (TRANSR='N', UPLO='L').
 
@@ -175,12 +181,12 @@ def _factor_system(op: NonlocalOperator, diagonal: np.ndarray,
     from the interior block and the diagonal in one pass, which LAPACK
     factors in place.  Only diagonal can carry a non-finite value into the
     matrix, so it is checked instead of scanning the whole matrix; a
-    non-finite diagonal or a failed factorization raises error.  A factor
-    that would not fit in physical memory (2D h=2^-6 needs 1.04 GB, h=2^-7
-    15.8 GiB) raises OperatorTooLarge before anything is allocated.
+    non-finite diagonal or a failed factorization raises SingularSystem.  A
+    factor that would not fit in physical memory (2D h=2^-6 needs 1.04 GB,
+    h=2^-7 15.8 GiB) raises OperatorTooLarge before anything is allocated.
     """
     if not np.isfinite(diagonal).all():
-        raise error("the system matrix has a non-finite diagonal entry")
+        raise SingularSystem("the system matrix has a non-finite diagonal entry")
     ni = op.a_ii.shape[0]
     need, have = ni * (ni + 1) // 2 * 8, _physical_memory()
     if need > have:
@@ -191,17 +197,17 @@ def _factor_system(op: NonlocalOperator, diagonal: np.ndarray,
     op.a_ii.fill(packed, diagonal)
     factor, info = dpftrf(ni, packed, transr="N", uplo="L", overwrite_a=True)
     if info > 0:
-        raise error(f"the leading minor of order {info} is not positive definite")
+        raise SingularSystem(
+            f"the leading minor of order {info} is not positive definite")
     return factor
 
 
-def _solve(factor: np.ndarray, rhs: np.ndarray,
-           error: type[ToolkitError] = SingularSystem) -> np.ndarray:
+def _solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve against a factor of _factor_system for one right-hand side or
     its columns; the factor is finite by construction, so only the
-    right-hand side is checked, raising error."""
+    right-hand side is checked, raising SingularSystem."""
     if not np.isfinite(rhs).all():
-        raise error("the right-hand side has a non-finite entry")
+        raise SingularSystem("the right-hand side has a non-finite entry")
     ni = rhs.shape[0]
     if factor.shape != (ni * (ni + 1) // 2,):
         raise ValueError(f"the factor does not have order {ni}")
@@ -239,13 +245,60 @@ def solve_linear(problem: LinearProblem) -> Field:
     return _full_field(op.grid, u_int, problem.g.exterior_values)
 
 
+# Newton's linear step: CG stops once ||r||_2 <= _CG_RTOL ||b||_2, and
+# raises StepNotConverged after _CG_MAX_ITERS iterations
+_CG_RTOL = 1e-13
+_CG_MAX_ITERS = 500
+
+
+def _newton_step(op: NonlocalOperator, dq: np.ndarray,
+                 rhs: np.ndarray) -> tuple[np.ndarray, int]:
+    """x with (a_ii + diag(tail + dq)) x = rhs, and the iterations it took:
+    conjugate gradients preconditioned by the factor of J0 = a_ii +
+    diag(tail) that _solve_system keeps with the operator.
+
+    With dq >= 0 the preconditioned spectrum lies in [1, 1 + max dq /
+    lambda_min(J0)], so the iteration count is set by the nonlinearity, not
+    by h; with dq = 0 one iteration solves the system.
+    """
+    shift = op.tail + dq
+    x = np.zeros_like(rhs)
+    r = rhs.copy()
+    z = _solve_system(op, 0.0, r)
+    p, rz = z, r @ z
+    stop = _CG_RTOL * np.linalg.norm(rhs)
+    for k in range(1, _CG_MAX_ITERS + 1):
+        jp = op.a_ii @ p + shift * p
+        curvature = p @ jp
+        if not curvature > 0:
+            raise StepNotConverged(
+                f"CG met curvature {curvature:.3e} at iteration {k}")
+        alpha = rz / curvature
+        x += alpha * p
+        r -= alpha * jp
+        if np.linalg.norm(r) <= stop:
+            return x, k
+        z = _solve_system(op, 0.0, r)
+        rz, rz_old = r @ z, rz
+        p = z + (rz / rz_old) * p
+    raise StepNotConverged(
+        f"CG missed relative residual {_CG_RTOL:g} in {_CG_MAX_ITERS} iterations")
+
+
 def solve_semilinear(op: NonlocalOperator, nl: Nonlinearity, g: Field,
                      cfg: NewtonConfig = NewtonConfig()) -> SemilinearSolution:
     """Damped Newton for L u + q(x, u) = 0 with u = g outside.
 
     Starts from the zero interior iterate; the returned residual trace is
     the sup-norm of the nonlinear residual per iteration, for
-    convergence-order checks.
+    convergence-order checks.  A negative or non-finite dq on an iterate
+    raises JacobianSingular.  Each linear step is preconditioned CG against
+    the operator's retained factor of J0 = a_ii + diag(tail), so Newton
+    solves on one operator share one factorization.  Its forcing term is
+    fixed: CG stops at ||r||_2 <= 1e-13 ||b||_2, far below the square of
+    any residual above roundoff, so Newton keeps its quadratic tail; after
+    500 iterations, or on a curvature p^T J p <= 0, it raises
+    StepNotConverged.
     """
     grid = op.grid
     if not g.grid.same_as(grid):
@@ -260,18 +313,24 @@ def solve_semilinear(op: NonlocalOperator, nl: Nonlinearity, g: Field,
     def residual(vec):
         return op.a_ii @ vec + ext_part + op.tail * vec + nl.q(xi, vec)
 
+    def solution(iterations):
+        return SemilinearSolution(u=_full_field(grid, u, ge),
+                                  residuals=tuple(trace), iterations=iterations,
+                                  cg_iterations=tuple(cg))
+
     res = residual(u)
     res_norm = float(np.max(np.abs(res)))
-    trace = [res_norm]
+    trace, cg = [res_norm], []
     for it in range(cfg.max_iters):
         if res_norm <= cfg.residual_tol:
-            return SemilinearSolution(u=_full_field(grid, u, ge),
-                                      residuals=tuple(trace), iterations=it)
+            return solution(it)
         dq = nl.dq(xi, u)
         if np.any(dq < 0):
             raise JacobianSingular("q has negative t-derivative on the iterate")
-        step = _solve(_factor_system(op, op.tail + dq, JacobianSingular), -res,
-                      JacobianSingular)
+        if not (np.isfinite(dq).all() and np.isfinite(res).all()):
+            raise JacobianSingular("the Newton system has a non-finite entry")
+        step, k = _newton_step(op, dq, -res)
+        cg.append(k)
         alpha = 1.0
         while True:
             u_new = u + alpha * step
@@ -286,8 +345,7 @@ def solve_semilinear(op: NonlocalOperator, nl: Nonlinearity, g: Field,
         u, res, res_norm = u_new, res_new, new_norm
         trace.append(res_norm)
     if res_norm <= cfg.residual_tol:
-        return SemilinearSolution(u=_full_field(grid, u, ge),
-                                  residuals=tuple(trace), iterations=cfg.max_iters)
+        return solution(cfg.max_iters)
     raise NewtonDiverged(
         f"residual {res_norm:.3e} above tolerance after {cfg.max_iters} iterations")
 

@@ -139,6 +139,24 @@ def test_linearization_study_linear_model(op_small):
     assert max(study.errors_sup) <= 1e-10
 
 
+def test_linearization_study_factors_each_system_once(monkeypatch):
+    # the base and each eta are Newton solves sharing the factor of J0; the
+    # linearized system at dq(u_g) is factored once, after them
+    from fracschrod import solver
+
+    grid = build_grid(Domain.interval(-1.0, 1.0), 1.0 / 16, 3.0)
+    op = assemble(grid, 0.5)
+    g = exterior_bump(grid, 1.5, 0.4, 1.0)
+    calls = []
+    factor_system = solver._factor_system
+    monkeypatch.setattr(solver, "_factor_system",
+                        lambda *args: calls.append(args[1]) or factor_system(*args))
+    study = linearization_study(op, catalogue("saturating-cubic", 1.0), g, g,
+                                [1e-1, 1e-2, 1e-3])
+    assert all(study.converged)
+    assert len(calls) == 2 and np.array_equal(calls[0], op.tail)
+
+
 def test_linearization_study_monotone(op_medium):
     nl = catalogue("saturating-cubic", 1.0)
     g = exterior_bump(op_medium.grid, 1.5, 0.4, 1.0)

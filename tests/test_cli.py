@@ -6,6 +6,7 @@ import pytest
 from fracschrod import Domain, build_grid
 from fracschrod.cli import main
 from fracschrod.solver import _physical_memory
+from conftest import CONFIGS
 
 GETOOR = {
     "experiment": "solve",
@@ -88,6 +89,8 @@ def test_malformed_order_rejected(tmp_path):
     ({"R": float("nan")}, 1, "Validation"),
     (dict(RECOVER, regularization=float("nan")), 1, "Validation"),
     (dict(RECOVER, noise=float("nan")), 1, "Validation"),
+    # an integer literal no float holds (it was a raw OverflowError, exit 2)
+    ({"R": 10**400}, 1, "Validation"),
 ])
 def test_exit_codes(tmp_path, capsys, override, code, error):
     out = tmp_path / "out"
@@ -190,6 +193,27 @@ def test_forward_with_bank(tmp_path):
     header, rows = read_csv(out / "newton_trace.csv")
     assert header == ["iteration", "residual"]
     assert float(rows[-1][1]) <= 1e-10
+
+
+def test_forward_factors_once(tmp_path, monkeypatch):
+    # the solution and both bank data are Newton solves on one operator,
+    # whose steps are CG against its one factor of J0; the manifest records
+    # the CG iterations of every Newton step of each solve
+    from fracschrod import solver
+
+    calls = []
+    factor_system = solver._factor_system
+    monkeypatch.setattr(solver, "_factor_system",
+                        lambda *args: calls.append(1) or factor_system(*args))
+    out = tmp_path / "out"
+    assert main(["forward", "--config", str(CONFIGS / "forward.json"),
+                 "--out", str(out)]) == 0
+    assert len(calls) == 1
+    summary = json.loads((out / "manifest.json").read_text())["summary"]
+    assert len(summary["cg_iterations"]) == summary["iterations"]
+    counts = summary["bank_cg_iterations"]
+    assert sorted(counts) == ["g-0", "g-1"]
+    assert all(k >= 1 for run in [summary["cg_iterations"], *counts.values()] for k in run)
 
 
 def test_linearize_linear_model(tmp_path):

@@ -1,5 +1,5 @@
-"""Peak memory of assembly, the system factorization, linear solves, DN
-assembly and the operator apply.
+"""Peak memory of assembly, the system factorization, linear and Newton
+solves, DN assembly, the operator apply and the Neumann trace.
 
 tracemalloc sees numpy's buffers, so the peak counts every array the call
 allocates, including the ones it returns.  Measured on (-1,1)^2 at h=2^-4,
@@ -24,6 +24,7 @@ from fracschrod import (
     build_grid,
     canonical_probes,
     catalogue,
+    neumann_derivative,
     solve_linear,
     solve_semilinear,
 )
@@ -134,6 +135,32 @@ def test_solve_and_dn_assembly_share_one_factor(traced_assembly):
 
     _, peak = traced_peak(solve_then_dn_matrix)
     assert peak <= matrix_bytes(op) + 2**20
+
+
+def test_newton_holds_one_factor(traced_assembly):
+    # every Newton step is CG against the factor of J0 the operator keeps,
+    # so the solve allocates that one factor and a few vectors (measured:
+    # 294 KiB over one packed factor, with 4 Newton steps)
+    grid = traced_assembly[0].grid
+    op = assemble(grid, 0.5)
+    g = Field.from_values(grid, np.where(grid.labels == Region.EXTERIOR, 0.5, 0.0))
+    sol, peak = traced_peak(solve_semilinear, op, catalogue("saturating-cubic", 1.0), g)
+    assert sol.iterations >= 2
+    assert peak <= matrix_bytes(op) + 2**20
+
+
+def test_neumann_trace_peak():
+    # 2D h=2^-5 and the 6768-node window of the forward benchmark: the
+    # stencil's kernel distances are formed in place and the kernel rows and
+    # differences are batched at 512 KiB each (measured: 4.77 MiB; 11.76 MiB
+    # with the meshgrid distances and 4 MiB batches)
+    grid = build_grid(Domain.box((-1.0, -1.0), (1.0, 1.0)), 2.0**-5, 3.0)
+    op = assemble(grid, 0.5)
+    u = Field.from_values(grid, np.sin(np.arange(grid.n_nodes)))
+    window = annulus_window(grid, 0.5, 1.0)
+    _, peak = traced_peak(neumann_derivative, grid, op.params, u, window.indices)
+    assert window.size == 6768
+    assert peak <= 6 * 2**20
 
 
 def test_apply_peak_is_one_block(traced_assembly):
