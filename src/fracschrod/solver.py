@@ -259,7 +259,8 @@ def _newton_step(op: NonlocalOperator, dq: np.ndarray,
 
     With dq >= 0 the preconditioned spectrum lies in [1, 1 + max dq /
     lambda_min(J0)], so the iteration count is set by the nonlinearity, not
-    by h; with dq = 0 one iteration solves the system.
+    by h; with dq = 0 the system is J0 and one iteration solves it, up to
+    roundoff.
     """
     shift = op.tail + dq
     x = np.zeros_like(rhs)
@@ -295,8 +296,9 @@ def solve_semilinear(op: NonlocalOperator, nl: Nonlinearity, g: Field,
     raises JacobianSingular.  Each linear step is preconditioned CG against
     the operator's retained factor of J0 = a_ii + diag(tail), so Newton
     solves on one operator share one factorization.  Its forcing term is
-    fixed: CG stops at ||r||_2 <= 1e-13 ||b||_2, far below the square of
-    any residual above roundoff, so Newton keeps its quadratic tail; after
+    fixed: CG stops at ||r||_2 <= 1e-13 ||b||_2, which leaves a step error
+    below the square of any residual above 1e-13, so Newton keeps its
+    quadratic tail down to roundoff; after
     500 iterations, or on a curvature p^T J p <= 0, it raises
     StepNotConverged.
     """
