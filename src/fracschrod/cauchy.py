@@ -81,9 +81,10 @@ def neumann_derivative(grid: Grid, params: FracParams, u: Field,
     ui = u.interior_values
     ux = u.values[indices]
     out = np.empty(indices.size)
-    # batches of an eighth of _blocks' default, so the kernel rows and the
-    # differences each hold at most 512 KiB
-    for sl in _blocks(indices.size, 8 * ui.size):
+    # _blocks fits rows of this width in its 4 MiB budget; eight times the
+    # row length gives 512 KiB batches of kernel rows and of differences
+    width = 8 * ui.size
+    for sl in _blocks(indices.size, width):
         kern = stencil.midpoint(indices[sl], grid.interior_index)
         out[sl] = np.einsum("kj,kj->k", kern, ux[sl, None] - ui[None, :])
     return out

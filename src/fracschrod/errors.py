@@ -91,7 +91,7 @@ class JacobianSingular(ToolkitError):
     """Newton Jacobian not invertible; signals a negative derivative."""
 
 
-class StepNotConverged(ToolkitError):
+class StepNotConverged(NewtonDiverged):
     """Preconditioned CG for a Newton step met a non-positive curvature or
     missed its tolerance within the iteration cap."""
 

@@ -26,11 +26,12 @@ eta with its image L eta.  _solve_system is the one call for a solve at a
 potential; solve_linear and the DN assembly in calderon both go through
 it, so they share the one factor.  It reuses the factor while the diagonal
 is bit for bit the same and frees it before factoring a new one, so at
-most one factor is held.  Newton factors no Jacobian: each Jacobian is
-J0 + diag(dq) with dq >= 0, J0 = a_ii + diag(tail) the system at potential
-zero, so its step is conjugate gradients preconditioned by J0's retained
-factor, and every Newton solve on an operator (and a solve_linear at a = 0)
-shares that one factor.  build_barrier applies the operator to eta once per
+most one factor is held.  Each Newton Jacobian is J0 + diag(dq) with
+dq >= 0, J0 = a_ii + diag(tail) the system at potential zero, so a step
+whose dq is small against J0 is conjugate gradients preconditioned by J0's
+retained factor, and such Newton solves on an operator (and a solve_linear
+at a = 0) share that one factor; a stiffer step solves against the retained
+factor of its own Jacobian.  build_barrier applies the operator to eta once per
 operator.  A reused factor or image is the very array the call would have
 recomputed, so every result is unchanged.  The state is not thread-safe:
 share an operator between threads only with a lock around these calls.
@@ -246,22 +247,34 @@ def solve_linear(problem: LinearProblem) -> Field:
 
 
 # Newton's linear step: CG stops once ||r||_2 <= _CG_RTOL ||b||_2, and
-# raises StepNotConverged after _CG_MAX_ITERS iterations
+# raises StepNotConverged after _CG_MAX_ITERS iterations.  It runs only
+# while its condition bound is at most _CG_MAX_KAPPA, so it needs at most
+# sqrt(4) / 2 ln(2 / 1e-13) = 31 iterations in exact arithmetic; measured at
+# order ~4000 with dq constant at the bound, 15-17 iterations took 0.33-0.49
+# s against 0.35-0.48 s for one factor
 _CG_RTOL = 1e-13
 _CG_MAX_ITERS = 500
+_CG_MAX_KAPPA = 4.0
 
 
 def _newton_step(op: NonlocalOperator, dq: np.ndarray,
                  rhs: np.ndarray) -> tuple[np.ndarray, int]:
-    """x with (a_ii + diag(tail + dq)) x = rhs, and the iterations it took:
-    conjugate gradients preconditioned by the factor of J0 = a_ii +
-    diag(tail) that _solve_system keeps with the operator.
+    """x with (a_ii + diag(tail + dq)) x = rhs, and the CG iterations it
+    took, 0 for a direct solve.
 
-    With dq >= 0 the preconditioned spectrum lies in [1, 1 + max dq /
-    lambda_min(J0)], so the iteration count is set by the nonlinearity, not
-    by h; with dq = 0 the system is J0 and one iteration solves it, up to
-    roundoff.
+    J0 = a_ii + diag(tail) is an M-matrix, so its smallest eigenvalue is at
+    least its smallest row sum, lam0 = min(tail - rowsum(a_ie)) (Gershgorin),
+    and with dq >= 0 the spectrum of J0^-1 J lies in [1, kappa], kappa =
+    1 + max dq / lam0.  While kappa <= _CG_MAX_KAPPA the step is conjugate
+    gradients preconditioned by the factor of J0 that _solve_system keeps
+    with the operator, so the iteration count is bounded independently of h;
+    with dq = 0 the system is J0 and one iteration solves it, up to
+    roundoff.  A stiffer step is solved against a Cholesky factor of J
+    itself, kept with the operator in J0's place.
     """
+    lam0 = np.min(op.tail - op.a_ie.row_sums)
+    if np.max(dq) > (_CG_MAX_KAPPA - 1.0) * lam0:
+        return _solve_system(op, dq, rhs), 0
     shift = op.tail + dq
     x = np.zeros_like(rhs)
     r = rhs.copy()
@@ -293,14 +306,17 @@ def solve_semilinear(op: NonlocalOperator, nl: Nonlinearity, g: Field,
     Starts from the zero interior iterate; the returned residual trace is
     the sup-norm of the nonlinear residual per iteration, for
     convergence-order checks.  A negative or non-finite dq on an iterate
-    raises JacobianSingular.  Each linear step is preconditioned CG against
-    the operator's retained factor of J0 = a_ii + diag(tail), so Newton
-    solves on one operator share one factorization.  Its forcing term is
-    fixed: CG stops at ||r||_2 <= 1e-13 ||b||_2, which leaves a step error
-    below the square of any residual above 1e-13, so Newton keeps its
-    quadratic tail down to roundoff; after
-    500 iterations, or on a curvature p^T J p <= 0, it raises
-    StepNotConverged.
+    raises JacobianSingular.  A linear step whose Jacobian J = J0 + diag(dq)
+    is within a condition factor 4 of J0 = a_ii + diag(tail) (bounded by
+    1 + max dq / min row sum of J0) is preconditioned CG against the
+    operator's retained factor of J0, so such Newton solves on one operator
+    share one factorization; a stiffer step (a large potential, or s near 1,
+    where the row-sum bound is loose) is a direct Cholesky solve of J, and
+    cg_iterations records 0 for it.  CG's forcing term is fixed: it stops at
+    ||r||_2 <= 1e-13 ||b||_2, so the step's relative error is at most
+    cond(J) 1e-13, the bound of a direct solve with 1e-13 in place of the
+    unit roundoff.  After 500 iterations, or on a curvature p^T J p <= 0, it
+    raises StepNotConverged, a NewtonDiverged.
     """
     grid = op.grid
     if not g.grid.same_as(grid):

@@ -26,6 +26,7 @@ from fracschrod import (
     cns,
     dn_map,
     evaluate_at,
+    linearization_study,
     solution_to_csv,
     solve_linear,
     solve_semilinear,
@@ -397,6 +398,37 @@ def test_cg_step_failures_are_named(op_small, monkeypatch):
     ni = op_small.grid.n_interior
     with pytest.raises(StepNotConverged, match="curvature"):
         solver._newton_step(op_small, np.full(ni, -1e6), np.ones(ni))
+    # a study records the failed step as a diverged eta: its base, at zero
+    # data, takes no step, and each eta's second step needs more than one
+    study = linearization_study(op_small, nl, Field.zeros(op_small.grid), g,
+                                [1e-1, 1e-2])
+    assert study.converged == (False, False)
+
+
+@pytest.mark.parametrize("s", [0.5, 0.9])
+@pytest.mark.parametrize("a", [1e4, 1e8])
+def test_stiff_newton_step_is_direct(monkeypatch, s, a):
+    # a potential far above J0's row sums makes J0 a poor preconditioner (at
+    # 1D h=2^-11, s=0.9, a=1e8, CG needed 2047 iterations), so each step is
+    # a direct solve, factored once and kept, which a linear solve at the
+    # same potential reuses
+    grid = build_grid(Domain.interval(-1.0, 1.0), 2.0**-6, 4.0)
+    op = assemble(grid, s)
+    g = exterior_bump(grid, 1.5, 0.4, 1.0)
+    factors = counted(monkeypatch, "_factor_system")
+    sol = solve_semilinear(op, catalogue("linear", a), g)
+    assert sol.residuals[-1] <= 1e-10
+    assert sol.cg_iterations == (0,) * sol.iterations and sol.iterations >= 1
+    ni = grid.n_interior
+    u = solve_linear(LinearProblem(op=op, a=np.full(ni, a), f=np.zeros(ni), g=g))
+    assert len(factors) == 1
+    assert np.max(np.abs(sol.u.values - u.values)) <= 1e-14 * np.max(np.abs(u.values))
+    # just inside the bound the step is CG against J0's factor
+    lam0 = np.min(op.tail - op.a_ie.row_sums)
+    rhs = np.ones(ni)
+    assert solver._newton_step(op, np.full(ni, 2.99 * lam0), rhs)[1] > 1
+    assert solver._newton_step(op, np.full(ni, 3.01 * lam0), rhs)[1] == 0
+    assert len(factors) == 3
 
 
 def even_order(grid):
