@@ -108,8 +108,8 @@ def linearization_study(op: NonlocalOperator, nl: Nonlinearity, g: Field,
             solutions.append(solve_semilinear(op, nl, data, cfg).u)
         except NewtonDiverged:
             solutions.append(None)
-    # the Newton solves share the operator's factor of J0 and the linearized
-    # system needs its own, so solving it last factors each system once
+    # the Newton solves' CG steps factor nothing; the linearized system at
+    # dq(u_g) is the one factor
     dq_ref = np.asarray(nl.dq(grid.interior_nodes, base.u.interior_values))
     u_star = solve_linearized(op, dq_ref, h)
     scale = grid.h ** (grid.dim / 2.0)

@@ -113,8 +113,8 @@ def mass_m(grid: Grid, params: FracParams, indices) -> np.ndarray:
     return params.cns * -flux.sum(axis=1) / (2 * s)
 
 
-def exterior_identity_check(grid: Grid, op: NonlocalOperator, u: Field,
-                            g: Field, window: Window) -> float:
+def exterior_identity_check(op: NonlocalOperator, u: Field, g: Field,
+                            window: Window) -> float:
     """Max discrepancy of L u = N u - m u + L(E0 g) over the window.
 
     The left side and the zero-extension term use the assembly quadrature;
@@ -122,6 +122,7 @@ def exterior_identity_check(grid: Grid, op: NonlocalOperator, u: Field,
     the residual measures genuine quadrature mismatch between the routines
     rather than a shared truncation artifact.
     """
+    grid = op.grid
     if not (u.grid.same_as(grid) and g.grid.same_as(grid)):
         raise GridMismatch("fields live on a different grid")
     if not np.allclose(u.exterior_values, g.exterior_values, atol=1e-12):
@@ -135,25 +136,22 @@ def exterior_identity_check(grid: Grid, op: NonlocalOperator, u: Field,
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def make_cauchy_datum(grid: Grid, op: NonlocalOperator, nl: Nonlinearity,
-                      g: Field, window: Window,
-                      cfg: NewtonConfig = NewtonConfig(),
+def make_cauchy_datum(op: NonlocalOperator, nl: Nonlinearity, g: Field,
+                      window: Window, cfg: NewtonConfig = NewtonConfig(),
                       provenance: str = "g") -> CauchyDatum:
     """Solve the semilinear problem for g and record its Cauchy pair on W."""
-    if not (g.grid.same_as(grid) and op.grid.same_as(grid)):
-        raise GridMismatch("grid mismatch between data and operator")
     sol = solve_semilinear(op, nl, g, cfg)
     trace = sol.u.values[window.indices].copy()
-    neumann = neumann_derivative(grid, op.params, sol.u, window.indices)
+    neumann = neumann_derivative(op.grid, op.params, sol.u, window.indices)
     return CauchyDatum(window=window, trace=trace, neumann=neumann,
                        provenance=provenance, cg_iterations=sol.cg_iterations)
 
 
-def build_cauchy_bank(grid: Grid, op: NonlocalOperator, nl: Nonlinearity,
+def build_cauchy_bank(op: NonlocalOperator, nl: Nonlinearity,
                       probes: list[tuple[str, Field]], window: Window,
                       cfg: NewtonConfig = NewtonConfig()) -> list[CauchyDatum]:
     """One Cauchy datum per probing exterior datum."""
-    return [make_cauchy_datum(grid, op, nl, g, window, cfg, provenance=name)
+    return [make_cauchy_datum(op, nl, g, window, cfg, provenance=name)
             for name, g in probes]
 
 

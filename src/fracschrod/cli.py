@@ -197,7 +197,7 @@ def run_forward(cfg: dict, out: Path) -> dict:
         window = annulus_window(grid, *band)
         probes = [(f"g-{k}", _bump_field(grid, [bump_spec]))
                   for k, bump_spec in enumerate(cfg["exterior_data"])]
-        bank = build_cauchy_bank(grid, op, nl, probes, window, newton)
+        bank = build_cauchy_bank(op, nl, probes, window, newton)
         dump(bank_to_json(bank), out / "cauchy_bank.json")
         summary["bank_size"] = len(bank)
         summary["bank_cg_iterations"] = {d.provenance: list(d.cg_iterations)

@@ -469,6 +469,23 @@ class InteriorBlock:
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         return self.diagonal * v + self.off_diagonal(v)
 
+    def circulant_eigenvalues(self) -> np.ndarray:
+        """Eigenvalues, over the interior box in FFT order, of T. Chan's
+        optimal circulant of a_ii - diag(a_ii): the multilevel circulant
+        nearest it in the Frobenius norm.  Along an axis of width n its
+        first column wraps the off-diagonal entries t as c_k = ((n - k) t_k
+        + k t_(k-n)) / n, so every c_k is a convex combination of entries
+        <= 0 (the kernel table is 0 at offset 0); the circulant of a_ii +
+        diag(d) adds mean(diagonal + d)."""
+        c = self._kernel
+        for axis, n in enumerate(self._box):
+            t = np.moveaxis(c, axis, 0)
+            k = np.arange(n).reshape((n,) + (1,) * (c.ndim - 1))
+            wrapped = (n - k) * t[n - 1:]
+            wrapped[1:] += k[1:] * t[: n - 1]
+            c = np.moveaxis(wrapped / n, 0, axis)
+        return scipy.fft.fftn(c).real
+
     def fill(self, out: np.ndarray, shift: np.ndarray) -> None:
         """Write the lower triangle of a = a_ii + diag(shift) into out, a flat
         array of ni (ni + 1) / 2 floats in LAPACK's rectangular full packed

@@ -26,12 +26,13 @@ eta with its image L eta.  _solve_system is the one call for a solve at a
 potential; solve_linear and the DN assembly in calderon both go through
 it, so they share the one factor.  It reuses the factor while the diagonal
 is bit for bit the same and frees it before factoring a new one, so at
-most one factor is held.  Each Newton Jacobian is J0 + diag(dq) with
-dq >= 0, J0 = a_ii + diag(tail) the system at potential zero, so a step
-whose dq is small against J0 is conjugate gradients preconditioned by J0's
-retained factor, and such Newton solves on an operator (and a solve_linear
-at a = 0) share that one factor; a stiffer step solves against the retained
-factor of its own Jacobian.  build_barrier applies the operator to eta once per
+most one factor is held.  Newton factors nothing unless a step is stiff.
+Each Jacobian is J = J0 + diag(dq) with dq >= 0 and J0 = a_ii + diag(tail)
+the system at potential zero, and a step whose dq is small against J0's
+row sums is conjugate gradients preconditioned by T. Chan's optimal
+circulant of J, inverted by FFT over the interior box, so a Newton solve
+holds no ni^2 array; a stiffer step solves against the retained factor of
+its own Jacobian.  build_barrier applies the operator to eta once per
 operator.  A reused factor or image is the very array the call would have
 recomputed, so every result is unchanged.  The state is not thread-safe:
 share an operator between threads only with a lock around these calls.
@@ -51,6 +52,7 @@ from dataclasses import dataclass
 from numbers import Integral
 
 import numpy as np
+import scipy.fft
 from scipy.linalg.lapack import dpftrf, dpftrs
 
 from .errors import (
@@ -248,37 +250,48 @@ def solve_linear(problem: LinearProblem) -> Field:
 
 # Newton's linear step: CG stops once ||r||_2 <= _CG_RTOL ||b||_2, and
 # raises StepNotConverged after _CG_MAX_ITERS iterations.  It runs only
-# while its condition bound is at most _CG_MAX_KAPPA, so it needs at most
-# sqrt(4) / 2 ln(2 / 1e-13) = 31 iterations in exact arithmetic; measured at
-# order ~4000 with dq constant at the bound, 15-17 iterations took 0.33-0.49
-# s against 0.35-0.48 s for one factor
+# while max dq is at most (_CG_MAX_KAPPA - 1) times the row-sum bound
+# lam0 <= lambda_min(J0)
 _CG_RTOL = 1e-13
 _CG_MAX_ITERS = 500
 _CG_MAX_KAPPA = 4.0
 
 
-def _newton_step(op: NonlocalOperator, dq: np.ndarray,
-                 rhs: np.ndarray) -> tuple[np.ndarray, int]:
-    """x with (a_ii + diag(tail + dq)) x = rhs, and the CG iterations it
+def _newton_step(op: NonlocalOperator, dq: np.ndarray, rhs: np.ndarray,
+                 spectrum: np.ndarray | None = None) -> tuple[np.ndarray, int]:
+    """x with J x = rhs, J = a_ii + diag(tail + dq), and the CG iterations it
     took, 0 for a direct solve.
 
     J0 = a_ii + diag(tail) is an M-matrix, so its smallest eigenvalue is at
     least its smallest row sum, lam0 = min(tail - rowsum(a_ie)) (Gershgorin),
-    and with dq >= 0 the spectrum of J0^-1 J lies in [1, kappa], kappa =
-    1 + max dq / lam0.  While kappa <= _CG_MAX_KAPPA the step is conjugate
-    gradients preconditioned by the factor of J0 that _solve_system keeps
-    with the operator, so the iteration count is bounded independently of h;
-    with dq = 0 the system is J0 and one iteration solves it, up to
-    roundoff.  A stiffer step is solved against a Cholesky factor of J
-    itself, kept with the operator in J0's place.
+    and with dq >= 0, x^T J x / x^T J0 x lies in [1, kappa], kappa = 1 +
+    max dq / lam0.  While kappa <= _CG_MAX_KAPPA the step is conjugate
+    gradients preconditioned by C, T. Chan's optimal circulant of J:
+    spectrum (op.a_ii.circulant_eigenvalues(), computed here unless given)
+    plus mean(diag J), inverted by one real FFT pair per iteration.  C's
+    first column wraps entries <= 0, so lambda_min(C) >= mean(tail + dq -
+    rowsum(a_ie)) > 0, the row-sum bound with the mean for the min.
+    cond(C^-1 J) <= kappa cond(C^-1 J0), and C differs from J0's circulant
+    by mean(dq) I, at most a further factor kappa, so the count is J0's
+    with its circulant within a bounded factor; that grows slowly as h
+    falls.  A stiffer step is solved against a Cholesky factor of J, kept
+    with the operator.
     """
     lam0 = np.min(op.tail - op.a_ie.row_sums)
     if np.max(dq) > (_CG_MAX_KAPPA - 1.0) * lam0:
         return _solve_system(op, dq, rhs), 0
+    if spectrum is None:
+        spectrum = op.a_ii.circulant_eigenvalues()
+    box = spectrum.shape
     shift = op.tail + dq
+    inverse = 1.0 / (spectrum[..., : box[-1] // 2 + 1] + np.mean(op.a_ii.diagonal + shift))
+
+    def precondition(r):
+        return scipy.fft.irfftn(scipy.fft.rfftn(r.reshape(box)) * inverse, box).ravel()
+
     x = np.zeros_like(rhs)
     r = rhs.copy()
-    z = _solve_system(op, 0.0, r)
+    z = precondition(r)
     p, rz = z, r @ z
     stop = _CG_RTOL * np.linalg.norm(rhs)
     for k in range(1, _CG_MAX_ITERS + 1):
@@ -292,7 +305,7 @@ def _newton_step(op: NonlocalOperator, dq: np.ndarray,
         r -= alpha * jp
         if np.linalg.norm(r) <= stop:
             return x, k
-        z = _solve_system(op, 0.0, r)
+        z = precondition(r)
         rz, rz_old = r @ z, rz
         p = z + (rz / rz_old) * p
     raise StepNotConverged(
@@ -308,15 +321,17 @@ def solve_semilinear(op: NonlocalOperator, nl: Nonlinearity, g: Field,
     convergence-order checks.  A negative or non-finite dq on an iterate
     raises JacobianSingular.  A linear step whose Jacobian J = J0 + diag(dq)
     is within a condition factor 4 of J0 = a_ii + diag(tail) (bounded by
-    1 + max dq / min row sum of J0) is preconditioned CG against the
-    operator's retained factor of J0, so such Newton solves on one operator
-    share one factorization; a stiffer step (a large potential, or s near 1,
-    where the row-sum bound is loose) is a direct Cholesky solve of J, and
-    cg_iterations records 0 for it.  CG's forcing term is fixed: it stops at
-    ||r||_2 <= 1e-13 ||b||_2, so the step's relative error is at most
-    cond(J) 1e-13, the bound of a direct solve with 1e-13 in place of the
-    unit roundoff.  After 500 iterations, or on a curvature p^T J p <= 0, it
-    raises StepNotConverged, a NewtonDiverged.
+    1 + max dq / min row sum of J0) is CG preconditioned by T. Chan's
+    optimal circulant of J, whose spectrum is positive and computed once
+    per call, so such a solve factors nothing (at s = 1/2, 14-16 iterations
+    per step in 1D at h = 2^-6..2^-8, 17-25 in 2D at h = 2^-3..2^-5); a
+    stiffer step (a large potential, or s near 1, where the row-sum bound
+    is loose) is a direct Cholesky solve of J, and cg_iterations records 0
+    for it.  CG's forcing term is fixed: it stops at ||r||_2 <= 1e-13
+    ||b||_2, so the step's relative error is at most cond(J) 1e-13, the
+    bound of a direct solve with 1e-13 in place of the unit roundoff.
+    After 500 iterations, or on a curvature p^T J p <= 0, it raises
+    StepNotConverged, a NewtonDiverged.
     """
     grid = op.grid
     if not g.grid.same_as(grid):
@@ -327,6 +342,7 @@ def solve_semilinear(op: NonlocalOperator, nl: Nonlinearity, g: Field,
     ge = g.exterior_values
     ext_part = op.a_ie @ ge
     u = np.zeros(grid.n_interior)
+    spectrum = op.a_ii.circulant_eigenvalues()
 
     def residual(vec):
         return op.a_ii @ vec + ext_part + op.tail * vec + nl.q(xi, vec)
@@ -347,7 +363,7 @@ def solve_semilinear(op: NonlocalOperator, nl: Nonlinearity, g: Field,
             raise JacobianSingular("q has negative t-derivative on the iterate")
         if not (np.isfinite(dq).all() and np.isfinite(res).all()):
             raise JacobianSingular("the Newton system has a non-finite entry")
-        step, k = _newton_step(op, dq, -res)
+        step, k = _newton_step(op, dq, -res, spectrum)
         cg.append(k)
         alpha = 1.0
         while True:

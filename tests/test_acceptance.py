@@ -142,7 +142,7 @@ def _identity_residual(p: int) -> float:
     u = solve_linear(LinearProblem(op=op, a=np.zeros(grid.n_interior),
                                    f=np.zeros(grid.n_interior), g=g))
     window = annulus_window(grid, 0.5, 1.5)
-    return exterior_identity_check(grid, op, u, g, window)
+    return exterior_identity_check(op, u, g, window)
 
 
 def test_criterion_6_exterior_identity():
@@ -244,11 +244,11 @@ def test_criterion_11_distinguishability(op_small):
               ("g-1", exterior_bump(grid, -1.5, 0.3, 1.0))]
     solver_tol = 1e-10
     cfg = NewtonConfig(residual_tol=solver_tol)
-    bank_05a = build_cauchy_bank(grid, op_small, catalogue("linear", 0.5),
+    bank_05a = build_cauchy_bank(op_small, catalogue("linear", 0.5),
                                  probes, window, cfg)
-    bank_05b = build_cauchy_bank(grid, op_small, catalogue("linear", 0.5),
+    bank_05b = build_cauchy_bank(op_small, catalogue("linear", 0.5),
                                  probes, window, cfg)
-    bank_06 = build_cauchy_bank(grid, op_small, catalogue("linear", 0.6),
+    bank_06 = build_cauchy_bank(op_small, catalogue("linear", 0.6),
                                 probes, window, cfg)
     same = compare_cauchy_banks(bank_05a, bank_05b, tol=1e-10)
     different = compare_cauchy_banks(bank_05a, bank_06, tol=1e-10)

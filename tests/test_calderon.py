@@ -140,8 +140,8 @@ def test_linearization_study_linear_model(op_small):
 
 
 def test_linearization_study_factors_each_system_once(monkeypatch):
-    # the base and each eta are Newton solves sharing the factor of J0; the
-    # linearized system at dq(u_g) is factored once, after them
+    # the base and each eta are Newton solves, whose CG steps factor
+    # nothing; the linearized system at dq(u_g) is the one factor
     from fracschrod import solver
 
     grid = build_grid(Domain.interval(-1.0, 1.0), 1.0 / 16, 3.0)
@@ -151,10 +151,12 @@ def test_linearization_study_factors_each_system_once(monkeypatch):
     factor_system = solver._factor_system
     monkeypatch.setattr(solver, "_factor_system",
                         lambda *args: calls.append(args[1]) or factor_system(*args))
-    study = linearization_study(op, catalogue("saturating-cubic", 1.0), g, g,
-                                [1e-1, 1e-2, 1e-3])
+    nl = catalogue("saturating-cubic", 1.0)
+    study = linearization_study(op, nl, g, g, [1e-1, 1e-2, 1e-3])
     assert all(study.converged)
-    assert len(calls) == 2 and np.array_equal(calls[0], op.tail)
+    base = solve_semilinear(op, nl, g, NewtonConfig(residual_tol=1e-12)).u
+    dq = nl.dq(grid.interior_nodes, base.interior_values)
+    assert len(calls) == 1 and np.array_equal(calls[0], op.tail + dq)
 
 
 def test_linearization_study_monotone(op_medium):
@@ -494,8 +496,8 @@ def test_compare_banks_identity_and_determinism(op_small):
     nl = catalogue("saturating-cubic", 1.0)
     probes = [("g-0", exterior_bump(grid, 1.5, 0.3, 0.8)),
               ("g-1", exterior_bump(grid, -1.5, 0.3, 0.8))]
-    bank1 = build_cauchy_bank(grid, op_small, nl, probes, window)
-    bank2 = build_cauchy_bank(grid, op_small, nl, probes, window)
+    bank1 = build_cauchy_bank(op_small, nl, probes, window)
+    bank2 = build_cauchy_bank(op_small, nl, probes, window)
     report = compare_cauchy_banks(bank1, bank2, tol=1e-10)
     assert report.equal and report.max_distance == 0.0
     self_report = compare_cauchy_banks(bank1, bank1, tol=0.0)
@@ -506,9 +508,9 @@ def test_compare_banks_distinct_potentials(op_small):
     grid = op_small.grid
     window = annulus_window(grid, 0.5, 1.0)
     probes = [("g-0", exterior_bump(grid, 1.5, 0.3, 0.8))]
-    bank1 = build_cauchy_bank(grid, op_small, catalogue("linear", 0.5),
+    bank1 = build_cauchy_bank(op_small, catalogue("linear", 0.5),
                               probes, window)
-    bank2 = build_cauchy_bank(grid, op_small, catalogue("linear", 0.6),
+    bank2 = build_cauchy_bank(op_small, catalogue("linear", 0.6),
                               probes, window)
     report = compare_cauchy_banks(bank1, bank2, tol=1e-10)
     assert not report.equal
@@ -519,9 +521,9 @@ def test_compare_banks_mismatch(op_small):
     grid = op_small.grid
     window = annulus_window(grid, 0.5, 1.0)
     nl = catalogue("zero")
-    bank1 = build_cauchy_bank(grid, op_small, nl,
+    bank1 = build_cauchy_bank(op_small, nl,
                               [("g-0", exterior_bump(grid, 1.5, 0.3))], window)
-    bank2 = build_cauchy_bank(grid, op_small, nl,
+    bank2 = build_cauchy_bank(op_small, nl,
                               [("other", exterior_bump(grid, 1.5, 0.3))], window)
     with pytest.raises(BankMismatch):
         compare_cauchy_banks(bank1, bank2, tol=1e-10)

@@ -122,7 +122,7 @@ def test_identity_zero_field(op_small):
     grid = op_small.grid
     z = Field.zeros(grid)
     window = annulus_window(grid, 0.5, 1.0)
-    assert exterior_identity_check(grid, op_small, z, z, window) == 0.0
+    assert exterior_identity_check(op_small, z, z, window) == 0.0
 
 
 def test_identity_getoor_extension(op_fine):
@@ -132,7 +132,7 @@ def test_identity_getoor_extension(op_fine):
     u = solve_linear(LinearProblem(op=op_fine, a=np.zeros(grid.n_interior),
                                    f=np.ones(grid.n_interior), g=g))
     window = annulus_window(grid, 0.5, 1.5)
-    assert exterior_identity_check(grid, op_fine, u, g, window) <= 1e-6
+    assert exterior_identity_check(op_fine, u, g, window) <= 1e-6
 
 
 def test_identity_residual_halves_under_refinement():
@@ -144,7 +144,7 @@ def test_identity_residual_halves_under_refinement():
         u = solve_linear(LinearProblem(op=op, a=np.zeros(grid.n_interior),
                                        f=np.zeros(grid.n_interior), g=g))
         window = annulus_window(grid, 0.5, 1.5)
-        residuals.append(exterior_identity_check(grid, op, u, g, window))
+        residuals.append(exterior_identity_check(op, u, g, window))
     ratio = residuals[1] / residuals[0]
     assert 0.375 <= ratio <= 0.625
 
@@ -154,13 +154,13 @@ def test_identity_requires_matching_exterior(op_small):
     g = exterior_bump(grid, 1.5, 0.25)
     window = annulus_window(grid, 0.5, 1.0)
     with pytest.raises(Validation):
-        exterior_identity_check(grid, op_small, Field.zeros(grid), g, window)
+        exterior_identity_check(op_small, Field.zeros(grid), g, window)
 
 
 def test_cauchy_datum_zero_data(op_small):
     grid = op_small.grid
     window = annulus_window(grid, 0.5, 1.0)
-    datum = make_cauchy_datum(grid, op_small, catalogue("saturating-cubic", 1.0),
+    datum = make_cauchy_datum(op_small, catalogue("saturating-cubic", 1.0),
                               Field.zeros(grid), window)
     assert np.all(datum.trace == 0.0)
     assert np.all(datum.neumann == 0.0)
@@ -170,7 +170,7 @@ def test_cauchy_datum_linear_composition(op_small):
     grid = op_small.grid
     window = annulus_window(grid, 0.5, 1.0)
     g = exterior_bump(grid, 1.5, 0.3, 0.7)
-    datum = make_cauchy_datum(grid, op_small, catalogue("zero"), g, window)
+    datum = make_cauchy_datum(op_small, catalogue("zero"), g, window)
     lin = solve_linear(LinearProblem(op=op_small, a=np.zeros(grid.n_interior),
                                      f=np.zeros(grid.n_interior), g=g))
     direct = neumann_derivative(grid, op_small.params, lin, window.indices)
@@ -186,8 +186,8 @@ def test_cauchy_data_nonhomogeneous(op_medium):
     cfg = NewtonConfig(residual_tol=1e-12)
     g1 = exterior_bump(grid, 1.5, 0.4, 1.0)
     g2 = exterior_bump(grid, 1.5, 0.4, 2.0)
-    d1 = make_cauchy_datum(grid, op_medium, nl, g1, window, cfg)
-    d2 = make_cauchy_datum(grid, op_medium, nl, g2, window, cfg)
+    d1 = make_cauchy_datum(op_medium, nl, g1, window, cfg)
+    d2 = make_cauchy_datum(op_medium, nl, g2, window, cfg)
     assert np.max(np.abs(d2.neumann - 2.0 * d1.neumann)) > 1e-6
 
 
@@ -233,7 +233,7 @@ def test_identity_2d(grid_2d):
                                axis=1) < 0.3
     sel = grid_2d.exterior_index[(d >= 0.5) & near_bump][:5]
     window = Window(grid_2d, sel)
-    residual = exterior_identity_check(grid_2d, op, u, g, window)
+    residual = exterior_identity_check(op, u, g, window)
     assert residual <= 1e-4
 
 
@@ -242,7 +242,7 @@ def test_bank_json(op_small):
     window = annulus_window(grid, 0.5, 1.0)
     probes = [("g-0", exterior_bump(grid, 1.5, 0.3, 0.5)),
               ("g-1", exterior_bump(grid, -1.5, 0.3, 0.5))]
-    bank = build_cauchy_bank(grid, op_small, catalogue("zero"), probes, window)
+    bank = build_cauchy_bank(op_small, catalogue("zero"), probes, window)
     doc = bank_to_json(bank)
     assert [d["g-id"] for d in doc["data"]] == ["g-0", "g-1"]
     assert len(doc["window"]) == window.size

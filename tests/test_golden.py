@@ -43,18 +43,18 @@ from fracschrod.fraclap import _blocks, _Stencil
 # when Newton's linear step became CG preconditioned by the factor of J0
 # ("CG step")
 CLI_PINS = {
-    # CG step: g-1/neumann 8.33e-17 off, 0.30 of its bound
+    # circulant CG: g-1/neumann 5.55e-17 off, 0.20 of its bound
     "forward/cauchy_bank.json":
-        "d32108891beaeed7208dcc8a1b67399d371060a2d2e9c487281f721be8829e6b",
-    # CG step: residual 4.16e-15 off, 0.16 of its bound
+        "db979773fc9df2deabce902c1fc19472eb1e7c053d6cb1b10772e55785af880c",
+    # circulant CG: residual 4.64e-15 off, 0.17 of its bound
     "forward/newton_trace.csv":
-        "f409453d33848bf4ae9a4fa9057f95ee5b98fe917c01882f136c6fc7847a1f35",
-    # CG step: value 2.64e-16 off, 0.16 of its bound
+        "c8755936979d2f0cbb85e4a68be37a735f3a420f6e3038191254992308ac28a8",
+    # circulant CG: value 4.3e-16 off, 0.26 of its bound
     "forward/solution.csv":
-        "09f537b9782be9f3c9dc5d6389dfe554bfc4a1dc4643e1bcc9b2c5a69828c400",
-    # CG step: e_sup 1.94e-12 off, 0.11 of its bound
+        "d83ca54bb6cb2c9c90faa921e02f8fd77761f97d2a799aaed665b13c9d39f335",
+    # circulant CG: e_l2 2.57e-12 off, 0.15 of its bound
     "linearize/linearize.csv":
-        "047a9024286d11287baa1a68a23a6bc5dd84070831ac87ce73a1ffb7795b6b48",
+        "0cb4aa0721a6de2165c5de51a45b86b047ab35b1b11b4e9461fb81b011dd618b",
     # packed factor: min_u 6.11e-16 off, 0.55 of its bound
     "principles/principles.csv":
         "cec051a450a2e9597b029fc83d7c2f6eda90d2994e8ef02bb5e1d69ff37865c5",
