@@ -22,6 +22,7 @@ from fracschrod import (
     solve_linear,
 )
 from fracschrod.errors import Validation, WindowTouchesBoundary
+from fracschrod.fraclap import _blocks, _Stencil
 from conftest import GRIDS_2D, exterior_bump
 from oracles import domain_mass_quad_1d, domain_mass_quad_2d
 
@@ -247,3 +248,28 @@ def test_bank_json(op_small):
     assert [d["g-id"] for d in doc["data"]] == ["g-0", "g-1"]
     assert len(doc["window"]) == window.size
     json.dumps(doc)
+
+
+def midpoint_neumann(grid, params, u, indices):
+    """Reference: each batch of kernel rows gathered by _Stencil.midpoint,
+    reduced by the trace's einsum over the same batches."""
+    stencil = _Stencil(grid, params)
+    ui, ux = u.interior_values, u.values[indices]
+    out = np.empty(indices.size)
+    for sl in _blocks(indices.size, 8 * ui.size):
+        kern = stencil.midpoint(indices[sl], grid.interior_index)
+        out[sl] = np.einsum("kj,kj->k", kern, ux[sl, None] - ui[None, :])
+    return out
+
+
+@pytest.mark.parametrize("name", ["1d", *sorted(GRIDS_2D)])
+def test_neumann_is_the_midpoint_rows(name):
+    # windows from one spacing off the domain, several batches wide on 2D
+    domain, h, R, s = GRIDS_2D.get(name, (Domain.interval(-1.0, 1.0), 2.0**-6, 4.0, 0.5))
+    grid = build_grid(domain, h, R)
+    params = frac_params(grid.dim, s)
+    u = Field.from_values(grid, np.sin(np.arange(grid.n_nodes)))
+    for inner, outer in ((grid.h, 1.5), (0.5, 1.0)):
+        idx = annulus_window(grid, inner, outer).indices
+        want = midpoint_neumann(grid, params, u, idx)
+        assert np.array_equal(neumann_derivative(grid, params, u, idx), want)

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from fracschrod import (
     Domain,
@@ -350,6 +351,61 @@ def test_interior_product_is_the_dense_block(name):
         scale = np.max(np.abs(dense) @ np.abs(v))
         err = np.max(np.abs(op.a_ii @ v - dense @ v))
         assert err <= PRODUCT_EPS * np.finfo(float).eps * scale
+
+
+# 1D h=2^-6; a 2D box whose 31-wide interior is wider than the 17-wide
+# near window; the 2D golden rectangle, whose 15 x 7 interior is narrower
+CONVOLUTION_GRIDS = {
+    "1d-h2^-6": (Domain.interval(-1.0, 1.0), 2.0**-6, 4.0, 0.5),
+    "2d-box-h2^-4": (Domain.box((-1.0, -1.0), (1.0, 1.0)), 2.0**-4, 3.0, 0.5),
+    "2d-rect": STENCIL_GRIDS["2d-rect"],
+}
+
+
+def reference_convolution(stencil, low, span, t_low, t_span, field):
+    """(K * field) over the target box as the far part by FFT, then one
+    total += weight * field[window] per near term, ascending weight with
+    ties in row-major offset order."""
+    d_span = t_span + span - 1
+    d, kern = fraclap._offset_kernel(stencil, t_low - (low + span - 1), d_span)
+    near = np.all(np.abs(d) <= fraclap._NEAR, axis=-1)
+    terms = sorted(((kern[tuple(i)], d[tuple(i)]) for i in np.argwhere(near)
+                    if kern[tuple(i)] != 0.0), key=lambda term: term[0])
+    size = [scipy.fft.next_fast_len(int(w), real=True) for w in d_span]
+    far = scipy.fft.rfftn(np.where(near, 0.0, kern), size)
+    valid = tuple(slice(s - 1, s - 1 + w) for s, w in zip(span, t_span))
+    total = scipy.fft.irfftn(scipy.fft.rfftn(field, size) * far, size)[valid]
+    for weight, offset in terms:
+        window = tuple(slice(a, a + w) for a, w in zip(t_low - offset - low, t_span))
+        total += weight * field[window]
+    return total.reshape(-1)
+
+
+@pytest.mark.parametrize("name", sorted(CONVOLUTION_GRIDS))
+def test_convolutions_are_the_windowed_sums(name):
+    # both blocks' convolutions, on a random source field and on the field
+    # each block's product forms, keep the bits of the windowed sums
+    domain, h, R, s = CONVOLUTION_GRIDS[name]
+    grid = build_grid(domain, h, R)
+    op = assemble(grid, s)
+    stencil = _Stencil(grid, op.params)
+    t_low, t_span = fraclap._interior_box(stencil)
+    near = fraclap._NEAR
+    low = stencil.coords.min(axis=0) - near
+    boxes = {"a_ii": (op.a_ii, t_low - near, t_span + 2 * near),
+             "a_ie": (op.a_ie, low, stencil.coords.max(axis=0) + near + 1 - low)}
+    rng = np.random.default_rng(7)
+    for block, low, span in boxes.values():
+        assert block._conv.span == tuple(span)
+        field = rng.standard_normal(span)
+        want = reference_convolution(stencil, low, span, t_low, t_span, field)
+        assert np.array_equal(block._conv(field), want)
+    v = rng.standard_normal(grid.n_interior)
+    field = np.zeros(op.a_ii._conv.span)
+    field[tuple(slice(near, near + w) for w in t_span)] = v.reshape(t_span)
+    want = -reference_convolution(stencil, t_low - near, t_span + 2 * near,
+                                  t_low, t_span, field)
+    assert np.array_equal(op.a_ii.off_diagonal(v), want)
 
 
 def held_arrays(block):
