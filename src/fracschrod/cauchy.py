@@ -31,9 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatch, Validation, WindowTouchesBoundary
-from .fraclap import (FracParams, NonlocalOperator, _blocks, _face_integral, _Stencil,
-                      evaluate_at)
-from .grid import Field, Grid, Region, Window
+from .fraclap import (FracParams, NonlocalOperator, _blocks, _face_integral,
+                      _interior_box, _Stencil, evaluate_at)
+from .grid import Field, Grid, Region, Window, _node_indices
 from .nonlinearity import Nonlinearity
 from .solver import NewtonConfig, solve_semilinear
 
@@ -57,11 +57,19 @@ class CauchyDatum:
             raise Validation("Cauchy datum contains non-finite values")
 
 
-def _require_clear_of_boundary(grid: Grid, points: np.ndarray) -> None:
-    d = grid.domain.distance(points)
+def _exterior_indices(grid: Grid, params: FracParams, indices) -> np.ndarray:
+    """indices as validated exterior nodes at least one spacing from the
+    domain, for params of the grid's dimension."""
+    if params.n != grid.dim:
+        raise GridMismatch(f"params of dimension {params.n} on a {grid.dim}D grid")
+    indices = _node_indices(grid, indices)
+    if not np.all(grid.labels[indices] == Region.EXTERIOR):
+        raise Validation("N u and m are defined at exterior nodes")
+    d = grid.domain.distance(grid.nodes[indices])
     if np.any(d < grid.h * (1 - 1e-12)):
         raise WindowTouchesBoundary(
             f"evaluation point within one spacing of the domain (min dist {d.min():.3g})")
+    return indices
 
 
 def neumann_derivative(grid: Grid, params: FracParams, u: Field,
@@ -70,14 +78,21 @@ def neumann_derivative(grid: Grid, params: FracParams, u: Field,
 
     Midpoint quadrature over interior cells; the kernel is nonsingular
     because the evaluation points keep a positive distance from the domain.
+    The interior nodes fill a lattice box from corner low, in row-major
+    order, so the kernel row of a node at coordinate c is the box of the
+    stencil's kernel table K(low - c + m), m over the box: K(d) = K(-d) bit
+    for bit, so these are the midpoint weights K(c - low - m) exactly.  A
+    batch of rows is one gather of such boxes from a sliding-window view of
+    the table, and forms no index array of the batch's size.
     """
     if not u.grid.same_as(grid):
         raise GridMismatch("field grid differs")
-    indices = np.asarray(indices, dtype=int)
-    if not np.all(grid.labels[indices] == Region.EXTERIOR):
-        raise Validation("Neumann derivative is defined at exterior nodes")
-    _require_clear_of_boundary(grid, grid.nodes[indices])
+    indices = _exterior_indices(grid, params, indices)
     stencil = _Stencil(grid, params)
+    low, box = _interior_box(stencil)
+    table = stencil.kernel.reshape((2 * stencil.reach + 1,) * grid.dim)
+    boxes = np.lib.stride_tricks.sliding_window_view(table, tuple(box))
+    corners = (stencil.reach + low - stencil.coords[indices]).T
     ui = u.interior_values
     ux = u.values[indices]
     out = np.empty(indices.size)
@@ -85,7 +100,7 @@ def neumann_derivative(grid: Grid, params: FracParams, u: Field,
     # row length gives 512 KiB batches of kernel rows and of differences
     width = 8 * ui.size
     for sl in _blocks(indices.size, width):
-        kern = stencil.midpoint(indices[sl], grid.interior_index)
+        kern = boxes[tuple(corners[:, sl])].reshape(-1, ui.size)
         out[sl] = np.einsum("kj,kj->k", kern, ux[sl, None] - ui[None, :])
     return out
 
@@ -95,11 +110,7 @@ def mass_m(grid: Grid, params: FracParams, indices) -> np.ndarray:
     outward flux of (y - x) |y - x|^(-n-2s) through the faces of the box.  A
     face at signed normal distance d contributes sign(d) |d|^(-2s) in 1D and
     d times its face integral at p = 1 + s in 2D (0 for a face seen edge-on)."""
-    indices = np.asarray(indices, dtype=int)
-    if not np.all(grid.labels[indices] == Region.EXTERIOR):
-        raise Validation("m is defined at exterior nodes")
-    points = grid.nodes[indices]
-    _require_clear_of_boundary(grid, points)
+    points = grid.nodes[_exterior_indices(grid, params, indices)]
     lo = np.asarray(grid.domain.lower) - points
     hi = np.asarray(grid.domain.upper) - points
     d = np.concatenate([hi, -lo], axis=1)  # upper faces, then lower faces

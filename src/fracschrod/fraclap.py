@@ -27,7 +27,9 @@ Both blocks are stored by structure.  Off the diagonal an entry depends
 only on the lattice offset between its two cells, so a product with either
 block is a lattice convolution of the kernel, near offsets summed directly
 and the rest by FFT, equal to the dense product to roundoff
-(InteriorBlock, ExteriorBlock).  Assembly forms no row: each block takes
+(InteriorBlock, ExteriorBlock).  Each near offset is one contiguous add
+over the flattened source sub-box, bit for bit a sum over shifted windows
+(_Convolution).  Assembly forms no row: each block takes
 its row sums as its own product with a vector of ones, and the diagonal
 balances them, so constants with matching far-field are annihilated to
 roundoff (below the acceptance gate's 1e-12), not exactly.  The dense
@@ -54,7 +56,7 @@ from .errors import (
     OrderOutOfRange,
     SingularOverlap,
 )
-from .grid import _TOL, Field, Grid, Region
+from .grid import _TOL, Field, Grid, Region, _node_indices
 
 __all__ = [
     "ExteriorBlock",
@@ -309,12 +311,19 @@ class _Convolution:
     """The kernel K of _offset_kernel convolved with a lattice field.
 
     (K * F)(t) = sum_m K(t - m) F(m), for t in a target box and F given on
-    a source box that reaches _NEAR past every target.  Offsets with
-    |k|_inf <= _NEAR, which carry the large weights, are summed directly
-    over shifted windows of F, smallest weight first; the rest of K is
-    applied by FFT from its stored rfft spectrum, over a box large enough
-    that the circular convolution is exact at every target.  The result
-    equals the direct sum to roundoff, not bit for bit.
+    a source box that reaches _NEAR past every target.  The part of K with
+    |k|_inf > _NEAR is applied first, by FFT from its stored rfft spectrum
+    over a box large enough that the circular convolution is exact at every
+    target, so the result equals the direct sum to roundoff, not bit for
+    bit.  The near offsets, which carry the large weights, are then added
+    directly, smallest weight first (ties in row-major offset order).  They
+    read only the sub-box of F within _NEAR of the target box, copied
+    contiguous.  Laid out at the sub-box's row stride, the targets fill one
+    flat run, and the term of offset k reads the flattened sub-box from a
+    fixed start on; so each term is one contiguous add, and weight * sub-box
+    is formed once per distinct weight.  Every target sees the products and
+    adds of a sum over shifted windows of F, in the same order, so the two
+    forms agree bit for bit.
     """
 
     def __init__(self, stencil: _Stencil, low, span, t_low, t_span):
@@ -322,10 +331,20 @@ class _Convolution:
         d_span = t_span + span - 1
         d, kern = _offset_kernel(stencil, t_low - (low + span - 1), d_span)
         near = np.all(np.abs(d) <= _NEAR, axis=-1)
-        self._near = [(kern[tuple(i)], tuple(slice(s, s + w) for s, w in
-                       zip(t_low - (d[tuple(i)] + low), t_span)))
-                      for i in np.argwhere(near) if kern[tuple(i)] != 0.0]
-        self._near.sort(key=lambda term: term[0])
+        sub = tuple(int(w) + 2 * _NEAR for w in t_span)
+        self._sub = tuple(slice(a - _NEAR, a - _NEAR + w) for a, w in zip(t_low - low, sub))
+        # targets at the sub-box's flat positions, from 0 to run - 1
+        self._acc = (int(t_span[0]),) + sub[1:]
+        self._target = tuple(slice(0, int(w)) for w in t_span)
+        self._run = int(np.ravel_multi_index(tuple(t_span - 1), sub)) + 1
+        # nonzero near terms in row-major offset order, stably by weight
+        term = near & (kern != 0.0)
+        order = np.argsort(kern[term], kind="stable")
+        weight = kern[term][order]
+        start = np.ravel_multi_index((_NEAR - d[term][order]).T, sub)
+        first = np.flatnonzero(np.r_[True, weight[1:] != weight[:-1]])
+        self._weights = weight[first]
+        self._starts = np.split(start, first[1:])
         kern[near] = 0.0
         self._size = tuple(int(scipy.fft.next_fast_len(int(w), real=True))
                            for w in d_span)
@@ -334,15 +353,23 @@ class _Convolution:
 
     @property
     def nbytes(self) -> int:
-        return self._spectrum.nbytes + 8 * len(self._near)
+        arrays = (self._spectrum, self._weights, *self._starts)
+        return sum(a.nbytes for a in arrays)
 
     def __call__(self, field: np.ndarray) -> np.ndarray:
         """(K * field) over the target box, flattened in row-major order."""
-        total = scipy.fft.irfftn(scipy.fft.rfftn(field, self._size) * self._spectrum,
-                                 self._size)[self._valid]
-        for weight, window in self._near:
-            total += weight * field[window]
-        return total.reshape(-1)
+        acc = np.zeros(self._acc)      # padding cells are summed, then dropped
+        acc[self._target] = scipy.fft.irfftn(
+            scipy.fft.rfftn(field, self._size) * self._spectrum, self._size)[self._valid]
+        src = np.ascontiguousarray(field[self._sub]).reshape(-1)
+        scaled = np.empty_like(src)
+        run = self._run
+        total = acc.reshape(-1)[:run]
+        for weight, starts in zip(self._weights, self._starts):
+            np.multiply(weight, src, out=scaled)
+            for a in starts.tolist():
+                total += scaled[a:a + run]
+        return acc[self._target].reshape(-1)
 
 
 class ExteriorBlock:
@@ -608,7 +635,7 @@ def evaluate_at(op: NonlocalOperator, u: Field, indices,
     """
     if not u.grid.same_as(op.grid):
         raise GridMismatch("field grid differs from operator grid")
-    indices = np.asarray(indices, dtype=int)
+    indices = _node_indices(op.grid, indices)
     stencil = _Stencil(op.grid, op.params)
     out = np.empty(indices.size)
     for sl in _blocks(indices.size, op.grid.n_nodes):

@@ -205,6 +205,18 @@ class Window:
         return self.indices.size
 
 
+def _node_indices(grid: Grid, indices) -> np.ndarray:
+    """indices as an int array of node indices; Validation unless every
+    entry is an integer in [0, n_nodes) (no truncation, no wrap-around)."""
+    arr = np.asarray(indices)
+    if arr.size:
+        if not np.issubdtype(arr.dtype, np.integer):
+            raise Validation(f"node indices must be integers, got dtype {arr.dtype}")
+        if arr.min() < 0 or arr.max() >= grid.n_nodes:
+            raise Validation(f"node indices must lie in [0, {grid.n_nodes})")
+    return arr.astype(int, copy=False)
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a

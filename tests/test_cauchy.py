@@ -14,6 +14,7 @@ from fracschrod import (
     build_cauchy_bank,
     build_grid,
     catalogue,
+    evaluate_at,
     exterior_identity_check,
     frac_params,
     make_cauchy_datum,
@@ -21,7 +22,7 @@ from fracschrod import (
     neumann_derivative,
     solve_linear,
 )
-from fracschrod.errors import Validation, WindowTouchesBoundary
+from fracschrod.errors import GridMismatch, Validation, WindowTouchesBoundary
 from fracschrod.fraclap import _blocks, _Stencil
 from conftest import GRIDS_2D, exterior_bump
 from oracles import domain_mass_quad_1d, domain_mass_quad_2d
@@ -273,3 +274,38 @@ def test_neumann_is_the_midpoint_rows(name):
         idx = annulus_window(grid, inner, outer).indices
         want = midpoint_neumann(grid, params, u, idx)
         assert np.array_equal(neumann_derivative(grid, params, u, idx), want)
+
+
+def test_params_of_another_dimension_rejected():
+    # 1D params on a 2D grid gave a NaN mass and a trace with the wrong
+    # kernel power; 2D params on a 1D grid are rejected alike
+    for domain, n in ((Domain.box((-1.0, -1.0), (1.0, 1.0)), 1),
+                      (Domain.interval(-1.0, 1.0), 2)):
+        grid = build_grid(domain, 0.25, 3.0)
+        params = frac_params(n, 0.5)
+        idx = annulus_window(grid, 0.5, 1.0).indices
+        with pytest.raises(GridMismatch, match="dimension"):
+            neumann_derivative(grid, params, Field.zeros(grid), idx)
+        with pytest.raises(GridMismatch, match="dimension"):
+            mass_m(grid, params, idx)
+
+
+def test_bad_node_indices_rejected(op_small):
+    # a float index was truncated to a node, -1 wrapped to the last node and
+    # an index past the nodes raised a bare IndexError
+    grid = op_small.grid
+    u = Field.zeros(grid)
+    far = exterior_index_at(grid, 2.0)
+    calls = (lambda idx: neumann_derivative(grid, op_small.params, u, idx),
+             lambda idx: mass_m(grid, op_small.params, idx),
+             lambda idx: evaluate_at(op_small, u, idx))
+    for call in calls:
+        assert call(np.array([far])).shape == (1,)
+        assert call([]).shape == (0,)
+        for bad in ([0.5], [float(far)], [-1], [grid.n_nodes], [far, grid.n_nodes + 3]):
+            with pytest.raises(Validation, match="node indices"):
+                call(bad)
+    # the trace and the mass are defined at exterior nodes only
+    for call in calls[:2]:
+        with pytest.raises(Validation, match="exterior nodes"):
+            call(grid.interior_index[:1])

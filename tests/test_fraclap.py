@@ -200,8 +200,13 @@ def test_off_lattice_grid_rejected(grid_2d):
     # the blocks are convolutions over the interior box: an interior node
     # moved to a free lattice point beyond the ball leaves a hole in it
     corner = grid_2d.domain.center + grid_2d.R
+    holed = _moved(grid_2d, g, corner - grid_2d.nodes[g])
     with pytest.raises(SingularOverlap, match="lattice box"):
-        assemble(_moved(grid_2d, g, corner - grid_2d.nodes[g]), 0.5)
+        assemble(holed, 0.5)
+    # the Neumann trace reads its kernel rows as boxes of the same interior
+    with pytest.raises(SingularOverlap, match="lattice box"):
+        neumann_derivative(holed, frac_params(2, 0.5), Field.zeros(holed),
+                           grid_2d.exterior_index[:1])
 
 
 # the three non-dyadic grids of the stencil refactor, the two 2D golden grids
