@@ -31,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatch, Validation, WindowTouchesBoundary
-from .fraclap import (FracParams, NonlocalOperator, _blocks, _face_integral,
-                      _interior_box, _Stencil, evaluate_at)
+from .fraclap import (FracParams, NonlocalOperator, _face_integral, _Stencil,
+                      evaluate_at)
 from .grid import Field, Grid, Region, Window, _node_indices
 from .nonlinearity import Nonlinearity
 from .solver import NewtonConfig, solve_semilinear
@@ -78,29 +78,15 @@ def neumann_derivative(grid: Grid, params: FracParams, u: Field,
 
     Midpoint quadrature over interior cells; the kernel is nonsingular
     because the evaluation points keep a positive distance from the domain.
-    The interior nodes fill a lattice box from corner low, in row-major
-    order, so the kernel row of a node at coordinate c is the box of the
-    stencil's kernel table K(low - c + m), m over the box: K(d) = K(-d) bit
-    for bit, so these are the midpoint weights K(c - low - m) exactly.  A
-    batch of rows is one gather of such boxes from a sliding-window view of
-    the table, and forms no index array of the batch's size.
+    Each batch of kernel rows (_Stencil.interior_rows) is reduced against
+    the differences of u by one einsum.
     """
     if not u.grid.same_as(grid):
         raise GridMismatch("field grid differs")
     indices = _exterior_indices(grid, params, indices)
-    stencil = _Stencil(grid, params)
-    low, box = _interior_box(stencil)
-    table = stencil.kernel.reshape((2 * stencil.reach + 1,) * grid.dim)
-    boxes = np.lib.stride_tricks.sliding_window_view(table, tuple(box))
-    corners = (stencil.reach + low - stencil.coords[indices]).T
-    ui = u.interior_values
-    ux = u.values[indices]
+    ui, ux = u.interior_values, u.values[indices]
     out = np.empty(indices.size)
-    # _blocks fits rows of this width in its 4 MiB budget; eight times the
-    # row length gives 512 KiB batches of kernel rows and of differences
-    width = 8 * ui.size
-    for sl in _blocks(indices.size, width):
-        kern = boxes[tuple(corners[:, sl])].reshape(-1, ui.size)
+    for sl, kern in _Stencil(grid, params).interior_rows(indices):
         out[sl] = np.einsum("kj,kj->k", kern, ux[sl, None] - ui[None, :])
     return out
 

@@ -86,6 +86,16 @@ def _integer(literal: str) -> int:
     return int(literal)
 
 
+def _whole(value, key: str, low: int | None = None) -> int:
+    """A config number as an int, refused unless integral and at least low
+    (int() would truncate 2.5 to 2, and a negative trial count runs none)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1:
+        raise Validation(f"config {key} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise Validation(f"config {key} must be at least {low}, got {value}")
+    return int(value)
+
+
 def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -160,7 +170,7 @@ def _band(cfg) -> tuple[float, float]:
 
 def _newton(cfg) -> NewtonConfig:
     spec = cfg.get("newton", {})
-    return NewtonConfig(max_iters=int(spec.get("max_iters", 50)),
+    return NewtonConfig(max_iters=_whole(spec.get("max_iters", 50), "newton.max_iters"),
                         residual_tol=float(spec.get("residual_tol", 1e-10)),
                         damping=float(spec.get("damping", 0.5)))
 
@@ -206,9 +216,9 @@ def run_forward(cfg: dict, out: Path) -> dict:
 
 
 def run_principles(cfg: dict, out: Path) -> dict:
+    rng = np.random.default_rng(_whole(cfg["seed"], "seed", 0))
+    trials = _whole(cfg["trials"], "trials", 0)
     grid, op = _grid_and_operator(cfg)
-    rng = np.random.default_rng(int(cfg["seed"]))
-    trials = int(cfg["trials"])
     ni, ne = grid.n_interior, grid.n_exterior
     rows = []
     failures = 0
@@ -264,13 +274,14 @@ def run_linearize(cfg: dict, out: Path) -> dict:
 
 def run_recover(cfg: dict, out: Path) -> dict:
     band = _band(cfg)
+    seed = _whole(cfg["seed"], "seed", 0)
     grid, op = _grid_and_operator(cfg)
     window = annulus_window(grid, *band)
     a_true = _profile_values(cfg["truth"], grid)
     measurements = dn_map(op, a_true, window)
     noise = float(cfg["noise"])
     if noise > 0:
-        rng = np.random.default_rng(int(cfg["seed"]))
+        rng = np.random.default_rng(seed)
         measurements = replace(measurements, matrix=measurements.matrix * (
             1.0 + noise * rng.standard_normal(measurements.matrix.shape)))
     result = recover_potential(op, measurements, float(cfg["regularization"]))
@@ -290,14 +301,14 @@ def run_recover(cfg: dict, out: Path) -> dict:
 
 
 def run_probe(cfg: dict, out: Path) -> dict:
-    grid, op = _grid_and_operator(cfg)
     sizes = cfg.get("window_sweep")
     if not sizes:
         raise Validation("probe experiment needs window_sweep: [sizes...]")
+    sizes = [_whole(size, "window_sweep entry") for size in sizes]
+    grid, op = _grid_and_operator(cfg)
     order = np.argsort(grid.domain.distance(grid.exterior_nodes), kind="stable")
     rows = []
     for size in sizes:
-        size = int(size)
         if size < 1 or size > grid.n_exterior:
             raise Validation(f"window size {size} out of range")
         idx = np.sort(grid.exterior_index[order[:size]])

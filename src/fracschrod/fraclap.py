@@ -27,18 +27,19 @@ Both blocks are stored by structure.  Off the diagonal an entry depends
 only on the lattice offset between its two cells, so a product with either
 block is a lattice convolution of the kernel, near offsets summed directly
 and the rest by FFT, equal to the dense product to roundoff
-(InteriorBlock, ExteriorBlock).  Each near offset is one contiguous add
-over the flattened source sub-box, bit for bit a sum over shifted windows
-(_Convolution).  Assembly forms no row: each block takes
-its row sums as its own product with a vector of ones, and the diagonal
-balances them, so constants with matching far-field are annihilated to
-roundoff (below the acceptance gate's 1e-12), not exactly.  The dense
-entries can still be formed bit for bit: a_ii.fill writes the lower
-triangle of the interior block plus a diagonal in packed storage, the
-system matrix the solver factors, and _Stencil.rows, the one place the
-sparse corrections are applied, gives a_ie's entries negated when
-restricted to exterior columns.  The stencil is cheap enough to rebuild
-per call; the assembled operator is immutable and apply() is pure.
+(InteriorBlock, ExteriorBlock), each kernel a box slice of the stencil's
+table (_offset_kernel).  Each near offset is one contiguous add over the
+flattened source sub-box, bit for bit a sum over shifted windows
+(_Convolution).  Assembly forms no row: each block takes its row sums as
+its own product with a vector of ones, and the diagonal balances them, so
+constants with matching far-field are annihilated to roundoff (below the
+acceptance gate's 1e-12), not exactly.  The dense entries can still be
+formed bit for bit: a_ii.fill writes the lower triangle of the interior
+block plus a diagonal in packed storage, the system matrix the solver
+factors, and _Stencil.rows, the one place the sparse corrections are
+applied, gives a_ie's entries negated when restricted to exterior
+columns.  The stencil is cheap enough to rebuild per call; the assembled
+operator is immutable and apply() is pure.
 """
 
 from __future__ import annotations
@@ -147,12 +148,14 @@ class _Stencil:
     """Offset-indexed quadrature weights of one grid: the only kernel source.
 
     Cells are the nodes followed by the boundary points, keyed by integer
-    lattice coordinates (``coords``); the offset between two keys indexes
-    ``kernel``, the midpoint weights over [-reach, reach]^n (zero at the
-    origin), reach = 2K with K the largest coordinate (floor(R/h) on a grid
-    from build_grid).  ``share[c]`` lists the nodes receiving the mass of
-    cell c (itself, or the outward exterior neighbors of a boundary point;
-    -1 padded), ``count[c]`` how many; a cell with none feeds the tail.
+    lattice coordinates (``coords``); the offset d between two cells indexes
+    ``kernel``, the n-D table of midpoint weights over [-reach, reach]^n
+    (entry d + reach per axis, zero at d = 0), reach = 2K with K the largest
+    coordinate (floor(R/h) on a grid from build_grid), laid out for this
+    class and _offset_kernel only.  ``share[c]`` lists the nodes receiving
+    the mass of cell c (itself, or the outward exterior neighbors of a
+    boundary point; -1 padded), ``count[c]`` how many; a cell with none
+    feeds the tail.
     """
 
     def __init__(self, grid: Grid, params: FracParams):
@@ -182,11 +185,12 @@ class _Stencil:
         d = square
         for _ in range(n - 1):
             d = np.add.outer(d, square)
-        d = np.sqrt(d, out=d).ravel()
-        d[self.origin] = 1.0
+        np.sqrt(d, out=d)
+        zero = (self.reach,) * n
+        d[zero] = 1.0
         d **= n + 2 * params.s
         self.kernel = np.divide(params.cns * h**n, d, out=d)
-        self.kernel[self.origin] = 0.0
+        self.kernel[zero] = 0.0
 
         self.grid, self.params, self.center = grid, params, center
         self.w_sing = _singular_weight(params, h)
@@ -205,20 +209,34 @@ class _Stencil:
         self.count = np.count_nonzero(self.share >= 0, axis=1)
 
     def midpoint(self, targets, cols) -> np.ndarray:
-        """Midpoint weights between target nodes (rows) and cells (cols).
+        """Midpoint weights between target nodes (rows) and any cells (cols).
 
-        Each row is one gather from a shifted view of the kernel, so no
-        index array of the block's size is formed.  The offsets lie inside
-        the kernel by construction, so the gather clips instead of checking
-        bounds (which buffers out, 1.5x slower).
+        Each row is one gather from a shifted view of the flattened kernel,
+        so no index array of the block's size is formed.  The offsets lie
+        inside the kernel by construction, so the gather clips instead of
+        checking bounds (which buffers out, 1.5x slower).
         """
         keys = self.keys[targets]
         low = keys.min(initial=0)
         base = self.origin + low - self.keys[cols]
+        flat = self.kernel.reshape(-1)
         out = np.empty((keys.size, base.size))
         for row, shift in zip(out, keys - low):
-            np.take(self.kernel[shift:], base, out=row, mode="clip")
+            np.take(flat[shift:], base, out=row, mode="clip")
         return out
+
+    def interior_rows(self, targets):
+        """Batches (sl, rows): the midpoint weights from targets[sl] to the
+        interior nodes, 512 KiB at a time.  The interior nodes fill a box from
+        corner low, so the row of a node at c is the kernel's box K(low - c +
+        m), m over the box, which is K(c - low - m) as K(d) = K(-d) bit for
+        bit; a batch is one gather from a sliding-window view of the kernel."""
+        low, span = _interior_box(self)
+        boxes = np.lib.stride_tricks.sliding_window_view(self.kernel, tuple(span))
+        corners = (self.reach + low - self.coords[targets]).T
+        size = int(np.prod(span))
+        for sl in _blocks(len(targets), 8 * size):  # 8 rows' width: 512 KiB
+            yield sl, boxes[tuple(corners[:, sl])].reshape(-1, size)
 
     def rows(self, targets, cols=None) -> tuple[np.ndarray, np.ndarray]:
         """Weights (m, len(cols)) from the targets to the distinct nodes cols
@@ -257,14 +275,11 @@ class _Stencil:
         return w, tail
 
     def far_tails(self, targets) -> list[float]:
-        """Closed-form kernel mass beyond the truncation ball, per target node.
-
-        The distances are one array pass, each the square root of a
-        (1, n) @ (n, 1) matmul, the BLAS dot that np.linalg.norm of one
-        vector takes (a sum of squares can round differently); tail_mass
-        stays a scalar power per node.  So each value has the bits of a
-        node-by-node evaluation.
-        """
+        """Closed-form kernel mass beyond the truncation ball, per target node,
+        with the bits of a node-by-node evaluation: each distance is the
+        square root of a (1, n) @ (n, 1) matmul, the BLAS dot np.linalg.norm
+        takes (a sum of squares can round differently), and tail_mass stays
+        a scalar power per node."""
         R, h = self.grid.R, self.grid.h
         x = self.grid.nodes[targets] - self.center
         if self.grid.dim == 1:
@@ -294,17 +309,20 @@ def _interior_box(stencil: _Stencil) -> tuple[np.ndarray, np.ndarray]:
     return low, span
 
 
-def _offset_kernel(stencil: _Stencil, low, span) -> tuple[np.ndarray, np.ndarray]:
-    """Integer offsets d over the box [low, low + span) and the kernel K(d):
-    the midpoint weights (zero beyond the stencil's reach) with w_sing added
-    at the -/+ axis unit offsets, where the singular cell's mass lands."""
-    axes = [np.arange(a, a + w) for a, w in zip(low, span)]
-    d = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    inside = np.all(np.abs(d) <= stencil.reach, axis=-1)
-    kern = np.zeros(inside.shape)
-    kern[inside] = stencil.kernel[stencil.origin + d[inside] @ stencil.strides]
-    kern[np.sum(np.abs(d), axis=-1) == 1] += stencil.w_sing
-    return d, kern
+def _offset_kernel(stencil: _Stencil, low, span) -> np.ndarray:
+    """The kernel K(d) over the box of offsets d in [low, low + span), one
+    zero-padded slice of the stencil's table: the midpoint weights, zero
+    beyond the reach, with w_sing added at the -/+ axis unit offsets, where
+    the singular cell's mass lands."""
+    kern, r = np.zeros(tuple(int(w) for w in span)), stencil.reach
+    a, b = np.clip(low, -r, r + 1), np.clip(low + span, -r, r + 1)  # may be empty
+    kern[tuple(map(slice, a - low, b - low))] = stencil.kernel[
+        tuple(map(slice, a + r, b + r))]
+    units = np.eye(len(span), dtype=int)
+    for at in np.concatenate([-units, units]) - low:
+        if np.all((at >= 0) & (at < span)):
+            kern[tuple(at)] += stencil.w_sing
+    return kern
 
 
 class _Convolution:
@@ -314,23 +332,25 @@ class _Convolution:
     a source box that reaches _NEAR past every target.  The part of K with
     |k|_inf > _NEAR is applied first, by FFT from its stored rfft spectrum
     over a box large enough that the circular convolution is exact at every
-    target, so the result equals the direct sum to roundoff, not bit for
-    bit.  The near offsets, which carry the large weights, are then added
-    directly, smallest weight first (ties in row-major offset order).  They
-    read only the sub-box of F within _NEAR of the target box, copied
-    contiguous.  Laid out at the sub-box's row stride, the targets fill one
-    flat run, and the term of offset k reads the flattened sub-box from a
-    fixed start on; so each term is one contiguous add, and weight * sub-box
-    is formed once per distinct weight.  Every target sees the products and
-    adds of a sum over shifted windows of F, in the same order, so the two
-    forms agree bit for bit.
+    target (equal to the direct sum to roundoff, not bit for bit).  The
+    near offsets, the (2 _NEAR + 1)^n sub-box of K around offset 0, carry
+    the large weights and are added directly, smallest weight first (ties
+    in row-major offset order), from the sub-box of F within _NEAR of the
+    targets, copied contiguous.  At that sub-box's row stride the targets
+    fill one flat run, so each term is one contiguous add from a fixed
+    start, and weight * sub-box is formed once per distinct weight: every
+    target sees the products and adds of a sum over shifted windows of F,
+    in the same order, bit for bit.
     """
 
     def __init__(self, stencil: _Stencil, low, span, t_low, t_span):
         self.span = tuple(int(w) for w in span)
         d_span = t_span + span - 1
-        d, kern = _offset_kernel(stencil, t_low - (low + span - 1), d_span)
-        near = np.all(np.abs(d) <= _NEAR, axis=-1)
+        d_low = t_low - (low + span - 1)
+        kern = _offset_kernel(stencil, d_low, d_span)
+        # offsets [-_NEAR, _NEAR]^n: in the box, as sources reach _NEAR past targets
+        near = kern[tuple(slice(-a - _NEAR, -a + _NEAR + 1) for a in d_low)]
+        d = np.indices(near.shape).reshape(near.ndim, -1).T - _NEAR
         sub = tuple(int(w) + 2 * _NEAR for w in t_span)
         self._sub = tuple(slice(a - _NEAR, a - _NEAR + w) for a, w in zip(t_low - low, sub))
         # targets at the sub-box's flat positions, from 0 to run - 1
@@ -338,14 +358,15 @@ class _Convolution:
         self._target = tuple(slice(0, int(w)) for w in t_span)
         self._run = int(np.ravel_multi_index(tuple(t_span - 1), sub)) + 1
         # nonzero near terms in row-major offset order, stably by weight
-        term = near & (kern != 0.0)
-        order = np.argsort(kern[term], kind="stable")
-        weight = kern[term][order]
+        weights = near.flatten()
+        term = weights != 0.0
+        order = np.argsort(weights[term], kind="stable")
+        weight = weights[term][order]
         start = np.ravel_multi_index((_NEAR - d[term][order]).T, sub)
         first = np.flatnonzero(np.r_[True, weight[1:] != weight[:-1]])
         self._weights = weight[first]
         self._starts = np.split(start, first[1:])
-        kern[near] = 0.0
+        near[...] = 0.0
         self._size = tuple(int(scipy.fft.next_fast_len(int(w), real=True))
                            for w in d_span)
         self._spectrum = scipy.fft.rfftn(kern, self._size)
@@ -383,11 +404,10 @@ class ExteriorBlock:
     a convolution on the lattice (_Convolution).  G holds g at the exterior
     nodes' keys and, at each boundary point, the mean of g over the
     exterior nodes its cell is attributed to (zero where the cell feeds the
-    tail); K is the stencil's midpoint kernel with the singular weight
-    w_sing added at the -/+ axis unit offsets.  The product therefore
-    equals the dense one to roundoff, not bit for bit; the exact entries
-    are -_Stencil.rows(interior, exterior) of the same stencil.  row_sums
-    is a_ie @ 1, the block's row sums by the same convolution.
+    tail); K is the kernel of _offset_kernel.  The product equals the dense
+    one to roundoff, not bit for bit; the exact entries are
+    -_Stencil.rows(interior, exterior).  row_sums is a_ie @ 1, the block's
+    row sums by the same convolution.
     """
 
     def __init__(self, stencil: _Stencil):
@@ -441,7 +461,7 @@ class InteriorBlock:
     """The interior block a_ii of an assembled operator, stored by structure.
 
     a_ii holds no dense (ni, ni) array.  Off the diagonal, entry (i, j) is
-    -K(k_i - k_j), with K the kernel of ExteriorBlock, so a_ii is block
+    -K(k_i - k_j), with K the kernel of _offset_kernel, so a_ii is block
     Toeplitz with Toeplitz blocks on the interior box.  off_sums is
     off_diagonal(1), the off-diagonal row sums, and the diagonal balances
     each row of [a_ii a_ie]: -(off_sums + exterior_sums), given the
@@ -449,12 +469,10 @@ class InteriorBlock:
 
     a_ii @ v is diagonal * v plus off_diagonal(v), a lattice convolution
     over the interior box padded by _NEAR (equal to the dense product to
-    roundoff).  fill(out, shift) writes the lower triangle of a_ii +
-    diag(shift), bit for bit, as ni (ni + 1) / 2 floats in rectangular
-    full packed storage (half the dense block: 63 MB at 2D h=2^-5), by
-    a few copies from strided views of the negated kernel over the offsets
-    [-(w - 1), w - 1] per axis of box width w.  Because K(d) = K(-d) bit
-    for bit, the block is bitwise symmetric, so either triangle is it.
+    roundoff).  fill writes the lower triangle of a_ii + diag(shift) bit
+    for bit from strided views of the negated kernel over the offsets
+    [-(w - 1), w - 1] per axis of box width w; as K(d) = K(-d) bit for bit,
+    the block is bitwise symmetric, so either triangle is it.
     """
 
     def __init__(self, stencil: _Stencil, exterior_sums: np.ndarray):
@@ -464,7 +482,7 @@ class InteriorBlock:
         self._conv = _Convolution(stencil, low - _NEAR, span + 2 * _NEAR, low, span)
         self._box = tuple(int(w) for w in span)
         self._pad = tuple(slice(_NEAR, _NEAR + w) for w in self._box)
-        self._kernel = -_offset_kernel(stencil, 1 - span, 2 * span - 1)[1]
+        self._kernel = -_offset_kernel(stencil, 1 - span, 2 * span - 1)
         # with the box as (r, w) = (box rows, last axis), pairs[i0, i1, j0,
         # j1] is entry (i, j) off the diagonal and upper[...] says i <= j in
         # the interior order; built once, since per-call views cost more
@@ -557,15 +575,13 @@ class InteriorBlock:
 class NonlocalOperator:
     """Assembled fractional Laplacian restricted to interior rows.
 
-    a_ii is the interior block, stored as a lattice convolution
-    (InteriorBlock): bitwise symmetric, with positive diagonal and
-    nonpositive off-diagonal entries.  a_ie is the nonpositive exterior
-    block, likewise stored as a lattice convolution (ExteriorBlock); tail
-    holds the closed-form kernel mass beyond the truncation ball per
-    interior node.  The diagonal balances the blocks' row sums, so rows of
-    [a_ii a_ie] sum to zero and constants with matching far-field are
-    annihilated, both up to the roundoff of the convolutions.  No array of
-    the operator grows like ni^2 or ni N.
+    a_ii (InteriorBlock) is bitwise symmetric, with positive diagonal and
+    nonpositive off-diagonal entries, and a_ie (ExteriorBlock) nonpositive;
+    both are lattice convolutions.  tail holds the closed-form kernel mass
+    beyond the truncation ball per interior node.  The diagonal balances
+    the blocks' row sums, so rows of [a_ii a_ie] sum to zero and constants
+    with matching far-field are annihilated, both up to the roundoff of
+    the convolutions.  No array of the operator grows like ni^2 or ni N.
     """
 
     params: FracParams
@@ -602,17 +618,15 @@ def assemble(grid: Grid, s: float) -> NonlocalOperator:
 
 
 def apply_operator(op: NonlocalOperator, u: Field, farfield: float = 0.0) -> np.ndarray:
-    """Operator value at every interior node.
-
-    Both parts are lattice convolutions in difference form.  The interior
-    part sum_j a_ij (u_j - u_i) is off_diagonal(w) - w * off_sums with
-    w = u_i - mean(u_i): equal in exact arithmetic for any shift, and the
-    shift makes w vanish for constant u_i, so the convolution's roundoff
-    scales with the variation of u_i rather than its size.  The exterior
-    part is (a_ie @ u_e) - u_i * rowsum(a_ie).  Constants with matching
-    far-field are therefore annihilated to the roundoff of the exterior
-    product (far below 1e-12 at the sizes the acceptance gate checks), not
-    exactly.
+    """Operator value at every interior node, from two lattice convolutions
+    in difference form.  The interior part sum_j a_ij (u_j - u_i) is
+    off_diagonal(w) - w * off_sums with w = u_i - mean(u_i): equal in exact
+    arithmetic for any shift, and the shift makes w vanish for constant u_i,
+    so the convolution's roundoff scales with the variation of u_i rather
+    than its size.  The exterior part is (a_ie @ u_e) - u_i * rowsum(a_ie).
+    Constants with matching far-field are therefore annihilated to the
+    roundoff of the exterior product (far below 1e-12 at the sizes the
+    acceptance gate checks), not exactly.
     """
     if not u.grid.same_as(op.grid):
         raise GridMismatch("field grid differs from operator grid")

@@ -197,7 +197,8 @@ class Window:
     def __post_init__(self):
         if self.indices.size == 0:
             raise Validation("window must be nonempty")
-        if not np.all(self.grid.labels[self.indices] == Region.EXTERIOR):
+        if not np.all(self.grid.labels[_node_indices(self.grid, self.indices)]
+                      == Region.EXTERIOR):
             raise Validation("window indices must all be EXTERIOR nodes")
 
     @property

@@ -258,7 +258,7 @@ _CG_MAX_KAPPA = 4.0
 
 
 def _newton_step(op: NonlocalOperator, dq: np.ndarray, rhs: np.ndarray,
-                 spectrum: np.ndarray | None = None) -> tuple[np.ndarray, int]:
+                 spectrum: np.ndarray) -> tuple[np.ndarray, int]:
     """x with J x = rhs, J = a_ii + diag(tail + dq), and the CG iterations it
     took, 0 for a direct solve.
 
@@ -267,10 +267,10 @@ def _newton_step(op: NonlocalOperator, dq: np.ndarray, rhs: np.ndarray,
     and with dq >= 0, x^T J x / x^T J0 x lies in [1, kappa], kappa = 1 +
     max dq / lam0.  While kappa <= _CG_MAX_KAPPA the step is conjugate
     gradients preconditioned by C, T. Chan's optimal circulant of J:
-    spectrum (op.a_ii.circulant_eigenvalues(), computed here unless given)
-    plus mean(diag J), inverted by one real FFT pair per iteration.  C's
-    first column wraps entries <= 0, so lambda_min(C) >= mean(tail + dq -
-    rowsum(a_ie)) > 0, the row-sum bound with the mean for the min.
+    spectrum (op.a_ii.circulant_eigenvalues()) plus mean(diag J), inverted
+    by one real FFT pair per iteration.  C's first column wraps entries
+    <= 0, so lambda_min(C) >= mean(tail + dq - rowsum(a_ie)) > 0, the
+    row-sum bound with the mean for the min.
     cond(C^-1 J) <= kappa cond(C^-1 J0), and C differs from J0's circulant
     by mean(dq) I, at most a further factor kappa, so the count is J0's
     with its circulant within a bounded factor; that grows slowly as h
@@ -280,8 +280,6 @@ def _newton_step(op: NonlocalOperator, dq: np.ndarray, rhs: np.ndarray,
     lam0 = np.min(op.tail - op.a_ie.row_sums)
     if np.max(dq) > (_CG_MAX_KAPPA - 1.0) * lam0:
         return _solve_system(op, dq, rhs), 0
-    if spectrum is None:
-        spectrum = op.a_ii.circulant_eigenvalues()
     box = spectrum.shape
     shift = op.tail + dq
     inverse = 1.0 / (spectrum[..., : box[-1] // 2 + 1] + np.mean(op.a_ii.diagonal + shift))

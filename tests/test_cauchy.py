@@ -8,6 +8,7 @@ from fracschrod import (
     Field,
     LinearProblem,
     NewtonConfig,
+    Window,
     annulus_window,
     assemble,
     bank_to_json,
@@ -309,3 +310,9 @@ def test_bad_node_indices_rejected(op_small):
     for call in calls[:2]:
         with pytest.raises(Validation, match="exterior nodes"):
             call(grid.interior_index[:1])
+    # a window checks its indices the same way: -1 was accepted as the last
+    # node, and 0.5 or n_nodes raised a bare IndexError
+    assert Window(grid, np.array([far])).size == 1
+    for bad in ([0.5], [float(far)], [-1], [grid.n_nodes], [far, grid.n_nodes + 3]):
+        with pytest.raises(Validation, match="node indices"):
+            Window(grid, np.array(bad))

@@ -91,6 +91,15 @@ def test_malformed_order_rejected(tmp_path):
     (dict(RECOVER, noise=float("nan")), 1, "Validation"),
     # an integer literal no float holds (it was a raw OverflowError, exit 2)
     ({"R": 10**400}, 1, "Validation"),
+    # integer keys are not truncated: 2.5 trials ran 2, -3 trials ran none,
+    # seed 1.5 ran seed 1 and seed -1 was a raw ValueError (exit 2)
+    ({"experiment": "principles", "trials": 2.5}, 1, "Validation"),
+    ({"experiment": "principles", "trials": -3}, 1, "Validation"),
+    ({"experiment": "principles", "seed": 1.5}, 1, "Validation"),
+    ({"experiment": "principles", "seed": -1}, 1, "Validation"),
+    (dict(RECOVER, noise=0.1, seed=-1), 1, "Validation"),
+    ({"experiment": "probe", "window_sweep": [40.7]}, 1, "Validation"),
+    ({"experiment": "forward", "newton": {"max_iters": 2.7}}, 1, "Validation"),
 ])
 def test_exit_codes(tmp_path, capsys, override, code, error):
     out = tmp_path / "out"

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -367,12 +368,44 @@ CONVOLUTION_GRIDS = {
 }
 
 
+def per_offset_kernel(stencil, low, span):
+    """K(d) over the box [low, low + span) by one gather per offset of the
+    flattened kernel table: the midpoint weight where |d|_inf <= reach, 0
+    elsewhere, plus w_sing where |d|_1 = 1."""
+    d = np.indices(span).reshape(len(span), -1).T + low
+    kern = np.zeros(len(d))
+    inside = np.all(np.abs(d) <= stencil.reach, axis=1)
+    kern[inside] = stencil.kernel.ravel()[stencil.origin + d[inside] @ stencil.strides]
+    kern[np.sum(np.abs(d), axis=1) == 1] += stencil.w_sing
+    return kern.reshape(span)
+
+
+@pytest.mark.parametrize("name", ["1d-h2^-6", "2d-rect"])
+def test_offset_kernel_is_the_per_offset_gather(name):
+    # per axis: across both ends of the reach, across its upper end, wholly
+    # below and wholly above it, the offsets {0, 1} (+1 without -1) and
+    # offsets inside the reach that leave out the unit offsets; in 2D every
+    # pairing of them
+    domain, h, R, s = CONVOLUTION_GRIDS[name]
+    grid = build_grid(domain, h, R)
+    stencil = _Stencil(grid, frac_params(grid.dim, s))
+    reach = stencil.reach
+    axis_boxes = [(-reach - 3, 2 * reach + 7), (reach - 2, 6), (-reach - 9, 4),
+                  (reach + 1, 3), (0, 2), (2, 5)]
+    for box in itertools.product(axis_boxes, repeat=grid.dim):
+        low, span = (np.array(x) for x in zip(*box))
+        want = per_offset_kernel(stencil, low, span)
+        assert np.array_equal(fraclap._offset_kernel(stencil, low, span), want)
+
+
 def reference_convolution(stencil, low, span, t_low, t_span, field):
     """(K * field) over the target box as the far part by FFT, then one
     total += weight * field[window] per near term, ascending weight with
     ties in row-major offset order."""
     d_span = t_span + span - 1
-    d, kern = fraclap._offset_kernel(stencil, t_low - (low + span - 1), d_span)
+    d_low = t_low - (low + span - 1)
+    kern = fraclap._offset_kernel(stencil, d_low, d_span)
+    d = np.moveaxis(np.indices(d_span), 0, -1) + d_low
     near = np.all(np.abs(d) <= fraclap._NEAR, axis=-1)
     terms = sorted(((kern[tuple(i)], d[tuple(i)]) for i in np.argwhere(near)
                     if kern[tuple(i)] != 0.0), key=lambda term: term[0])

@@ -449,7 +449,7 @@ def test_cg_step_is_the_direct_solve(request, fixture):
     u = rng.uniform(0.0, 2.0, ni)
     dq = catalogue("saturating-cubic", 1.0).dq(op.grid.interior_nodes, u)
     rhs = rng.standard_normal(ni)
-    step, iterations = solver._newton_step(op, dq, rhs)
+    step, iterations = solver._newton_step(op, dq, rhs, op.a_ii.circulant_eigenvalues())
     direct = solver._solve(_factor_system(op, op.tail + dq), rhs)
     assert iterations > 1
     assert np.linalg.norm(step - direct) <= 1e-12 * np.linalg.norm(direct)
@@ -465,7 +465,8 @@ def test_cg_step_failures_are_named(op_small, monkeypatch):
     # a Jacobian that is not positive definite shows a negative curvature
     ni = op_small.grid.n_interior
     with pytest.raises(StepNotConverged, match="curvature"):
-        solver._newton_step(op_small, np.full(ni, -1e6), np.ones(ni))
+        solver._newton_step(op_small, np.full(ni, -1e6), np.ones(ni),
+                            op_small.a_ii.circulant_eigenvalues())
     # a study records the failed step as a diverged eta: its base, at zero
     # data, takes no step, and each eta's first step needs more than one
     study = linearization_study(op_small, nl, Field.zeros(op_small.grid), g,
@@ -493,10 +494,10 @@ def test_stiff_newton_step_is_direct(monkeypatch, s, a):
     assert np.max(np.abs(sol.u.values - u.values)) <= 1e-14 * np.max(np.abs(u.values))
     # just inside the bound the step is CG on the circulant, factoring nothing
     lam0 = np.min(op.tail - op.a_ie.row_sums)
-    rhs = np.ones(ni)
-    assert solver._newton_step(op, np.full(ni, 2.99 * lam0), rhs)[1] > 1
+    rhs, spectrum = np.ones(ni), op.a_ii.circulant_eigenvalues()
+    assert solver._newton_step(op, np.full(ni, 2.99 * lam0), rhs, spectrum)[1] > 1
     assert len(factors) == 1
-    assert solver._newton_step(op, np.full(ni, 3.01 * lam0), rhs)[1] == 0
+    assert solver._newton_step(op, np.full(ni, 3.01 * lam0), rhs, spectrum)[1] == 0
     assert len(factors) == 2
 
 
