@@ -195,10 +195,16 @@ class Window:
     indices: np.ndarray  # global node indices, ascending
 
     def __post_init__(self):
-        if self.indices.size == 0:
+        idx = self.indices
+        if not isinstance(idx, np.ndarray) or idx.ndim != 1:
+            raise Validation("window indices must be a 1-D array, "
+                             f"got {type(idx).__name__} of shape {np.shape(idx)}")
+        if idx.size == 0:
             raise Validation("window must be nonempty")
-        if not np.all(self.grid.labels[_node_indices(self.grid, self.indices)]
-                      == Region.EXTERIOR):
+        idx = _node_indices(self.grid, idx)
+        if np.any(idx[1:] <= idx[:-1]):
+            raise Validation("window indices must be strictly ascending")
+        if not np.all(self.grid.labels[idx] == Region.EXTERIOR):
             raise Validation("window indices must all be EXTERIOR nodes")
 
     @property
@@ -280,7 +286,8 @@ def sample_function(grid: Grid, f, region: Region = Region.ALL) -> Field:
     """Sample a scalar function of coordinates onto a Field.
 
     Values outside the selected region are zero.  1D functions receive a
-    scalar coordinate, 2D functions receive (x, y).
+    scalar coordinate, 2D functions receive (x, y).  A bump from c3_bump is
+    evaluated on all the region's points in one call, with the same bits.
     """
     if region == Region.ALL:
         mask = np.ones(grid.n_nodes, dtype=bool)
@@ -288,12 +295,55 @@ def sample_function(grid: Grid, f, region: Region = Region.ALL) -> Field:
         mask = grid.labels == region
     values = np.zeros(grid.n_nodes)
     pts = grid.nodes[mask]
-    sampled = np.asarray([f(*p) for p in pts], dtype=float)
+    if isinstance(f, _Bump):
+        sampled = f.at(pts)
+    else:
+        sampled = np.asarray([f(*p) for p in pts], dtype=float)
     if sampled.size and not np.all(np.isfinite(sampled)):
         bad = pts[~np.isfinite(sampled)][0]
         raise NonFiniteSample(f"f returned a non-finite value at {tuple(bad)}")
     values[mask] = sampled
     return Field(grid, _freeze(values))
+
+
+@dataclass(frozen=True)
+class _Bump:
+    """amplitude * (1 - r^2)^4 on r < 1, r = |x - center| / width, else 0."""
+
+    center: tuple[float, ...]
+    width: float
+    amplitude: float
+
+    def __call__(self, *coords) -> float:
+        return float(self.at([coords])[0])
+
+    def at(self, points: np.ndarray) -> np.ndarray:
+        """The profile at each row of an (m, n) array of points.
+
+        Every step is the scalar formula's IEEE operation, elementwise and
+        in the same order, except the fourth power: numpy's vectorized
+        power may differ from libm's pow in the last bit, so it is taken
+        as Python floats, and only on the support.
+        """
+        c = self.center
+        points = np.asarray(points, dtype=float)
+        if points.ndim != 2 or points.shape[1] != len(c):
+            raise Validation(f"bump center {c} has {len(c)} component(s), "
+                             f"the point has {points.shape[-1]}")
+        # Python float arithmetic overflows to inf and makes nan silently
+        with np.errstate(all="ignore"):
+            r2 = np.zeros(points.shape[0])
+            for x, ci in zip(points.T, c):
+                d = x - ci
+                d /= self.width
+                d *= d
+                r2 += d
+            base = np.subtract(1.0, r2, out=r2)
+            support = np.flatnonzero(base > 0.0)
+            out = np.zeros(points.shape[0])
+            out[support] = [b ** 4 for b in base[support].tolist()]
+            out *= self.amplitude
+        return out
 
 
 def c3_bump(center, width: float, amplitude: float = 1.0):
@@ -302,21 +352,16 @@ def c3_bump(center, width: float, amplitude: float = 1.0):
     Returns the profile amplitude * (1 - r^2)^4 on r < 1 with
     r = |x - center| / width, which vanishes to third order at the support
     edge.  Works for 1D (scalar center) and 2D (pair center); a point
-    whose dimension differs from the center's raises Validation.
+    whose dimension differs from the center's raises Validation, and so
+    does a width that is not positive.  The profile takes one point as
+    profile(*coords), or an (m, n) array of points as profile.at(points).
     """
-    c = np.atleast_1d(np.asarray(center, dtype=float)).tolist()
-
-    def profile(*coords):
-        if len(coords) != len(c):
-            raise Validation(f"bump center {tuple(c)} has {len(c)} "
-                             f"component(s), the point has {len(coords)}")
-        r2 = 0.0
-        for x, ci in zip(coords, c):
-            d = (float(x) - ci) / width
-            r2 += d * d
-        return amplitude * max(0.0, 1.0 - r2) ** 4
-
-    return profile
+    c = np.atleast_1d(np.asarray(center, dtype=float))
+    if c.ndim != 1:
+        raise Validation(f"bump center must be a point, got shape {c.shape}")
+    if not width > 0:
+        raise Validation(f"bump width must be positive, got {width}")
+    return _Bump(tuple(c.tolist()), float(width), float(amplitude))
 
 
 def annulus_window(grid: Grid, inner: float, outer: float) -> Window:

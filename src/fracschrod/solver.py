@@ -440,14 +440,23 @@ def check_comparison(u1: Field, u2: Field, tol: float = 1e-10) -> bool:
     return bool(np.all(u1.interior_values >= u2.interior_values - tol))
 
 
+_CSV_BLOCK = 1024  # nodes per block of solution_to_csv rows
+
+
 def solution_to_csv(path, u: Field) -> None:
     """CSV export: one row per node, coordinate columns then the value."""
-    dim = u.grid.dim
-    header = ["x"] if dim == 1 else ["x", "y"]
+    grid = u.grid
+    header = ["x"] if grid.dim == 1 else ["x", "y"]
     header.append("value")
-    rows = [tuple(map(float, p)) + (float(v),)
-            for p, v in zip(u.grid.nodes, u.values)]
-    write_csv(path, header, rows)
+
+    def rows():
+        # blocks of nodes, so no per-node list is as long as the grid
+        for start in range(0, grid.n_nodes, _CSV_BLOCK):
+            stop = start + _CSV_BLOCK
+            yield from np.column_stack((grid.nodes[start:stop],
+                                        u.values[start:stop])).tolist()
+
+    write_csv(path, header, rows())
 
 
 def trace_to_csv(path, residuals) -> None:

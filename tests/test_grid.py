@@ -113,6 +113,12 @@ def test_sample_nonfinite_rejected():
     grid = build_grid(Domain.interval(-1, 1), 0.25, 2.0)
     with pytest.raises(NonFiniteSample):
         sample_function(grid, lambda x: float("nan"), Region.ALL)
+    # the per-point loop and the bump's array call both name the first bad
+    # node in node order: 1.5, and the exterior's first node -2.0
+    with pytest.raises(NonFiniteSample, match=r"at \((np\.float64\()?1\.5\b"):
+        sample_function(grid, lambda x: float("nan") if x > 1.4 else 0.0)
+    with pytest.raises(NonFiniteSample, match=r"at \((np\.float64\()?-2\.0\b"):
+        sample_function(grid, c3_bump(1.5, 0.25, float("inf")), Region.EXTERIOR)
 
 
 def test_field_validation():
@@ -132,6 +138,13 @@ def test_window_checks():
         Window(grid, grid.interior_index[:2])
     with pytest.raises(Validation):
         annulus_window(grid, 50.0, 60.0)
+    # a list raised a bare AttributeError; a repeated node, a 2-D array and
+    # a descending pair (signed or unsigned) were accepted
+    e = grid.exterior_index
+    for bad in ([int(e[0])], np.array([e[0], e[0]]), np.array([[e[0]]]),
+                e[1::-1], e[1::-1].astype(np.uint64)):
+        with pytest.raises(Validation):
+            Window(grid, bad)
 
 
 def test_c3_bump_support_and_smoothness():
@@ -153,6 +166,50 @@ def test_c3_bump_rejects_a_center_of_another_dimension():
     with pytest.raises(Validation, match="2 component"):
         c3_bump([1.5, 0.0], 0.4)(1.5)
     assert c3_bump([1.5, 0.0], 0.4)(1.5, 0.0) == 1.0
+    with pytest.raises(Validation, match="1 component"):
+        c3_bump([1.5], 0.4).at(np.zeros((3, 2)))
+    # a zero width raised ZeroDivisionError at the first point evaluated
+    for width in (0.0, -0.4, float("nan")):
+        with pytest.raises(Validation, match="width"):
+            c3_bump(1.5, width)
+
+
+def scalar_bump(center, width, amplitude, *coords):
+    """The bump formula one point at a time in Python floats: the reference."""
+    r2 = 0.0
+    for x, ci in zip(coords, np.atleast_1d(center).tolist()):
+        d = (float(x) - ci) / width
+        r2 += d * d
+    return amplitude * max(0.0, 1.0 - r2) ** 4
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_c3_bump_array_is_the_scalar_formula_bit_for_bit(dim):
+    rng = np.random.default_rng(40 + dim)
+    # dyadic cases put points exactly at the center and exactly on r = 1
+    cases = [(np.full(dim, 1.5), 0.25, 2.0), (np.full(dim, -0.75), 0.5, -1.25)]
+    cases += [(rng.uniform(-2.0, 2.0, dim), rng.uniform(0.05, 1.5),
+               rng.uniform(-2.0, 2.0)) for _ in range(12)]
+    for center, width, amplitude in cases:
+        axes = np.eye(dim)
+        pts = np.vstack([center + width * rng.uniform(-1.3, 1.3, (500, dim)),
+                         center[None, :], center + width * axes,
+                         center - width * axes,
+                         center + np.nextafter(width, 0.0) * axes])
+        ref = np.array([scalar_bump(center, width, amplitude, *p) for p in pts])
+        bump = c3_bump(center, width, amplitude)
+        assert bump.at(pts).tobytes() == ref.tobytes()
+        assert np.array([bump(*p) for p in pts]).tobytes() == ref.tobytes()
+        off = ref == 0.0
+        assert off.any() and (~off).any()
+        assert np.all(np.signbit(ref[off]) == (amplitude < 0))
+    grid = build_grid(Domain.box((-1, -1), (1, 1)) if dim == 2
+                      else Domain.interval(-1, 1), 2.0**-4, 3.0)
+    center, width, amplitude = np.full(dim, 1.6), 0.4, -0.7
+    sampled = sample_function(grid, c3_bump(center, width, amplitude), Region.EXTERIOR)
+    looped = sample_function(
+        grid, lambda *x: scalar_bump(center, width, amplitude, *x), Region.EXTERIOR)
+    assert sampled.values.tobytes() == looped.values.tobytes()
 
 
 def test_json_round_trip():
