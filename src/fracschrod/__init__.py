@@ -37,7 +37,6 @@ from .fraclap import (
     assemble,
     cns,
     evaluate_at,
-    frac_params,
     tail_mass,
 )
 from .grid import (

@@ -101,6 +101,7 @@ def mass_m(grid: Grid, params: FracParams, indices) -> np.ndarray:
     hi = np.asarray(grid.domain.upper) - points
     d = np.concatenate([hi, -lo], axis=1)  # upper faces, then lower faces
     s = params.s
+    # per n: an n-D form needs the (n - 1)-D integral over each face
     if params.n == 1:
         flux = np.sign(d) * np.abs(d) ** (-2 * s)
     else:  # the face normal to one axis spans the other

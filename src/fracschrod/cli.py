@@ -36,8 +36,8 @@ from .calderon import (
 from .cauchy import bank_to_json, build_cauchy_bank
 from .errors import ConfigParse, ToolkitError, Validation
 from .fraclap import assemble
-from .grid import (Domain, Field, Region, Window, annulus_window, build_grid, c3_bump,
-                   sample_function)
+from .grid import (_AXES, Domain, Field, Region, Window, annulus_window, build_grid,
+                   c3_bump, sample_function)
 from .nonlinearity import catalogue
 from .serialize import dump, write_csv
 from .solver import (
@@ -287,9 +287,8 @@ def run_recover(cfg: dict, out: Path) -> dict:
     result = recover_potential(op, measurements, float(cfg["regularization"]))
     rel = (float(np.linalg.norm(result.a_estimate - a_true)
                  / max(np.linalg.norm(a_true), 1e-300)))
-    header = (["x"] if grid.dim == 1 else ["x", "y"]) + ["a_true", "a_estimate"]
-    rows = [tuple(map(float, p)) + (float(t), float(e))
-            for p, t, e in zip(grid.interior_nodes, a_true, result.a_estimate)]
+    header = [*_AXES[:grid.dim], "a_true", "a_estimate"]
+    rows = np.column_stack((grid.interior_nodes, a_true, result.a_estimate)).tolist()
     write_csv(out / "recover.csv", header, rows)
     write_csv(out / "misfit.csv", ["probe", "misfit"],
               [(pid, float(np.linalg.norm(result.fitted.matrix[:, k]

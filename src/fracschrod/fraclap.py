@@ -44,7 +44,7 @@ operator is immutable and apply() is pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gamma, pi
 
 import numpy as np
@@ -57,7 +57,7 @@ from .errors import (
     OrderOutOfRange,
     SingularOverlap,
 )
-from .grid import _TOL, Field, Grid, Region, _node_indices
+from .grid import _DIMENSIONS, _TOL, Field, Grid, Region, _node_indices
 
 __all__ = [
     "ExteriorBlock",
@@ -65,7 +65,6 @@ __all__ = [
     "InteriorBlock",
     "NonlocalOperator",
     "cns",
-    "frac_params",
     "tail_mass",
     "assemble",
     "apply_operator",
@@ -84,34 +83,31 @@ def cns(n: int, s: float) -> float:
 
 @dataclass(frozen=True)
 class FracParams:
-    """Dimension, fractional order, and the kernel normalization constant."""
+    """Dimension n, fractional order s, and the kernel normalization
+    constant cns(n, s), computed here.  n must be a dimension of
+    grid._DIMENSIONS (ValueError); s outside (0, 1) raises OrderOutOfRange."""
 
     n: int
     s: float
-    cns: float
+    cns: float = field(init=False)
 
     def __post_init__(self):
-        if self.n not in (1, 2):
-            raise ValueError(f"only n in {{1, 2}} supported, got {self.n}")
-        if not 0.0 < self.s < 1.0:
-            raise OrderOutOfRange(f"s = {self.s} must lie in (0, 1)")
-
-
-def frac_params(n: int, s: float) -> FracParams:
-    return FracParams(n=n, s=s, cns=cns(n, s))
+        if self.n not in _DIMENSIONS.values():
+            raise ValueError(f"only n in {set(_DIMENSIONS.values())} supported, "
+                             f"got {self.n}")
+        object.__setattr__(self, "cns", cns(self.n, self.s))
 
 
 def tail_mass(params: FracParams, r_eff: float) -> float:
-    """Closed-form kernel mass beyond radius r_eff around the evaluation node.
-
-    1D: both half-lines, 2 r^(-2s) / (2s); 2D: 2 pi r^(-2s) / (2s); scaled
-    by the normalization constant.
+    """Closed-form kernel mass beyond radius r_eff around the evaluation node:
+    the sphere area 2 pi^(n/2) / Gamma(n/2) times r^(-2s) / (2s), scaled by
+    the normalization constant.  The area is exactly 2.0 in 1D (both
+    half-lines) and 2 pi in 2D in floating point.
     """
     if not r_eff > 0:
         raise NonPositiveRadius(f"r_eff = {r_eff}")
-    if params.n == 1:
-        return params.cns * 2.0 * r_eff ** (-2 * params.s) / (2 * params.s)
-    return params.cns * 2.0 * pi * r_eff ** (-2 * params.s) / (2 * params.s)
+    sphere = 2.0 * pi ** (params.n / 2) / gamma(params.n / 2)
+    return params.cns * sphere * r_eff ** (-2 * params.s) / (2 * params.s)
 
 
 def _face_integral(d, t, p):
@@ -129,6 +125,7 @@ def _square_cell_mass(s: float) -> float:
 def _singular_weight(params: FracParams, h: float) -> float:
     """Per-axis second-difference weight for the cell containing the node."""
     s = params.s
+    # per n: the 1D bits reach probe.csv's sigma_min, pinned with bound 0
     if params.n == 1:
         return params.cns * (h / 2.0) ** (2 - 2 * s) / ((2 - 2 * s) * h * h)
     cell = h ** (2 - 2 * s) * _square_cell_mass(s)
@@ -166,7 +163,8 @@ class _Stencil:
         coords = np.rint(scaled).astype(np.int64)
         off = np.any(np.abs(scaled - coords) > _TOL, axis=1)
         if np.any(off):
-            raise SingularOverlap(f"point {tuple(points[off][0])} is off the h-lattice")
+            raise SingularOverlap(
+                f"point {tuple(points[off][0].tolist())} is off the h-lattice")
         k = max(1, int(np.abs(coords).max()))
         self.reach = 2 * k
         width = 4 * k + 1
@@ -282,6 +280,7 @@ class _Stencil:
         a scalar power per node."""
         R, h = self.grid.R, self.grid.h
         x = self.grid.nodes[targets] - self.center
+        # per n: the same 1D pin; the 2D branch double-counts B(0, R) \ B(x, R - |x|)
         if self.grid.dim == 1:
             return [0.5 * (tail_mass(self.params, max(R + dd, 0.5 * h))
                            + tail_mass(self.params, max(R - dd, 0.5 * h)))
@@ -607,7 +606,7 @@ def assemble(grid: Grid, s: float) -> NonlocalOperator:
     land on nodes or boundary cells, and every boundary cell has an
     exterior receiver, because R is at least the domain diameter.
     """
-    params = frac_params(grid.dim, s)
+    params = FracParams(grid.dim, s)
     stencil = _Stencil(grid, params)
     a_ie = ExteriorBlock(stencil)
     tail = np.array(stencil.far_tails(grid.interior_index))

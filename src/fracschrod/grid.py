@@ -32,6 +32,11 @@ from .errors import (
 
 _TOL = 1e-9  # lattice classification tolerance, relative to h
 
+# the supported domain kinds and their dimensions, and the coordinate names
+# of a node table's columns; a new dimension starts here
+_DIMENSIONS = {"interval-1d": 1, "box-2d": 2}
+_AXES = ("x", "y")
+
 
 class Region(enum.Enum):
     INTERIOR = "INTERIOR"
@@ -44,7 +49,7 @@ class Domain:
     """Bounded open interval (1D) or axis-aligned open box (2D).
 
     Attributes:
-        kind: "interval-1d" or "box-2d"
+        kind: a key of _DIMENSIONS, which gives the number of bounds per side
         lower: per-axis lower bounds
         upper: per-axis upper bounds
     """
@@ -54,9 +59,9 @@ class Domain:
     upper: tuple[float, ...]
 
     def __post_init__(self):
-        if self.kind not in ("interval-1d", "box-2d"):
+        if self.kind not in _DIMENSIONS:
             raise ValueError(f"unknown domain kind {self.kind!r}")
-        expect = 1 if self.kind == "interval-1d" else 2
+        expect = _DIMENSIONS[self.kind]
         if len(self.lower) != expect or len(self.upper) != expect:
             raise ValueError(f"{self.kind} needs {expect} bound(s) per side")
         for lo, hi in zip(self.lower, self.upper):
@@ -69,8 +74,7 @@ class Domain:
 
     @staticmethod
     def box(lower: tuple[float, float], upper: tuple[float, float]) -> "Domain":
-        return Domain("box-2d", (float(lower[0]), float(lower[1])),
-                      (float(upper[0]), float(upper[1])))
+        return Domain("box-2d", tuple(map(float, lower)), tuple(map(float, upper)))
 
     @property
     def dim(self) -> int:
@@ -252,11 +256,8 @@ def build_grid(domain: Domain, h: float, R: float) -> Grid:
     center = domain.center
     kmax = int(np.floor(R / h + 1e-12))
     line = h * np.arange(-kmax, kmax + 1)
-    if domain.dim == 1:
-        pts = center[0] + line[:, None]
-    else:
-        x, y = np.meshgrid(center[0] + line, center[1] + line, indexing="ij")
-        pts = np.column_stack([x.ravel(), y.ravel()])
+    axes = np.meshgrid(*(c + line for c in center), indexing="ij")
+    pts = np.column_stack([a.ravel() for a in axes])
 
     tol = _TOL * h
     offset = np.abs(pts - center) - domain.half_widths
@@ -301,7 +302,7 @@ def sample_function(grid: Grid, f, region: Region = Region.ALL) -> Field:
         sampled = np.asarray([f(*p) for p in pts], dtype=float)
     if sampled.size and not np.all(np.isfinite(sampled)):
         bad = pts[~np.isfinite(sampled)][0]
-        raise NonFiniteSample(f"f returned a non-finite value at {tuple(bad)}")
+        raise NonFiniteSample(f"f returned a non-finite value at {tuple(bad.tolist())}")
     values[mask] = sampled
     return Field(grid, _freeze(values))
 

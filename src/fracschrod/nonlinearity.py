@@ -172,7 +172,7 @@ class ConditionReport:
 def _worst(points_x, points_t, violation) -> tuple[float, tuple | None]:
     k = int(np.argmax(violation))
     worst = float(violation[k])
-    return worst, tuple(points_x[k]) + (float(points_t[k]),)
+    return worst, tuple(points_x[k].tolist()) + (float(points_t[k]),)
 
 
 def _verdict(points_x, points_t, violation, margin) -> ConditionVerdict:

@@ -66,7 +66,7 @@ from .errors import (
     Validation,
 )
 from .fraclap import NonlocalOperator, apply_operator
-from .grid import Field, Grid
+from .grid import _AXES, Field, Grid
 from .nonlinearity import Nonlinearity
 from .serialize import write_csv
 
@@ -446,8 +446,7 @@ _CSV_BLOCK = 1024  # nodes per block of solution_to_csv rows
 def solution_to_csv(path, u: Field) -> None:
     """CSV export: one row per node, coordinate columns then the value."""
     grid = u.grid
-    header = ["x"] if grid.dim == 1 else ["x", "y"]
-    header.append("value")
+    header = [*_AXES[:grid.dim], "value"]
 
     def rows():
         # blocks of nodes, so no per-node list is as long as the grid

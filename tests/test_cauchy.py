@@ -6,6 +6,7 @@ import pytest
 from fracschrod import (
     Domain,
     Field,
+    FracParams,
     LinearProblem,
     NewtonConfig,
     Window,
@@ -17,7 +18,6 @@ from fracschrod import (
     catalogue,
     evaluate_at,
     exterior_identity_check,
-    frac_params,
     make_cauchy_datum,
     mass_m,
     neumann_derivative,
@@ -85,7 +85,7 @@ def test_neumann_sign_for_nonnegative_solution(op_small):
 def test_neumann_rejects_near_boundary():
     # boundary off the lattice: the first exterior node sits closer than h
     grid = build_grid(Domain.interval(-0.875, 0.875), 0.25, 2.0)
-    params = frac_params(1, 0.5)
+    params = FracParams(1, 0.5)
     u = Field.zeros(grid)
     near = exterior_index_at(grid, 1.0)  # distance 0.125 < h = 0.25
     with pytest.raises(WindowTouchesBoundary):
@@ -115,7 +115,7 @@ def test_mass_monotone_decay(op_small):
 
 def test_mass_matches_adaptive_oracle():
     grid = build_grid(Domain.interval(-1, 1), 2.0**-4, 4.0)
-    params = frac_params(1, 0.25)
+    params = FracParams(1, 0.25)
     idx = np.array([exterior_index_at(grid, 3.0)])
     oracle = domain_mass_quad_1d(3.0, 0.25, -1.0, 1.0)
     assert abs(mass_m(grid, params, idx)[0] - oracle) <= 1e-6
@@ -195,7 +195,7 @@ def test_cauchy_data_nonhomogeneous(op_medium):
 
 
 def test_mass_2d_monotone_and_positive(grid_2d):
-    params = frac_params(2, 0.5)
+    params = FracParams(2, 0.5)
     nodes = grid_2d.nodes
     idx = [int(np.argmin(np.linalg.norm(nodes - np.array([x, 0.0]), axis=1)))
            for x in (1.5, 2.0, 2.5)]
@@ -213,7 +213,7 @@ def test_mass_2d_matches_adaptive_oracle(name, s):
     (ax, ay), (bx, by) = dom.lower, dom.upper
     points = [(bx + h, 0.25), (bx, by + h), (ax - h, ay - h), (-2.0, -2.0)]
     idx = [int(np.flatnonzero(np.all(grid.nodes == p, axis=1))[0]) for p in points]
-    vals = mass_m(grid, frac_params(2, s), idx)
+    vals = mass_m(grid, FracParams(2, s), idx)
     for x, val in zip(grid.nodes[idx], vals):
         oracle = domain_mass_quad_2d(x, s, dom.lower, dom.upper)
         assert val == pytest.approx(oracle, rel=1e-12, abs=0.0)
@@ -269,7 +269,7 @@ def test_neumann_is_the_midpoint_rows(name):
     # windows from one spacing off the domain, several batches wide on 2D
     domain, h, R, s = GRIDS_2D.get(name, (Domain.interval(-1.0, 1.0), 2.0**-6, 4.0, 0.5))
     grid = build_grid(domain, h, R)
-    params = frac_params(grid.dim, s)
+    params = FracParams(grid.dim, s)
     u = Field.from_values(grid, np.sin(np.arange(grid.n_nodes)))
     for inner, outer in ((grid.h, 1.5), (0.5, 1.0)):
         idx = annulus_window(grid, inner, outer).indices
@@ -283,7 +283,7 @@ def test_params_of_another_dimension_rejected():
     for domain, n in ((Domain.box((-1.0, -1.0), (1.0, 1.0)), 1),
                       (Domain.interval(-1.0, 1.0), 2)):
         grid = build_grid(domain, 0.25, 3.0)
-        params = frac_params(n, 0.5)
+        params = FracParams(n, 0.5)
         idx = annulus_window(grid, 0.5, 1.0).indices
         with pytest.raises(GridMismatch, match="dimension"):
             neumann_derivative(grid, params, Field.zeros(grid), idx)

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -8,13 +9,13 @@ import scipy.fft
 from fracschrod import (
     Domain,
     Field,
+    FracParams,
     Region,
     apply_operator,
     assemble,
     build_grid,
     cns,
     evaluate_at,
-    frac_params,
     sample_function,
     tail_mass,
 )
@@ -51,11 +52,11 @@ def test_cns_order_out_of_range():
 
 
 def test_tail_mass_closed_forms():
-    p = frac_params(1, 0.5)
+    p = FracParams(1, 0.5)
     # (1/pi) * 2 * 2^-1 / (2 * 0.5) = 1/pi
     assert tail_mass(p, 2.0) == pytest.approx(1.0 / np.pi, rel=1e-14)
     assert tail_mass(p, 1e12) == pytest.approx(0.0, abs=1e-12)
-    p2 = frac_params(2, 0.25)
+    p2 = FracParams(2, 0.25)
     want = p2.cns * 2.0 * np.pi * 4.0**-0.5 / 0.5
     assert tail_mass(p2, 4.0) == pytest.approx(want, rel=1e-14)
     assert want == pytest.approx(p2.cns * 2.0 * np.pi, rel=1e-14)
@@ -63,6 +64,37 @@ def test_tail_mass_closed_forms():
     assert tail_mass(p2, 4.0) == pytest.approx(tail_mass_quad_2d(0.25, 4.0), rel=1e-9)
     with pytest.raises(NonPositiveRadius):
         tail_mass(p, 0.0)
+
+
+ORDERS = (0.1, 0.25, 0.5, 0.75, 0.9)
+
+
+def test_frac_params_computes_its_constant():
+    for n, s in itertools.product((1, 2), ORDERS):
+        assert FracParams(n, s).cns.hex() == cns(n, s).hex()
+    with pytest.raises(TypeError):
+        FracParams(1, 0.5, 1.0)  # the constant is not an argument
+    with pytest.raises(OrderOutOfRange, match=r"s = 1\.5 must lie in \(0, 1\)"):
+        FracParams(2, 1.5)
+    for n in (0, 3):
+        with pytest.raises(ValueError, match=r"only n in \{1, 2\} supported"):
+            FracParams(n, 0.5)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("s", ORDERS)
+def test_tail_mass_is_the_per_dimension_form_bit_for_bit(n, s):
+    # the expressions of the per-dimension branches tail_mass replaced
+    def per_dimension(p, r):
+        if p.n == 1:
+            return p.cns * 2.0 * r ** (-2 * p.s) / (2 * p.s)
+        return p.cns * 2.0 * np.pi * r ** (-2 * p.s) / (2 * p.s)
+
+    p, h = FracParams(n, s), 2.0**-8
+    radii = np.concatenate([np.linspace(h / 2, 10.0, 997), h * np.arange(0.5, 40.0, 0.5),
+                            np.geomspace(h / 2, 10.0, 101)])
+    for r in radii.tolist():
+        assert tail_mass(p, r).hex() == per_dimension(p, r).hex(), r
 
 
 def test_square_cell_mass_closed_form():
@@ -190,11 +222,14 @@ def test_off_lattice_grid_rejected(grid_2d):
     # on the h-lattice anchored at the domain center
     h = grid_2d.h
     g = int(grid_2d.interior_index[7])
-    with pytest.raises(SingularOverlap, match="off the h-lattice"):
-        assemble(_moved(grid_2d, g, np.array([h / 3, 0.0])), 0.5)
+    off = _moved(grid_2d, g, np.array([h / 3, 0.0]))
+    # the point as plain floats, with no numpy scalar reprs
+    point = re.escape(f"point {tuple(off.nodes[g].tolist())} is off the h-lattice")
+    with pytest.raises(SingularOverlap, match=point):
+        assemble(off, 0.5)
     moved = _moved(grid_2d, int(grid_2d.exterior_index[0]), np.array([0.0, h / 3]))
     with pytest.raises(SingularOverlap):
-        neumann_derivative(moved, frac_params(2, 0.5), Field.zeros(moved),
+        neumann_derivative(moved, FracParams(2, 0.5), Field.zeros(moved),
                            grid_2d.exterior_index[-1:])
     with pytest.raises(SingularOverlap, match="share a lattice point"):
         assemble(_moved(grid_2d, g, np.array([h, 0.0])), 0.5)
@@ -206,7 +241,7 @@ def test_off_lattice_grid_rejected(grid_2d):
         assemble(holed, 0.5)
     # the Neumann trace reads its kernel rows as boxes of the same interior
     with pytest.raises(SingularOverlap, match="lattice box"):
-        neumann_derivative(holed, frac_params(2, 0.5), Field.zeros(holed),
+        neumann_derivative(holed, FracParams(2, 0.5), Field.zeros(holed),
                            grid_2d.exterior_index[:1])
 
 
@@ -268,7 +303,7 @@ def test_rows_over_columns_are_columns_of_the_rows(name):
     # of all nodes
     domain, h, R, s = STENCIL_GRIDS[name]
     grid = build_grid(domain, h, R)
-    stencil = _Stencil(grid, frac_params(grid.dim, s))
+    stencil = _Stencil(grid, FracParams(grid.dim, s))
     some = np.random.default_rng(5).permutation(grid.n_nodes)[: grid.n_nodes // 3]
     for targets, cols in ((grid.interior_index, grid.exterior_index),
                           (grid.exterior_index[::5], some)):
@@ -298,7 +333,7 @@ def test_far_tails_are_the_per_node_form(name):
     # one array pass over the distances, one scalar power per node
     domain, h, R, s = STENCIL_GRIDS[name]
     grid = build_grid(domain, h, R)
-    params = frac_params(grid.dim, s)
+    params = FracParams(grid.dim, s)
     center = grid.domain.center
     want = []
     for x in grid.nodes:
@@ -388,7 +423,7 @@ def test_offset_kernel_is_the_per_offset_gather(name):
     # pairing of them
     domain, h, R, s = CONVOLUTION_GRIDS[name]
     grid = build_grid(domain, h, R)
-    stencil = _Stencil(grid, frac_params(grid.dim, s))
+    stencil = _Stencil(grid, FracParams(grid.dim, s))
     reach = stencil.reach
     axis_boxes = [(-reach - 3, 2 * reach + 7), (reach - 2, 6), (-reach - 9, 4),
                   (reach + 1, 3), (0, 2), (2, 5)]

@@ -23,6 +23,7 @@ from fracschrod.errors import (
     Validation,
 )
 from fracschrod.serialize import dumps
+from conftest import GRIDS_2D
 
 
 def test_interval_example_nodes():
@@ -70,6 +71,51 @@ def test_box_interior_count():
     assert grid.n_interior == expected
 
 
+def _per_dimension_grid(domain, h, R):
+    """build_grid's node set from its former per-dimension lattice, the
+    reference for its one n-D meshgrid: nodes, labels, interior and
+    exterior indices and boundary points."""
+    center = domain.center
+    kmax = int(np.floor(R / h + 1e-12))
+    line = h * np.arange(-kmax, kmax + 1)
+    if domain.dim == 1:
+        pts = center[0] + line[:, None]
+    else:
+        x, y = np.meshgrid(center[0] + line, center[1] + line, indexing="ij")
+        pts = np.column_stack([x.ravel(), y.ravel()])
+    tol = 1e-9 * h
+    offset = np.abs(pts - center) - domain.half_widths
+    inside = np.all(offset < -tol, axis=1)
+    on_boundary = ~inside & np.all(offset <= tol, axis=1)
+    in_ball = np.linalg.norm(pts - center, axis=1) <= R + tol
+    keep = inside | (in_ball & ~on_boundary)
+    labels = np.where(inside[keep], Region.INTERIOR, Region.EXTERIOR)
+    return (pts[keep], labels, np.flatnonzero(labels == Region.INTERIOR),
+            np.flatnonzero(labels == Region.EXTERIOR), pts[on_boundary & in_ball])
+
+
+# off-center domains, R not a multiple of h, and the two 2D golden grids
+LATTICE_GRIDS = {
+    "1d": (Domain.interval(-1, 1), 2.0**-5, 4.0),
+    "1d-offset": (Domain.interval(0.5, 2.0), 0.125, 2.3),
+    "2d-offset": (Domain.box((0.25, -1.0), (1.25, 0.5)), 0.125, 2.9),
+    **{name: spec[:3] for name, spec in GRIDS_2D.items()},
+}
+
+
+@pytest.mark.parametrize("name", LATTICE_GRIDS)
+def test_build_grid_is_the_per_dimension_lattice(name):
+    domain, h, R = LATTICE_GRIDS[name]
+    grid = build_grid(domain, h, R)
+    nodes, labels, interior, exterior, boundary = _per_dimension_grid(domain, h, R)
+    for got, want in ((grid.nodes, nodes), (grid.interior_index, interior),
+                      (grid.exterior_index, exterior), (grid.boundary_points, boundary)):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+    assert grid.labels.tolist() == labels.tolist()
+    assert grid.n_exterior > 0 and len(boundary) > 0
+
+
 def test_partition_and_determinism():
     g1 = build_grid(Domain.interval(-1, 1), 0.125, 3.0)
     g2 = build_grid(Domain.interval(-1, 1), 0.125, 3.0)
@@ -114,11 +160,14 @@ def test_sample_nonfinite_rejected():
     with pytest.raises(NonFiniteSample):
         sample_function(grid, lambda x: float("nan"), Region.ALL)
     # the per-point loop and the bump's array call both name the first bad
-    # node in node order: 1.5, and the exterior's first node -2.0
-    with pytest.raises(NonFiniteSample, match=r"at \((np\.float64\()?1\.5\b"):
+    # node order: 1.5, and the exterior's first node -2.0, as plain floats
+    with pytest.raises(NonFiniteSample, match=r"at \(1\.5,\)$"):
         sample_function(grid, lambda x: float("nan") if x > 1.4 else 0.0)
-    with pytest.raises(NonFiniteSample, match=r"at \((np\.float64\()?-2\.0\b"):
+    with pytest.raises(NonFiniteSample, match=r"at \(-2\.0,\)$"):
         sample_function(grid, c3_bump(1.5, 0.25, float("inf")), Region.EXTERIOR)
+    box = build_grid(Domain.box((-1, -1), (1, 1)), 0.5, 3.0)
+    with pytest.raises(NonFiniteSample, match=r"at \(-0\.5, 0\.0\)$"):
+        sample_function(box, lambda x, y: float("nan") if x < y else 0.0, Region.INTERIOR)
 
 
 def test_field_validation():
@@ -221,8 +270,16 @@ def test_json_round_trip():
 
 def test_domain_geometry():
     d = Domain.box((-1, -1), (1, 1))
+    assert d.lower == (-1.0, -1.0) and all(type(v) is float for v in d.upper)
     assert d.diameter == pytest.approx(2 * np.sqrt(2))
     assert d.distance(np.array([[2.0, 0.0]]))[0] == pytest.approx(1.0)
     assert d.distance(np.array([[2.0, 2.0]]))[0] == pytest.approx(np.sqrt(2))
     with pytest.raises(ValueError):
         Domain.interval(1.0, 1.0)
+    # the dimension comes from the kind; extra components are not dropped
+    with pytest.raises(ValueError, match="box-2d needs 2 bound"):
+        Domain.box((-1, -1, -1), (1, 1, 1))
+    with pytest.raises(ValueError, match="interval-1d needs 1 bound"):
+        Domain("interval-1d", (-1.0, -1.0), (1.0, 1.0))
+    with pytest.raises(ValueError, match="unknown domain kind 'box-3d'"):
+        Domain("box-3d", (-1.0,) * 3, (1.0,) * 3)

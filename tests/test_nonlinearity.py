@@ -70,6 +70,10 @@ def test_conditions_linear_superlinearity_fails():
     # q/t = 1 > 0.9 * dq = 0.9 at every sample
     assert report.superlinearity.margin == pytest.approx(0.1, abs=1e-12)
     assert report.derivative_bounds.status == "pass"
+    # the worst point in plain floats, so its repr names no numpy type
+    point = report.superlinearity.worst_point
+    assert len(point) == BOX.dim + 1 and all(type(v) is float for v in point)
+    assert "np." not in repr(report)
 
 
 def test_conditions_zero_model():
