@@ -51,7 +51,6 @@ from .grid import (
     sample_function,
 )
 from .nonlinearity import (
-    CheckTolerances,
     ConditionReport,
     ConditionVerdict,
     Nonlinearity,

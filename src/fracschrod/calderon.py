@@ -100,14 +100,9 @@ def linearization_study(op: NonlocalOperator, nl: Nonlinearity, g: Field,
         raise InvalidRange("eta schedule must be strictly decreasing and positive")
 
     grid = op.grid
+    if not h.grid.same_as(grid):
+        raise GridMismatch("direction h lives on a different grid")
     base = solve_semilinear(op, nl, g, cfg)
-    solutions = []
-    for eta in etas:
-        data = Field.from_values(grid, g.values + eta * h.values)
-        try:
-            solutions.append(solve_semilinear(op, nl, data, cfg).u)
-        except NewtonDiverged:
-            solutions.append(None)
     # the Newton solves' CG steps factor nothing; the linearized system at
     # dq(u_g) is the one factor
     dq_ref = np.asarray(nl.dq(grid.interior_nodes, base.u.interior_values))
@@ -115,8 +110,11 @@ def linearization_study(op: NonlocalOperator, nl: Nonlinearity, g: Field,
     scale = grid.h ** (grid.dim / 2.0)
 
     errors_l2, errors_sup, converged = [], [], []
-    for eta, u in zip(etas, solutions):
-        if u is None:
+    for eta in etas:
+        data = Field.from_values(grid, g.values + eta * h.values)
+        try:
+            u = solve_semilinear(op, nl, data, cfg).u
+        except NewtonDiverged:
             errors_l2.append(float("nan"))
             errors_sup.append(float("nan"))
             converged.append(False)
@@ -182,6 +180,8 @@ class _DnAssembler:
         self.ids = tuple(name for name, _ in probes)
         self.fields = tuple(f for _, f in probes)
         for f in self.fields:
+            if not f.grid.same_as(grid):
+                raise GridMismatch("probe grid differs from operator grid")
             if np.any(f.interior_values != 0.0):
                 raise Validation("probes must be supported on exterior nodes")
         pw = np.stack([f.values[window.indices] for f in self.fields], axis=1)

@@ -121,8 +121,9 @@ def exterior_identity_check(op: NonlocalOperator, u: Field, g: Field,
     rather than a shared truncation artifact.
     """
     grid = op.grid
-    if not (u.grid.same_as(grid) and g.grid.same_as(grid)):
-        raise GridMismatch("fields live on a different grid")
+    if not (u.grid.same_as(grid) and g.grid.same_as(grid)
+            and window.grid.same_as(grid)):
+        raise GridMismatch("fields or window live on a different grid")
     if not np.allclose(u.exterior_values, g.exterior_values, atol=1e-12):
         raise Validation("u must equal g on exterior nodes")
     idx = window.indices
@@ -138,6 +139,8 @@ def make_cauchy_datum(op: NonlocalOperator, nl: Nonlinearity, g: Field,
                       window: Window, cfg: NewtonConfig = NewtonConfig(),
                       provenance: str = "g") -> CauchyDatum:
     """Solve the semilinear problem for g and record its Cauchy pair on W."""
+    if not window.grid.same_as(op.grid):
+        raise GridMismatch("window grid differs from operator grid")
     sol = solve_semilinear(op, nl, g, cfg)
     trace = sol.u.values[window.indices].copy()
     neumann = neumann_derivative(op.grid, op.params, sol.u, window.indices)

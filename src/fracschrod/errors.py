@@ -57,10 +57,6 @@ class NonPositiveRadius(ToolkitError):
 
 # --- nonlinearity ---
 
-class NonFiniteValue(ToolkitError):
-    """q or its derivative evaluated to NaN or infinity."""
-
-
 class InvalidRange(ToolkitError):
     """Sampling range is inconsistent with the nonlinearity constants."""
 

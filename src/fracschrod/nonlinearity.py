@@ -7,12 +7,15 @@ derivative from above.  The conditions are verified by dense sampling on
 compact boxes, never assumed; the checker reports the worst violating
 sample per condition.
 
-Built-in models (selected by name in the catalogue):
+The catalogue is one table of models, _MODELS, with q written in the
+coefficient values c = a(x):
 
 * "zero":              q = 0
-* "linear":            q = a(x) t
-* "saturating-cubic":  q = a(x) t^3 / (1 + t^2)
+* "linear":            q = c t
+* "saturating-cubic":  q = c t^3 / (1 + t^2)
 
+Each has r = 1, delta = 2.5 and tight m0, mu and b0 (see catalogue);
+dataclasses.replace(catalogue(...), delta=...) gives other constants.
 Coefficients a may be nonnegative scalars or callables of the node
 coordinates.  Evaluation functions are pure and reentrant.
 """
@@ -24,16 +27,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    InvalidRange,
-    NegativeCoefficient,
-    NonFiniteValue,
-    UnknownModel,
-    Validation,
-)
+from .errors import InvalidRange, NegativeCoefficient, UnknownModel, Validation
 from .grid import Domain
-
-_MODELS = ("zero", "linear", "saturating-cubic")
 
 
 @dataclass(frozen=True)
@@ -53,16 +48,6 @@ class Nonlinearity:
     r: float
     m0: float
 
-    def eval(self, x, t: float) -> tuple[float, float]:
-        """Evaluate (q, dq) at a single point; rejects non-finite output."""
-        pts = np.atleast_2d(np.asarray(x, dtype=float))
-        tv = np.asarray([float(t)])
-        qv = float(np.asarray(self.q(pts, tv))[0])
-        dqv = float(np.asarray(self.dq(pts, tv))[0])
-        if not (np.isfinite(qv) and np.isfinite(dqv)):
-            raise NonFiniteValue(f"q or dq non-finite at x={x}, t={t}")
-        return qv, dqv
-
 
 def _coefficient(a, a_sup):
     """Normalize the coefficient profile; returns (callable, sup bound)."""
@@ -76,62 +61,66 @@ def _coefficient(a, a_sup):
     return (lambda x: np.full(np.atleast_2d(x).shape[0], a_val)), a_val
 
 
-def catalogue(name: str, a=1.0, *, a_sup: float | None = None,
-              b0: float | None = None, r: float = 1.0,
-              delta: float = 2.5, mu: float | None = None) -> Nonlinearity:
-    """Build a named model with analytically tight constants.
+def _zero(c, t):
+    return np.zeros(np.broadcast(c, t).shape)
 
-    Tight constants per model (a_sup = sup of the coefficient):
 
-    * zero:             m0 = 1 (nominal), any mu
-    * linear:           m0 = a_sup, mu = a_sup; no valid b0 < 1 exists, the
-                        default 0.9 documents that the superlinearity
-                        condition fails for linear models
+def _cubic_q(c, t):
+    t = np.asarray(t, dtype=float)
+    return c * t**3 / (1.0 + t**2)
+
+
+def _cubic_dq(c, t):
+    t = np.asarray(t, dtype=float)
+    return c * (3.0 * t**2 + t**4) / (1.0 + t**2) ** 2
+
+
+# name: (q(c, t) at the coefficient values c = a(x), its t-derivative, b0,
+#        sup of dq per unit coefficient)
+_MODELS = {
+    "zero": (_zero, _zero, 0.5, 0.0),
+    "linear": (lambda c, t: c * np.asarray(t),
+               lambda c, t: c * np.ones_like(np.asarray(t, dtype=float)), 0.9, 1.0),
+    "saturating-cubic": (_cubic_q, _cubic_dq, 101.0 / 103.0, 9.0 / 8.0),
+}
+
+
+def catalogue(name: str, a=1.0, *, a_sup: float | None = None) -> Nonlinearity:
+    """Build a model of _MODELS with analytically tight constants.
+
+    Every model has r = 1 and delta = 2.5.  With a_sup the sup of the
+    coefficient (read as 1 when it is 0), m0 is a_sup times the sup of dq
+    per unit coefficient and mu = max(a_sup, 1):
+
+    * zero:             m0 = mu = 1 (nominal), b0 = 1/2
+    * linear:           m0 = a_sup; no valid b0 < 1 exists, b0 = 0.9
+                        documents that the superlinearity condition fails
+                        for linear models
     * saturating-cubic: m0 = (9/8) a_sup (the derivative factor
-                        (3t^2 + t^4)/(1+t^2)^2 peaks at t^2 = 3), mu = a_sup;
-                        the ratio (q/t)/dq = (1+t^2)/(3+t^2) grows toward 1,
-                        so the default b0 = 101/103 is tight for |t| <= 10
+                        (3t^2 + t^4)/(1+t^2)^2 peaks at t^2 = 3); the ratio
+                        (q/t)/dq = (1+t^2)/(3+t^2) grows toward 1, so
+                        b0 = 101/103 is tight for |t| <= 10
+
+    dataclasses.replace(catalogue(...), delta=...) gives other constants.
     """
     if name not in _MODELS:
         raise UnknownModel(f"{name!r}; available: {', '.join(_MODELS)}")
+    q, dq, b0, dq_sup = _MODELS[name]
     coeff, sup = _coefficient(a, a_sup)
-
-    if name == "zero":
-        zero = lambda x, t: np.zeros(np.broadcast(np.atleast_2d(x)[:, 0], t).shape)
-        return Nonlinearity(name=name, q=zero, dq=zero, mu=mu or 1.0,
-                            delta=delta, b0=b0 if b0 is not None else 0.5,
-                            r=r, m0=1.0)
-
-    if name == "linear":
-        q = lambda x, t: coeff(x) * np.asarray(t)
-        dq = lambda x, t: coeff(x) * np.ones_like(np.asarray(t, dtype=float))
-        m0 = sup if sup > 0 else 1.0
-        return Nonlinearity(name=name, q=q, dq=dq, mu=mu or max(sup, 1.0),
-                            delta=delta, b0=b0 if b0 is not None else 0.9,
-                            r=r, m0=m0)
-
-    def q(x, t):
-        t = np.asarray(t, dtype=float)
-        return coeff(x) * t**3 / (1.0 + t**2)
-
-    def dq(x, t):
-        t = np.asarray(t, dtype=float)
-        return coeff(x) * (3.0 * t**2 + t**4) / (1.0 + t**2) ** 2
-
-    m0 = 9.0 / 8.0 * (sup if sup > 0 else 1.0)
-    return Nonlinearity(name=name, q=q, dq=dq, mu=mu or max(sup, 1.0),
-                        delta=delta,
-                        b0=b0 if b0 is not None else 101.0 / 103.0,
-                        r=r, m0=m0)
+    scale = sup if sup > 0 else 1.0
+    # the zero model's m0 and mu are nominal
+    return Nonlinearity(name=name, q=lambda x, t: q(coeff(x), t),
+                        dq=lambda x, t: dq(coeff(x), t),
+                        mu=max(sup, 1.0) if dq_sup else 1.0, delta=2.5, b0=b0,
+                        r=1.0, m0=dq_sup * scale if dq_sup else 1.0)
 
 
-@dataclass(frozen=True)
-class CheckTolerances:
-    small_t: float = 1e-3        # |t| range for the vanishing-ratio check
-    small_t_bound: float = 1e-4  # admissible |q/t| on that range
-    fd_step: float = 1e-5        # central-difference step for dq consistency
-    fd_tol: float = 1e-6         # admissible |cdiff - dq| / (1 + |dq|)
-    margin: float = 1e-9         # slack on non-strict inequalities
+# check_conditions' tolerances
+_SMALL_T = 1e-3         # |t| range for the vanishing-ratio check
+_SMALL_T_BOUND = 1e-4   # admissible |q/t| on that range
+_FD_STEP = 1e-5         # central-difference step for dq consistency
+_FD_TOL = 1e-6          # admissible |cdiff - dq| / (1 + |dq|)
+_MARGIN = 1e-9          # slack on non-strict inequalities
 
 
 @dataclass(frozen=True)
@@ -182,9 +171,7 @@ def _verdict(points_x, points_t, violation, margin) -> ConditionVerdict:
 
 
 def check_conditions(nl: Nonlinearity, x_box: Domain, t_max: float,
-                     n_samples: int = 1000,
-                     tolerances: CheckTolerances = CheckTolerances(),
-                     seed: int = 0) -> ConditionReport:
+                     n_samples: int = 1000, seed: int = 0) -> ConditionReport:
     """Verify the structural conditions on sampled boxes.
 
     The superlinearity condition is a statement for all |t| >= r and can
@@ -197,7 +184,6 @@ def check_conditions(nl: Nonlinearity, x_box: Domain, t_max: float,
         raise InvalidRange(f"n_samples = {n_samples} must be >= 100")
 
     rng = np.random.default_rng(seed)
-    tol = tolerances
     lo = np.asarray(x_box.lower)
     hi = np.asarray(x_box.upper)
 
@@ -208,7 +194,7 @@ def check_conditions(nl: Nonlinearity, x_box: Domain, t_max: float,
     xg = draw_x(n_samples)
     tg = rng.uniform(-t_max, t_max, n_samples)
     xs = draw_x(n_samples)
-    ts = rng.uniform(1e-8, tol.small_t, n_samples) * rng.choice((-1.0, 1.0), n_samples)
+    ts = rng.uniform(1e-8, _SMALL_T, n_samples) * rng.choice((-1.0, 1.0), n_samples)
     xr = draw_x(n_samples)
     tr = rng.uniform(nl.r, t_max, n_samples) * rng.choice((-1.0, 1.0), n_samples)
 
@@ -223,27 +209,27 @@ def check_conditions(nl: Nonlinearity, x_box: Domain, t_max: float,
     qg = q_all[:n_samples]
     growth = _verdict(xg, tg,
                       np.abs(qg) - nl.mu * (1.0 + np.abs(tg) ** (nl.delta - 1.0)),
-                      tol.margin)
+                      _MARGIN)
 
     qs = q_all[n_samples:2 * n_samples]
-    small_t = _verdict(xs, ts, np.abs(qs / ts) - tol.small_t_bound, 0.0)
+    small_t = _verdict(xs, ts, np.abs(qs / ts) - _SMALL_T_BOUND, 0.0)
 
     qr = q_all[2 * n_samples:]
     dqr = dq_all[2 * n_samples:]
     ratio = qr / tr
     # both sides of 0 < q/t <= b0 dq; positivity is strict
     viol = np.maximum(np.where(ratio > 0, -ratio, 1.0), ratio - nl.b0 * dqr)
-    superlinearity = _verdict(xr, tr, viol, tol.margin)
+    superlinearity = _verdict(xr, tr, viol, _MARGIN)
 
     bounds_viol = np.maximum(-dq_all, dq_all - nl.m0)
-    derivative_bounds = _verdict(x_all, t_all, bounds_viol, tol.margin)
+    derivative_bounds = _verdict(x_all, t_all, bounds_viol, _MARGIN)
 
     m = min(n_samples, 500)
     xc, tc = x_all[:m], t_all[:m]
-    cdiff = (np.asarray(nl.q(xc, tc + tol.fd_step))
-             - np.asarray(nl.q(xc, tc - tol.fd_step))) / (2.0 * tol.fd_step)
+    cdiff = (np.asarray(nl.q(xc, tc + _FD_STEP))
+             - np.asarray(nl.q(xc, tc - _FD_STEP))) / (2.0 * _FD_STEP)
     rel = np.abs(cdiff - dq_all[:m]) / (1.0 + np.abs(dq_all[:m]))
-    consistency = _verdict(xc, tc, rel - tol.fd_tol, 0.0)
+    consistency = _verdict(xc, tc, rel - _FD_TOL, 0.0)
 
     note = None
     if superlinearity.passed and np.isfinite(nl.m0):

@@ -137,7 +137,10 @@ class Barrier:
 
     phi: Field
     lam: float
-    big_c: float
+
+    @property
+    def big_c(self) -> float:
+        return 1.0 / self.lam
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,8 +150,12 @@ class SemilinearSolution:
 
     u: Field
     residuals: tuple[float, ...]
-    iterations: int
     cg_iterations: tuple[int, ...]
+
+    @property
+    def iterations(self) -> int:
+        """Newton steps taken, one per residual after the first."""
+        return len(self.residuals) - 1
 
 
 @dataclass(eq=False)
@@ -345,17 +352,16 @@ def solve_semilinear(op: NonlocalOperator, nl: Nonlinearity, g: Field,
     def residual(vec):
         return op.a_ii @ vec + ext_part + op.tail * vec + nl.q(xi, vec)
 
-    def solution(iterations):
+    def solution():
         return SemilinearSolution(u=_full_field(grid, u, ge),
-                                  residuals=tuple(trace), iterations=iterations,
-                                  cg_iterations=tuple(cg))
+                                  residuals=tuple(trace), cg_iterations=tuple(cg))
 
     res = residual(u)
     res_norm = float(np.max(np.abs(res)))
     trace, cg = [res_norm], []
     for it in range(cfg.max_iters):
         if res_norm <= cfg.residual_tol:
-            return solution(it)
+            return solution()
         dq = nl.dq(xi, u)
         if np.any(dq < 0):
             raise JacobianSingular("q has negative t-derivative on the iterate")
@@ -377,7 +383,7 @@ def solve_semilinear(op: NonlocalOperator, nl: Nonlinearity, g: Field,
         u, res, res_norm = u_new, res_new, new_norm
         trace.append(res_norm)
     if res_norm <= cfg.residual_tol:
-        return solution(cfg.max_iters)
+        return solution()
     raise NewtonDiverged(
         f"residual {res_norm:.3e} above tolerance after {cfg.max_iters} iterations")
 
@@ -417,15 +423,22 @@ def build_barrier(op: NonlocalOperator, a: np.ndarray) -> Barrier:
     if lam <= 0:
         raise NonPositiveLambda(f"cutoff gives lam = {lam}; enlarge R")
     phi = Field.from_values(grid, eta.values / lam)
-    return Barrier(phi=phi, lam=lam, big_c=1.0 / lam)
+    return Barrier(phi=phi, lam=lam)
 
 
 def check_linf_bound(u: Field, f: np.ndarray, g: Field,
                      barrier: Barrier) -> tuple[float, float, bool]:
     """Evaluate the sup-norm estimate |u| <= |g|_inf + C |f|_inf.
 
-    Returns (lhs, rhs, pass) with an 1e-8 slack on the comparison.
+    Returns (lhs, rhs, pass) with an 1e-8 slack on the comparison.  g and
+    the barrier must live on u's grid and f hold one value per interior
+    node (GridMismatch).
     """
+    grid = u.grid
+    if not (g.grid.same_as(grid) and barrier.phi.grid.same_as(grid)):
+        raise GridMismatch("exterior data or barrier lives on a different grid")
+    if np.shape(f) != (grid.n_interior,):
+        raise GridMismatch("source f must have one value per interior node")
     lhs = float(np.max(np.abs(u.interior_values)))
     g_sup = float(np.max(np.abs(g.exterior_values))) if g.grid.n_exterior else 0.0
     f_sup = float(np.max(np.abs(f))) if len(f) else 0.0

@@ -540,3 +540,54 @@ def test_import_leaves_scipy_optimize_unloaded():
                           env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def _foreign_probes(window, beyond=False):
+    """Unit probes at the window's node indices, built on the h/2 grid with
+    the same R, where those indices are exterior nodes too; with beyond,
+    the first also carries the h/2 grid's last node, past the window
+    grid's node count."""
+    grid = window.grid
+    fine = build_grid(grid.domain, grid.h / 2, grid.R)
+    probes = []
+    for idx in window.indices:
+        values = np.zeros(fine.n_nodes)
+        values[idx] = 1.0
+        if beyond and not probes:
+            values[-1] = 1.0
+        probes.append((f"node-{idx}", Field.from_values(fine, values)))
+    return probes
+
+
+@pytest.mark.parametrize("beyond", [False, True])
+def test_dn_map_rejects_probes_of_another_grid(op_coarse, beyond):
+    # without beyond the DN matrix came back silently, with it as a bare
+    # IndexError
+    window = recovery_window(op_coarse.grid)
+    probes = _foreign_probes(window, beyond)
+    with pytest.raises(GridMismatch, match="probe grid"):
+        dn_map(op_coarse, np.zeros(op_coarse.grid.n_interior), window, probes)
+
+
+def test_recovery_rejects_probes_of_another_grid(op_coarse):
+    window = recovery_window(op_coarse.grid)
+    probes = _foreign_probes(window)
+    measured = DnMatrix(window, tuple(f for _, f in probes),
+                        tuple(name for name, _ in probes),
+                        np.zeros((window.size, len(probes))))
+    with pytest.raises(GridMismatch, match="probe grid"):
+        recover_potential(op_coarse, measured, 0.0)
+
+
+def test_linearization_rejects_a_direction_of_another_grid(op_small, monkeypatch):
+    from fracschrod import calderon
+
+    def no_solve(*args):
+        raise AssertionError("a Newton solve ran before h was checked")
+
+    other = build_grid(op_small.grid.domain, op_small.grid.h / 2, op_small.grid.R)
+    monkeypatch.setattr(calderon, "solve_semilinear", no_solve)
+    with pytest.raises(GridMismatch, match="direction h"):
+        linearization_study(op_small, catalogue("linear", 1.0),
+                            Field.zeros(op_small.grid), exterior_bump(other, 1.5, 0.3),
+                            [1e-1, 1e-2])

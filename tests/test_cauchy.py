@@ -316,3 +316,28 @@ def test_bad_node_indices_rejected(op_small):
     for bad in ([0.5], [float(far)], [-1], [grid.n_nodes], [far, grid.n_nodes + 3]):
         with pytest.raises(Validation, match="node indices"):
             Window(grid, np.array(bad))
+
+
+def _foreign_windows(grid):
+    """Windows of the grid with the same h and R + 1: one whose nodes are
+    not exterior nodes of grid, one whose first two nodes happen to be."""
+    other = build_grid(grid.domain, grid.h, grid.R + 1.0)
+    return [annulus_window(other, 0.5, 1.0), Window(other, np.array([0, 1]))]
+
+
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("entry", ["datum", "bank", "identity"])
+def test_cauchy_entry_points_reject_a_window_of_another_grid(op_small, entry, k):
+    grid = op_small.grid
+    window = _foreign_windows(grid)[k]
+    nl = catalogue("zero")
+    g = exterior_bump(grid, 1.5, 0.3)
+    with pytest.raises(GridMismatch, match="window"):
+        if entry == "datum":
+            make_cauchy_datum(op_small, nl, g, window)
+        elif entry == "bank":
+            build_cauchy_bank(op_small, nl, [("g", g)], window)
+        else:
+            u = solve_linear(LinearProblem(op=op_small, a=np.zeros(grid.n_interior),
+                                           f=np.zeros(grid.n_interior), g=g))
+            exterior_identity_check(op_small, u, g, window)

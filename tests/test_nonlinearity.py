@@ -3,7 +3,6 @@ import pytest
 from scipy.integrate import quad
 
 from fracschrod import (
-    CheckTolerances,
     Domain,
     Nonlinearity,
     catalogue,
@@ -13,7 +12,6 @@ from fracschrod import (
 from fracschrod.errors import (
     InvalidRange,
     NegativeCoefficient,
-    NonFiniteValue,
     UnknownModel,
     Validation,
 )
@@ -21,23 +19,68 @@ from fracschrod.errors import (
 BOX = Domain.interval(-1.0, 1.0)
 
 
+def _at(nl, x, t):
+    """(q, dq) at one point x and one value t, as floats."""
+    pts, tv = np.array([x], dtype=float), np.array([t], dtype=float)
+    return float(nl.q(pts, tv)[0]), float(nl.dq(pts, tv)[0])
+
+
 def test_eval_saturating_cubic():
     nl = catalogue("saturating-cubic", 1.0)
     # d/dt [t^3/(1+t^2)] = (3t^2 + t^4)/(1+t^2)^2; at t=1 this is 4/4
-    q, dq = nl.eval((0.0,), 1.0)
+    q, dq = _at(nl, (0.0,), 1.0)
     assert q == pytest.approx(0.5, rel=1e-14)
     assert dq == pytest.approx(1.0, rel=1e-14)
 
 
 def test_eval_vanishes_at_zero():
     for name in ("zero", "linear", "saturating-cubic"):
-        q, _ = catalogue(name, 1.0).eval((0.3,), 0.0)
+        q, _ = _at(catalogue(name, 1.0), (0.3,), 0.0)
         assert q == 0.0
 
 
 def test_eval_linear():
     nl = catalogue("linear", 2.0)
-    assert nl.eval((0.1,), 3.0) == (6.0, 2.0)
+    assert _at(nl, (0.1,), 3.0) == (6.0, 2.0)
+
+
+# the per-model expressions of the catalogue before it became one table
+def _reference(name, coeff):
+    if name == "zero":
+        zero = lambda x, t: np.zeros(np.broadcast(np.atleast_2d(x)[:, 0], t).shape)
+        return zero, zero
+    if name == "linear":
+        return (lambda x, t: coeff(x) * np.asarray(t),
+                lambda x, t: coeff(x) * np.ones_like(np.asarray(t, dtype=float)))
+
+    def q(x, t):
+        t = np.asarray(t, dtype=float)
+        return coeff(x) * t**3 / (1.0 + t**2)
+
+    def dq(x, t):
+        t = np.asarray(t, dtype=float)
+        return coeff(x) * (3.0 * t**2 + t**4) / (1.0 + t**2) ** 2
+
+    return q, dq
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("name", ["zero", "linear", "saturating-cubic"])
+def test_catalogue_table_matches_per_model_expressions_bitwise(name, dim):
+    rng = np.random.default_rng(17 + dim)
+    x = rng.uniform(-3.0, 3.0, (400, dim))
+    t = np.concatenate([rng.uniform(-50.0, 50.0, 396), [0.0, -0.0, 50.0, -50.0]])
+
+    def profile(pts):
+        return 0.3 + 0.2 * np.sin(np.atleast_2d(pts)[:, 0])
+
+    scalar = lambda pts: np.full(np.atleast_2d(pts).shape[0], 0.7)
+    for a, a_sup, coeff in ((0.7, None, scalar), (profile, 0.5, profile)):
+        nl = catalogue(name, a, a_sup=a_sup)
+        q_ref, dq_ref = _reference(name, coeff)
+        for got, want in ((nl.q(x, t), q_ref(x, t)), (nl.dq(x, t), dq_ref(x, t))):
+            assert got.shape == want.shape == (400,)
+            assert got.tobytes() == want.tobytes()
 
 
 def test_catalogue_constants():
@@ -45,6 +88,19 @@ def test_catalogue_constants():
     # the derivative factor peaks at 9/8 (attained at t^2 = 3)
     assert catalogue("saturating-cubic", 2.0).m0 == pytest.approx(9.0 / 4.0)
     assert catalogue("saturating-cubic", 1.0).b0 == pytest.approx(101.0 / 103.0)
+
+
+@pytest.mark.parametrize("a", [0.0, 0.5, 1.0, 2.0])
+def test_catalogue_constants_per_model(a):
+    # (mu, delta, b0, r, m0) as the per-model branches set them
+    scale = a if a > 0 else 1.0
+    want = {"zero": (1.0, 2.5, 0.5, 1.0, 1.0),
+            "linear": (max(a, 1.0), 2.5, 0.9, 1.0, scale),
+            "saturating-cubic": (max(a, 1.0), 2.5, 101.0 / 103.0, 1.0,
+                                 9.0 / 8.0 * scale)}
+    for name, constants in want.items():
+        nl = catalogue(name, a)
+        assert (nl.mu, nl.delta, nl.b0, nl.r, nl.m0) == constants
 
 
 def test_catalogue_errors():
@@ -64,7 +120,7 @@ def test_conditions_saturating_cubic_all_pass():
 
 
 def test_conditions_linear_superlinearity_fails():
-    nl = catalogue("linear", 1.0, b0=0.9)
+    nl = catalogue("linear", 1.0)
     report = check_conditions(nl, BOX, t_max=10.0, n_samples=500, seed=2)
     assert report.superlinearity.status == "fail"
     # q/t = 1 > 0.9 * dq = 0.9 at every sample
@@ -86,7 +142,7 @@ def test_conditions_zero_model():
 
 
 def test_conditions_invalid_range():
-    nl = catalogue("saturating-cubic", 1.0, r=1.0)
+    nl = catalogue("saturating-cubic", 1.0)
     with pytest.raises(InvalidRange):
         check_conditions(nl, BOX, t_max=0.5)
     with pytest.raises(InvalidRange):
@@ -153,13 +209,13 @@ def test_conditions_on_2d_box():
     assert report.x_bounds == ((-1.0, -1.0), (1.0, 1.0))
 
 
-def test_eval_nonfinite_rejected():
+def test_conditions_nonfinite_fails_continuity():
     bad = Nonlinearity(name="custom", q=lambda x, t: np.asarray(t) / 0.0,
                        dq=lambda x, t: np.zeros_like(np.asarray(t, dtype=float)),
                        mu=1.0, delta=2.5, b0=0.5, r=1.0, m0=1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        with pytest.raises(NonFiniteValue):
-            bad.eval((0.0,), 1.0)
+        report = check_conditions(bad, BOX, t_max=10.0, n_samples=200, seed=5)
+    assert report.continuity.status == "fail" and report.continuity.margin == 1.0
 
 
 def test_delta_window():

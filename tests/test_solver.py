@@ -33,6 +33,7 @@ from fracschrod import (
 )
 from fracschrod import solver
 from fracschrod.errors import (
+    GridMismatch,
     JacobianSingular,
     NewtonDiverged,
     OperatorTooLarge,
@@ -705,3 +706,17 @@ def test_solution_csv_format(tmp_path, op_small):
     x0, v0 = lines[1].split(",")
     assert float(x0) == u.grid.nodes[0, 0]
     assert float(v0) == u.values[0]
+
+
+def test_linf_bound_rejects_data_of_another_grid(op_small):
+    grid = op_small.grid
+    barrier = build_barrier(op_small, np.zeros(grid.n_interior))
+    u, f = Field.zeros(grid), np.ones(grid.n_interior)
+    other = build_grid(grid.domain, grid.h / 2, grid.R)
+    with pytest.raises(GridMismatch, match="different grid"):
+        check_linf_bound(u, f, Field.zeros(other), barrier)
+    with pytest.raises(GridMismatch, match="different grid"):
+        check_linf_bound(Field.zeros(other), np.ones(other.n_interior),
+                         Field.zeros(other), barrier)
+    with pytest.raises(GridMismatch, match="per interior node"):
+        check_linf_bound(u, np.ones(5), u, barrier)
