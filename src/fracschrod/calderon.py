@@ -23,6 +23,7 @@ its smallest singular value is the quantitative surrogate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 import scipy.linalg
@@ -162,8 +163,9 @@ class _DnAssembler:
 
     Every solve is one solver._solve_system call at the potential, which
     owns the system matrix and the operator's retained factor (shared with
-    solve_linear), so a Jacobian at the potential just evaluated (as trf
-    asks for it) factors nothing and the operator holds at most one factor.
+    solve_linear), so the DN matrix and its Jacobian at one potential share
+    one factor and the operator holds at most one factor.  recover_potential
+    hands trf the R factor of [J | r] (reduced).
     Set-up forms no array over all N nodes against all p probes: probe
     values are held at their support and at the window only, and the window
     rows are formed one batch at a time, each giving the zero-extension
@@ -212,12 +214,37 @@ class _DnAssembler:
     def matrix(self, a: np.ndarray) -> np.ndarray:
         return self.const + self.neumann_lin @ _solve_system(self.op, a, self.rhs)
 
-    def jacobian(self, a: np.ndarray) -> np.ndarray:
-        """Stacked derivative of vec(matrix) with respect to the potential;
-        both solves use one factor, since the diagonal is bitwise equal."""
+    def matrix_and_jacobian(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The DN matrix and the stacked derivative of vec(matrix) (probe
+        columns one after another) with respect to the potential; the
+        probe solves are taken once and every solve uses one factor."""
         sols = _solve_system(self.op, a, self.rhs)
         green = _solve_system(self.op, a, self.neumann_lin.T).T
-        return (-sols.T[:, None, :] * green).reshape(-1, len(a))
+        return (self.const + self.neumann_lin @ sols,
+                (-sols.T[:, None, :] * green).reshape(-1, len(a)))
+
+    def reduced(self, a: np.ndarray, target: np.ndarray,
+                sq: float) -> tuple[np.ndarray, np.ndarray]:
+        """Residual and Jacobian of the recovery problem on the R factor.
+
+        Stacks [J | r], r = vec(matrix(a) - target), with the Tikhonov rows
+        [sq I | sq a] below it when sq > 0, and takes one QR factorization.
+        The upper triangle's first ni + 1 rows (fewer when the stack is
+        shorter) are [J_c | f_c]: since R^T R = [J r]^T [J r], the pair has
+        the full problem's cost ||f_c|| = ||r||, gradient J_c^T f_c = J^T r
+        and Gauss-Newton matrix J_c^T J_c = J^T J.
+        """
+        ni = len(a)
+        matrix, jac = self.matrix_and_jacobian(a)
+        rows = jac.shape[0]
+        stack = np.empty((rows + (ni if sq > 0 else 0), ni + 1), order="F")
+        stack[:rows, :ni] = jac
+        stack[:rows, ni] = (matrix - target).T.reshape(-1)
+        if sq > 0:
+            stack[rows:, :ni] = sq * np.eye(ni)
+            stack[rows:, ni] = sq * a
+        r = np.triu(scipy.linalg.lapack.dgeqrf(stack, overwrite_a=True)[0][:ni + 1])
+        return r[:, ni], r[:, :ni]
 
 
 def dn_map(op: NonlocalOperator, a: np.ndarray, window: Window,
@@ -243,6 +270,9 @@ class RecoveryResult:
     misfit: float
     objective: float
     n_evaluations: int
+    n_jacobians: int
+    status: int             # trf's termination status (0: evaluation cap)
+    optimality: float       # trf's scaled gradient sup norm at the estimate
 
 
 def recover_potential(reference_op: NonlocalOperator, measurements: DnMatrix,
@@ -253,28 +283,41 @@ def recover_potential(reference_op: NonlocalOperator, measurements: DnMatrix,
     Minimizes the squared Frobenius misfit plus lambda_reg ||a||^2 over
     a >= 0, with the Tikhonov term carried as augmented residual rows and
     the analytic potential-derivative of the forward map; the optimizer is
-    a trust-region Gauss-Newton iteration honoring the bound.  The result
-    carries the DN matrix at the estimate, fitted.  Raises MisfitStagnation
-    (carrying the last iterate) when no descent happens.
+    scipy's trust-region reflective iteration honoring the bound.  trf sees
+    the R factor of [J | r] (_DnAssembler.reduced): at most ni + 1 residuals
+    with the full problem's cost, gradient and Gauss-Newton matrix, so each
+    of its SVDs has 2 ni + 1 rows whatever the number of probes.  Every
+    evaluation forms the Jacobian with the residual, and trf's request for
+    it at the potential just evaluated is served from that evaluation.  The
+    result carries the DN matrix at the estimate, fitted, and trf's
+    termination status and optimality.  Raises MisfitStagnation (carrying
+    the last iterate) when no descent happens.
     """
     # scipy.optimize takes about 0.1 s to import and only this function uses it
     from scipy.optimize import least_squares
 
     if not (np.isfinite(lambda_reg) and lambda_reg >= 0):
         raise Validation("lambda_reg must be finite and nonnegative")
+    # trf stops on nfev == max_nfev, which a non-integral cap never meets
+    if (isinstance(max_evaluations, bool) or not isinstance(max_evaluations, Integral)
+            or max_evaluations < 1):
+        raise Validation("max_evaluations must be a positive integer")
     ni = reference_op.grid.n_interior
     asm = _DnAssembler(reference_op, measurements.window,
                        list(zip(measurements.probe_ids, measurements.probes)))
     target = measurements.matrix
     sq = np.sqrt(lambda_reg)
+    last = {}   # the potential's bytes -> the R block of that evaluation
 
     def residuals(a):
-        r = (asm.matrix(a) - target).T.reshape(-1)
-        return np.concatenate([r, sq * a]) if lambda_reg > 0 else r
+        f, j = asm.reduced(a, target, sq)
+        last.clear()
+        last[a.tobytes()] = j
+        return f
 
     def jac(a):
-        j = asm.jacobian(a)
-        return np.vstack([j, sq * np.eye(ni)]) if lambda_reg > 0 else j
+        j = last.get(a.tobytes())
+        return asm.reduced(a, target, sq)[1] if j is None else j
 
     a0 = np.zeros(ni)
     r0 = residuals(a0)
@@ -289,7 +332,10 @@ def recover_potential(reference_op: NonlocalOperator, measurements: DnMatrix,
     return RecoveryResult(a_estimate=result.x, fitted=fitted,
                           misfit=float(np.linalg.norm(fitted.matrix - target)),
                           objective=float(2 * result.cost),
-                          n_evaluations=int(result.nfev))
+                          n_evaluations=int(result.nfev),
+                          n_jacobians=int(result.njev),
+                          status=int(result.status),
+                          optimality=float(result.optimality))
 
 
 def strong_uniqueness_probe(grid: Grid, op: NonlocalOperator,

@@ -295,7 +295,8 @@ def run_recover(cfg: dict, out: Path) -> dict:
                                           - measurements.matrix[:, k])))
                for k, pid in enumerate(measurements.probe_ids)])
     return {"misfit": result.misfit, "relative_l2_error": rel,
-            "evaluations": result.n_evaluations,
+            "evaluations": result.n_evaluations, "jacobians": result.n_jacobians,
+            "status": result.status, "optimality": result.optimality,
             "inverse_crime": noise == 0.0}
 
 

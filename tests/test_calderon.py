@@ -275,30 +275,33 @@ def test_dn_map_locally_injective(op_coarse):
     grid = op_coarse.grid
     window = recovery_window(grid)
     asm = _DnAssembler(op_coarse, window, canonical_probes(window))
-    jac = asm.jacobian(0.5 * np.ones(grid.n_interior))
+    jac = asm.matrix_and_jacobian(0.5 * np.ones(grid.n_interior))[1]
     sigma_min = float(np.linalg.svd(jac, compute_uv=False)[-1])
     print(f"\ndn-map jacobian sigma_min at a=0.5: {sigma_min:.3e}")
     assert sigma_min > 0.0
 
 
 def test_jacobian_reuses_the_factor_of_the_last_potential(op_coarse, monkeypatch):
-    # trf asks for the Jacobian at the potential it just evaluated; the factor
-    # memo is the operator's, so count on an operator no other test touched
+    # the DN matrix and its Jacobian at one potential share one factor (each
+    # recovery evaluation forms both); the factor memo is the operator's, so
+    # count on an operator no other test touched
     from fracschrod import calderon, solver
 
     grid = op_coarse.grid
     window = recovery_window(grid)
     a = two_bump_potential(grid)
     fresh = calderon._DnAssembler(op_coarse, window, canonical_probes(window))
-    want = fresh.jacobian(a)
+    want = fresh.matrix_and_jacobian(a)[1]
     calls = []
     factor_system = solver._factor_system
     monkeypatch.setattr(solver, "_factor_system",
                         lambda *args: calls.append(1) or factor_system(*args))
     op = assemble(grid, op_coarse.params.s)
     asm = calderon._DnAssembler(op, window, canonical_probes(window))
-    asm.matrix(a)
-    assert asm.jacobian(a.copy()).tobytes() == want.tobytes()
+    matrix = asm.matrix(a)
+    both = asm.matrix_and_jacobian(a.copy())
+    assert both[0].tobytes() == matrix.tobytes()
+    assert both[1].tobytes() == want.tobytes()
     assert len(calls) == 1
     asm.matrix(0.5 * a)
     assert len(calls) == 2
@@ -313,12 +316,113 @@ def test_jacobian_is_the_derivative_of_the_matrix(op_coarse):
     window = recovery_window(grid)
     asm = _DnAssembler(op_coarse, window, canonical_probes(window))
     a = two_bump_potential(grid)
-    jac = asm.jacobian(a)
+    jac = asm.matrix_and_jacobian(a)[1]
     step = 1e-5
     diff = np.empty_like(jac)
     for j, e in enumerate(step * np.eye(grid.n_interior)):
         diff[:, j] = (asm.matrix(a + e) - asm.matrix(a - e)).T.reshape(-1) / (2 * step)
     assert np.max(np.abs(jac - diff)) <= 1e-6 * np.max(np.abs(jac))
+
+
+def _recovery_windows(grid):
+    """The recovery window with its canonical probes (k p rows > ni + 1),
+    and its first four nodes with one probe (4 rows < ni + 1)."""
+    window = recovery_window(grid)
+    short = Window(grid, window.indices[:4])
+    return {"full": (window, canonical_probes(window)),
+            "one-probe": (short, canonical_probes(short)[:1])}
+
+
+@pytest.mark.parametrize("lambda_reg", [0.0, 1e-6])
+@pytest.mark.parametrize("case", ["full", "one-probe"])
+def test_reduced_problem_has_the_full_cost_gradient_and_gauss_newton_matrix(
+        op_coarse, case, lambda_reg):
+    # trf sees [J_c | f_c], the R factor of [J | r]; measured deviations are
+    # at most 8.2e-16 relative, the tolerance is 1e-14
+    from fracschrod.calderon import _DnAssembler
+
+    grid = op_coarse.grid
+    ni = grid.n_interior
+    window, probes = _recovery_windows(grid)[case]
+    asm = _DnAssembler(op_coarse, window, probes)
+    target = asm.matrix(0.5 * np.ones(ni))
+    a = two_bump_potential(grid)
+    sq = np.sqrt(lambda_reg)
+    matrix, jac = asm.matrix_and_jacobian(a)
+    r = (matrix - target).T.reshape(-1)
+    if lambda_reg > 0:
+        r = np.concatenate([r, sq * a])
+        jac = np.vstack([jac, sq * np.eye(ni)])
+    f_c, jac_c = asm.reduced(a, target, sq)
+    assert f_c.shape == (min(len(r), ni + 1),)
+    assert jac_c.shape == (len(f_c), ni)
+
+    def rel(x, y):
+        return np.linalg.norm(x - y) / np.linalg.norm(y)
+
+    assert rel(np.linalg.norm(f_c), np.linalg.norm(r)) <= 1e-14
+    assert rel(jac_c.T @ f_c, jac.T @ r) <= 1e-14
+    assert rel(jac_c.T @ jac_c, jac.T @ jac) <= 1e-14
+
+
+@pytest.mark.parametrize("lambda_reg", [0.0, 1e-6])
+@pytest.mark.parametrize("case", ["full", "one-probe"])
+def test_trf_is_handed_the_reduced_problem(op_coarse, monkeypatch, case, lambda_reg):
+    # trf gets min(rows, ni + 1) residuals and a Jacobian of that many rows,
+    # never the k p (+ ni) rows of the tall problem; each evaluation forms the
+    # Jacobian trf asks for next, so reduced runs once per evaluation, plus
+    # once for the cost at a = 0
+    import scipy.optimize
+    from fracschrod import calderon
+
+    grid = op_coarse.grid
+    ni = grid.n_interior
+    window, probes = _recovery_windows(grid)[case]
+    measured = dn_map(op_coarse, two_bump_potential(grid), window, probes)
+    rows = window.size * len(probes) + (ni if lambda_reg > 0 else 0)
+    shapes = set()
+    least_squares = scipy.optimize.least_squares
+
+    def spy(fun, x0, jac, **kwargs):
+        def fun_seen(a):
+            f = fun(a)
+            shapes.add(("residual", f.shape))
+            return f
+
+        def jac_seen(a):
+            j = jac(a)
+            shapes.add(("jacobian", j.shape))
+            return j
+
+        return least_squares(fun_seen, x0, jac=jac_seen, **kwargs)
+
+    calls = []
+    reduced = calderon._DnAssembler.reduced
+    monkeypatch.setattr(scipy.optimize, "least_squares", spy)
+    monkeypatch.setattr(calderon._DnAssembler, "reduced",
+                        lambda *args: calls.append(1) or reduced(*args))
+    result = recover_potential(op_coarse, measured, lambda_reg, max_evaluations=20)
+    n = min(rows, ni + 1)
+    assert shapes == {("residual", (n,)), ("jacobian", (n, ni))}
+    assert len(calls) == result.n_evaluations + 1
+    assert 1 <= result.n_jacobians <= result.n_evaluations
+
+
+@pytest.mark.parametrize("cap", [0, -3, 2.5, True])
+def test_recover_rejects_a_cap_that_is_not_a_positive_integer(op_coarse, monkeypatch, cap):
+    # trf stops on nfev == max_nfev: a cap of 2.5 never stops it, 0 and -3
+    # raised scipy's bare ValueError, and True ran one evaluation
+    from fracschrod import calderon
+
+    window = recovery_window(op_coarse.grid)
+    measured = dn_map(op_coarse, np.zeros(op_coarse.grid.n_interior), window)
+
+    def no_set_up(*args):
+        raise AssertionError("the DN set-up ran before the cap was checked")
+
+    monkeypatch.setattr(calderon, "_DnAssembler", no_set_up)
+    with pytest.raises(Validation, match="max_evaluations"):
+        recover_potential(op_coarse, measured, 0.0, max_evaluations=cap)
 
 
 def test_recover_zero_potential(op_coarse):
