@@ -23,7 +23,7 @@ its smallest singular value is the quantitative surrogate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 import scipy.linalg
@@ -165,7 +165,8 @@ class _DnAssembler:
     owns the system matrix and the operator's retained factor (shared with
     solve_linear), so the DN matrix and its Jacobian at one potential share
     one factor and the operator holds at most one factor.  recover_potential
-    hands trf the R factor of [J | r] (reduced).
+    hands trf the R factor of [J | r] (reduced), which writes J into the
+    QR stack and is the one place J is formed.
     Set-up forms no array over all N nodes against all p probes: probe
     values are held at their support and at the window only, and the window
     rows are formed one batch at a time, each giving the zero-extension
@@ -181,6 +182,8 @@ class _DnAssembler:
         self.window = window
         self.ids = tuple(name for name, _ in probes)
         self.fields = tuple(f for _, f in probes)
+        if not self.fields:
+            raise Validation("at least one probe is needed")
         for f in self.fields:
             if not f.grid.same_as(grid):
                 raise GridMismatch("probe grid differs from operator grid")
@@ -214,36 +217,37 @@ class _DnAssembler:
     def matrix(self, a: np.ndarray) -> np.ndarray:
         return self.const + self.neumann_lin @ _solve_system(self.op, a, self.rhs)
 
-    def matrix_and_jacobian(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The DN matrix and the stacked derivative of vec(matrix) (probe
-        columns one after another) with respect to the potential; the
-        probe solves are taken once and every solve uses one factor."""
-        sols = _solve_system(self.op, a, self.rhs)
-        green = _solve_system(self.op, a, self.neumann_lin.T).T
-        return (self.const + self.neumann_lin @ sols,
-                (-sols.T[:, None, :] * green).reshape(-1, len(a)))
-
     def reduced(self, a: np.ndarray, target: np.ndarray,
                 sq: float) -> tuple[np.ndarray, np.ndarray]:
         """Residual and Jacobian of the recovery problem on the R factor.
 
-        Stacks [J | r], r = vec(matrix(a) - target), with the Tikhonov rows
-        [sq I | sq a] below it when sq > 0, and takes one QR factorization.
-        The upper triangle's first ni + 1 rows (fewer when the stack is
-        shorter) are [J_c | f_c]: since R^T R = [J r]^T [J r], the pair has
-        the full problem's cost ||f_c|| = ||r||, gradient J_c^T f_c = J^T r
-        and Gauss-Newton matrix J_c^T J_c = J^T J.
+        Stacks [J | r], r = vec(matrix(a) - target) (probe columns one after
+        another) and J its derivative in the potential, with the Tikhonov
+        rows [sq I | sq a] below when sq > 0.  J is written straight into
+        the stack: column j is -vec(outer(green[:, j], sols[j, :])), from
+        one probe solve and one Green solve on one factor.  One recursive
+        blocked QR (LAPACK dgeqrt) factors the stack in a few level-3 calls,
+        not a threaded level-2 pair per column.  The upper triangle's first
+        ni + 1 rows (fewer when the stack is shorter) are [J_c | f_c]: since
+        R^T R = [J r]^T [J r], the pair has the full problem's cost
+        ||f_c|| = ||r||, gradient J_c^T f_c = J^T r and Gauss-Newton matrix
+        J_c^T J_c = J^T J.
         """
         ni = len(a)
-        matrix, jac = self.matrix_and_jacobian(a)
-        rows = jac.shape[0]
+        sols = _solve_system(self.op, a, self.rhs)
+        green = _solve_system(self.op, a, self.neumann_lin.T).T
+        k, p = self.const.shape
+        rows = k * p
         stack = np.empty((rows + (ni if sq > 0 else 0), ni + 1), order="F")
-        stack[:rows, :ni] = jac
-        stack[:rows, ni] = (matrix - target).T.reshape(-1)
+        # a view: each column of the Fortran-ordered stack is contiguous
+        np.multiply(-sols[:, :, None], green.T[:, None, :],
+                    out=stack[:rows, :ni].T.reshape(ni, p, k))
+        stack[:rows, ni] = (self.const + self.neumann_lin @ sols - target).T.reshape(-1)
         if sq > 0:
             stack[rows:, :ni] = sq * np.eye(ni)
             stack[rows:, ni] = sq * a
-        r = np.triu(scipy.linalg.lapack.dgeqrf(stack, overwrite_a=True)[0][:ni + 1])
+        nb = min(32, *stack.shape)      # dgeqrt needs nb <= min(m, n)
+        r = np.triu(scipy.linalg.lapack.dgeqrt(nb, stack, overwrite_a=True)[0][:ni + 1])
         return r[:, ni], r[:, :ni]
 
 
@@ -284,10 +288,11 @@ def recover_potential(reference_op: NonlocalOperator, measurements: DnMatrix,
     a >= 0, with the Tikhonov term carried as augmented residual rows and
     the analytic potential-derivative of the forward map; the optimizer is
     scipy's trust-region reflective iteration honoring the bound.  trf sees
-    the R factor of [J | r] (_DnAssembler.reduced): at most ni + 1 residuals
-    with the full problem's cost, gradient and Gauss-Newton matrix, so each
-    of its SVDs has 2 ni + 1 rows whatever the number of probes.  Every
-    evaluation forms the Jacobian with the residual, and trf's request for
+    the R factor of [J | r] (_DnAssembler.reduced, one blocked QR, LAPACK
+    dgeqrt): at most ni + 1 residuals with the full problem's cost,
+    gradient and Gauss-Newton matrix, so each of its SVDs has 2 ni + 1 rows
+    whatever the number of probes.  Every evaluation forms the Jacobian
+    with the residual, straight into the QR stack, and trf's request for
     it at the potential just evaluated is served from that evaluation.  The
     result carries the DN matrix at the estimate, fitted, and trf's
     termination status and optimality.  Raises MisfitStagnation (carrying
@@ -296,8 +301,10 @@ def recover_potential(reference_op: NonlocalOperator, measurements: DnMatrix,
     # scipy.optimize takes about 0.1 s to import and only this function uses it
     from scipy.optimize import least_squares
 
-    if not (np.isfinite(lambda_reg) and lambda_reg >= 0):
-        raise Validation("lambda_reg must be finite and nonnegative")
+    # True would run as 1, and a complex, string or array one fails in numpy
+    if (isinstance(lambda_reg, bool) or not isinstance(lambda_reg, Real)
+            or not 0 <= lambda_reg < np.inf):
+        raise Validation("lambda_reg must be a finite nonnegative real number")
     # trf stops on nfev == max_nfev, which a non-integral cap never meets
     if (isinstance(max_evaluations, bool) or not isinstance(max_evaluations, Integral)
             or max_evaluations < 1):
@@ -306,7 +313,7 @@ def recover_potential(reference_op: NonlocalOperator, measurements: DnMatrix,
     asm = _DnAssembler(reference_op, measurements.window,
                        list(zip(measurements.probe_ids, measurements.probes)))
     target = measurements.matrix
-    sq = np.sqrt(lambda_reg)
+    sq = np.sqrt(float(lambda_reg))
     last = {}   # the potential's bytes -> the R block of that evaluation
 
     def residuals(a):

@@ -96,6 +96,15 @@ def _whole(value, key: str, low: int | None = None) -> int:
     return int(value)
 
 
+def _nonnegative(value, key: str) -> float:
+    """A config number as a float, refused unless real, finite and at least
+    0 (a negative noise level ran noiseless, and true ran as 1)."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not 0 <= value < np.inf):
+        raise Validation(f"config {key} must be a nonnegative number, got {value!r}")
+    return float(value)
+
+
 def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -275,16 +284,17 @@ def run_linearize(cfg: dict, out: Path) -> dict:
 def run_recover(cfg: dict, out: Path) -> dict:
     band = _band(cfg)
     seed = _whole(cfg["seed"], "seed", 0)
+    noise = _nonnegative(cfg["noise"], "noise")
+    lambda_reg = _nonnegative(cfg["regularization"], "regularization")
     grid, op = _grid_and_operator(cfg)
     window = annulus_window(grid, *band)
     a_true = _profile_values(cfg["truth"], grid)
     measurements = dn_map(op, a_true, window)
-    noise = float(cfg["noise"])
     if noise > 0:
         rng = np.random.default_rng(seed)
         measurements = replace(measurements, matrix=measurements.matrix * (
             1.0 + noise * rng.standard_normal(measurements.matrix.shape)))
-    result = recover_potential(op, measurements, float(cfg["regularization"]))
+    result = recover_potential(op, measurements, lambda_reg)
     rel = (float(np.linalg.norm(result.a_estimate - a_true)
                  / max(np.linalg.norm(a_true), 1e-300)))
     header = [*_AXES[:grid.dim], "a_true", "a_estimate"]

@@ -31,10 +31,10 @@ from fracschrod import (
     solve_semilinear,
     strong_uniqueness_probe,
 )
-from fracschrod.calderon import DnMatrix
+from fracschrod.calderon import DnMatrix, _DnAssembler
 from fracschrod.errors import (BankMismatch, GridMismatch, InvalidRange,
                                RankDeficientProbes, Validation)
-from fracschrod.solver import LinearProblem
+from fracschrod.solver import LinearProblem, _solve_system
 from conftest import exterior_bump
 
 
@@ -50,6 +50,17 @@ def recovery_window(grid):
     # near-field two-sided window: conditioning of the recovery degrades
     # fast with measurement distance, so start right at the allowed h
     return annulus_window(grid, grid.h, 1.0)
+
+
+def matrix_and_jacobian(asm, a):
+    """The DN matrix and the stacked derivative of vec(matrix) (probe
+    columns one after another) with respect to the potential, formed on
+    their own: the reference for the Jacobian that _DnAssembler.reduced
+    writes straight into its QR stack."""
+    sols = _solve_system(asm.op, a, asm.rhs)
+    green = _solve_system(asm.op, a, asm.neumann_lin.T).T
+    return (asm.const + asm.neumann_lin @ sols,
+            (-sols.T[:, None, :] * green).reshape(-1, len(a)))
 
 
 def test_mean_potential_degenerate_segment(op_small):
@@ -270,12 +281,10 @@ def test_dn_map_checks_its_potential_before_set_up(op_coarse, monkeypatch, a, er
 
 def test_dn_map_locally_injective(op_coarse):
     # the potential-to-response map has a trivial-kernel Jacobian at a = 0.5
-    from fracschrod.calderon import _DnAssembler
-
     grid = op_coarse.grid
     window = recovery_window(grid)
     asm = _DnAssembler(op_coarse, window, canonical_probes(window))
-    jac = asm.matrix_and_jacobian(0.5 * np.ones(grid.n_interior))[1]
+    jac = matrix_and_jacobian(asm, 0.5 * np.ones(grid.n_interior))[1]
     sigma_min = float(np.linalg.svd(jac, compute_uv=False)[-1])
     print(f"\ndn-map jacobian sigma_min at a=0.5: {sigma_min:.3e}")
     assert sigma_min > 0.0
@@ -291,17 +300,17 @@ def test_jacobian_reuses_the_factor_of_the_last_potential(op_coarse, monkeypatch
     window = recovery_window(grid)
     a = two_bump_potential(grid)
     fresh = calderon._DnAssembler(op_coarse, window, canonical_probes(window))
-    want = fresh.matrix_and_jacobian(a)[1]
+    target = fresh.matrix(0.5 * np.ones(grid.n_interior))
+    want = fresh.reduced(a, target, 1e-3)
     calls = []
     factor_system = solver._factor_system
     monkeypatch.setattr(solver, "_factor_system",
                         lambda *args: calls.append(1) or factor_system(*args))
     op = assemble(grid, op_coarse.params.s)
     asm = calderon._DnAssembler(op, window, canonical_probes(window))
-    matrix = asm.matrix(a)
-    both = asm.matrix_and_jacobian(a.copy())
-    assert both[0].tobytes() == matrix.tobytes()
-    assert both[1].tobytes() == want.tobytes()
+    asm.matrix(a)
+    got = asm.reduced(a.copy(), target, 1e-3)
+    assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
     assert len(calls) == 1
     asm.matrix(0.5 * a)
     assert len(calls) == 2
@@ -310,13 +319,11 @@ def test_jacobian_reuses_the_factor_of_the_last_potential(op_coarse, monkeypatch
 def test_jacobian_is_the_derivative_of_the_matrix(op_coarse):
     # vec(matrix) stacks the probe columns, as recover_potential's residual
     # does; central differences with step 1e-5 (measured: 1.5e-9 relative)
-    from fracschrod.calderon import _DnAssembler
-
     grid = op_coarse.grid
     window = recovery_window(grid)
     asm = _DnAssembler(op_coarse, window, canonical_probes(window))
     a = two_bump_potential(grid)
-    jac = asm.matrix_and_jacobian(a)[1]
+    jac = matrix_and_jacobian(asm, a)[1]
     step = 1e-5
     diff = np.empty_like(jac)
     for j, e in enumerate(step * np.eye(grid.n_interior)):
@@ -333,22 +340,77 @@ def _recovery_windows(grid):
             "one-probe": (short, canonical_probes(short)[:1])}
 
 
-@pytest.mark.parametrize("lambda_reg", [0.0, 1e-6])
-@pytest.mark.parametrize("case", ["full", "one-probe"])
-def test_reduced_problem_has_the_full_cost_gradient_and_gauss_newton_matrix(
-        op_coarse, case, lambda_reg):
-    # trf sees [J_c | f_c], the R factor of [J | r]; measured deviations are
-    # at most 8.2e-16 relative, the tolerance is 1e-14
-    from fracschrod.calderon import _DnAssembler
+@pytest.fixture(scope="module")
+def op_2d_quarter():
+    """(-1,1)^2 at h = 1/4, R = 3: ni = 49, so the stack [J | r] has 50
+    columns, two of dgeqrt's 32-column blocks."""
+    return assemble(build_grid(Domain.box((-1.0, -1.0), (1.0, 1.0)), 0.25, 3.0), 0.5)
 
+
+def two_bump_potential_2d(grid):
+    x = grid.interior_nodes
+    z1 = np.sum((x - [-0.45, 0.0]) ** 2, axis=1) / 0.25
+    z2 = np.sum((x - [0.45, 0.0]) ** 2, axis=1) / 0.25
+    return 0.6 * np.maximum(0, 1 - z1) ** 4 + 0.8 * np.maximum(0, 1 - z2) ** 4
+
+
+@pytest.mark.parametrize("lambda_reg", [0.0, 1e-6])
+def test_reduced_writes_the_reference_jacobian_into_its_stack(op_coarse, monkeypatch,
+                                                             lambda_reg):
+    # J is written through a view of the Fortran-ordered stack: dgeqrt sees
+    # the reference Jacobian, the residual and the Tikhonov rows bit for bit
+    import scipy.linalg
+
+    seen = []
+    dgeqrt = scipy.linalg.lapack.dgeqrt
+
+    def spy(nb, stack, overwrite_a=False):
+        seen.append((nb, stack.copy(order="F")))
+        return dgeqrt(nb, stack, overwrite_a=overwrite_a)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dgeqrt", spy)
     grid = op_coarse.grid
     ni = grid.n_interior
-    window, probes = _recovery_windows(grid)[case]
-    asm = _DnAssembler(op_coarse, window, probes)
+    window = recovery_window(grid)
+    asm = _DnAssembler(op_coarse, window, canonical_probes(window))
     target = asm.matrix(0.5 * np.ones(ni))
     a = two_bump_potential(grid)
     sq = np.sqrt(lambda_reg)
-    matrix, jac = asm.matrix_and_jacobian(a)
+    asm.reduced(a, target, sq)
+    matrix, jac = matrix_and_jacobian(asm, a)
+    rows = jac.shape[0]
+    [(nb, stack)] = seen
+    assert nb == ni + 1 and stack.shape == (rows + (ni if sq > 0 else 0), ni + 1)
+    assert stack[:rows, :ni].tobytes() == jac.tobytes()
+    assert stack[:rows, ni].tobytes() == (matrix - target).T.reshape(-1).tobytes()
+    if sq > 0:
+        assert stack[rows:, :ni].tobytes() == (sq * np.eye(ni)).tobytes()
+        assert stack[rows:, ni].tobytes() == (sq * a).tobytes()
+
+
+@pytest.mark.parametrize("lambda_reg", [0.0, 1e-6])
+@pytest.mark.parametrize("case", ["full", "one-probe", "2d"])
+def test_reduced_problem_has_the_full_cost_gradient_and_gauss_newton_matrix(
+        op_coarse, op_2d_quarter, case, lambda_reg):
+    # trf sees [J_c | f_c], the R factor of [J | r]; measured deviations are
+    # at most 8.9e-16 relative in 1D and 3.6e-15 in 2D (the gradient), the
+    # tolerance is 1e-14.  The 1D stacks have ni + 1 = 16 columns, one QR
+    # block, and the one-probe stack has 4 rows, fewer than a block; the 2D
+    # stack has 50 columns, two blocks
+    if case == "2d":
+        op = op_2d_quarter
+        window = recovery_window(op.grid)
+        probes = canonical_probes(window)
+        a = two_bump_potential_2d(op.grid)
+    else:
+        op = op_coarse
+        window, probes = _recovery_windows(op.grid)[case]
+        a = two_bump_potential(op.grid)
+    ni = op.grid.n_interior
+    asm = _DnAssembler(op, window, probes)
+    target = asm.matrix(0.5 * np.ones(ni))
+    sq = np.sqrt(lambda_reg)
+    matrix, jac = matrix_and_jacobian(asm, a)
     r = (matrix - target).T.reshape(-1)
     if lambda_reg > 0:
         r = np.concatenate([r, sq * a])
@@ -471,6 +533,36 @@ def test_recover_rejects_a_non_finite_lambda(op_coarse, lambda_reg):
     measurements = dn_map(op_coarse, np.zeros(op_coarse.grid.n_interior), window)
     with pytest.raises(Validation, match="lambda_reg"):
         recover_potential(op_coarse, measurements, lambda_reg=lambda_reg)
+
+
+@pytest.mark.parametrize("lambda_reg", [1 + 0j, None, "1e-6", np.array([1e-6, 1e-8]),
+                                       True, -1e-6])
+def test_recover_rejects_a_lambda_that_is_not_a_nonnegative_real(op_coarse, monkeypatch,
+                                                                  lambda_reg):
+    # complex, None and string raised bare TypeErrors, an array a bare
+    # ValueError, and True ran as lambda = 1
+    from fracschrod import calderon
+
+    window = recovery_window(op_coarse.grid)
+    measured = dn_map(op_coarse, np.zeros(op_coarse.grid.n_interior), window)
+
+    def no_set_up(*args):
+        raise AssertionError("the DN set-up ran before lambda_reg was checked")
+
+    monkeypatch.setattr(calderon, "_DnAssembler", no_set_up)
+    with pytest.raises(Validation, match="lambda_reg"):
+        recover_potential(op_coarse, measured, lambda_reg)
+
+
+def test_empty_probe_list_rejected(op_coarse):
+    # np.stack raised a bare "need at least one array to stack"
+    grid = op_coarse.grid
+    window = recovery_window(grid)
+    with pytest.raises(Validation, match="probe"):
+        dn_map(op_coarse, np.zeros(grid.n_interior), window, [])
+    empty = DnMatrix(window, (), (), np.empty((window.size, 0)))
+    with pytest.raises(Validation, match="probe"):
+        recover_potential(op_coarse, empty, 0.0)
 
 
 def test_dn_matrix_rejects_non_finite_entries(op_coarse):

@@ -98,6 +98,14 @@ def test_malformed_order_rejected(tmp_path):
     ({"experiment": "principles", "seed": 1.5}, 1, "Validation"),
     ({"experiment": "principles", "seed": -1}, 1, "Validation"),
     (dict(RECOVER, noise=0.1, seed=-1), 1, "Validation"),
+    # a negative noise level ran noiseless yet reported no inverse crime,
+    # and a bool regularization ran as 1
+    (dict(RECOVER, noise=-0.1), 1, "Validation"),
+    (dict(RECOVER, noise="0.1"), 1, "Validation"),
+    (dict(RECOVER, noise=True), 1, "Validation"),
+    (dict(RECOVER, regularization=True), 1, "Validation"),
+    (dict(RECOVER, regularization=-1e-6), 1, "Validation"),
+    (dict(RECOVER, regularization="1e-6"), 1, "Validation"),
     ({"experiment": "probe", "window_sweep": [40.7]}, 1, "Validation"),
     ({"experiment": "forward", "newton": {"max_iters": 2.7}}, 1, "Validation"),
 ])

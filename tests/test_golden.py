@@ -44,7 +44,10 @@ from fracschrod.fraclap import _blocks, _Stencil
 # ("CG step").  recover/ alone was re-recorded, a summation-order change,
 # when trf came to see the R factor of [J | r] instead of the tall residual
 # ("R factor"): trf's steps are the same in exact arithmetic, but 500
-# iterations of an ill-conditioned problem carry the roundoff along
+# iterations of an ill-conditioned problem carry the roundoff along.
+# recover/ alone was re-recorded again, a summation-order change, when that
+# R factor came from LAPACK's recursive blocked QR, dgeqrt, instead of the
+# unblocked dgeqrf ("blocked QR")
 CLI_PINS = {
     # circulant CG: g-1/neumann 5.55e-17 off, 0.20 of its bound
     "forward/cauchy_bank.json":
@@ -63,12 +66,12 @@ CLI_PINS = {
         "cec051a450a2e9597b029fc83d7c2f6eda90d2994e8ef02bb5e1d69ff37865c5",
     "probe/probe.csv":
         "45841a257404ce20da1e8fb106cd9a6c77f28527aca160637da5abe86a7e781c",
-    # R factor: misfit 9.27e-17 off, 0.01 of its bound
+    # blocked QR: misfit 5.99e-16 off, 0.09 of its bound
     "recover/misfit.csv":
-        "28482b280fd20c017afcd01ef0536cf00aa49514047b30903f1b4235cd52844c",
-    # R factor: a_estimate 7.57e-09 off, 0.16 of its bound
+        "8746030227cccda239df0f3253550222b96b1dc45592ee49236ed9eaf6ff92f3",
+    # blocked QR: a_estimate 1.21e-09 off, 0.02 of its bound
     "recover/recover.csv":
-        "e82703cd658525658c625e83a736a128626948e917a898bf60f6d798e81377fe",
+        "a3bf772709ee51a55caa1a52bb6abd1b39f3dca7574deadeec6fec438e798bda",
     # packed factor: value 1.37e-14 off, 0.01 of its bound
     "solve/solution.csv":
         "0bd014401efc4b518b2c6bcf0a17b71e3b373ae073ccedddda4de28ccd5b0c58",

@@ -1,6 +1,6 @@
 """Peak memory of assembly, the system factorization, linear and Newton
-solves, DN assembly, the operator apply, the Neumann trace, bump sampling
-and the solution CSV.
+solves, DN assembly, a recovery evaluation, the operator apply, the Neumann
+trace, bump sampling and the solution CSV.
 
 tracemalloc sees numpy's buffers, so the peak counts every array the call
 allocates, including the ones it returns.  Measured on (-1,1)^2 at h=2^-4,
@@ -200,6 +200,24 @@ def test_dn_assembler_keeps_its_three_arrays(traced_assembly):
     assert len(probes) == 1220
     assert held <= asm.neumann_lin.nbytes + asm.rhs.nbytes + asm.const.nbytes + 2**20
     assert peak <= 82 * 2**20
+
+
+def test_reduced_peak_is_its_stack():
+    # the recovery's Jacobian is written straight into the Fortran-ordered
+    # stack [J | r] and dgeqrt factors it in place, so one evaluation holds
+    # no second (k p) x ni array: 176 canonical probes on a 176-node window
+    # and the Tikhonov rows give a 31025 x 50 stack, 11.8 MiB (measured:
+    # 12.4 MiB; 24.1 MiB when the Jacobian was formed apart and copied in)
+    grid = build_grid(Domain.box((-1.0, -1.0), (1.0, 1.0)), 0.25, 3.0)
+    op = assemble(grid, 0.5)
+    ni = grid.n_interior
+    window = annulus_window(grid, grid.h, 1.0)
+    asm = _DnAssembler(op, window, canonical_probes(window))
+    target = asm.matrix(np.full(ni, 0.5))
+    a = np.linspace(0.0, 1.0, ni)
+    _, peak = traced_peak(asm.reduced, a, target, 1e-3)
+    stack = (window.size * len(asm.fields) + ni) * (ni + 1) * 8
+    assert peak <= 1.1 * stack
 
 
 @pytest.fixture(scope="module")
