@@ -23,7 +23,7 @@ its smallest singular value is the quantitative surrogate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral, Real
+from numbers import Integral
 
 import numpy as np
 import scipy.linalg
@@ -41,8 +41,8 @@ from .cauchy import CauchyDatum, mass_m
 from .fraclap import NonlocalOperator, _blocks, _Stencil
 from .grid import Field, Grid, Window
 from .nonlinearity import Nonlinearity
-from .solver import (LinearProblem, NewtonConfig, _checked_potential, _solve_system,
-                     solve_linear, solve_semilinear)
+from .solver import (LinearProblem, NewtonConfig, _checked_potential, _finite_real,
+                     _solve_system, solve_linear, solve_semilinear)
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
@@ -301,9 +301,8 @@ def recover_potential(reference_op: NonlocalOperator, measurements: DnMatrix,
     # scipy.optimize takes about 0.1 s to import and only this function uses it
     from scipy.optimize import least_squares
 
-    # True would run as 1, and a complex, string or array one fails in numpy
-    if (isinstance(lambda_reg, bool) or not isinstance(lambda_reg, Real)
-            or not 0 <= lambda_reg < np.inf):
+    lam = _finite_real(lambda_reg)
+    if lam is None or lam < 0:
         raise Validation("lambda_reg must be a finite nonnegative real number")
     # trf stops on nfev == max_nfev, which a non-integral cap never meets
     if (isinstance(max_evaluations, bool) or not isinstance(max_evaluations, Integral)
@@ -313,7 +312,7 @@ def recover_potential(reference_op: NonlocalOperator, measurements: DnMatrix,
     asm = _DnAssembler(reference_op, measurements.window,
                        list(zip(measurements.probe_ids, measurements.probes)))
     target = measurements.matrix
-    sq = np.sqrt(float(lambda_reg))
+    sq = np.sqrt(lam)
     last = {}   # the potential's bytes -> the R block of that evaluation
 
     def residuals(a):

@@ -289,7 +289,14 @@ class _Stencil:
         return [tail_mass(self.params, max(r, 0.5 * h)) for r in (R - norms).tolist()]
 
 
-_NEAR = 8  # kernel offsets with |k|_inf <= _NEAR are summed directly
+# Kernel offsets with |k|_inf <= _NEAR are summed directly, the rest by FFT.
+# The FFT's roundoff scales with the largest weight it carries, so a smaller
+# radius moves the sample outputs further from their references: at 0 and 1
+# they leave the bounds of tests/test_bounded.py (barrier_C at 2.65 and 1.40
+# of its bound), at 2 and 3 the worst column reaches 0.85 and 0.65 of its
+# bound, and at 4 0.59, near radius 8's 0.55.  In 2D that is 80 direct
+# terms instead of 288, which were most of a product's time.
+_NEAR = 4
 
 
 def _interior_box(stencil: _Stencil) -> tuple[np.ndarray, np.ndarray]:
@@ -339,7 +346,9 @@ class _Convolution:
     fill one flat run, so each term is one contiguous add from a fixed
     start, and weight * sub-box is formed once per distinct weight: every
     target sees the products and adds of a sum over shifted windows of F,
-    in the same order, bit for bit.
+    in the same order, bit for bit.  The radius _NEAR = 4 trades the direct
+    terms' cost against the FFT's roundoff, which grows with the largest
+    weight the FFT carries; see the comment at _NEAR.
     """
 
     def __init__(self, stencil: _Stencil, low, span, t_low, t_span):

@@ -49,7 +49,7 @@ from __future__ import annotations
 import os
 import weakref
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 import scipy.fft
@@ -69,6 +69,19 @@ from .fraclap import NonlocalOperator, apply_operator
 from .grid import _AXES, Field, Grid
 from .nonlinearity import Nonlinearity
 from .serialize import write_csv
+
+
+def _finite_real(value) -> float | None:
+    """value as a float if it is a real number other than a bool and a float
+    holds it finitely, else None (True would run as 1, a string or array
+    raises bare in a comparison, and an int past the float range overflows)."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        return None
+    try:
+        value = float(value)
+    except OverflowError:
+        return None
+    return value if np.isfinite(value) else None
 
 
 def _checked_potential(op: NonlocalOperator, a) -> np.ndarray:
@@ -119,12 +132,17 @@ class NewtonConfig:
     damping: float = 0.5
 
     def __post_init__(self):
-        if not isinstance(self.max_iters, Integral) or self.max_iters < 0:
+        # a bool is an Integral, and True would run as 1 iteration
+        if (isinstance(self.max_iters, bool) or not isinstance(self.max_iters, Integral)
+                or self.max_iters < 0):
             raise Validation("max_iters must be a nonnegative integer")
-        if not self.residual_tol > 0:
-            raise Validation("residual_tol must be positive")
-        if not 0.0 < self.damping < 1.0:
-            raise Validation("damping must lie in (0, 1)")
+        # an infinite tolerance accepts the zero interior after 0 iterations
+        tol = _finite_real(self.residual_tol)
+        if tol is None or tol <= 0:
+            raise Validation("residual_tol must be a finite positive real number")
+        damping = _finite_real(self.damping)
+        if damping is None or not 0.0 < damping < 1.0:
+            raise Validation("damping must be a real number in (0, 1)")
 
 
 @dataclass(frozen=True, eq=False)

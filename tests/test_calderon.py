@@ -536,11 +536,12 @@ def test_recover_rejects_a_non_finite_lambda(op_coarse, lambda_reg):
 
 
 @pytest.mark.parametrize("lambda_reg", [1 + 0j, None, "1e-6", np.array([1e-6, 1e-8]),
-                                       True, -1e-6])
+                                       True, -1e-6, 10**400])
 def test_recover_rejects_a_lambda_that_is_not_a_nonnegative_real(op_coarse, monkeypatch,
                                                                   lambda_reg):
     # complex, None and string raised bare TypeErrors, an array a bare
-    # ValueError, and True ran as lambda = 1
+    # ValueError, True ran as lambda = 1, and an int past the float range
+    # passed the check and overflowed in the set-up
     from fracschrod import calderon
 
     window = recovery_window(op_coarse.grid)
@@ -552,6 +553,16 @@ def test_recover_rejects_a_lambda_that_is_not_a_nonnegative_real(op_coarse, monk
     monkeypatch.setattr(calderon, "_DnAssembler", no_set_up)
     with pytest.raises(Validation, match="lambda_reg"):
         recover_potential(op_coarse, measured, lambda_reg)
+
+
+def test_recover_takes_a_numpy_float_lambda(op_coarse):
+    # a numpy scalar is a Real and runs as the float it holds
+    window = recovery_window(op_coarse.grid)
+    measured = dn_map(op_coarse, 0.5 * np.ones(op_coarse.grid.n_interior), window)
+    got = recover_potential(op_coarse, measured, np.float32(1e-6), max_evaluations=5)
+    want = recover_potential(op_coarse, measured, float(np.float32(1e-6)),
+                             max_evaluations=5)
+    assert got.a_estimate.tobytes() == want.a_estimate.tobytes()
 
 
 def test_empty_probe_list_rejected(op_coarse):

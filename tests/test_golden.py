@@ -47,23 +47,27 @@ from fracschrod.fraclap import _blocks, _Stencil
 # iterations of an ill-conditioned problem carry the roundoff along.
 # recover/ alone was re-recorded again, a summation-order change, when that
 # R factor came from LAPACK's recursive blocked QR, dgeqrt, instead of the
-# unblocked dgeqrf ("blocked QR")
+# unblocked dgeqrf ("blocked QR").  forward/, linearize/, principles/ and
+# solve/ were re-recorded again, a summation-order change, when the
+# convolutions' direct near field shrank from |k|_inf <= 8 to 4 ("near
+# field"): more of each product goes through the FFT, which moves the row
+# sums that set the diagonal and every product's last bits
 CLI_PINS = {
-    # circulant CG: g-1/neumann 5.55e-17 off, 0.20 of its bound
+    # near field: g-1/neumann 5.55e-17 off, 0.20 of its bound
     "forward/cauchy_bank.json":
-        "db979773fc9df2deabce902c1fc19472eb1e7c053d6cb1b10772e55785af880c",
-    # circulant CG: residual 4.64e-15 off, 0.17 of its bound
+        "158f1c30543baa38e32f3992a1d3b75114f5a0e49d0527ca68387a3b88b76ffb",
+    # near field: residual 5.25e-15 off, 0.20 of its bound
     "forward/newton_trace.csv":
-        "c8755936979d2f0cbb85e4a68be37a735f3a420f6e3038191254992308ac28a8",
-    # circulant CG: value 4.3e-16 off, 0.26 of its bound
+        "72658760029e7807b65f0dcea78c386e0aa3cd1a23911177527dfc9fdba3c77d",
+    # near field: value 2.91e-16 off, 0.17 of its bound
     "forward/solution.csv":
-        "d83ca54bb6cb2c9c90faa921e02f8fd77761f97d2a799aaed665b13c9d39f335",
-    # circulant CG: e_l2 2.57e-12 off, 0.15 of its bound
+        "0f84705ce22ef2fd4f694112ba9372af2e73c37996bd07701248dfdbbe29984e",
+    # near field: e_l2 9.25e-13 off, 0.05 of its bound
     "linearize/linearize.csv":
-        "0cb4aa0721a6de2165c5de51a45b86b047ab35b1b11b4e9461fb81b011dd618b",
-    # packed factor: min_u 6.11e-16 off, 0.55 of its bound
+        "8b7d8aceaa16465420af8c89d27978004ca0a83d238159ca295976e33a436f72",
+    # near field: min_u 6.66e-16 off, 0.59 of its bound
     "principles/principles.csv":
-        "cec051a450a2e9597b029fc83d7c2f6eda90d2994e8ef02bb5e1d69ff37865c5",
+        "21664c5a045cc55ca3a7e705f1dc9920426b44fc720ec057069e3878351dfb45",
     "probe/probe.csv":
         "45841a257404ce20da1e8fb106cd9a6c77f28527aca160637da5abe86a7e781c",
     # blocked QR: misfit 5.99e-16 off, 0.09 of its bound
@@ -72,18 +76,21 @@ CLI_PINS = {
     # blocked QR: a_estimate 1.21e-09 off, 0.02 of its bound
     "recover/recover.csv":
         "a3bf772709ee51a55caa1a52bb6abd1b39f3dca7574deadeec6fec438e798bda",
-    # packed factor: value 1.37e-14 off, 0.01 of its bound
+    # near field: value 2.28e-14 off, 0.02 of its bound
     "solve/solution.csv":
-        "0bd014401efc4b518b2c6bcf0a17b71e3b373ae073ccedddda4de28ccd5b0c58",
+        "093e65600ba87d3170f95686a8b07b5b45549682357a563488e02df6bfa99f01",
 }
 
 # the diagonal moved with the row sums; the off-diagonal fill, the exterior
 # columns and the tail kept their bytes.  Re-recorded by the declared
 # singular-cell fix (tests/golden/README.md): the diagonal and the axis
-# neighbors' weights moved, by at most 2.24 (box) and 0.269 (rect)
+# neighbors' weights moved, by at most 2.24 (box) and 0.269 (rect).
+# Re-recorded with the near field (a summation-order change): only the
+# diagonal moved, by at most 3.55e-15 (box) and 8.88e-16 (rect), 2.6e-16
+# relative
 OPERATOR_PINS = {
-    "box-s0.5": "ff42b8baaee2038776b912111712ce01c007874c5112605a7b614df15501b85e",
-    "rect-s0.25": "07002e7137fdd4d5d4476f554f912f0bf25a6aa0ee948cd5f2c4a4c4996e1ee5",
+    "box-s0.5": "4f511ad8844b43be36188c89a1e5d7528cd7eb379c3beed129caca591f571ffd",
+    "rect-s0.25": "6f4e09c8bda7e869d5b55a29d26b77de32bbb0e1ac818883b0c82ca42b43df48",
 }
 
 # stencil rows at every exterior node: tail clamp near R, face and corner
@@ -102,10 +109,12 @@ NEUMANN_PINS = {
 # apply_operator of the Neumann test's field with far-field value 0.25;
 # re-recorded with each convolution and with the row sums, like the CLI pins,
 # and by the declared singular-cell fix, with tests/golden/apply_2d/
-# (values moved by at most 9.95e-2 (box) and 1.51e-2 (rect))
+# (values moved by at most 9.95e-2 (box) and 1.51e-2 (rect)).  Re-recorded
+# with the near field: value 1.33e-15 (box) and 8.88e-16 (rect) off
+# tests/golden/apply_2d/, 0.03 and 0.06 of the bounds
 APPLY_PINS = {
-    "box-s0.5": "00e5f58ff42685f2dee4db4224f8a9d8c874537cc2d850b120e8dbcf9bc27d34",
-    "rect-s0.25": "defae56d61ce65912a56a75f68cc8b5edc1e9dad44417a084edbc061a2d985e1",
+    "box-s0.5": "7e772e439b071a6fbcc79df5f51166a5b409e9464b4154a284f0752c17bfd244",
+    "rect-s0.25": "da056856605df17df2bddade1060f5a65b06073366c54bca1c27da15f87bafda",
 }
 
 

@@ -329,13 +329,28 @@ def test_newton_diverged_max_iters(op_medium):
                          NewtonConfig(max_iters=1, residual_tol=1e-14))
 
 
-@pytest.mark.parametrize("max_iters", [-3, 2.5])
+@pytest.mark.parametrize("max_iters", [-3, 2.5, True])
 def test_bad_max_iters_rejected(max_iters):
     # -3 would report -3 iterations on zero data, and NewtonDiverged "after
-    # -3 iterations" otherwise; 2.5 would raise TypeError inside Newton
+    # -3 iterations" otherwise; 2.5 would raise TypeError inside Newton;
+    # True is an Integral, ran as 1 and reported "after True iterations"
     with pytest.raises(Validation, match="max_iters"):
         NewtonConfig(max_iters=max_iters)
     assert NewtonConfig(max_iters=np.int64(0)).max_iters == 0
+
+
+@pytest.mark.parametrize("field, value", [
+    ("residual_tol", np.inf), ("residual_tol", np.nan), ("damping", np.nan),
+    ("residual_tol", True), ("damping", True),
+    ("residual_tol", "1e-3"), ("damping", "0.5"), ("damping", 1 + 0j),
+    ("residual_tol", np.array([1e-3, 1e-4])), ("damping", np.array([0.5, 0.25]))])
+def test_bad_newton_tolerance_or_damping_rejected(field, value):
+    # an infinite tolerance returned the zero interior as converged after 0
+    # iterations and True ran as 1; a string or complex raised a bare
+    # TypeError and an array a bare ValueError in the comparison
+    with pytest.raises(Validation, match=field):
+        NewtonConfig(**{field: value})
+    assert NewtonConfig(residual_tol=np.float32(1e-6), damping=np.float64(0.25))
 
 
 def test_jacobian_singular_on_negative_derivative(op_small):
