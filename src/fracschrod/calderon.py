@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from numbers import Integral
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     BankMismatch,
@@ -192,6 +191,12 @@ class _DnAssembler:
         pw = np.stack([f.values[window.indices] for f in self.fields], axis=1)
         if np.linalg.matrix_rank(pw) < len(self.fields):
             raise RankDeficientProbes("probes are dependent as window vectors")
+        # scipy.optimize, about 0.2 s to import with the scipy.fft and
+        # scipy.special it loads, serves recover_potential alone.  It loads
+        # with the first assembly, which dn_map and recover_potential both
+        # make, so recoveries after a DN map carry no one-off import
+        import scipy.optimize  # noqa: F401
+
         mass = mass_m(grid, op.params, window.indices)
 
         stencil = _Stencil(grid, op.params)
@@ -246,8 +251,12 @@ class _DnAssembler:
         if sq > 0:
             stack[rows:, :ni] = sq * np.eye(ni)
             stack[rows:, ni] = sq * a
+        # scipy.linalg loads scipy's array-API layer (about 0.25 s), so it is
+        # imported on first use, here and in strong_uniqueness_probe
+        from scipy.linalg.lapack import dgeqrt
+
         nb = min(32, *stack.shape)      # dgeqrt needs nb <= min(m, n)
-        r = np.triu(scipy.linalg.lapack.dgeqrt(nb, stack, overwrite_a=True)[0][:ni + 1])
+        r = np.triu(dgeqrt(nb, stack, overwrite_a=True)[0][:ni + 1])
         return r[:, ni], r[:, :ni]
 
 
@@ -298,7 +307,7 @@ def recover_potential(reference_op: NonlocalOperator, measurements: DnMatrix,
     termination status and optimality.  Raises MisfitStagnation (carrying
     the last iterate) when no descent happens.
     """
-    # scipy.optimize takes about 0.1 s to import and only this function uses it
+    # loaded by the first _DnAssembler, not by importing the package
     from scipy.optimize import least_squares
 
     lam = _finite_real(lambda_reg)
@@ -366,7 +375,9 @@ def strong_uniqueness_probe(grid: Grid, op: NonlocalOperator,
     # add, not overwrite: w_gg multiplies psi_g - psi_g
     t_matrix[np.arange(k, 2 * k), window.indices] += weights.sum(axis=1) + tails
     t_matrix[k:] /= np.linalg.norm(t_matrix[k:], axis=1, keepdims=True)
-    return float(scipy.linalg.svdvals(t_matrix)[-1])
+    from scipy.linalg import svdvals  # on first use, as in _DnAssembler.reduced
+
+    return float(svdvals(t_matrix)[-1])
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ only on their integer offset k.  Quadrature scheme, per evaluation node x:
 Both blocks are stored by structure.  Off the diagonal an entry depends
 only on the lattice offset between its two cells, so a product with either
 block is a lattice convolution of the kernel, near offsets summed directly
-and the rest by FFT, equal to the dense product to roundoff
+and the rest by numpy.fft, equal to the dense product to roundoff
 (InteriorBlock, ExteriorBlock), each kernel a box slice of the stencil's
 table (_offset_kernel).  Each near offset is one contiguous add over the
 flattened source sub-box, bit for bit a sum over shifted windows
@@ -40,16 +40,19 @@ factors, and _Stencil.rows, the one place the sparse corrections are
 applied, gives a_ie's entries negated when restricted to exterior
 columns.  The stencil is cheap enough to rebuild per call; the assembled
 operator is immutable and apply() is pure.
+
+The module needs numpy alone.  Its FFTs are scipy.fft's bit for bit on
+numpy >= 2 (_rfftn, _irfftn, _fast_len), and the 2D singular cell's mass
+takes its one hypergeometric value from a Gauss-Legendre rule, so
+importing the package loads no scipy module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gamma, pi
+from math import gamma, pi, prod
 
 import numpy as np
-import scipy.fft
-from scipy.special import hyp2f1
 
 from .errors import (
     GridMismatch,
@@ -110,16 +113,20 @@ def tail_mass(params: FracParams, r_eff: float) -> float:
     return params.cns * sphere * r_eff ** (-2 * params.s) / (2 * params.s)
 
 
-def _face_integral(d, t, p):
-    """Integral of (d^2 + tau^2)^(-p) over tau in [0, t], d != 0, elementwise:
-    t |d|^(-2p) 2F1(1/2, p; 3/2; -t^2/d^2), odd in t."""
-    return t * np.abs(d) ** (-2.0 * p) * hyp2f1(0.5, p, 1.5, -((t / d) ** 2))
+# 40-node Gauss-Legendre rule on [0, 1] for the 2D singular cell mass
+_CELL_NODES, _CELL_WEIGHTS = np.polynomial.legendre.leggauss(40)
+_CELL_NODES, _CELL_WEIGHTS = 0.5 * (_CELL_NODES + 1.0), 0.5 * _CELL_WEIGHTS
 
 
 def _square_cell_mass(s: float) -> float:
     """Integral of |z|^(-2s) over [-1/2, 1/2]^2: the flux of z |z|^(-2s), whose
-    divergence is (2 - 2s) |z|^(-2s), through four faces at distance 1/2."""
-    return 4.0 * _face_integral(0.5, 0.5, s) / (2.0 - 2.0 * s)
+    divergence is (2 - 2s) |z|^(-2s), through four faces at distance 1/2.
+    A face contributes 2^(2s - 1) 2F1(1/2, s; 3/2; -1), and 2F1(1/2, s; 3/2;
+    -1) = integral of (1 + t^2)^(-s) over t in [0, 1] comes from the
+    Gauss-Legendre rule (within 3.3e-16 relative of a 40-digit value for s in
+    [0.01, 0.99]; scipy's hyp2f1 is within 1.2e-15)."""
+    f = float(np.sum(_CELL_WEIGHTS * (1.0 + _CELL_NODES**2) ** -s))
+    return 4.0 * 0.5 ** (1.0 - 2.0 * s) * f / (2.0 - 2.0 * s)
 
 
 def _singular_weight(params: FracParams, h: float) -> float:
@@ -299,6 +306,38 @@ class _Stencil:
 _NEAR = 4
 
 
+def _fast_len(n: int) -> int:
+    """The least 5-smooth integer >= n, 2^a 3^b 5^c: the length pocketfft
+    transforms fastest, as scipy.fft.next_fast_len(n, real=True) picks it."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p = p35
+            while p < n:
+                p *= 2
+            best = min(best, p)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _rfftn(x: np.ndarray, size) -> np.ndarray:
+    """Real n-D FFT of x zero-padded to size, over every axis."""
+    return np.fft.rfftn(x, size, axes=tuple(range(len(size))))
+
+
+def _irfftn(spectrum: np.ndarray, size) -> np.ndarray:
+    """Inverse of _rfftn onto the box size.  Unnormalized transforms scaled
+    once by 1 / prod(size) afterwards: numpy's norm="backward" scales each
+    axis in turn, while this is scipy.fft.irfftn bit for bit (numpy >= 2,
+    whose pocketfft is scipy's C++ one)."""
+    out = np.fft.irfftn(spectrum, size, axes=tuple(range(len(size))), norm="forward")
+    out *= 1.0 / prod(size)
+    return out
+
+
 def _interior_box(stencil: _Stencil) -> tuple[np.ndarray, np.ndarray]:
     """Lowest lattice coordinate and extent of the box the interior nodes fill.
 
@@ -375,9 +414,8 @@ class _Convolution:
         self._weights = weight[first]
         self._starts = np.split(start, first[1:])
         near[...] = 0.0
-        self._size = tuple(int(scipy.fft.next_fast_len(int(w), real=True))
-                           for w in d_span)
-        self._spectrum = scipy.fft.rfftn(kern, self._size)
+        self._size = tuple(_fast_len(int(w)) for w in d_span)
+        self._spectrum = _rfftn(kern, self._size)
         self._valid = tuple(slice(s - 1, s - 1 + w) for s, w in zip(span, t_span))
 
     @property
@@ -388,8 +426,8 @@ class _Convolution:
     def __call__(self, field: np.ndarray) -> np.ndarray:
         """(K * field) over the target box, flattened in row-major order."""
         acc = np.zeros(self._acc)      # padding cells are summed, then dropped
-        acc[self._target] = scipy.fft.irfftn(
-            scipy.fft.rfftn(field, self._size) * self._spectrum, self._size)[self._valid]
+        acc[self._target] = _irfftn(
+            _rfftn(field, self._size) * self._spectrum, self._size)[self._valid]
         src = np.ascontiguousarray(field[self._sub]).reshape(-1)
         scaled = np.empty_like(src)
         run = self._run
@@ -473,7 +511,8 @@ class InteriorBlock:
     Toeplitz with Toeplitz blocks on the interior box.  off_sums is
     off_diagonal(1), the off-diagonal row sums, and the diagonal balances
     each row of [a_ii a_ie]: -(off_sums + exterior_sums), given the
-    exterior block's row sums.
+    exterior block's row sums.  box is the interior box's extent per axis,
+    the shape an interior vector reshapes to in row-major order.
 
     a_ii @ v is diagonal * v plus off_diagonal(v), a lattice convolution
     over the interior box padded by _NEAR (equal to the dense product to
@@ -488,14 +527,14 @@ class InteriorBlock:
         self.shape = (ni, ni)
         low, span = _interior_box(stencil)
         self._conv = _Convolution(stencil, low - _NEAR, span + 2 * _NEAR, low, span)
-        self._box = tuple(int(w) for w in span)
-        self._pad = tuple(slice(_NEAR, _NEAR + w) for w in self._box)
+        self.box = tuple(int(w) for w in span)
+        self._pad = tuple(slice(_NEAR, _NEAR + w) for w in self.box)
         self._kernel = -_offset_kernel(stencil, 1 - span, 2 * span - 1)
         # with the box as (r, w) = (box rows, last axis), pairs[i0, i1, j0,
         # j1] is entry (i, j) off the diagonal and upper[...] says i <= j in
         # the interior order; built once, since per-call views cost more
         # than a small matrix's whole fill
-        r, w = ni // self._box[-1], self._box[-1]
+        r, w = ni // self.box[-1], self.box[-1]
         self._upper_table = np.add.outer(w * np.arange(1 - r, r), np.arange(1 - w, w)) <= 0
         self._pairs = _pairs(self._kernel.reshape(2 * r - 1, 2 * w - 1))
         self._upper = _pairs(self._upper_table)
@@ -516,28 +555,29 @@ class InteriorBlock:
             raise ValueError(f"a_ii @ v needs v of shape ({self.shape[1]},), "
                              f"got {v.shape}")
         field = np.zeros(self._conv.span)
-        field[self._pad] = v.reshape(self._box)
+        field[self._pad] = v.reshape(self.box)
         return -self._conv(field)
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         return self.diagonal * v + self.off_diagonal(v)
 
     def circulant_eigenvalues(self) -> np.ndarray:
-        """Eigenvalues, over the interior box in FFT order, of T. Chan's
-        optimal circulant of a_ii - diag(a_ii): the multilevel circulant
-        nearest it in the Frobenius norm.  Along an axis of width n its
-        first column wraps the off-diagonal entries t as c_k = ((n - k) t_k
-        + k t_(k-n)) / n, so every c_k is a convex combination of entries
-        <= 0 (the kernel table is 0 at offset 0); the circulant of a_ii +
-        diag(d) adds mean(diagonal + d)."""
+        """Eigenvalues of T. Chan's optimal circulant of a_ii - diag(a_ii),
+        the multilevel circulant nearest it in the Frobenius norm, as the
+        real FFT half: over the interior box in FFT order, the last axis cut
+        to width // 2 + 1, the rest following by symmetry.  Along an axis of
+        width n its first column wraps the off-diagonal entries t as c_k =
+        ((n - k) t_k + k t_(k-n)) / n, so every c_k is a convex combination
+        of entries <= 0 (the kernel table is 0 at offset 0); the circulant
+        of a_ii + diag(d) adds mean(diagonal + d)."""
         c = self._kernel
-        for axis, n in enumerate(self._box):
+        for axis, n in enumerate(self.box):
             t = np.moveaxis(c, axis, 0)
             k = np.arange(n).reshape((n,) + (1,) * (c.ndim - 1))
             wrapped = (n - k) * t[n - 1:]
             wrapped[1:] += k[1:] * t[: n - 1]
             c = np.moveaxis(wrapped / n, 0, axis)
-        return scipy.fft.fftn(c).real
+        return np.fft.rfftn(c).real
 
     def fill(self, out: np.ndarray, shift: np.ndarray) -> None:
         """Write the lower triangle of a = a_ii + diag(shift) into out, a flat

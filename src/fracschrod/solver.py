@@ -11,7 +11,8 @@ operator stores its blocks as lattice convolutions, and each system matrix
 is its lower triangle in LAPACK's rectangular full packed layout,
 ni (ni + 1) / 2 floats filled from the interior block's kernel (bit for
 bit the dense entries) with the diagonal added, which dpftrf factors in
-place with level-3 BLAS and dpftrs solves against.  _factor_system, the one
+place with level-3 BLAS and dpftrs solves against (scipy's LAPACK wrappers,
+imported on the first factorization or solve).  _factor_system, the one
 place a factor is allocated, raises OperatorTooLarge before allocating one
 that would not fit in physical memory, so any operator can be assembled and
 applied.  LAPACK is called without finiteness scans of the matrix; the
@@ -30,12 +31,13 @@ most one factor is held.  Newton factors nothing unless a step is stiff.
 Each Jacobian is J = J0 + diag(dq) with dq >= 0 and J0 = a_ii + diag(tail)
 the system at potential zero, and a step whose dq is small against J0's
 row sums is conjugate gradients preconditioned by T. Chan's optimal
-circulant of J, inverted by FFT over the interior box, so a Newton solve
-holds no ni^2 array; a stiffer step solves against the retained factor of
-its own Jacobian.  build_barrier applies the operator to eta once per
-operator.  A reused factor or image is the very array the call would have
-recomputed, so every result is unchanged.  The state is not thread-safe:
-share an operator between threads only with a lock around these calls.
+circulant of J, inverted by numpy.fft over the interior box, so a Newton
+solve holds no ni^2 array; a stiffer step solves against the retained
+factor of its own Jacobian.  build_barrier applies the operator to eta
+once per operator.  A reused factor or image is the very array the call
+would have recomputed, so every result is unchanged.  The state is not
+thread-safe: share an operator between threads only with a lock around
+these calls.
 
 The barrier construction follows the cutoff recipe: a radial profile equal
 to one on the domain and falling smoothly to zero at the truncation sphere.
@@ -52,8 +54,6 @@ from dataclasses import dataclass
 from numbers import Integral, Real
 
 import numpy as np
-import scipy.fft
-from scipy.linalg.lapack import dpftrf, dpftrs
 
 from .errors import (
     GridMismatch,
@@ -65,7 +65,7 @@ from .errors import (
     StepNotConverged,
     Validation,
 )
-from .fraclap import NonlocalOperator, apply_operator
+from .fraclap import NonlocalOperator, _irfftn, apply_operator
 from .grid import _AXES, Field, Grid
 from .nonlinearity import Nonlinearity
 from .serialize import write_csv
@@ -221,6 +221,10 @@ def _factor_system(op: NonlocalOperator, diagonal: np.ndarray) -> np.ndarray:
         raise OperatorTooLarge(
             f"one packed factor of the system matrix, ni (ni + 1) / 2 floats, "
             f"needs {need / 2**30:.1f} GiB, physical memory is {have / 2**30:.1f} GiB")
+    # scipy.linalg loads scipy's array-API layer (about 0.25 s), so LAPACK is
+    # imported on first use and importing the package loads no scipy
+    from scipy.linalg.lapack import dpftrf
+
     packed = np.empty(ni * (ni + 1) // 2)
     op.a_ii.fill(packed, diagonal)
     factor, info = dpftrf(ni, packed, transr="N", uplo="L", overwrite_a=True)
@@ -239,6 +243,8 @@ def _solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     ni = rhs.shape[0]
     if factor.shape != (ni * (ni + 1) // 2,):
         raise ValueError(f"the factor does not have order {ni}")
+    from scipy.linalg.lapack import dpftrs  # on first use, as in _factor_system
+
     x, _ = dpftrs(ni, factor, rhs.reshape(ni, -1), transr="N", uplo="L")
     return x.reshape(rhs.shape)
 
@@ -292,10 +298,10 @@ def _newton_step(op: NonlocalOperator, dq: np.ndarray, rhs: np.ndarray,
     and with dq >= 0, x^T J x / x^T J0 x lies in [1, kappa], kappa = 1 +
     max dq / lam0.  While kappa <= _CG_MAX_KAPPA the step is conjugate
     gradients preconditioned by C, T. Chan's optimal circulant of J:
-    spectrum (op.a_ii.circulant_eigenvalues()) plus mean(diag J), inverted
-    by one real FFT pair per iteration.  C's first column wraps entries
-    <= 0, so lambda_min(C) >= mean(tail + dq - rowsum(a_ie)) > 0, the
-    row-sum bound with the mean for the min.
+    spectrum (op.a_ii.circulant_eigenvalues(), the real FFT half) plus
+    mean(diag J), inverted by one numpy.fft real pair per iteration.  C's
+    first column wraps entries <= 0, so lambda_min(C) >= mean(tail + dq -
+    rowsum(a_ie)) > 0, the row-sum bound with the mean for the min.
     cond(C^-1 J) <= kappa cond(C^-1 J0), and C differs from J0's circulant
     by mean(dq) I, at most a further factor kappa, so the count is J0's
     with its circulant within a bounded factor; that grows slowly as h
@@ -305,12 +311,12 @@ def _newton_step(op: NonlocalOperator, dq: np.ndarray, rhs: np.ndarray,
     lam0 = np.min(op.tail - op.a_ie.row_sums)
     if np.max(dq) > (_CG_MAX_KAPPA - 1.0) * lam0:
         return _solve_system(op, dq, rhs), 0
-    box = spectrum.shape
+    box = op.a_ii.box
     shift = op.tail + dq
-    inverse = 1.0 / (spectrum[..., : box[-1] // 2 + 1] + np.mean(op.a_ii.diagonal + shift))
+    inverse = 1.0 / (spectrum + np.mean(op.a_ii.diagonal + shift))
 
     def precondition(r):
-        return scipy.fft.irfftn(scipy.fft.rfftn(r.reshape(box)) * inverse, box).ravel()
+        return _irfftn(np.fft.rfftn(r.reshape(box)) * inverse, box).ravel()
 
     x = np.zeros_like(rhs)
     r = rhs.copy()

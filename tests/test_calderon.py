@@ -736,17 +736,55 @@ def test_compare_banks_mismatch(op_small):
         compare_cauchy_banks(bank1, bank2, tol=1e-10)
 
 
-def test_import_leaves_scipy_optimize_unloaded():
-    # recover_potential imports least_squares when it runs, so importing the
-    # package skips scipy.optimize (about 0.1 s)
+def scipy_loaded_by(code: str) -> set[str]:
+    """The scipy subpackages loaded by the end of code, run in a fresh
+    interpreter after import fracschrod as fs and import numpy as np."""
     src = str(Path(fracschrod.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    code = "import sys, fracschrod; print('scipy.optimize' in sys.modules)"
+    code = ("import sys\nimport numpy as np\nimport fracschrod as fs\n" + code
+            + "\nprint(' '.join(m for m in sys.modules if m.startswith('scipy')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return {".".join(m.split(".")[:2]) for m in proc.stdout.split()}
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize loads with the first DN assembly, and the LAPACK
+    # kernels and hyp2f1 when first called, so importing the package loads
+    # no scipy module: scipy.fft, scipy.linalg and scipy.special each load
+    # scipy's array-API layer
+    assert scipy_loaded_by("") == set()
+
+
+FORWARD_2D = """
+grid = fs.build_grid(fs.Domain.box((-1.0, -1.0), (1.0, 1.0)), 1 / 8, 3.0)
+op = fs.assemble(grid, 0.5)
+g = fs.sample_function(grid, fs.c3_bump((1.6, 0.3), 0.4, 1.0), fs.Region.EXTERIOR)
+sol = fs.solve_semilinear(op, fs.catalogue("saturating-cubic", 1.0), g)
+window = fs.annulus_window(grid, 0.5, 1.0)
+assert np.isfinite(fs.neumann_derivative(grid, op.params, sol.u, window.indices)).all()
+"""
+
+LINEAR_1D = """
+grid = fs.build_grid(fs.Domain.interval(-1.0, 1.0), 1 / 16, 3.0)
+op = fs.assemble(grid, 0.5)
+ni = grid.n_interior
+g = fs.Field.from_values(grid, np.zeros(grid.n_nodes))
+fs.solve_linear(fs.LinearProblem(op, np.zeros(ni), np.ones(ni), g))
+"""
+
+
+def test_forward_2d_loads_no_scipy():
+    # a non-stiff Newton solve (FFTs through numpy.fft) and a Neumann trace
+    assert scipy_loaded_by(FORWARD_2D) == set()
+
+
+def test_linear_solve_loads_lapack_alone():
+    loaded = scipy_loaded_by(LINEAR_1D)
+    assert "scipy.linalg" in loaded
+    assert not loaded & {"scipy.fft", "scipy.special", "scipy.optimize"}
 
 
 def _foreign_probes(window, beyond=False):

@@ -22,7 +22,9 @@ from fracschrod import (
     mass_m,
     neumann_derivative,
     solve_linear,
+    solve_semilinear,
 )
+from fracschrod import cauchy
 from fracschrod.errors import GridMismatch, Validation, WindowTouchesBoundary
 from fracschrod.fraclap import _blocks, _Stencil
 from conftest import GRIDS_2D, exterior_bump
@@ -250,6 +252,35 @@ def test_bank_json(op_small):
     assert [d["g-id"] for d in doc["data"]] == ["g-0", "g-1"]
     assert len(doc["window"]) == window.size
     json.dumps(doc)
+
+
+def test_bank_builds_one_stencil(grid_2d, monkeypatch):
+    # the bank shares one stencil among its data, with the bytes of a solve
+    # and a Neumann trace that builds its own
+    op = assemble(grid_2d, 0.5)
+    window = annulus_window(grid_2d, 0.5, 1.0)
+    nl = catalogue("saturating-cubic", 1.0)
+    probes = [("g-0", exterior_bump(grid_2d, (1.6, 0.3), 0.4)),
+              ("g-1", exterior_bump(grid_2d, (-0.5, 1.6), 0.4, 0.5))]
+    want = []
+    for _, g in probes:
+        u = solve_semilinear(op, nl, g).u
+        want.append((u.values[window.indices],
+                     neumann_derivative(grid_2d, op.params, u, window.indices)))
+    built = []
+
+    class Counted(_Stencil):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(cauchy, "_Stencil", Counted)
+    bank = build_cauchy_bank(op, nl, probes, window)
+    assert len(built) == 1
+    assert [d.provenance for d in bank] == ["g-0", "g-1"]
+    for datum, (trace, neumann) in zip(bank, want, strict=True):
+        assert datum.trace.tobytes() == trace.tobytes()
+        assert datum.neumann.tobytes() == neumann.tobytes()
 
 
 def midpoint_neumann(grid, params, u, indices):

@@ -461,11 +461,15 @@ def reference_convolution(stencil, low, span, t_low, t_span, field):
     return total.reshape(-1)
 
 
-@pytest.mark.parametrize("name", sorted(CONVOLUTION_GRIDS))
+WINDOWED_GRIDS = CONVOLUTION_GRIDS | PRODUCT_GRIDS
+
+
+@pytest.mark.parametrize("name", sorted(WINDOWED_GRIDS))
 def test_convolutions_are_the_windowed_sums(name):
     # both blocks' convolutions, on a random source field and on the field
-    # each block's product forms, keep the bits of the windowed sums
-    domain, h, R, s = CONVOLUTION_GRIDS[name]
+    # each block's product forms, keep the bits of the windowed sums, whose
+    # far part goes through scipy.fft: numpy.fft gives its bits
+    domain, h, R, s = WINDOWED_GRIDS[name]
     grid = build_grid(domain, h, R)
     op = assemble(grid, s)
     stencil = _Stencil(grid, op.params)
@@ -486,6 +490,36 @@ def test_convolutions_are_the_windowed_sums(name):
     want = -reference_convolution(stencil, t_low - near, t_span + 2 * near,
                                   t_low, t_span, field)
     assert np.array_equal(op.a_ii.off_diagonal(v), want)
+
+
+def test_fast_len_is_scipys():
+    got = [fraclap._fast_len(n) for n in range(1, 5001)]
+    assert got == [scipy.fft.next_fast_len(n, real=True) for n in range(1, 5001)]
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCT_GRIDS))
+def test_circulant_half_spectrum_is_scipys(name, monkeypatch):
+    # the real FFT half of the circulant's first column against the same
+    # half of scipy's full complex FFT: bit for bit in 1D, where both are
+    # one real transform, and to roundoff in 2D
+    domain, h, R, s = PRODUCT_GRIDS[name]
+    op = assemble(build_grid(domain, h, R), s)
+    columns, rfftn = [], np.fft.rfftn
+
+    def spy(c, *args, **kwargs):
+        columns.append(c)
+        return rfftn(c, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfftn", spy)
+    spectrum = op.a_ii.circulant_eigenvalues()
+    (column,) = columns
+    box = op.a_ii.box
+    want = scipy.fft.fftn(column).real[..., : box[-1] // 2 + 1]
+    assert column.shape == box and spectrum.shape == want.shape
+    if len(box) == 1:
+        assert np.array_equal(spectrum, want)
+    else:
+        assert np.max(np.abs(spectrum - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 def held_arrays(block):

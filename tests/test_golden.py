@@ -17,11 +17,16 @@ roundoff.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import GRIDS_2D, dense_exterior, dense_interior, smooth_field
+import fracschrod
+from conftest import CONFIGS, GRIDS_2D, dense_exterior, dense_interior, smooth_field
 from fracschrod import annulus_window, apply_operator, neumann_derivative
 from fracschrod.fraclap import _blocks, _Stencil
 
@@ -76,7 +81,9 @@ CLI_PINS = {
     # blocked QR: a_estimate 1.21e-09 off, 0.02 of its bound
     "recover/recover.csv":
         "a3bf772709ee51a55caa1a52bb6abd1b39f3dca7574deadeec6fec438e798bda",
-    # near field: value 2.28e-14 off, 0.02 of its bound
+    # near field: value 2.28e-14 off, 0.02 of its bound.  Holds at 2 and 4
+    # OpenBLAS threads, not at 1, where the packed Cholesky moves values by
+    # up to 7.33e-15 (test_solve_output_across_blas_threads)
     "solve/solution.csv":
         "093e65600ba87d3170f95686a8b07b5b45549682357a563488e02df6bfa99f01",
 }
@@ -87,18 +94,23 @@ CLI_PINS = {
 # neighbors' weights moved, by at most 2.24 (box) and 0.269 (rect).
 # Re-recorded with the near field (a summation-order change): only the
 # diagonal moved, by at most 3.55e-15 (box) and 8.88e-16 (rect), 2.6e-16
-# relative
+# relative.  rect alone was re-recorded when the 2D singular cell's mass
+# came from a Gauss-Legendre rule instead of scipy's hyp2f1 ("cell mass by
+# quadrature", tests/golden/README.md): its exterior columns moved by at
+# most 5.55e-17 (1.5e-16 relative); box kept its bytes
 OPERATOR_PINS = {
     "box-s0.5": "4f511ad8844b43be36188c89a1e5d7528cd7eb379c3beed129caca591f571ffd",
-    "rect-s0.25": "6f4e09c8bda7e869d5b55a29d26b77de32bbb0e1ac818883b0c82ca42b43df48",
+    "rect-s0.25": "33f958af49f9abfcebdd1c0083822a222265e1443dea038230e3323e53313752",
 }
 
 # stencil rows at every exterior node: tail clamp near R, face and corner
 # cells.  Re-recorded by the declared singular-cell fix: weights moved by at
-# most 0.561 (box) and 0.0673 (rect), tails by 1.68 and 0.202
+# most 0.561 (box) and 0.0673 (rect), tails by 1.68 and 0.202.  Re-recorded
+# with the cell mass by quadrature: weights moved by at most 2.22e-16 (box)
+# and 5.55e-17 (rect), tails by 3.55e-15 and 8.88e-16, 2.0e-16 relative
 ROW_PINS = {
-    "box-s0.5": "71f2428ffd63f536a8724d255a2bb60db061567bb9922c6278a4a17b82d02869",
-    "rect-s0.25": "a9a5fc01b331314a434b06a09eeccfc20ab04390f0ac499fd2f0c9d3bae536f9",
+    "box-s0.5": "7597f7db58e342c525d2574f8ea85ce2156d6f5eacc00469a2e45b6442d9fc62",
+    "rect-s0.25": "2cd78d50b24017e8b56ada9da4955dc3c27298e0ceb7a71ab9f9315d94107ae3",
 }
 
 NEUMANN_PINS = {
@@ -129,6 +141,31 @@ def sha(*arrays) -> str:
 def test_cli_output_bytes(cli_outputs, name):
     digest = hashlib.sha256((cli_outputs / name).read_bytes()).hexdigest()
     assert digest == CLI_PINS[name]
+
+
+def test_solve_output_across_blas_threads(tmp_path):
+    # the solve/ pin's bytes depend on the BLAS thread count; the values at
+    # 1 and 2 OpenBLAS threads stay within the solve/ bound of the bounded
+    # tier (measured 7.33e-15 apart)
+    from test_bounded import BOUNDS, columns
+
+    src = str(Path(fracschrod.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
+        out = tmp_path / threads
+        proc = subprocess.run(
+            [sys.executable, "-m", "fracschrod.cli", "solve",
+             "--config", str(CONFIGS / "getoor.json"), "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(columns(out / "solution.csv"))
+    one, two = outputs
+    bounds = BOUNDS["solve/solution.csv"]
+    assert one.keys() == two.keys() == bounds.keys()
+    for col, bound in bounds.items():
+        assert np.max(np.abs(one[col] - two[col])) <= bound, col
 
 
 @pytest.mark.parametrize("name", sorted(GRIDS_2D))
