@@ -305,8 +305,9 @@ def run_recover(cfg: dict, out: Path) -> dict:
                                           - measurements.matrix[:, k])))
                for k, pid in enumerate(measurements.probe_ids)])
     return {"misfit": result.misfit, "relative_l2_error": rel,
-            "evaluations": result.n_evaluations, "jacobians": result.n_jacobians,
-            "status": result.status, "optimality": result.optimality,
+            "evaluations": result.n_evaluations, "iterations": result.iterations,
+            "damping": result.damping, "stop": result.stop,
+            "gradient_norm": result.gradient_norm,
             "inverse_crime": noise == 0.0}
 
 

@@ -11,11 +11,13 @@ from fracschrod import (
     Domain,
     Field,
     NewtonConfig,
+    Region,
     Window,
     annulus_window,
     assemble,
     build_cauchy_bank,
     build_grid,
+    c3_bump,
     canonical_probes,
     catalogue,
     compare_cauchy_banks,
@@ -26,6 +28,7 @@ from fracschrod import (
     mean_potential,
     neumann_derivative,
     recover_potential,
+    sample_function,
     solve_linear,
     solve_linearized,
     solve_semilinear,
@@ -33,7 +36,7 @@ from fracschrod import (
 )
 from fracschrod.calderon import DnMatrix, _DnAssembler
 from fracschrod.errors import (BankMismatch, GridMismatch, InvalidRange,
-                               RankDeficientProbes, Validation)
+                               RankDeficientProbes, SingularSystem, Validation)
 from fracschrod.solver import LinearProblem, _solve_system
 from conftest import exterior_bump
 
@@ -429,12 +432,11 @@ def test_reduced_problem_has_the_full_cost_gradient_and_gauss_newton_matrix(
 
 @pytest.mark.parametrize("lambda_reg", [0.0, 1e-6])
 @pytest.mark.parametrize("case", ["full", "one-probe"])
-def test_trf_is_handed_the_reduced_problem(op_coarse, monkeypatch, case, lambda_reg):
-    # trf gets min(rows, ni + 1) residuals and a Jacobian of that many rows,
-    # never the k p (+ ni) rows of the tall problem; each evaluation forms the
-    # Jacobian trf asks for next, so reduced runs once per evaluation, plus
-    # once for the cost at a = 0
-    import scipy.optimize
+def test_each_evaluation_is_one_reduced_call(op_coarse, monkeypatch, case, lambda_reg):
+    # the iteration sees min(rows, ni + 1) residuals and a Jacobian of that
+    # many rows, never the k p (+ ni) rows of the tall problem; every
+    # evaluation, the one at a = 0 included, is exactly one reduced call,
+    # and the cap stops the iteration at exactly max_evaluations
     from fracschrod import calderon
 
     grid = op_coarse.grid
@@ -442,38 +444,65 @@ def test_trf_is_handed_the_reduced_problem(op_coarse, monkeypatch, case, lambda_
     window, probes = _recovery_windows(grid)[case]
     measured = dn_map(op_coarse, two_bump_potential(grid), window, probes)
     rows = window.size * len(probes) + (ni if lambda_reg > 0 else 0)
-    shapes = set()
-    least_squares = scipy.optimize.least_squares
-
-    def spy(fun, x0, jac, **kwargs):
-        def fun_seen(a):
-            f = fun(a)
-            shapes.add(("residual", f.shape))
-            return f
-
-        def jac_seen(a):
-            j = jac(a)
-            shapes.add(("jacobian", j.shape))
-            return j
-
-        return least_squares(fun_seen, x0, jac=jac_seen, **kwargs)
-
-    calls = []
+    shapes = []
     reduced = calderon._DnAssembler.reduced
-    monkeypatch.setattr(scipy.optimize, "least_squares", spy)
-    monkeypatch.setattr(calderon._DnAssembler, "reduced",
-                        lambda *args: calls.append(1) or reduced(*args))
-    result = recover_potential(op_coarse, measured, lambda_reg, max_evaluations=20)
+
+    def spy(*args):
+        f, jac = reduced(*args)
+        shapes.append((f.shape, jac.shape))
+        return f, jac
+
+    monkeypatch.setattr(calderon._DnAssembler, "reduced", spy)
+    result = recover_potential(op_coarse, measured, lambda_reg)
     n = min(rows, ni + 1)
-    assert shapes == {("residual", (n,)), ("jacobian", (n, ni))}
-    assert len(calls) == result.n_evaluations + 1
-    assert 1 <= result.n_jacobians <= result.n_evaluations
+    assert set(shapes) == {((n,), (n, ni))}
+    assert len(shapes) == result.n_evaluations
+    assert 1 <= result.iterations <= result.n_evaluations - 1
+    shapes.clear()
+    capped = recover_potential(op_coarse, measured, lambda_reg, max_evaluations=4)
+    assert len(shapes) == capped.n_evaluations == 4
+    assert capped.stop == "cap"
+
+
+def test_recovery_on_the_seed_that_broke_trf():
+    # the noiseless recovery of the recover-1d benchmark workload on
+    # default_rng([2904, 11]) (h = 2^-4, R = 4): scipy's trf raised a bare
+    # LinAlgError there ("SVD did not converge"); it now runs to the end
+    grid = build_grid(Domain.interval(-1.0, 1.0), 2.0**-4, 4.0)
+    op = assemble(grid, 0.5)
+    rng = np.random.default_rng([2904, 11])
+    bumps = [(-0.45 + rng.uniform(-0.05, 0.05), 0.5, rng.uniform(0.5, 0.7)),
+             (0.45 + rng.uniform(-0.05, 0.05), 0.5, rng.uniform(0.7, 0.9))]
+    a_true = sum(sample_function(grid, c3_bump(center, width, amplitude),
+                                 Region.INTERIOR).interior_values
+                 for center, width, amplitude in bumps)
+    measured = dn_map(op, a_true, annulus_window(grid, grid.h, 1.0))
+    result = recover_potential(op, measured, 0.0, max_evaluations=500)
+    rel = np.linalg.norm(result.a_estimate - a_true) / np.linalg.norm(a_true)
+    assert np.isfinite(result.misfit) and rel < 0.10, rel
+
+
+def test_a_failed_damped_solve_raises_a_named_error(op_coarse, monkeypatch):
+    # LAPACK reports an exactly singular U by info > 0, not by raising
+    import scipy.linalg
+
+    window = recovery_window(op_coarse.grid)
+    measured = dn_map(op_coarse, two_bump_potential(op_coarse.grid), window)
+    dgesv = scipy.linalg.lapack.dgesv
+
+    def singular(a, b):
+        lu, piv, x, _ = dgesv(a, b)
+        return lu, piv, x, 1
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dgesv", singular)
+    with pytest.raises(SingularSystem, match="damped recovery step"):
+        recover_potential(op_coarse, measured, 0.0)
 
 
 @pytest.mark.parametrize("cap", [0, -3, 2.5, True])
 def test_recover_rejects_a_cap_that_is_not_a_positive_integer(op_coarse, monkeypatch, cap):
-    # trf stops on nfev == max_nfev: a cap of 2.5 never stops it, 0 and -3
-    # raised scipy's bare ValueError, and True ran one evaluation
+    # the iteration stops on evaluations >= max_evaluations: a cap of 2.5
+    # would run as 3, 0 and -3 as 1, and True as 1
     from fracschrod import calderon
 
     window = recovery_window(op_coarse.grid)
@@ -785,6 +814,25 @@ def test_linear_solve_loads_lapack_alone():
     loaded = scipy_loaded_by(LINEAR_1D)
     assert "scipy.linalg" in loaded
     assert not loaded & {"scipy.fft", "scipy.special", "scipy.optimize"}
+
+
+RECOVER_1D = """
+grid = fs.build_grid(fs.Domain.interval(-1.0, 1.0), 1 / 8, 4.0)
+op = fs.assemble(grid, 0.5)
+measured = fs.dn_map(op, 0.5 * np.ones(grid.n_interior), fs.annulus_window(grid, 1 / 8, 1.0))
+fs.recover_potential(op, measured, 0.0, max_evaluations=5)
+"""
+
+
+def test_recovery_loads_lapack_alone():
+    # the DN map and the recovery need LAPACK's packed Cholesky, blocked QR
+    # and LU solve, so of scipy's subpackages only scipy.linalg loads
+    # (scipy.optimize, scipy.fft and scipy.special not)
+    loaded = scipy_loaded_by(RECOVER_1D)
+    subpackages = {m for m in loaded
+                   if m != "scipy.version" and m.split(".")[1:2] != []
+                   and not m.split(".")[1].startswith("_")}
+    assert subpackages == {"scipy.linalg"}
 
 
 def _foreign_probes(window, beyond=False):
