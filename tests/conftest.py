@@ -1,3 +1,4 @@
+import os
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,23 @@ from fracschrod import Domain, Field, assemble, build_grid, c3_bump, sample_func
 from fracschrod.cli import EXPERIMENTS, run
 from fracschrod.fraclap import _Stencil
 from fracschrod.grid import Region
+
+
+def pytest_report_header(config):
+    """The BLAS threading the run holds under, printed at the top of the
+    log: the sha256 pins of test_golden.py hold at two and four OpenBLAS
+    threads but not at one (tests/golden/README.md)."""
+    threads = ", ".join(f"{name}={os.environ.get(name, 'unset')}"
+                        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count()
+    return f"BLAS threads: {threads}; usable CPUs: {cpus}"
+
+
+def pytest_terminal_summary(terminalreporter):
+    # -q, the tier-1 setting, drops the header, so the line closes the log
+    if terminalreporter.verbosity < 0:
+        terminalreporter.write_line(pytest_report_header(terminalreporter.config))
 
 
 @pytest.fixture(scope="session")

@@ -395,11 +395,11 @@ def test_reduced_writes_the_reference_jacobian_into_its_stack(op_coarse, monkeyp
 @pytest.mark.parametrize("case", ["full", "one-probe", "2d"])
 def test_reduced_problem_has_the_full_cost_gradient_and_gauss_newton_matrix(
         op_coarse, op_2d_quarter, case, lambda_reg):
-    # trf sees [J_c | f_c], the R factor of [J | r]; measured deviations are
-    # at most 8.9e-16 relative in 1D and 3.6e-15 in 2D (the gradient), the
-    # tolerance is 1e-14.  The 1D stacks have ni + 1 = 16 columns, one QR
-    # block, and the one-probe stack has 4 rows, fewer than a block; the 2D
-    # stack has 50 columns, two blocks
+    # the recovery sees [J_c | f_c], the R factor of [J | r]; measured
+    # deviations are at most 8.9e-16 relative in 1D and 3.6e-15 in 2D (the
+    # gradient), the tolerance is 1e-14.  The 1D stacks have ni + 1 = 16
+    # columns, one QR block, and the one-probe stack has 4 rows, fewer than
+    # a block; the 2D stack has 50 columns, two blocks
     if case == "2d":
         op = op_2d_quarter
         window = recovery_window(op.grid)
@@ -780,10 +780,10 @@ def scipy_loaded_by(code: str) -> set[str]:
 
 
 def test_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize loads with the first DN assembly, and the LAPACK
-    # kernels and hyp2f1 when first called, so importing the package loads
-    # no scipy module: scipy.fft, scipy.linalg and scipy.special each load
-    # scipy's array-API layer
+    # the LAPACK kernels and hyp2f1 load when first called, and nothing
+    # loads scipy.optimize, so importing the package loads no scipy module:
+    # scipy.fft, scipy.linalg and scipy.special each load scipy's array-API
+    # layer
     assert scipy_loaded_by("") == set()
 
 

@@ -301,7 +301,8 @@ def test_recover_config_reaches_its_truth(cli_outputs):
     out = cli_outputs / "recover"
     header, rows = read_csv(out / "recover.csv")
     values = np.array(rows, dtype=float)
-    a_true, estimate = values[:, header.index("a_true")], values[:, header.index("a_estimate")]
+    a_true = values[:, header.index("a_true")]
+    estimate = values[:, header.index("a_estimate")]
     assert np.linalg.norm(estimate - a_true) <= 1e-4 * np.linalg.norm(a_true)
     summary = json.loads((out / "manifest.json").read_text())["summary"]
     assert summary["misfit"] <= 1e-12
