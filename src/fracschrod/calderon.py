@@ -165,10 +165,10 @@ class _DnAssembler:
     owns the system matrix and the operator's retained factor (shared with
     solve_linear), so the DN matrix and its Jacobian at one potential share
     one factor and the operator holds at most one factor.  Each evaluation
-    of recover_potential is the R factor of [J | r] (reduced), which writes
-    J into the QR stack and is the one place J is formed; curvature gives
-    the second derivative its geodesic acceleration needs, seen through
-    J^T, without forming J.
+    of recover_potential is one gauss_newton call, the cost, gradient and
+    Gauss-Newton matrix from the Khatri-Rao structure of the Jacobian;
+    curvature gives the second derivative its geodesic acceleration needs,
+    seen through J^T.  Neither forms J.
     Set-up forms no array over all N nodes against all p probes: probe
     values are held at their support and at the window only, and the window
     rows are formed one batch at a time, each giving the zero-extension
@@ -219,42 +219,31 @@ class _DnAssembler:
     def matrix(self, a: np.ndarray) -> np.ndarray:
         return self.const + self.neumann_lin @ _solve_system(self.op, a, self.rhs)
 
-    def reduced(self, a: np.ndarray, target: np.ndarray,
-                sq: float) -> tuple[np.ndarray, np.ndarray]:
-        """Residual and Jacobian of the recovery problem on the R factor.
+    def gauss_newton(self, a: np.ndarray, target: np.ndarray,
+                     lam: float) -> tuple[float, np.ndarray, np.ndarray]:
+        """Cost, gradient and Gauss-Newton matrix of the recovery problem.
 
-        Stacks [J | r], r = vec(matrix(a) - target) (probe columns one after
-        another) and J its derivative in the potential, with the Tikhonov
-        rows [sq I | sq a] below when sq > 0.  J is written straight into
-        the stack: column j is -vec(outer(green[:, j], sols[j, :])), from
-        one probe solve and one Green solve on one factor.  One recursive
-        blocked QR (LAPACK dgeqrt) factors the stack in a few level-3 calls,
-        not a threaded level-2 pair per column.  The upper triangle's first
-        ni + 1 rows (fewer when the stack is shorter) are [J_c | f_c]: since
-        R^T R = [J r]^T [J r], the pair has the full problem's cost
-        ||f_c|| = ||r||, gradient J_c^T f_c = J^T r and Gauss-Newton matrix
-        J_c^T J_c = J^T J.
+        With res = matrix(a) - target, the cost is
+        (||res||_F^2 + lam ||a||^2) / 2.  Column j of the Jacobian J of
+        vec(res) (probe columns one after another) is
+        -vec(outer(green[j], sols[j])), with sols = S^-1 rhs (ni x p) and
+        green = S^-1 N^T (ni x k) from two solves on one factor, so by the
+        Khatri-Rao identity (Kolda and Bader, SIAM Rev. 51, 2009)
+        J^T vec(res) = -rowsum(sols * (green res)) and
+        J^T J = (sols sols^T) * (green green^T), at O(ni^2 (k + p)) time and
+        ni^2 memory; J itself, with its k p rows, is never formed.  The
+        Tikhonov term adds lam a to the gradient and lam I to the matrix.
         """
-        ni = len(a)
         sols = _solve_system(self.op, a, self.rhs)
-        green = _solve_system(self.op, a, self.neumann_lin.T).T
-        k, p = self.const.shape
-        rows = k * p
-        stack = np.empty((rows + (ni if sq > 0 else 0), ni + 1), order="F")
-        # a view: each column of the Fortran-ordered stack is contiguous
-        np.multiply(-sols[:, :, None], green.T[:, None, :],
-                    out=stack[:rows, :ni].T.reshape(ni, p, k))
-        stack[:rows, ni] = (self.const + self.neumann_lin @ sols - target).T.reshape(-1)
-        if sq > 0:
-            stack[rows:, :ni] = sq * np.eye(ni)
-            stack[rows:, ni] = sq * a
-        # scipy.linalg loads scipy's array-API layer (about 0.25 s), so it is
-        # imported on first use, here and in strong_uniqueness_probe
-        from scipy.linalg.lapack import dgeqrt
-
-        nb = min(32, *stack.shape)      # dgeqrt needs nb <= min(m, n)
-        r = np.triu(dgeqrt(nb, stack, overwrite_a=True)[0][:ni + 1])
-        return r[:, ni], r[:, :ni]
+        green = _solve_system(self.op, a, self.neumann_lin.T)
+        res = self.neumann_lin @ sols
+        res += self.const
+        res -= target
+        cost = 0.5 * (float(np.vdot(res, res)) + lam * float(a @ a))
+        grad = -(sols * (green @ res)).sum(axis=1) + lam * a
+        gram = (sols @ sols.T) * (green @ green.T)
+        gram[np.diag_indices_from(gram)] += lam
+        return cost, grad, gram
 
     def curvature(self, a: np.ndarray, v: np.ndarray) -> np.ndarray:
         """J^T D^2 r[v, v]: the residual's second derivative along v, seen
@@ -264,8 +253,9 @@ class _DnAssembler:
         const + N sols, so its second derivative along v is
         2 N S^-1 V S^-1 V sols (V = diag(v)), and J^T W is
         -rowsum(sols * S^-1 N^T W) for J's columns
-        -vec(outer(green[:, j], sols[j, :])).  Four solves on the factor at
-        a; the Tikhonov rows are linear and add nothing.
+        -vec(outer(green[j], sols[j])), green = S^-1 N^T.  Four solves on
+        the factor at a; the Tikhonov residual sqrt(lam) a is linear and
+        adds nothing.
         """
         sols = _solve_system(self.op, a, self.rhs)
         w = _solve_system(self.op, a, v[:, None] * sols)
@@ -296,7 +286,7 @@ class RecoveryResult:
     fitted: DnMatrix        # the DN matrix at a_estimate
     misfit: float
     objective: float
-    n_evaluations: int      # reduced calls, the one at a = 0 included
+    n_evaluations: int      # gauss_newton calls, the one at a = 0 included
     iterations: int         # accepted steps
     damping: float          # the final mu
     stop: str               # "gradient", "cost", "step", "damping" or "cap"
@@ -320,10 +310,12 @@ _ACCEL = 0.75
 
 
 def _damped_solve(system: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """LU solve of a damped step by the LAPACK of the QR and the factor: a
-    second OpenBLAS, numpy's, contends with its threads, and at 1D h=2^-6
+    """LU solve of a damped step by the LAPACK of the factor: a second
+    OpenBLAS, numpy's, contends with its threads, and at 1D h=2^-6
     (ni = 127) numpy.linalg.solve took 6.9 ms a call against 0.22 ms."""
-    from scipy.linalg.lapack import dgesv  # on first use, as in reduced
+    # scipy.linalg loads scipy's array-API layer (about 0.25 s), so it is
+    # imported on first use, here and in strong_uniqueness_probe
+    from scipy.linalg.lapack import dgesv
 
     x, info = dgesv(system, rhs)[2:]
     if info != 0:
@@ -338,13 +330,12 @@ def recover_potential(reference_op: NonlocalOperator, measurements: DnMatrix,
     """Regularized least-squares recovery of the potential from a DN matrix.
 
     Minimizes the squared Frobenius misfit plus lambda_reg ||a||^2 over
-    a >= 0, with the Tikhonov term carried as augmented residual rows and
-    the analytic potential-derivative of the forward map, by a bounded
-    Levenberg-Marquardt iteration from a = 0 (an iteratively regularized
-    Gauss-Newton method: J^T J only ever appears damped).  Each evaluation
-    is one _DnAssembler.reduced call, the R factor of [J | r]: at most
-    ni + 1 rows with the full problem's cost, gradient and Gauss-Newton
-    matrix, whatever the number of probes.
+    a >= 0, with the analytic potential-derivative of the forward map, by a
+    bounded Levenberg-Marquardt iteration from a = 0 (an iteratively
+    regularized Gauss-Newton method: J^T J only ever appears damped).  Each
+    evaluation is one _DnAssembler.gauss_newton call, the cost, gradient
+    J^T r and Gauss-Newton matrix J^T J (the Tikhonov term included) in
+    ni and ni^2 floats, whatever the number of probes.
 
     A step holds at zero the nodes at the bound whose gradient, or whose
     damped step, points outward, solves (J_f^T J_f + mu diag(J_f^T J_f)) v
@@ -371,15 +362,13 @@ def recover_potential(reference_op: NonlocalOperator, measurements: DnMatrix,
     asm = _DnAssembler(reference_op, measurements.window,
                        list(zip(measurements.probe_ids, measurements.probes)))
     target = measurements.matrix
-    sq = np.sqrt(lam)
 
     a = np.zeros(ni)
-    f, jac = asm.reduced(a, target, sq)
-    cost0 = cost = 0.5 * float(f @ f)
+    cost, grad, gram = asm.gauss_newton(a, target, lam)
+    cost0 = cost
     evaluations, iterations, mu, nu = 1, 0, _MU_START, 2.0
     stop = None
     while True:
-        grad = jac.T @ f
         free = (a > 0) | (grad <= 0)
         gradient_norm = float(np.max(np.abs(grad[free]), initial=0.0))
         if stop is None:
@@ -388,10 +377,9 @@ def recover_potential(reference_op: NonlocalOperator, measurements: DnMatrix,
                     else "damping" if mu > _MU_STOP else None)
         if stop is not None:
             break
-        scale = np.einsum("ij,ij->j", jac, jac)
+        scale = np.diag(gram)
         while True:
-            jf = jac[:, free]
-            system = jf.T @ jf
+            system = gram[np.ix_(free, free)]
             system[np.diag_indices_from(system)] += mu * scale[free]
             v = _damped_solve(system, -grad[free])
             outward = (a[free] <= 0) & (v < 0)
@@ -400,8 +388,7 @@ def recover_potential(reference_op: NonlocalOperator, measurements: DnMatrix,
             free[np.flatnonzero(free)[outward]] = False
         step = np.zeros(ni)
         step[free] = v
-        jv = jac @ step
-        predicted = -(grad @ step + 0.5 * jv @ jv)
+        predicted = -(grad @ step + 0.5 * step @ gram @ step)
         if not predicted > 0:           # every node held: damp towards -g
             mu, nu = mu * nu, 2 * nu
             continue
@@ -409,16 +396,15 @@ def recover_potential(reference_op: NonlocalOperator, measurements: DnMatrix,
         if 2 * np.linalg.norm(accel) <= _ACCEL * np.linalg.norm(v):
             step[free] += 0.5 * accel
         trial = np.maximum(a + step, 0.0)
-        f_t, jac_t = asm.reduced(trial, target, sq)
+        cost_t, grad_t, gram_t = asm.gauss_newton(trial, target, lam)
         evaluations += 1
-        cost_t = 0.5 * float(f_t @ f_t)
         rho = (cost - cost_t) / predicted
         if rho > 0:
             if cost - cost_t <= _FTOL * cost:
                 stop = "cost"
             elif np.linalg.norm(trial - a) <= _XTOL * (np.linalg.norm(a) + _XTOL):
                 stop = "step"
-            a, f, jac, cost = trial, f_t, jac_t, cost_t
+            a, cost, grad, gram = trial, cost_t, grad_t, gram_t
             iterations += 1
             mu, nu = max(_MU_FLOOR, mu * max(1 / 3, 1 - (2 * rho - 1) ** 3)), 2.0
         else:
@@ -455,7 +441,7 @@ def strong_uniqueness_probe(grid: Grid, op: NonlocalOperator,
     # add, not overwrite: w_gg multiplies psi_g - psi_g
     t_matrix[np.arange(k, 2 * k), window.indices] += weights.sum(axis=1) + tails
     t_matrix[k:] /= np.linalg.norm(t_matrix[k:], axis=1, keepdims=True)
-    from scipy.linalg import svdvals  # on first use, as in _DnAssembler.reduced
+    from scipy.linalg import svdvals  # on first use, as in _damped_solve
 
     return float(svdvals(t_matrix)[-1])
 

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from scipy.linalg.lapack import dtfttr
 
 from fracschrod import Domain, Field, assemble, build_grid, c3_bump, sample_function
@@ -11,15 +12,26 @@ from fracschrod.fraclap import _Stencil
 from fracschrod.grid import Region
 
 
+def _blas_build(module) -> str:
+    """Name and version of the BLAS a module was built against."""
+    try:
+        blas = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):       # numpy before 1.26, scipy before 1.11
+        return f"{module.__name__} unknown"
+    return f"{module.__name__} {blas['name']} {blas['version']}"
+
+
 def pytest_report_header(config):
-    """The BLAS threading the run holds under, printed at the top of the
-    log: the sha256 pins of test_golden.py hold at two and four OpenBLAS
-    threads but not at one (tests/golden/README.md)."""
+    """The BLAS threading and builds the run holds under, printed at the
+    top of the log: the sha256 pins of test_golden.py hold at two and four
+    OpenBLAS threads but not at one (tests/golden/README.md), and numpy and
+    scipy each bring their own OpenBLAS."""
     threads = ", ".join(f"{name}={os.environ.get(name, 'unset')}"
                         for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
     affinity = getattr(os, "sched_getaffinity", None)
     cpus = len(affinity(0)) if affinity else os.cpu_count()
-    return f"BLAS threads: {threads}; usable CPUs: {cpus}"
+    builds = ", ".join(_blas_build(module) for module in (np, scipy))
+    return f"BLAS threads: {threads}; usable CPUs: {cpus}; BLAS builds: {builds}"
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -57,9 +57,9 @@ def recovery_window(grid):
 
 def matrix_and_jacobian(asm, a):
     """The DN matrix and the stacked derivative of vec(matrix) (probe
-    columns one after another) with respect to the potential, formed on
-    their own: the reference for the Jacobian that _DnAssembler.reduced
-    writes straight into its QR stack."""
+    columns one after another) with respect to the potential, formed
+    explicitly: the reference for the gradient and Gauss-Newton matrix that
+    _DnAssembler.gauss_newton forms without it."""
     sols = _solve_system(asm.op, a, asm.rhs)
     green = _solve_system(asm.op, a, asm.neumann_lin.T).T
     return (asm.const + asm.neumann_lin @ sols,
@@ -304,7 +304,7 @@ def test_jacobian_reuses_the_factor_of_the_last_potential(op_coarse, monkeypatch
     a = two_bump_potential(grid)
     fresh = calderon._DnAssembler(op_coarse, window, canonical_probes(window))
     target = fresh.matrix(0.5 * np.ones(grid.n_interior))
-    want = fresh.reduced(a, target, 1e-3)
+    want = fresh.gauss_newton(a, target, 1e-6)
     calls = []
     factor_system = solver._factor_system
     monkeypatch.setattr(solver, "_factor_system",
@@ -312,8 +312,9 @@ def test_jacobian_reuses_the_factor_of_the_last_potential(op_coarse, monkeypatch
     op = assemble(grid, op_coarse.params.s)
     asm = calderon._DnAssembler(op, window, canonical_probes(window))
     asm.matrix(a)
-    got = asm.reduced(a.copy(), target, 1e-3)
-    assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+    got = asm.gauss_newton(a.copy(), target, 1e-6)
+    assert got[0] == want[0]
+    assert [x.tobytes() for x in got[1:]] == [x.tobytes() for x in want[1:]]
     assert len(calls) == 1
     asm.matrix(0.5 * a)
     assert len(calls) == 2
@@ -335,8 +336,9 @@ def test_jacobian_is_the_derivative_of_the_matrix(op_coarse):
 
 
 def _recovery_windows(grid):
-    """The recovery window with its canonical probes (k p rows > ni + 1),
-    and its first four nodes with one probe (4 rows < ni + 1)."""
+    """The recovery window with its canonical probes (k p residuals > ni),
+    and its first four nodes with one probe (4 residuals < ni, a singular
+    Gauss-Newton matrix)."""
     window = recovery_window(grid)
     short = Window(grid, window.indices[:4])
     return {"full": (window, canonical_probes(window)),
@@ -345,8 +347,8 @@ def _recovery_windows(grid):
 
 @pytest.fixture(scope="module")
 def op_2d_quarter():
-    """(-1,1)^2 at h = 1/4, R = 3: ni = 49, so the stack [J | r] has 50
-    columns, two of dgeqrt's 32-column blocks."""
+    """(-1,1)^2 at h = 1/4, R = 3: ni = 49 unknowns against 176 window
+    nodes and 176 canonical probes."""
     return assemble(build_grid(Domain.box((-1.0, -1.0), (1.0, 1.0)), 0.25, 3.0), 0.5)
 
 
@@ -358,48 +360,14 @@ def two_bump_potential_2d(grid):
 
 
 @pytest.mark.parametrize("lambda_reg", [0.0, 1e-6])
-def test_reduced_writes_the_reference_jacobian_into_its_stack(op_coarse, monkeypatch,
-                                                             lambda_reg):
-    # J is written through a view of the Fortran-ordered stack: dgeqrt sees
-    # the reference Jacobian, the residual and the Tikhonov rows bit for bit
-    import scipy.linalg
-
-    seen = []
-    dgeqrt = scipy.linalg.lapack.dgeqrt
-
-    def spy(nb, stack, overwrite_a=False):
-        seen.append((nb, stack.copy(order="F")))
-        return dgeqrt(nb, stack, overwrite_a=overwrite_a)
-
-    monkeypatch.setattr(scipy.linalg.lapack, "dgeqrt", spy)
-    grid = op_coarse.grid
-    ni = grid.n_interior
-    window = recovery_window(grid)
-    asm = _DnAssembler(op_coarse, window, canonical_probes(window))
-    target = asm.matrix(0.5 * np.ones(ni))
-    a = two_bump_potential(grid)
-    sq = np.sqrt(lambda_reg)
-    asm.reduced(a, target, sq)
-    matrix, jac = matrix_and_jacobian(asm, a)
-    rows = jac.shape[0]
-    [(nb, stack)] = seen
-    assert nb == ni + 1 and stack.shape == (rows + (ni if sq > 0 else 0), ni + 1)
-    assert stack[:rows, :ni].tobytes() == jac.tobytes()
-    assert stack[:rows, ni].tobytes() == (matrix - target).T.reshape(-1).tobytes()
-    if sq > 0:
-        assert stack[rows:, :ni].tobytes() == (sq * np.eye(ni)).tobytes()
-        assert stack[rows:, ni].tobytes() == (sq * a).tobytes()
-
-
-@pytest.mark.parametrize("lambda_reg", [0.0, 1e-6])
 @pytest.mark.parametrize("case", ["full", "one-probe", "2d"])
 def test_reduced_problem_has_the_full_cost_gradient_and_gauss_newton_matrix(
         op_coarse, op_2d_quarter, case, lambda_reg):
-    # the recovery sees [J_c | f_c], the R factor of [J | r]; measured
-    # deviations are at most 8.9e-16 relative in 1D and 3.6e-15 in 2D (the
-    # gradient), the tolerance is 1e-14.  The 1D stacks have ni + 1 = 16
-    # columns, one QR block, and the one-probe stack has 4 rows, fewer than
-    # a block; the 2D stack has 50 columns, two blocks
+    # the recovery sees the reduced problem: the cost, gradient and
+    # Gauss-Newton matrix of the tall residual [r; sqrt(lambda) a], formed
+    # from the Khatri-Rao structure of J, never J itself; against the
+    # explicit J the measured deviations are at most 3.5e-15 relative, the
+    # tolerance is 1e-14
     if case == "2d":
         op = op_2d_quarter
         window = recovery_window(op.grid)
@@ -418,44 +386,41 @@ def test_reduced_problem_has_the_full_cost_gradient_and_gauss_newton_matrix(
     if lambda_reg > 0:
         r = np.concatenate([r, sq * a])
         jac = np.vstack([jac, sq * np.eye(ni)])
-    f_c, jac_c = asm.reduced(a, target, sq)
-    assert f_c.shape == (min(len(r), ni + 1),)
-    assert jac_c.shape == (len(f_c), ni)
+    cost, grad, gram = asm.gauss_newton(a, target, lambda_reg)
+    assert grad.shape == (ni,) and gram.shape == (ni, ni)
 
     def rel(x, y):
         return np.linalg.norm(x - y) / np.linalg.norm(y)
 
-    assert rel(np.linalg.norm(f_c), np.linalg.norm(r)) <= 1e-14
-    assert rel(jac_c.T @ f_c, jac.T @ r) <= 1e-14
-    assert rel(jac_c.T @ jac_c, jac.T @ jac) <= 1e-14
+    assert rel(cost, 0.5 * (r @ r)) <= 1e-14
+    assert rel(grad, jac.T @ r) <= 1e-14
+    assert rel(gram, jac.T @ jac) <= 1e-14
 
 
 @pytest.mark.parametrize("lambda_reg", [0.0, 1e-6])
 @pytest.mark.parametrize("case", ["full", "one-probe"])
 def test_each_evaluation_is_one_reduced_call(op_coarse, monkeypatch, case, lambda_reg):
-    # the iteration sees min(rows, ni + 1) residuals and a Jacobian of that
-    # many rows, never the k p (+ ni) rows of the tall problem; every
-    # evaluation, the one at a = 0 included, is exactly one reduced call,
-    # and the cap stops the iteration at exactly max_evaluations
+    # the iteration sees a gradient of ni and a Gauss-Newton matrix of
+    # ni x ni floats, never the k p (+ ni) rows of the tall problem; every
+    # evaluation, the one at a = 0 included, is exactly one gauss_newton
+    # call, and the cap stops the iteration at exactly max_evaluations
     from fracschrod import calderon
 
     grid = op_coarse.grid
     ni = grid.n_interior
     window, probes = _recovery_windows(grid)[case]
     measured = dn_map(op_coarse, two_bump_potential(grid), window, probes)
-    rows = window.size * len(probes) + (ni if lambda_reg > 0 else 0)
     shapes = []
-    reduced = calderon._DnAssembler.reduced
+    gauss_newton = calderon._DnAssembler.gauss_newton
 
     def spy(*args):
-        f, jac = reduced(*args)
-        shapes.append((f.shape, jac.shape))
-        return f, jac
+        cost, grad, gram = gauss_newton(*args)
+        shapes.append((np.shape(cost), grad.shape, gram.shape))
+        return cost, grad, gram
 
-    monkeypatch.setattr(calderon._DnAssembler, "reduced", spy)
+    monkeypatch.setattr(calderon._DnAssembler, "gauss_newton", spy)
     result = recover_potential(op_coarse, measured, lambda_reg)
-    n = min(rows, ni + 1)
-    assert set(shapes) == {((n,), (n, ni))}
+    assert set(shapes) == {((), (ni,), (ni, ni))}
     assert len(shapes) == result.n_evaluations
     assert 1 <= result.iterations <= result.n_evaluations - 1
     shapes.clear()
@@ -825,8 +790,8 @@ fs.recover_potential(op, measured, 0.0, max_evaluations=5)
 
 
 def test_recovery_loads_lapack_alone():
-    # the DN map and the recovery need LAPACK's packed Cholesky, blocked QR
-    # and LU solve, so of scipy's subpackages only scipy.linalg loads
+    # the DN map and the recovery need LAPACK's packed Cholesky and LU
+    # solve, so of scipy's subpackages only scipy.linalg loads
     # (scipy.optimize, scipy.fft and scipy.special not)
     loaded = scipy_loaded_by(RECOVER_1D)
     subpackages = {m for m in loaded

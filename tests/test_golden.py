@@ -60,7 +60,12 @@ from fracschrod.fraclap import _blocks, _Stencil
 # re-recorded, with its two references, by the declared fix that replaced
 # trf with a bounded Levenberg-Marquardt iteration ("recovery to the
 # truth", tests/golden/README.md): the estimate went from 2.03e-2 to
-# 6.92e-8 relative of the config's truth
+# 6.92e-8 relative of the config's truth.  recover/ alone was re-recorded
+# again, a summation-order change, when each evaluation came to give the
+# cost, gradient and Gauss-Newton matrix from the Khatri-Rao structure of
+# the Jacobian instead of the R factor of [J | r] ("Khatri-Rao
+# Gauss-Newton"): the iteration is the same in exact arithmetic, but its
+# roundoff path is not
 CLI_PINS = {
     # near field: g-1/neumann 5.55e-17 off, 0.20 of its bound
     "forward/cauchy_bank.json":
@@ -79,14 +84,12 @@ CLI_PINS = {
         "21664c5a045cc55ca3a7e705f1dc9920426b44fc720ec057069e3878351dfb45",
     "probe/probe.csv":
         "45841a257404ce20da1e8fb106cd9a6c77f28527aca160637da5abe86a7e781c",
-    # recovery to the truth (declared fix, re-recorded with its reference):
-    # misfit moved by at most 3.92e-10
+    # Khatri-Rao Gauss-Newton: misfit 9.35e-17 off, 0.01 of its bound
     "recover/misfit.csv":
-        "352810787e062cc4918eee91008d0ec9b45e7fa6a02ffadb857a04b3057cd4ac",
-    # recovery to the truth (declared fix, re-recorded with its reference):
-    # a_estimate moved by at most 2.14e-2, to 5.41e-8 from the truth
+        "24b60f9ada1cd519ed0c8ff9322f020d1d6d99cc526e51fde245210ba9e74e76",
+    # Khatri-Rao Gauss-Newton: a_estimate 2.02e-8 off, 0.42 of its bound
     "recover/recover.csv":
-        "33840704e1c1e5d3c9a027e386f6524430a18f8a948112259693c121db521c88",
+        "92168db8b29ce40c040f969dca92f79419ee8612df2b9cdc3cf3106fb3693954",
     # near field: value 2.28e-14 off, 0.02 of its bound.  Holds at 2 and 4
     # OpenBLAS threads, not at 1, where the packed Cholesky moves values by
     # up to 7.33e-15 (test_solve_output_across_blas_threads)

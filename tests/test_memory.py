@@ -202,22 +202,23 @@ def test_dn_assembler_keeps_its_three_arrays(traced_assembly):
     assert peak <= 82 * 2**20
 
 
-def test_reduced_peak_is_its_stack():
-    # the recovery's Jacobian is written straight into the Fortran-ordered
-    # stack [J | r] and dgeqrt factors it in place, so one evaluation holds
-    # no second (k p) x ni array: 176 canonical probes on a 176-node window
-    # and the Tikhonov rows give a 31025 x 50 stack, 11.8 MiB (measured:
-    # 12.4 MiB; 24.1 MiB when the Jacobian was formed apart and copied in)
-    grid = build_grid(Domain.box((-1.0, -1.0), (1.0, 1.0)), 0.25, 3.0)
+@pytest.mark.parametrize("h, bound_mib", [(0.25, 1), (0.125, 10)], ids=["h4", "h8"])
+def test_gauss_newton_holds_no_jacobian(h, bound_mib):
+    # one recovery evaluation holds the probe and Green solves (ni x p and
+    # ni x k), the k x p residual and ni x ni products, never the (k p) x ni
+    # Jacobian: at h = 1/4 (ni = 49, 176 canonical probes on a 176-node
+    # window) the stack [J | r] with its Tikhonov rows was 31025 x 50, 11.8
+    # MiB, and at h = 1/8 (ni = 225, 708 probes) 501489 x 226, 865 MiB
+    # (measured: 0.57 and 7.7 MiB)
+    grid = build_grid(Domain.box((-1.0, -1.0), (1.0, 1.0)), h, 3.0)
     op = assemble(grid, 0.5)
     ni = grid.n_interior
     window = annulus_window(grid, grid.h, 1.0)
     asm = _DnAssembler(op, window, canonical_probes(window))
     target = asm.matrix(np.full(ni, 0.5))
     a = np.linspace(0.0, 1.0, ni)
-    _, peak = traced_peak(asm.reduced, a, target, 1e-3)
-    stack = (window.size * len(asm.fields) + ni) * (ni + 1) * 8
-    assert peak <= 1.1 * stack
+    _, peak = traced_peak(asm.gauss_newton, a, target, 1e-6)
+    assert peak <= bound_mib * 2**20
 
 
 @pytest.fixture(scope="module")
