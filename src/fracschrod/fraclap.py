@@ -41,10 +41,12 @@ applied, gives a_ie's entries negated when restricted to exterior
 columns.  The stencil is cheap enough to rebuild per call; the assembled
 operator is immutable and apply() is pure.
 
-The module needs numpy alone.  Its FFTs are scipy.fft's bit for bit on
-numpy >= 2 (_rfftn, _irfftn, _fast_len), and the 2D singular cell's mass
-takes its one hypergeometric value from a Gauss-Legendre rule, so
-importing the package loads no scipy module.
+The interior block also gives the eigenvalues of its optimal tau matrix,
+which the orthonormal DST-I diagonalizes (_dst), for the solver's
+preconditioner.  The module needs numpy alone.  Its FFTs are scipy.fft's
+bit for bit on numpy >= 2 (_rfftn, _irfftn, _fast_len), and the 2D
+singular cell's mass takes its one hypergeometric value from a
+Gauss-Legendre rule, so importing the package loads no scipy module.
 """
 
 from __future__ import annotations
@@ -338,6 +340,57 @@ def _irfftn(spectrum: np.ndarray, size) -> np.ndarray:
     return out
 
 
+def _along_axes(mats, x: np.ndarray) -> np.ndarray:
+    """x with mats[k] applied along its axis k: the Kronecker product of the
+    mats times x flattened, one small matmul per axis."""
+    for axis, m in enumerate(mats):
+        x = np.moveaxis(np.tensordot(m, x, axes=(1, axis)), 0, axis)
+    return x
+
+
+def _dst(x: np.ndarray) -> np.ndarray:
+    """The orthonormal DST-I of x over every axis, Q x with
+
+        Q[j, a] = prod_k sqrt(2 / (n_k + 1)) sin(pi (j_k + 1) (a_k + 1) / (n_k + 1))
+
+    for x of extents n_k: Q is symmetric and orthogonal, its own inverse.
+    Along an axis of extent n the sum over a is minus the imaginary part of
+    the real FFT of [0, x, 0, ..., 0], of length 2 (n + 1), a power of two
+    on the boxes of build_grid: the odd extension [0, x, 0, -x reversed]
+    has twice that transform, so the zeros stand for its odd half at half
+    the copying."""
+    scale = 1.0
+    for axis, n in enumerate(x.shape):
+        ext = np.zeros(x.shape[:axis] + (2 * (n + 1),) + x.shape[axis + 1:])
+        inner = (slice(None),) * axis + (slice(1, n + 1),)
+        ext[inner] = x
+        x = np.fft.rfft(ext, axis=axis)[inner].imag
+        scale *= -np.sqrt(2.0 / (n + 1))
+    return scale * x
+
+
+def _sine_squares(n: int) -> np.ndarray:
+    """s[j, a] = q_j(a)^2, the squared entries of the orthonormal DST-I
+    vectors q_j(a) = sqrt(2 / (n + 1)) sin(pi j a / (n + 1)), j, a = 1..n."""
+    j = np.arange(1, n + 1)
+    return (2.0 / (n + 1)) * np.sin(np.pi / (n + 1) * np.outer(j, j)) ** 2
+
+
+def _tau_weights(n: int) -> np.ndarray:
+    """g[j - 1, d + n - 1] = sum_a q_j(a) q_j(a + |d|) over 1 <= a <= n - |d|,
+    for the vectors q_j of _sine_squares and offsets |d| < n: the weight of
+    a Toeplitz matrix's entry at offset d in the eigenvalue q_j^T T q_j of
+    its optimal tau matrix.  In closed form, with theta = pi j / (n + 1),
+
+        g = [(n - |d|) cos(theta d) - (-1)^j sin((n - |d|) theta) / sin theta]
+            / (n + 1)."""
+    j, d = np.arange(1, n + 1)[:, None], np.arange(1 - n, n)
+    theta, left = np.pi / (n + 1) * j, n - np.abs(d)
+    sign = np.where(j % 2, -1.0, 1.0)       # (-1)^j
+    return (left * np.cos(theta * d) - sign * np.sin(left * theta)
+            / np.sin(theta)) / (n + 1)
+
+
 def _interior_box(stencil: _Stencil) -> tuple[np.ndarray, np.ndarray]:
     """Lowest lattice coordinate and extent of the box the interior nodes fill.
 
@@ -561,23 +614,20 @@ class InteriorBlock:
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         return self.diagonal * v + self.off_diagonal(v)
 
-    def circulant_eigenvalues(self) -> np.ndarray:
-        """Eigenvalues of T. Chan's optimal circulant of a_ii - diag(a_ii),
-        the multilevel circulant nearest it in the Frobenius norm, as the
-        real FFT half: over the interior box in FFT order, the last axis cut
-        to width // 2 + 1, the rest following by symmetry.  Along an axis of
-        width n its first column wraps the off-diagonal entries t as c_k =
-        ((n - k) t_k + k t_(k-n)) / n, so every c_k is a convex combination
-        of entries <= 0 (the kernel table is 0 at offset 0); the circulant
-        of a_ii + diag(d) adds mean(diagonal + d)."""
-        c = self._kernel
-        for axis, n in enumerate(self.box):
-            t = np.moveaxis(c, axis, 0)
-            k = np.arange(n).reshape((n,) + (1,) * (c.ndim - 1))
-            wrapped = (n - k) * t[n - 1:]
-            wrapped[1:] += k[1:] * t[: n - 1]
-            c = np.moveaxis(wrapped / n, 0, axis)
-        return np.fft.rfftn(c).real
+    def tau_eigenvalues(self) -> np.ndarray:
+        """Eigenvalues of the optimal tau matrix of a_ii - diag(a_ii) over
+        the box: lambda_j = q_j^T (a_ii - diag(a_ii)) q_j, with q_j the
+        orthonormal multilevel DST-I vectors, the diagonal of Q T Q for the
+        orthogonal Q that diagonalizes the tau algebra.  As T is block
+        Toeplitz with Toeplitz blocks, lambda is the kernel table weighted
+        by one _tau_weights factor per axis."""
+        return _along_axes([_tau_weights(n) for n in self.box], self._kernel)
+
+    def tau_diagonal(self, d: np.ndarray) -> np.ndarray:
+        """Eigenvalues of the optimal tau matrix of diag(d) over the box,
+        lambda_j = sum_a q_j(a)^2 d_a: d weighted by one _sine_squares
+        factor per axis."""
+        return _along_axes([_sine_squares(n) for n in self.box], d.reshape(self.box))
 
     def fill(self, out: np.ndarray, shift: np.ndarray) -> None:
         """Write the lower triangle of a = a_ii + diag(shift) into out, a flat

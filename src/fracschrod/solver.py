@@ -30,11 +30,11 @@ is bit for bit the same and frees it before factoring a new one, so at
 most one factor is held.  Newton factors nothing unless a step is stiff.
 Each Jacobian is J = J0 + diag(dq) with dq >= 0 and J0 = a_ii + diag(tail)
 the system at potential zero, and a step whose dq is small against J0's
-row sums is conjugate gradients preconditioned by T. Chan's optimal
-circulant of J, inverted by numpy.fft over the interior box, so a Newton
-solve holds no ni^2 array; a stiffer step solves against the retained
-factor of its own Jacobian.  build_barrier applies the operator to eta
-once per operator.  A reused factor or image is the very array the call
+row sums is conjugate gradients preconditioned by the optimal tau matrix
+of J, inverted by sine transforms (numpy.fft) over the interior box, so a
+Newton solve holds no ni^2 array; a stiffer step solves against the
+retained factor of its own Jacobian.  build_barrier applies the operator
+to eta once per operator.  A reused factor or image is the very array the call
 would have recomputed, so every result is unchanged.  The state is not
 thread-safe: share an operator between threads only with a lock around
 these calls.
@@ -65,7 +65,7 @@ from .errors import (
     StepNotConverged,
     Validation,
 )
-from .fraclap import NonlocalOperator, _irfftn, apply_operator
+from .fraclap import NonlocalOperator, _dst, apply_operator
 from .grid import _AXES, Field, Grid
 from .nonlinearity import Nonlinearity
 from .serialize import write_csv
@@ -289,7 +289,7 @@ _CG_MAX_KAPPA = 4.0
 
 
 def _newton_step(op: NonlocalOperator, dq: np.ndarray, rhs: np.ndarray,
-                 spectrum: np.ndarray) -> tuple[np.ndarray, int]:
+                 tau: np.ndarray) -> tuple[np.ndarray, int]:
     """x with J x = rhs, J = a_ii + diag(tail + dq), and the CG iterations it
     took, 0 for a direct solve.
 
@@ -297,26 +297,29 @@ def _newton_step(op: NonlocalOperator, dq: np.ndarray, rhs: np.ndarray,
     least its smallest row sum, lam0 = min(tail - rowsum(a_ie)) (Gershgorin),
     and with dq >= 0, x^T J x / x^T J0 x lies in [1, kappa], kappa = 1 +
     max dq / lam0.  While kappa <= _CG_MAX_KAPPA the step is conjugate
-    gradients preconditioned by C, T. Chan's optimal circulant of J:
-    spectrum (op.a_ii.circulant_eigenvalues(), the real FFT half) plus
-    mean(diag J), inverted by one numpy.fft real pair per iteration.  C's
-    first column wraps entries <= 0, so lambda_min(C) >= mean(tail + dq -
-    rowsum(a_ie)) > 0, the row-sum bound with the mean for the min.
-    cond(C^-1 J) <= kappa cond(C^-1 J0), and C differs from J0's circulant
-    by mean(dq) I, at most a further factor kappa, so the count is J0's
-    with its circulant within a bounded factor; that grows slowly as h
-    falls.  A stiffer step is solved against a Cholesky factor of J, kept
-    with the operator.
+    gradients preconditioned by P = Q diag(lambda) Q, the optimal tau matrix
+    of J (Bini and Di Benedetto), with Q the orthonormal multilevel DST-I
+    over the interior box: lambda = diag(Q J Q) is tau
+    (op.a_ii.tau_eigenvalues(), the off-diagonal part) plus the projection
+    of diag(J) by the squared sines (op.a_ii.tau_diagonal), and P^-1 =
+    Q diag(1 / lambda) Q is two DST-I passes by numpy.fft per iteration.
+    Q is orthogonal, so each lambda_j = q_j^T J q_j lies in
+    [lambda_min(J), lambda_max(J)] and P is positive definite.  J is block
+    Toeplitz with Toeplitz blocks plus a diagonal, and its tau matrix keeps
+    the count nearly flat: at s = 1/2, 9 to 14 per step in 2D from h = 2^-3
+    to 2^-7 (T. Chan's optimal circulant took 17 to 33), and 9 or 10 at
+    s = 0.9 (the circulant up to 64).  A stiffer step is solved against a
+    Cholesky factor of J, kept with the operator.
     """
     lam0 = np.min(op.tail - op.a_ie.row_sums)
     if np.max(dq) > (_CG_MAX_KAPPA - 1.0) * lam0:
         return _solve_system(op, dq, rhs), 0
     box = op.a_ii.box
     shift = op.tail + dq
-    inverse = 1.0 / (spectrum + np.mean(op.a_ii.diagonal + shift))
+    inverse = 1.0 / (tau + op.a_ii.tau_diagonal(op.a_ii.diagonal + shift))
 
     def precondition(r):
-        return _irfftn(np.fft.rfftn(r.reshape(box)) * inverse, box).ravel()
+        return _dst(_dst(r.reshape(box)) * inverse).ravel()
 
     x = np.zeros_like(rhs)
     r = rhs.copy()
@@ -350,15 +353,17 @@ def solve_semilinear(op: NonlocalOperator, nl: Nonlinearity, g: Field,
     convergence-order checks.  A negative or non-finite dq on an iterate
     raises JacobianSingular.  A linear step whose Jacobian J = J0 + diag(dq)
     is within a condition factor 4 of J0 = a_ii + diag(tail) (bounded by
-    1 + max dq / min row sum of J0) is CG preconditioned by T. Chan's
-    optimal circulant of J, whose spectrum is positive and computed once
-    per call, so such a solve factors nothing (at s = 1/2, 14-16 iterations
-    per step in 1D at h = 2^-6..2^-8, 17-25 in 2D at h = 2^-3..2^-5); a
-    stiffer step (a large potential, or s near 1, where the row-sum bound
-    is loose) is a direct Cholesky solve of J, and cg_iterations records 0
-    for it.  CG's forcing term is fixed: it stops at ||r||_2 <= 1e-13
-    ||b||_2, so the step's relative error is at most cond(J) 1e-13, the
-    bound of a direct solve with 1e-13 in place of the unit roundoff.
+    1 + max dq / min row sum of J0) is CG preconditioned by the optimal tau
+    matrix of J, whose eigenvalues lie within J's spectrum; their
+    off-diagonal part is computed once per call, so such a solve factors
+    nothing (at s = 1/2, 10-12 iterations per step in 1D at h =
+    2^-6..2^-8, 9-14 in 2D at h = 2^-3..2^-7, and no more at s = 1/4, 3/4
+    and 0.9); a stiffer step (a large potential, or s near 1, where the
+    row-sum bound is loose) is a direct Cholesky solve of J, and
+    cg_iterations records 0 for it.  CG's forcing term is fixed: it stops
+    at ||r||_2 <= 1e-13 ||b||_2, so the step's relative error is at most
+    cond(J) 1e-13, the bound of a direct solve with 1e-13 in place of the
+    unit roundoff.
     After 500 iterations, or on a curvature p^T J p <= 0, it raises
     StepNotConverged, a NewtonDiverged.
     """
@@ -371,7 +376,7 @@ def solve_semilinear(op: NonlocalOperator, nl: Nonlinearity, g: Field,
     ge = g.exterior_values
     ext_part = op.a_ie @ ge
     u = np.zeros(grid.n_interior)
-    spectrum = op.a_ii.circulant_eigenvalues()
+    tau = op.a_ii.tau_eigenvalues()
 
     def residual(vec):
         return op.a_ii @ vec + ext_part + op.tail * vec + nl.q(xi, vec)
@@ -391,7 +396,7 @@ def solve_semilinear(op: NonlocalOperator, nl: Nonlinearity, g: Field,
             raise JacobianSingular("q has negative t-derivative on the iterate")
         if not (np.isfinite(dq).all() and np.isfinite(res).all()):
             raise JacobianSingular("the Newton system has a non-finite entry")
-        step, k = _newton_step(op, dq, -res, spectrum)
+        step, k = _newton_step(op, dq, -res, tau)
         cg.append(k)
         alpha = 1.0
         while True:

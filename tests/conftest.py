@@ -24,10 +24,12 @@ def _blas_build(module) -> str:
 def pytest_report_header(config):
     """The BLAS threading and builds the run holds under, printed at the
     top of the log: the sha256 pins of test_golden.py hold at two and four
-    OpenBLAS threads but not at one (tests/golden/README.md), and numpy and
-    scipy each bring their own OpenBLAS."""
+    OpenBLAS threads but not at one (tests/golden/README.md), numpy and
+    scipy each bring their own OpenBLAS, and OPENBLAS_THREAD_TIMEOUT sets
+    how long their idle threads spin, which moves timings but no output."""
     threads = ", ".join(f"{name}={os.environ.get(name, 'unset')}"
-                        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
+                        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                     "OPENBLAS_THREAD_TIMEOUT"))
     affinity = getattr(os, "sched_getaffinity", None)
     cpus = len(affinity(0)) if affinity else os.cpu_count()
     builds = ", ".join(_blas_build(module) for module in (np, scipy))

@@ -214,7 +214,7 @@ def test_forward_with_bank(tmp_path):
 
 def test_forward_factors_nothing(tmp_path, monkeypatch):
     # the solution and both bank data are Newton solves whose steps are all
-    # CG on the circulant, so nothing is factored; the manifest records the
+    # CG on the tau matrix, so nothing is factored; the manifest records the
     # CG iterations of every Newton step of each solve
     from fracschrod import solver
 

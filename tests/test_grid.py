@@ -14,6 +14,7 @@ from fracschrod import (
     sample_function,
 )
 from fracschrod.errors import (
+    EmptyInterior,
     GridMismatch,
     NonFiniteGrid,
     NonFiniteSample,
@@ -38,6 +39,17 @@ def test_interval_example_nodes():
 def test_truncation_too_small():
     with pytest.raises(TruncationTooSmall):
         build_grid(Domain.interval(-1, 1), 0.5, 0.5)
+
+
+def test_empty_interior():
+    # the lattice is anchored at the domain center, which lies strictly
+    # inside whenever h divides the extent a whole number of times; only an
+    # extent that rounds to zero steps of h, below the classification
+    # tolerance of 1e-9 h, leaves it on the boundary and the interior empty
+    with pytest.raises(EmptyInterior, match="no lattice node"):
+        build_grid(Domain.interval(-1e-12, 1e-12), 1.0, 1.0)
+    with pytest.raises(EmptyInterior):
+        build_grid(Domain.box((-1.0, -1e-12), (1.0, 1e-12)), 0.25, 2.0)
 
 
 def test_nonpositive_spacing():

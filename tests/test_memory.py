@@ -144,10 +144,11 @@ def test_solve_and_dn_assembly_share_one_factor(traced_assembly):
 
 
 def test_newton_holds_no_factor(traced_assembly):
-    # every Newton step is CG preconditioned by a circulant, inverted by FFT
-    # over the interior box, so the solve allocates a few vectors and FFT
-    # buffers and no ni x ni array, not even the packed factor of one
-    # (measured: 493 KiB with 4 Newton steps, against 3.7 MB for a factor)
+    # every Newton step is CG preconditioned by the optimal tau matrix,
+    # inverted by sine transforms over the interior box, so the solve
+    # allocates a few vectors and FFT buffers and no ni x ni array, not even
+    # the packed factor of one (measured: 590 KiB with 4 Newton steps, as
+    # with the circulant before it, against 3.7 MB for a factor)
     grid = traced_assembly[0].grid
     op = assemble(grid, 0.5)
     g = Field.from_values(grid, np.where(grid.labels == Region.EXTERIOR, 0.5, 0.0))

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import gc
 import tracemalloc
 import weakref
@@ -36,6 +37,7 @@ from fracschrod.errors import (
     GridMismatch,
     JacobianSingular,
     NewtonDiverged,
+    NonPositiveLambda,
     OperatorTooLarge,
     SingularSystem,
     StepNotConverged,
@@ -44,7 +46,7 @@ from fracschrod.errors import (
 from fracschrod.fraclap import _Stencil
 from fracschrod.grid import Window
 from fracschrod.solver import _factor_system, _physical_memory, _solve_system
-from conftest import exterior_bump
+from conftest import dense_interior, exterior_bump
 from oracles import picard_semilinear
 
 
@@ -272,6 +274,25 @@ def test_barrier_applies_the_operator_once(monkeypatch):
     assert len(applies) == 1
 
 
+def test_barrier_names_a_nonpositive_lambda(monkeypatch):
+    # the cutoff needs a truncation ball strictly around the domain, which
+    # build_grid's R >= diameter guarantees, so the grid with R at the
+    # domain's half-diagonal is made by hand
+    grid = build_grid(Domain.interval(-1, 1), 1.0 / 16, 3.0)
+    zero = np.zeros(grid.n_interior)
+    op = assemble(grid, 0.5)
+    tight = dataclasses.replace(op, grid=dataclasses.replace(grid, R=1.0))
+    with pytest.raises(NonPositiveLambda, match="strictly contain"):
+        build_barrier(tight, zero)
+    # on an assembled operator L eta > 0, as eta peaks on the domain and the
+    # tail mass is positive, so a zero image of the cutoff stands in for
+    # one that rounds to lam <= 0
+    monkeypatch.setattr(solver, "apply_operator",
+                        lambda op, u, farfield=0.0: np.zeros(op.grid.n_interior))
+    with pytest.raises(NonPositiveLambda, match="enlarge R"):
+        build_barrier(op, zero)
+
+
 def test_retained_state_dies_with_the_operator():
     grid = build_grid(Domain.interval(-1, 1), 1.0 / 16, 3.0)
     op = assemble(grid, 0.5)
@@ -372,19 +393,43 @@ def test_jacobian_singular_on_non_finite_coefficient(op_small):
         solve_semilinear(op_small, catalogue("linear", coeff, a_sup=1.0), g)
 
 
-# Newton's CG iterations per step at s = 1/2 with the circulant
-# preconditioner (measured: 14-16 in 1D at h=2^-6..2^-8, 17/21/25 in 2D at
-# h=2^-3/2^-4/2^-5); fixed when the preconditioner landed, never loosened
-CG_BOUND_1D = 18
-CG_BOUND_2D = 27
+# Newton's CG iterations per step with the tau preconditioner, each bound
+# the largest count measured on test_newton_cg_counts and
+# test_newton_cg_counts_across_orders plus a margin of 2 (measured at s =
+# 1/2: 10-12 in 1D at h=2^-6..2^-8, 9-10/11/12 in 2D at h=2^-3/2^-4/2^-5;
+# at the finest levels 11, 11 and 9-10 in 1D and 11, 11 and 9 in 2D at s =
+# 1/4, 3/4 and 0.9).  Tightened from the circulant's 18 and 27, whose
+# counts were 14-16 and 17-25 at s = 1/2 and up to 31 and 45 at s = 0.9;
+# never loosened
+CG_BOUND_1D = 14
+CG_BOUND_2D = 14
+
+
+def sine_basis(box):
+    """The orthonormal multilevel DST-I over a box as a dense matrix Q, the
+    Kronecker product of q_j(a) = sqrt(2 / (n + 1)) sin(pi j a / (n + 1))."""
+    factors = []
+    for n in box:
+        j = np.arange(1, n + 1)
+        factors.append(np.sqrt(2.0 / (n + 1))
+                       * np.sin(np.pi / (n + 1) * np.outer(j, j)))
+    return functools.reduce(np.kron, factors)
+
+
+def tau_of(op, dq):
+    """Eigenvalues of the optimal tau matrix of J = a_ii + diag(tail + dq),
+    as _newton_step forms them, flattened to the interior order."""
+    a_ii = op.a_ii
+    diagonal = a_ii.diagonal + op.tail + dq
+    return (a_ii.tau_eigenvalues() + a_ii.tau_diagonal(diagonal)).ravel()
 
 
 @pytest.mark.parametrize("s", [0.25, 0.5, 0.75, 0.9])
 @pytest.mark.parametrize("dim", [1, 2])
-def test_circulant_is_positive(dim, s):
-    # the circulant's first column wraps entries <= 0, so its smallest
-    # eigenvalue, at frequency zero, is the mean row sum of the system
-    # matrix: the M-matrix bound of Gershgorin with the mean for the min
+def test_tau_is_within_the_spectrum_of_j(dim, s):
+    # Q is orthogonal, so each lambda_j = q_j^T J q_j is a Rayleigh quotient
+    # of J and lies in [lambda_min(J), lambda_max(J)]: the preconditioner is
+    # positive definite with no row-sum argument
     if dim == 1:
         grid = build_grid(Domain.interval(-1.0, 1.0), 2.0**-5, 3.0)
     else:
@@ -392,34 +437,41 @@ def test_circulant_is_positive(dim, s):
     op = assemble(grid, s)
     u = np.random.default_rng(3).uniform(0.0, 2.0, grid.n_interior)
     dq = catalogue("saturating-cubic", 1.0).dq(grid.interior_nodes, u)
-    spectrum = op.a_ii.circulant_eigenvalues()
-    lowest = spectrum.min() + np.mean(op.a_ii.diagonal + op.tail + dq)
-    bound = np.mean(op.tail + dq - op.a_ie.row_sums)
-    assert bound > 0
-    assert lowest >= bound * (1 - 1e-12)
+    jacobian = dense_interior(op) + np.diag(op.tail + dq)
+    low, high = np.linalg.eigvalsh(jacobian)[[0, -1]]
+    tau = tau_of(op, dq)
+    assert low > 0
+    assert low * (1 - 1e-12) <= tau.min() and tau.max() <= high * (1 + 1e-12)
 
 
-def test_circulant_is_the_nearest_to_a_ii():
-    # T. Chan's circulant averages a_ii along each wrapped diagonal, so its
-    # first column is the Frobenius projection of the dense block, here
-    # built column by column on the 7 x 7 box of 2D h = 1/4 (measured:
-    # 8.9e-16 apart, entries up to 7.6)
-    grid = build_grid(Domain.box((-1.0, -1.0), (1.0, 1.0)), 0.25, 3.0)
-    op = assemble(grid, 0.5)
-    ni = grid.n_interior
-    dense = np.column_stack([op.a_ii @ e for e in np.eye(ni)])
-    spectrum = op.a_ii.circulant_eigenvalues()
+# (-1,1)^2 at h=1/4 (7 x 7 box), (-1,1)x(-1/2,1/2) at h=1/8 (15 x 7) and
+# the latter's even_order grid (14 x 7)
+TAU_GRIDS = {
+    "square": (Domain.box((-1.0, -1.0), (1.0, 1.0)), 0.25, 3.0, False),
+    "rect": (Domain.box((-1.0, -0.5), (1.0, 0.5)), 1.0 / 8, 3.0, False),
+    "rect-even": (Domain.box((-1.0, -0.5), (1.0, 0.5)), 1.0 / 8, 3.0, True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TAU_GRIDS))
+def test_tau_is_the_diagonal_of_q_j_q(name):
+    # the optimal tau matrix Q diag(lambda) Q is the Frobenius projection of
+    # J onto the tau algebra, so lambda = diag(Q J Q): here against the dense
+    # J, built from a_ii column by column (measured: 4.3e-16, 1.2e-15 and
+    # 5.9e-16 of the largest lambda on the square, rect and rect-even boxes)
+    domain, h, R, even = TAU_GRIDS[name]
+    grid = build_grid(domain, h, R)
+    op = assemble(even_order(grid) if even else grid, 0.5)
+    ni = op.grid.n_interior
     box = op.a_ii.box
-    assert box == (7, 7) and spectrum.shape == (7, 4)
-    coords = np.stack(np.unravel_index(np.arange(ni), box), axis=-1)
-    wrapped = (coords[:, None, :] - coords[None, :, :]) % box
-    nearest = np.zeros(box)
-    np.add.at(nearest, tuple(wrapped.reshape(-1, 2).T), dense.ravel())
-    nearest /= ni
-    # the real FFT half determines the symmetric circulant's whole spectrum
-    column = np.fft.irfftn(spectrum, box, axes=(0, 1))
-    column[0, 0] += np.mean(op.a_ii.diagonal)
-    assert np.max(np.abs(column - nearest)) <= 1e-14 * np.max(np.abs(nearest))
+    assert box == {"square": (7, 7), "rect": (15, 7), "rect-even": (14, 7)}[name]
+    dq = np.random.default_rng(4).uniform(0.0, 1.0, ni)
+    jacobian = (np.column_stack([op.a_ii @ e for e in np.eye(ni)])
+                + np.diag(op.tail + dq))
+    q = sine_basis(box)
+    want = np.diag(q @ jacobian @ q)
+    tau = tau_of(op, dq)
+    assert np.max(np.abs(tau - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("dim, level", [(1, 6), (1, 7), (1, 8), (2, 3), (2, 4), (2, 5)])
@@ -435,9 +487,25 @@ def test_newton_cg_counts(dim, level):
     assert all(1 <= k <= bound for k in sol.cg_iterations), sol.cg_iterations
 
 
+@pytest.mark.parametrize("s", [0.25, 0.75, 0.9])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_newton_cg_counts_across_orders(dim, s):
+    # the tau preconditioner's count stays within the s = 1/2 bounds at the
+    # finest level of test_newton_cg_counts, for orders either side
+    if dim == 1:
+        grid = build_grid(Domain.interval(-1.0, 1.0), 2.0**-8, 3.0)
+        g, bound = exterior_bump(grid, 1.5, 0.4), CG_BOUND_1D
+    else:
+        grid = build_grid(Domain.box((-1.0, -1.0), (1.0, 1.0)), 2.0**-5, 3.0)
+        g, bound = exterior_bump(grid, (1.5, 0.0), 0.4), CG_BOUND_2D
+    sol = solve_semilinear(assemble(grid, s), catalogue("saturating-cubic", 1.0), g)
+    assert sol.iterations >= 2
+    assert all(1 <= k <= bound for k in sol.cg_iterations), sol.cg_iterations
+
+
 def test_newton_solves_factor_nothing(monkeypatch):
     # three Newton solves on one operator take every step by CG on the
-    # circulant, so nothing is factored until a linear solve at a = 0; each
+    # tau matrix, so nothing is factored until a linear solve at a = 0; each
     # Newton step records its CG count
     grid = build_grid(Domain.interval(-1, 1), 1.0 / 16, 3.0)
     op = assemble(grid, 0.5)
@@ -455,9 +523,9 @@ def test_newton_solves_factor_nothing(monkeypatch):
 
 @pytest.mark.parametrize("fixture", ["op_medium", "grid_2d"])
 def test_cg_step_is_the_direct_solve(request, fixture):
-    # the Jacobian at a rough iterate, solved by CG on the circulant and by
-    # a Cholesky factor of its own (measured: 13 and 18 iterations, 1.8e-14
-    # relative in 1D and 7.6e-14 in 2D)
+    # the Jacobian at a rough iterate, solved by CG on the tau matrix and by
+    # a Cholesky factor of its own (measured: 10 iterations each, 2.6e-14
+    # relative in 1D and 1.0e-13 in 2D)
     op = request.getfixturevalue(fixture)
     if fixture == "grid_2d":
         op = assemble(op, 0.5)
@@ -466,7 +534,7 @@ def test_cg_step_is_the_direct_solve(request, fixture):
     u = rng.uniform(0.0, 2.0, ni)
     dq = catalogue("saturating-cubic", 1.0).dq(op.grid.interior_nodes, u)
     rhs = rng.standard_normal(ni)
-    step, iterations = solver._newton_step(op, dq, rhs, op.a_ii.circulant_eigenvalues())
+    step, iterations = solver._newton_step(op, dq, rhs, op.a_ii.tau_eigenvalues())
     direct = solver._solve(_factor_system(op, op.tail + dq), rhs)
     assert iterations > 1
     assert np.linalg.norm(step - direct) <= 1e-12 * np.linalg.norm(direct)
@@ -483,7 +551,7 @@ def test_cg_step_failures_are_named(op_small, monkeypatch):
     ni = op_small.grid.n_interior
     with pytest.raises(StepNotConverged, match="curvature"):
         solver._newton_step(op_small, np.full(ni, -1e6), np.ones(ni),
-                            op_small.a_ii.circulant_eigenvalues())
+                            op_small.a_ii.tau_eigenvalues())
     # a study records the failed step as a diverged eta: its base, at zero
     # data, takes no step, and each eta's first step needs more than one
     study = linearization_study(op_small, nl, Field.zeros(op_small.grid), g,
@@ -509,12 +577,12 @@ def test_stiff_newton_step_is_direct(monkeypatch, s, a):
     u = solve_linear(LinearProblem(op=op, a=np.full(ni, a), f=np.zeros(ni), g=g))
     assert len(factors) == 1
     assert np.max(np.abs(sol.u.values - u.values)) <= 1e-14 * np.max(np.abs(u.values))
-    # just inside the bound the step is CG on the circulant, factoring nothing
+    # just inside the bound the step is CG on the tau matrix, factoring nothing
     lam0 = np.min(op.tail - op.a_ie.row_sums)
-    rhs, spectrum = np.ones(ni), op.a_ii.circulant_eigenvalues()
-    assert solver._newton_step(op, np.full(ni, 2.99 * lam0), rhs, spectrum)[1] > 1
+    rhs, tau = np.ones(ni), op.a_ii.tau_eigenvalues()
+    assert solver._newton_step(op, np.full(ni, 2.99 * lam0), rhs, tau)[1] > 1
     assert len(factors) == 1
-    assert solver._newton_step(op, np.full(ni, 3.01 * lam0), rhs, spectrum)[1] == 0
+    assert solver._newton_step(op, np.full(ni, 3.01 * lam0), rhs, tau)[1] == 0
     assert len(factors) == 2
 
 
