@@ -498,6 +498,37 @@ def test_fast_len_is_scipys():
     assert got == [scipy.fft.next_fast_len(n, real=True) for n in range(1, 5001)]
 
 
+@pytest.mark.parametrize("name", sorted(PRODUCT_GRIDS))
+def test_circulant_half_spectrum_is_scipys(name, monkeypatch):
+    # each block's far field is a circular convolution over its padded box,
+    # a circulant whose first column is the far kernel zero-padded to that
+    # box; its stored real FFT half against the same half of scipy's full
+    # complex FFT: bit for bit in 1D, where both are one real transform,
+    # and to roundoff in 2D
+    domain, h, R, s = PRODUCT_GRIDS[name]
+    calls, rfftn = [], np.fft.rfftn
+
+    def spy(x, *args, **kwargs):
+        out = rfftn(x, *args, **kwargs)
+        calls.append((x, out))
+        return out
+
+    monkeypatch.setattr(np.fft, "rfftn", spy)
+    op = assemble(build_grid(domain, h, R), s)
+    for block in (op.a_ii, op.a_ie):
+        conv = block._conv
+        ((kern, spectrum),) = [c for c in calls if c[1] is conv._spectrum]
+        size = conv._size
+        column = np.zeros(size)
+        column[tuple(slice(0, w) for w in kern.shape)] = kern
+        want = scipy.fft.fftn(column)[..., : size[-1] // 2 + 1]
+        assert spectrum.shape == want.shape
+        if len(size) == 1:
+            assert np.array_equal(spectrum, want)
+        else:
+            assert np.max(np.abs(spectrum - want)) <= 1e-15 * np.max(np.abs(want))
+
+
 # DST-I extents: the degenerate 1 and 2, build_grid's odd boxes (2 (n + 1) a
 # power of two; the interior boxes of PRODUCT_GRIDS among them) and an
 # even_order box's 14 x 7
