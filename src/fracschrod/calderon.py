@@ -42,7 +42,7 @@ from .fraclap import NonlocalOperator, _blocks, _Stencil
 from .grid import Field, Grid, Window
 from .nonlinearity import Nonlinearity
 from .solver import (LinearProblem, NewtonConfig, _checked_potential, _finite_real,
-                     _solve_system, solve_linear, solve_semilinear)
+                     _lapack, _solve_system, solve_linear, solve_semilinear)
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
@@ -219,9 +219,10 @@ class _DnAssembler:
     def matrix(self, a: np.ndarray) -> np.ndarray:
         return self.const + self.neumann_lin @ _solve_system(self.op, a, self.rhs)
 
-    def gauss_newton(self, a: np.ndarray, target: np.ndarray,
-                     lam: float) -> tuple[float, np.ndarray, np.ndarray]:
-        """Cost, gradient and Gauss-Newton matrix of the recovery problem.
+    def gauss_newton(self, a: np.ndarray, target: np.ndarray, lam: float
+                     ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+        """Cost, gradient and Gauss-Newton matrix of the recovery problem,
+        and the solutions sols at a that curvature takes.
 
         With res = matrix(a) - target, the cost is
         (||res||_F^2 + lam ||a||^2) / 2.  Column j of the Jacobian J of
@@ -242,10 +243,10 @@ class _DnAssembler:
         cost = 0.5 * (float(np.vdot(res, res)) + lam * float(a @ a))
         grad = -(sols * (green @ res)).sum(axis=1) + lam * a
         gram = (sols @ sols.T) * (green @ green.T)
-        gram[np.diag_indices_from(gram)] += lam
-        return cost, grad, gram
+        gram.flat[:: len(a) + 1] += lam
+        return cost, grad, gram, sols
 
-    def curvature(self, a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    def curvature(self, a: np.ndarray, v: np.ndarray, sols: np.ndarray) -> np.ndarray:
         """J^T D^2 r[v, v]: the residual's second derivative along v, seen
         through the Jacobian, without forming J.
 
@@ -253,11 +254,10 @@ class _DnAssembler:
         const + N sols, so its second derivative along v is
         2 N S^-1 V S^-1 V sols (V = diag(v)), and J^T W is
         -rowsum(sols * S^-1 N^T W) for J's columns
-        -vec(outer(green[j], sols[j])), green = S^-1 N^T.  Four solves on
-        the factor at a; the Tikhonov residual sqrt(lam) a is linear and
-        adds nothing.
+        -vec(outer(green[j], sols[j])), green = S^-1 N^T.  sols is the one
+        gauss_newton returned at a; three more solves on the factor at a.
+        The Tikhonov residual sqrt(lam) a is linear and adds nothing.
         """
-        sols = _solve_system(self.op, a, self.rhs)
         w = _solve_system(self.op, a, v[:, None] * sols)
         w = _solve_system(self.op, a, v[:, None] * w)
         y = _solve_system(self.op, a, self.neumann_lin.T @ (2.0 * (self.neumann_lin @ w)))
@@ -313,11 +313,7 @@ def _damped_solve(system: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """LU solve of a damped step by the LAPACK of the factor: a second
     OpenBLAS, numpy's, contends with its threads, and at 1D h=2^-6
     (ni = 127) numpy.linalg.solve took 6.9 ms a call against 0.22 ms."""
-    # scipy.linalg loads scipy's array-API layer (about 0.25 s), so it is
-    # imported on first use, here and in strong_uniqueness_probe
-    from scipy.linalg.lapack import dgesv
-
-    x, info = dgesv(system, rhs)[2:]
+    x, info = _lapack().dgesv(system, rhs)[2:]
     if info != 0:
         raise SingularSystem(
             f"the damped recovery step could not be solved (dgesv info {info})")
@@ -364,7 +360,7 @@ def recover_potential(reference_op: NonlocalOperator, measurements: DnMatrix,
     target = measurements.matrix
 
     a = np.zeros(ni)
-    cost, grad, gram = asm.gauss_newton(a, target, lam)
+    cost, grad, gram, sols = asm.gauss_newton(a, target, lam)
     cost0 = cost
     evaluations, iterations, mu, nu = 1, 0, _MU_START, 2.0
     stop = None
@@ -380,7 +376,7 @@ def recover_potential(reference_op: NonlocalOperator, measurements: DnMatrix,
         scale = np.diag(gram)
         while True:
             system = gram[np.ix_(free, free)]
-            system[np.diag_indices_from(system)] += mu * scale[free]
+            system.flat[:: len(system) + 1] += mu * scale[free]
             v = _damped_solve(system, -grad[free])
             outward = (a[free] <= 0) & (v < 0)
             if not outward.any():
@@ -392,11 +388,11 @@ def recover_potential(reference_op: NonlocalOperator, measurements: DnMatrix,
         if not predicted > 0:           # every node held: damp towards -g
             mu, nu = mu * nu, 2 * nu
             continue
-        accel = _damped_solve(system, -asm.curvature(a, step)[free])
+        accel = _damped_solve(system, -asm.curvature(a, step, sols)[free])
         if 2 * np.linalg.norm(accel) <= _ACCEL * np.linalg.norm(v):
             step[free] += 0.5 * accel
         trial = np.maximum(a + step, 0.0)
-        cost_t, grad_t, gram_t = asm.gauss_newton(trial, target, lam)
+        cost_t, grad_t, gram_t, sols_t = asm.gauss_newton(trial, target, lam)
         evaluations += 1
         rho = (cost - cost_t) / predicted
         if rho > 0:
@@ -404,7 +400,7 @@ def recover_potential(reference_op: NonlocalOperator, measurements: DnMatrix,
                 stop = "cost"
             elif np.linalg.norm(trial - a) <= _XTOL * (np.linalg.norm(a) + _XTOL):
                 stop = "step"
-            a, cost, grad, gram = trial, cost_t, grad_t, gram_t
+            a, cost, grad, gram, sols = trial, cost_t, grad_t, gram_t, sols_t
             iterations += 1
             mu, nu = max(_MU_FLOOR, mu * max(1 / 3, 1 - (2 * rho - 1) ** 3)), 2.0
         else:
@@ -427,7 +423,8 @@ def strong_uniqueness_probe(grid: Grid, op: NonlocalOperator,
     vanish beyond the truncation ball, with operator rows scaled to unit
     norm so the two blocks are comparable.  Returns the smallest singular
     value, or zero when the map has fewer rows than unknowns and cannot be
-    injective.
+    injective.  The value is LAPACK's dgesdd without vectors, the call
+    scipy.linalg.svdvals makes; a failed SVD raises SingularSystem.
     """
     if not (window.grid.same_as(grid) and op.grid.same_as(grid)):
         raise GridMismatch("window or operator grid differs")
@@ -441,9 +438,13 @@ def strong_uniqueness_probe(grid: Grid, op: NonlocalOperator,
     # add, not overwrite: w_gg multiplies psi_g - psi_g
     t_matrix[np.arange(k, 2 * k), window.indices] += weights.sum(axis=1) + tails
     t_matrix[k:] /= np.linalg.norm(t_matrix[k:], axis=1, keepdims=True)
-    from scipy.linalg import svdvals  # on first use, as in _damped_solve
-
-    return float(svdvals(t_matrix)[-1])
+    lapack = _lapack()
+    work, _ = lapack.dgesdd_lwork(*t_matrix.shape, compute_uv=0, full_matrices=0)
+    _, sigma, _, info = lapack.dgesdd(t_matrix, compute_uv=0, full_matrices=0,
+                                      lwork=int(work))
+    if info != 0:
+        raise SingularSystem(f"the probe's SVD failed (dgesdd info {info})")
+    return float(sigma[-1])
 
 
 @dataclass(frozen=True)

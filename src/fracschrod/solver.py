@@ -11,13 +11,15 @@ operator stores its blocks as lattice convolutions, and each system matrix
 is its lower triangle in LAPACK's rectangular full packed layout,
 ni (ni + 1) / 2 floats filled from the interior block's kernel (bit for
 bit the dense entries) with the diagonal added, which dpftrf factors in
-place with level-3 BLAS and dpftrs solves against (scipy's LAPACK wrappers,
-imported on the first factorization or solve).  _factor_system, the one
-place a factor is allocated, raises OperatorTooLarge before allocating one
-that would not fit in physical memory, so any operator can be assembled and
-applied.  LAPACK is called without finiteness scans of the matrix; the
-diagonal and each right-hand side, the only places a non-finite value can
-enter, are checked instead and raise SingularSystem.
+place with level-3 BLAS and dpftrs solves against.  Every LAPACK call of
+the package goes through _lapack(): scipy's f2py wrappers, the extension
+module scipy.linalg._flapack, loaded on first use without the scipy.linalg
+package and its array-API layer.  _factor_system, the one place a factor
+is allocated, raises OperatorTooLarge before allocating one that would not
+fit in physical memory, so any operator can be assembled and applied.
+LAPACK is called without finiteness scans of the matrix; the diagonal and
+each right-hand side, the only places a non-finite value can enter, are
+checked instead and raise SingularSystem.
 
 Each assembled operator retains two pieces of state here, held through a
 weak reference so they die with the operator: the last system factored
@@ -48,7 +50,10 @@ keeps the bound constant strictly positive.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import os
+import sys
 import weakref
 from dataclasses import dataclass
 from numbers import Integral, Real
@@ -201,6 +206,35 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _lapack():
+    """scipy's LAPACK wrappers, the extension module scipy.linalg._flapack.
+
+    Importing the scipy.linalg package costs about 0.25 s and 25 MiB, most
+    of it scipy's array-API layer, while the package calls four wrappers
+    of this one module (dpftrf, dpftrs, dgesv and dgesdd).  So on first use
+    this imports the top-level scipy package alone, loads the module from
+    its file and registers it in sys.modules under its own name; a later
+    import of scipy.linalg reuses that module object, and when scipy.linalg
+    came first, its module is the one returned.  ImportError names the
+    directory searched when the module is not there.
+    """
+    module = sys.modules.get(_FLAPACK)
+    if module is None:
+        import scipy
+
+        where = os.path.join(scipy.__path__[0], "linalg")
+        spec = importlib.machinery.PathFinder.find_spec(_FLAPACK, [where])
+        if spec is None:
+            raise ImportError(f"no {_FLAPACK} in {where}", name=_FLAPACK)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[_FLAPACK] = module
+    return module
+
+
 def _factor_system(op: NonlocalOperator, diagonal: np.ndarray) -> np.ndarray:
     """Cholesky factor of the system matrix op.a_ii + diag(diagonal), in
     rectangular full packed storage (TRANSR='N', UPLO='L').
@@ -221,13 +255,9 @@ def _factor_system(op: NonlocalOperator, diagonal: np.ndarray) -> np.ndarray:
         raise OperatorTooLarge(
             f"one packed factor of the system matrix, ni (ni + 1) / 2 floats, "
             f"needs {need / 2**30:.1f} GiB, physical memory is {have / 2**30:.1f} GiB")
-    # scipy.linalg loads scipy's array-API layer (about 0.25 s), so LAPACK is
-    # imported on first use and importing the package loads no scipy
-    from scipy.linalg.lapack import dpftrf
-
     packed = np.empty(ni * (ni + 1) // 2)
     op.a_ii.fill(packed, diagonal)
-    factor, info = dpftrf(ni, packed, transr="N", uplo="L", overwrite_a=True)
+    factor, info = _lapack().dpftrf(ni, packed, transr="N", uplo="L", overwrite_a=True)
     if info > 0:
         raise SingularSystem(
             f"the leading minor of order {info} is not positive definite")
@@ -243,9 +273,7 @@ def _solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     ni = rhs.shape[0]
     if factor.shape != (ni * (ni + 1) // 2,):
         raise ValueError(f"the factor does not have order {ni}")
-    from scipy.linalg.lapack import dpftrs  # on first use, as in _factor_system
-
-    x, _ = dpftrs(ni, factor, rhs.reshape(ni, -1), transr="N", uplo="L")
+    x, _ = _lapack().dpftrs(ni, factor, rhs.reshape(ni, -1), transr="N", uplo="L")
     return x.reshape(rhs.shape)
 
 

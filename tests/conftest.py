@@ -10,6 +10,7 @@ from fracschrod import Domain, Field, assemble, build_grid, c3_bump, sample_func
 from fracschrod.cli import EXPERIMENTS, run
 from fracschrod.fraclap import _Stencil
 from fracschrod.grid import Region
+from fracschrod.solver import _lapack
 
 
 def _blas_build(module) -> str:
@@ -26,14 +27,16 @@ def pytest_report_header(config):
     top of the log: the sha256 pins of test_golden.py hold at two and four
     OpenBLAS threads but not at one (tests/golden/README.md), numpy and
     scipy each bring their own OpenBLAS, and OPENBLAS_THREAD_TIMEOUT sets
-    how long their idle threads spin, which moves timings but no output."""
+    how long their idle threads spin, which moves timings but no output.
+    The line ends with the file of the LAPACK wrappers the solver calls."""
     threads = ", ".join(f"{name}={os.environ.get(name, 'unset')}"
                         for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                      "OPENBLAS_THREAD_TIMEOUT"))
     affinity = getattr(os, "sched_getaffinity", None)
     cpus = len(affinity(0)) if affinity else os.cpu_count()
     builds = ", ".join(_blas_build(module) for module in (np, scipy))
-    return f"BLAS threads: {threads}; usable CPUs: {cpus}; BLAS builds: {builds}"
+    return (f"BLAS threads: {threads}; usable CPUs: {cpus}; BLAS builds: {builds}; "
+            f"LAPACK wrappers: {_lapack().__file__}")
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -37,8 +37,8 @@ from fracschrod import (
 from fracschrod.calderon import DnMatrix, _DnAssembler
 from fracschrod.errors import (BankMismatch, GridMismatch, InvalidRange,
                                RankDeficientProbes, SingularSystem, Validation)
-from fracschrod.solver import LinearProblem, _solve_system
-from conftest import exterior_bump
+from fracschrod.solver import LinearProblem, _lapack, _solve_system
+from conftest import dense_interior, exterior_bump
 
 
 def two_bump_potential(grid):
@@ -386,8 +386,9 @@ def test_reduced_problem_has_the_full_cost_gradient_and_gauss_newton_matrix(
     if lambda_reg > 0:
         r = np.concatenate([r, sq * a])
         jac = np.vstack([jac, sq * np.eye(ni)])
-    cost, grad, gram = asm.gauss_newton(a, target, lambda_reg)
+    cost, grad, gram, sols = asm.gauss_newton(a, target, lambda_reg)
     assert grad.shape == (ni,) and gram.shape == (ni, ni)
+    assert sols.tobytes() == _solve_system(op, a, asm.rhs).tobytes()
 
     def rel(x, y):
         return np.linalg.norm(x - y) / np.linalg.norm(y)
@@ -395,6 +396,29 @@ def test_reduced_problem_has_the_full_cost_gradient_and_gauss_newton_matrix(
     assert rel(cost, 0.5 * (r @ r)) <= 1e-14
     assert rel(grad, jac.T @ r) <= 1e-14
     assert rel(gram, jac.T @ jac) <= 1e-14
+
+
+@pytest.mark.parametrize("case", ["1d", "2d"])
+def test_curvature_is_j_transpose_of_the_second_derivative(op_coarse, op_2d_quarter, case):
+    # the DN matrix's second derivative along v, 2 N S^-1 V S^-1 V S^-1 rhs,
+    # by dense solves of the explicit system matrix S, seen through the
+    # explicit J; curvature takes the solutions gauss_newton returns
+    if case == "2d":
+        op, a = op_2d_quarter, two_bump_potential_2d(op_2d_quarter.grid)
+    else:
+        op, a = op_coarse, two_bump_potential(op_coarse.grid)
+    window = recovery_window(op.grid)
+    asm = _DnAssembler(op, window, canonical_probes(window))
+    v = np.random.default_rng(32).standard_normal(len(a))
+    system = dense_interior(op) + np.diag(op.tail + a)
+    inner = np.linalg.solve(system, asm.rhs)
+    for _ in range(2):
+        inner = np.linalg.solve(system, v[:, None] * inner)
+    second = 2.0 * asm.neumann_lin @ inner
+    want = matrix_and_jacobian(asm, a)[1].T @ second.T.reshape(-1)
+    sols = asm.gauss_newton(a, asm.matrix(0.5 * a), 0.0)[3]
+    got = asm.curvature(a, v, sols)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("lambda_reg", [0.0, 1e-6])
@@ -414,9 +438,9 @@ def test_each_evaluation_is_one_reduced_call(op_coarse, monkeypatch, case, lambd
     gauss_newton = calderon._DnAssembler.gauss_newton
 
     def spy(*args):
-        cost, grad, gram = gauss_newton(*args)
+        cost, grad, gram, sols = gauss_newton(*args)
         shapes.append((np.shape(cost), grad.shape, gram.shape))
-        return cost, grad, gram
+        return cost, grad, gram, sols
 
     monkeypatch.setattr(calderon._DnAssembler, "gauss_newton", spy)
     result = recover_potential(op_coarse, measured, lambda_reg)
@@ -449,17 +473,16 @@ def test_recovery_on_the_seed_that_broke_trf():
 
 def test_a_failed_damped_solve_raises_a_named_error(op_coarse, monkeypatch):
     # LAPACK reports an exactly singular U by info > 0, not by raising
-    import scipy.linalg
-
     window = recovery_window(op_coarse.grid)
     measured = dn_map(op_coarse, two_bump_potential(op_coarse.grid), window)
-    dgesv = scipy.linalg.lapack.dgesv
+    lapack = _lapack()
+    dgesv = lapack.dgesv
 
     def singular(a, b):
         lu, piv, x, _ = dgesv(a, b)
         return lu, piv, x, 1
 
-    monkeypatch.setattr(scipy.linalg.lapack, "dgesv", singular)
+    monkeypatch.setattr(lapack, "dgesv", singular)
     with pytest.raises(SingularSystem, match="damped recovery step"):
         recover_potential(op_coarse, measured, 0.0)
 
@@ -640,20 +663,35 @@ def test_probe_operator_rows_are_evaluate_at(op_coarse, monkeypatch):
     # nodal psi, row-normalized; a boundary cell attributed to a window
     # node gives that node's stencil row a weight at the node itself,
     # which multiplies psi_g - psi_g and must not enter
-    import scipy.linalg
-
     grid = op_coarse.grid
     window = next(probe_windows(grid, [48]))
     captured = []
-    svdvals = scipy.linalg.svdvals
-    monkeypatch.setattr(scipy.linalg, "svdvals",
-                        lambda m: captured.append(m.copy()) or svdvals(m))
+    lapack = _lapack()
+    dgesdd = lapack.dgesdd
+    monkeypatch.setattr(lapack, "dgesdd",
+                        lambda m, **kw: captured.append(m.copy()) or dgesdd(m, **kw))
     strong_uniqueness_probe(grid, op_coarse, window)
     columns = [evaluate_at(op_coarse, Field.from_values(grid, unit), window.indices)
                for unit in np.eye(grid.n_nodes)]
     want = np.array(columns).T
     want /= np.linalg.norm(want, axis=1, keepdims=True)
     assert np.max(np.abs(captured[0][window.size:] - want)) <= 1e-12
+
+
+def test_a_failed_probe_svd_raises_a_named_error(op_coarse, monkeypatch):
+    # dgesdd reports a failed convergence by info > 0, not by raising (scipy's
+    # svdvals turned it into a bare LinAlgError)
+    grid = op_coarse.grid
+    lapack = _lapack()
+    dgesdd = lapack.dgesdd
+
+    def unconverged(m, **kw):
+        u, s, vt, _ = dgesdd(m, **kw)
+        return u, s, vt, 1
+
+    monkeypatch.setattr(lapack, "dgesdd", unconverged)
+    with pytest.raises(SingularSystem, match="dgesdd info 1"):
+        strong_uniqueness_probe(grid, op_coarse, next(probe_windows(grid, [48])))
 
 
 @pytest.mark.parametrize("h, R", [(1.0 / 4, 3.0), (1.0 / 16, 4.0)])
@@ -731,8 +769,8 @@ def test_compare_banks_mismatch(op_small):
 
 
 def scipy_loaded_by(code: str) -> set[str]:
-    """The scipy subpackages loaded by the end of code, run in a fresh
-    interpreter after import fracschrod as fs and import numpy as np."""
+    """The scipy modules, by full name, loaded by the end of code, run in a
+    fresh interpreter after import fracschrod as fs and import numpy as np."""
     src = str(Path(fracschrod.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
@@ -741,15 +779,21 @@ def scipy_loaded_by(code: str) -> set[str]:
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    return {".".join(m.split(".")[:2]) for m in proc.stdout.split()}
+    return set(proc.stdout.split())
 
 
 def test_import_leaves_scipy_optimize_unloaded():
-    # the LAPACK kernels and hyp2f1 load when first called, and nothing
-    # loads scipy.optimize, so importing the package loads no scipy module:
-    # scipy.fft, scipy.linalg and scipy.special each load scipy's array-API
-    # layer
+    # the LAPACK wrappers and hyp2f1 load when first called, and nothing
+    # loads scipy.optimize, so importing the package loads no scipy module
     assert scipy_loaded_by("") == set()
+
+
+def assert_lapack_alone(loaded: set[str]) -> None:
+    """LAPACK's wrapper module loaded, but not the scipy.linalg package,
+    whose import loads scipy's array-API layer, nor another subpackage."""
+    assert "scipy.linalg._flapack" in loaded
+    assert not loaded & {"scipy.linalg", "scipy._lib._array_api", "scipy.fft",
+                         "scipy.special", "scipy.optimize"}
 
 
 FORWARD_2D = """
@@ -776,9 +820,7 @@ def test_forward_2d_loads_no_scipy():
 
 
 def test_linear_solve_loads_lapack_alone():
-    loaded = scipy_loaded_by(LINEAR_1D)
-    assert "scipy.linalg" in loaded
-    assert not loaded & {"scipy.fft", "scipy.special", "scipy.optimize"}
+    assert_lapack_alone(scipy_loaded_by(LINEAR_1D))
 
 
 RECOVER_1D = """
@@ -790,14 +832,37 @@ fs.recover_potential(op, measured, 0.0, max_evaluations=5)
 
 
 def test_recovery_loads_lapack_alone():
-    # the DN map and the recovery need LAPACK's packed Cholesky and LU
-    # solve, so of scipy's subpackages only scipy.linalg loads
-    # (scipy.optimize, scipy.fft and scipy.special not)
-    loaded = scipy_loaded_by(RECOVER_1D)
-    subpackages = {m for m in loaded
-                   if m != "scipy.version" and m.split(".")[1:2] != []
-                   and not m.split(".")[1].startswith("_")}
-    assert subpackages == {"scipy.linalg"}
+    # the DN map and the recovery need LAPACK's packed Cholesky and LU solve
+    assert_lapack_alone(scipy_loaded_by(RECOVER_1D))
+
+
+PROBE_1D = """
+grid = fs.build_grid(fs.Domain.interval(-1.0, 1.0), 1 / 8, 3.0)
+op = fs.assemble(grid, 0.5)
+window = fs.Window(grid, grid.exterior_index)
+assert fs.strong_uniqueness_probe(grid, op, window) > 0
+"""
+
+
+def test_probe_loads_lapack_alone():
+    assert_lapack_alone(scipy_loaded_by(PROBE_1D))
+
+
+LAPACK_IS_SCIPYS = """
+assert sys.modules["scipy.linalg._flapack"] is lapack
+for name in ("dpftrf", "dpftrs", "dgesv", "dgesdd", "dgesdd_lwork"):
+    assert getattr(scipy.linalg.lapack, name) is getattr(lapack, name), name
+"""
+
+
+@pytest.mark.parametrize("first", [
+    "lapack = fs.solver._lapack()\nimport scipy.linalg",
+    "import scipy.linalg\nlapack = fs.solver._lapack()",
+], ids=["loader-first", "package-first"])
+def test_lapack_is_the_module_scipy_linalg_uses(first):
+    # in either import order, one module object: the loader registers what
+    # it loads, and returns what scipy.linalg loaded
+    assert "scipy.linalg" in scipy_loaded_by(first + LAPACK_IS_SCIPYS)
 
 
 def _foreign_probes(window, beyond=False):

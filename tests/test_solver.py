@@ -1,6 +1,9 @@
 import dataclasses
 import functools
 import gc
+import os
+import re
+import sys
 import tracemalloc
 import weakref
 
@@ -45,7 +48,7 @@ from fracschrod.errors import (
 )
 from fracschrod.fraclap import _Stencil
 from fracschrod.grid import Window
-from fracschrod.solver import _factor_system, _physical_memory, _solve_system
+from fracschrod.solver import _factor_system, _lapack, _physical_memory, _solve_system
 from conftest import dense_interior, exterior_bump
 from oracles import picard_semilinear
 
@@ -659,6 +662,14 @@ def test_factor_system_names_the_failure(op_small):
     rhs[2] = np.nan
     with pytest.raises(SingularSystem, match="non-finite"):
         solver._solve(factor, rhs)
+
+
+def test_a_missing_lapack_module_names_the_directory_searched(monkeypatch, tmp_path):
+    # the wrappers load from scipy's own linalg directory, with no fallback
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+    with pytest.raises(ImportError, match=re.escape(os.path.join(str(tmp_path), "linalg"))):
+        _lapack()
 
 
 def test_barrier_validity_and_tail_bound():
