@@ -213,8 +213,8 @@ def _lapack():
     """scipy's LAPACK wrappers, the extension module scipy.linalg._flapack.
 
     Importing the scipy.linalg package costs about 0.25 s and 25 MiB, most
-    of it scipy's array-API layer, while the package calls four wrappers
-    of this one module (dpftrf, dpftrs, dgesv and dgesdd).  So on first use
+    of it scipy's array-API layer, while the package calls five wrappers
+    of this one module (dpftrf, dpftrs, dgesv, dgesdd and dgesdd_lwork).  So on first use
     this imports the top-level scipy package alone, loads the module from
     its file and registers it in sys.modules under its own name; a later
     import of scipy.linalg reuses that module object, and when scipy.linalg

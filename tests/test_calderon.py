@@ -789,11 +789,14 @@ def test_import_leaves_scipy_optimize_unloaded():
 
 
 def assert_lapack_alone(loaded: set[str]) -> None:
-    """LAPACK's wrapper module loaded, but not the scipy.linalg package,
-    whose import loads scipy's array-API layer, nor another subpackage."""
-    assert "scipy.linalg._flapack" in loaded
-    assert not loaded & {"scipy.linalg", "scipy._lib._array_api", "scipy.fft",
-                         "scipy.special", "scipy.optimize"}
+    """Of the modules under scipy's public subpackages, exactly LAPACK's
+    wrapper module loaded: not the scipy.linalg package, whose import
+    loads scipy's array-API layer, nor any module of another subpackage."""
+    public = {m for m in loaded
+              if m != "scipy.version" and m.split(".")[1:2] != []
+              and not m.split(".")[1].startswith("_")}
+    assert public == {"scipy.linalg._flapack"}
+    assert "scipy._lib._array_api" not in loaded
 
 
 FORWARD_2D = """
