@@ -14,7 +14,6 @@ from .calderon import (
     compare_cauchy_banks,
     dn_map,
     linearization_study,
-    mean_potential,
     recover_potential,
     solve_linearized,
     strong_uniqueness_probe,

@@ -44,26 +44,6 @@ from .nonlinearity import Nonlinearity
 from .solver import (LinearProblem, NewtonConfig, _checked_potential, _finite_real,
                      _lapack, _solve_system, solve_linear, solve_semilinear)
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-
-
-def mean_potential(u1: Field, u2: Field, nl: Nonlinearity) -> np.ndarray:
-    """Average of dq along the segment from u2(x) to u1(x), per interior node.
-
-    16-point Gauss-Legendre quadrature of dq(x, t u1 + (1-t) u2) over
-    t in [0, 1]; nonnegative whenever dq is.
-    """
-    if not u1.grid.same_as(u2.grid):
-        raise GridMismatch("fields live on different grids")
-    xi = u1.grid.interior_nodes
-    v1 = u1.interior_values
-    v2 = u2.interior_values
-    out = np.zeros(v1.shape)
-    for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
-        t = 0.5 * (node + 1.0)
-        out += 0.5 * weight * np.asarray(nl.dq(xi, t * v1 + (1.0 - t) * v2))
-    return out
-
 
 def solve_linearized(op: NonlocalOperator, dq_at_ug: np.ndarray,
                      h: Field) -> Field:
@@ -198,9 +178,11 @@ class _DnAssembler:
 
         stencil = _Stencil(grid, op.params)
         # the probes' exterior support and their values there, by exact
-        # columns of -a_ie
-        support = np.unique(np.concatenate([np.flatnonzero(f.values)
-                                            for f in self.fields]))
+        # columns of -a_ie (a mask: np.unique on numpy 2.4 imports numpy.ma)
+        held = np.zeros(grid.n_nodes, dtype=bool)
+        for f in self.fields:
+            held |= f.values != 0.0
+        support = np.flatnonzero(held)
         values = np.stack([f.values[support] for f in self.fields], axis=1)
         self.rhs = stencil.rows(grid.interior_index, support)[0] @ values
         # constant-in-potential part of each column: the Neumann kernel's
@@ -345,8 +327,11 @@ def recover_potential(reference_op: NonlocalOperator, measurements: DnMatrix,
     the configs/recover.json truth is still about 1e-3 away after 500
     evaluations.  The result carries the DN matrix at the estimate, the
     accepted steps, final damping, stop reason and projected-gradient sup
-    norm.  Raises MisfitStagnation (carrying the last iterate) when no
-    descent happens, and SingularSystem when a damped step cannot be solved.
+    norm, the matrix from the accepted evaluation's solutions.  A start
+    a = 0 that meets the bound-constrained optimality conditions (every
+    gradient entry >= 0) returns at once with stop "gradient"; otherwise
+    MisfitStagnation (carrying the last iterate) is raised when no step
+    lowered the cost, and SingularSystem when a damped step cannot be solved.
     """
     lam = _finite_real(lambda_reg)
     if lam is None or lam < 0:
@@ -405,8 +390,8 @@ def recover_potential(reference_op: NonlocalOperator, measurements: DnMatrix,
             mu, nu = max(_MU_FLOOR, mu * max(1 / 3, 1 - (2 * rho - 1) ** 3)), 2.0
         else:
             mu, nu = mu * nu, 2 * nu
-    fitted = DnMatrix(asm.window, asm.fields, asm.ids, asm.matrix(a))
-    if cost0 > 1e-24 and cost >= cost0 * (1 - 1e-12):
+    fitted = DnMatrix(asm.window, asm.fields, asm.ids, asm.const + asm.neumann_lin @ sols)
+    if stop != "gradient" and cost0 > 1e-24 and cost >= cost0 * (1 - 1e-12):
         raise MisfitStagnation("recovery made no progress", last_iterate=a)
     return RecoveryResult(a_estimate=a, fitted=fitted,
                           misfit=float(np.linalg.norm(fitted.matrix - target)),

@@ -2,14 +2,14 @@
 
 Subcommands: solve | forward | principles | linearize | recover | probe,
 each taking --config <path> (a JSON document) and --out <dir>.  Every run
-writes manifest.json with the fully resolved configuration, the library
-version, the environment (python, numpy, scipy and BLAS versions, thread
-variables, usable CPUs) and wall-clock time, next to experiment-specific
-CSV files whose numeric content is byte-identical across runs for a fixed
-config and seed and BLAS thread count (with OPENBLAS_NUM_THREADS=1 the
-getoor solve/ values move by up to 7.55e-15 from the two-thread run).
-Failures exit nonzero and leave a machine-readable error record naming the
-error class.
+writes manifest.json with the fully resolved configuration (the Newton
+settings in full), the library version, the environment (python, numpy
+and scipy versions, both BLAS builds, thread variables, usable CPUs) and
+wall-clock time, next to experiment-specific CSV files whose numeric
+content is byte-identical across runs for a fixed config and seed and BLAS
+thread count (with OPENBLAS_NUM_THREADS=1 the getoor solve/ values move by
+up to 7.33e-15 from the two-thread run).  Failures exit nonzero and leave
+a machine-readable error record naming the error class.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import os
 import platform
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +43,8 @@ from .serialize import dump, write_csv
 from .solver import (
     LinearProblem,
     NewtonConfig,
+    _finite_real,
+    _full_field,
     build_barrier,
     check_comparison,
     check_linf_bound,
@@ -51,8 +53,6 @@ from .solver import (
     solution_to_csv,
     trace_to_csv,
 )
-
-EXPERIMENTS = ("solve", "forward", "principles", "linearize", "recover", "probe")
 
 DEFAULTS = {
     "seed": 0,
@@ -99,10 +99,10 @@ def _whole(value, key: str, low: int | None = None) -> int:
 def _nonnegative(value, key: str) -> float:
     """A config number as a float, refused unless real, finite and at least
     0 (a negative noise level ran noiseless, and true ran as 1)."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not 0 <= value < np.inf):
+    number = _finite_real(value)
+    if number is None or number < 0:
         raise Validation(f"config {key} must be a nonnegative number, got {value!r}")
-    return float(value)
+    return number
 
 
 def _load_config(path: str) -> dict:
@@ -178,10 +178,16 @@ def _band(cfg) -> tuple[float, float]:
 
 
 def _newton(cfg) -> NewtonConfig:
-    spec = cfg.get("newton", {})
-    return NewtonConfig(max_iters=_whole(spec.get("max_iters", 50), "newton.max_iters"),
-                        residual_tol=float(spec.get("residual_tol", 1e-10)),
-                        damping=float(spec.get("damping", 0.5)))
+    """The newton object as a NewtonConfig, which checks its values and
+    holds the defaults; cfg records the settings in full."""
+    spec = cfg["newton"]
+    names = {field.name for field in fields(NewtonConfig)}
+    if not isinstance(spec, dict) or not set(spec) <= names:
+        raise Validation(f"config newton must be an object with keys among "
+                         f"{sorted(names)}, got {spec!r}")
+    newton = NewtonConfig(**spec)
+    cfg["newton"] = asdict(newton)
+    return newton
 
 
 def _nonlinearity(cfg):
@@ -235,13 +241,13 @@ def run_principles(cfg: dict, out: Path) -> dict:
         a = rng.uniform(0.0, 1.0, ni)
         f = rng.uniform(0.0, 1.0, ni)
         ge = rng.uniform(0.0, 1.0, ne)
-        g = Field.from_values(grid, _scatter(grid, ge))
+        g = _full_field(grid, np.zeros(ni), ge)
         u = solve_linear(LinearProblem(op=op, a=a, f=f, g=g))
         min_u = float(np.min(u.interior_values))
 
         df = rng.uniform(0.0, 1.0, ni)
         dg = rng.uniform(0.0, 1.0, ne)
-        g_hi = Field.from_values(grid, _scatter(grid, ge + dg))
+        g_hi = _full_field(grid, np.zeros(ni), ge + dg)
         u_hi = solve_linear(LinearProblem(op=op, a=a, f=f + df, g=g_hi))
         ordered = check_comparison(u_hi, u)
 
@@ -258,12 +264,6 @@ def run_principles(cfg: dict, out: Path) -> dict:
               ["trial", "min_u", "comparison_ok", "linf_lhs", "linf_rhs",
                "linf_ok", "barrier_C", "barrier_ok"], rows)
     return {"trials": trials, "failures": failures}
-
-
-def _scatter(grid, exterior_values) -> np.ndarray:
-    values = np.zeros(grid.n_nodes)
-    values[grid.exterior_index] = exterior_values
-    return values
 
 
 def run_linearize(cfg: dict, out: Path) -> dict:
@@ -338,22 +338,32 @@ _RUNNERS = {
     "recover": run_recover,
     "probe": run_probe,
 }
+EXPERIMENTS = tuple(_RUNNERS)
+
+
+def _blas_build(module) -> dict:
+    """Name and version of the BLAS a module was built against."""
+    try:
+        blas = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26, scipy before 1.11
+        blas = {}
+    return {"name": blas.get("name"), "version": blas.get("version")}
 
 
 def _environment() -> dict:
-    """Versions, BLAS build, *_NUM_THREADS variables and usable CPU count."""
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except (TypeError, KeyError):  # numpy < 1.26 has no dict form
-        blas = {}
+    """Versions, the BLAS builds of numpy and scipy (each brings its own
+    OpenBLAS), the OpenBLAS thread variables (null when unset; the timeout
+    moves timings but no output) and any other *_NUM_THREADS set, and the
+    usable CPU count."""
+    names = {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "OPENBLAS_THREAD_TIMEOUT",
+             *(k for k in os.environ if k.endswith("_NUM_THREADS"))}
     affinity = getattr(os, "sched_getaffinity", None)
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
-        "blas": {"name": blas.get("name"), "version": blas.get("version")},
-        "thread_variables": {k: v for k, v in sorted(os.environ.items())
-                             if k.endswith("_NUM_THREADS")},
+        "blas": {"numpy": _blas_build(np), "scipy": _blas_build(scipy)},
+        "thread_variables": {k: os.environ.get(k) for k in sorted(names)},
         "cpu_affinity": len(affinity(0)) if affinity else os.cpu_count(),
     }
 

@@ -1,11 +1,11 @@
 """Semilinear coupling terms q(x, t) and their structural conditions.
 
-A Nonlinearity bundles q, its t-derivative, and the growth constants the
-solvers rely on: mu and delta bound the growth of q, b0 and r control the
-superlinearity ratio q/t against dq for |t| >= r, and m0 caps the
-derivative from above.  The conditions are verified by dense sampling on
-compact boxes, never assumed; the checker reports the worst violating
-sample per condition.
+A Nonlinearity bundles q, its t-derivative, and the growth constants that
+check_conditions verifies (no solver reads them): mu and delta bound the
+growth of q, b0 and r control the superlinearity ratio q/t against dq for
+|t| >= r, and m0 caps the derivative from above.  The conditions are
+verified by dense sampling on compact boxes, never assumed; the checker
+reports the worst violating sample per condition.
 
 The catalogue is one table of models, _MODELS, with q written in the
 coefficient values c = a(x):

@@ -17,7 +17,8 @@ def format_double(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _render(obj) -> str:
+def dumps(obj) -> str:
+    """Serialize to JSON text with the 17-digit float format."""
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, float):
@@ -29,21 +30,16 @@ def _render(obj) -> str:
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, dict):
-        items = ", ".join(f"{json.dumps(str(k))}: {_render(v)}" for k, v in obj.items())
+        items = ", ".join(f"{json.dumps(str(k))}: {dumps(v)}" for k, v in obj.items())
         return "{" + items + "}"
     if isinstance(obj, (list, tuple)):
         if all(type(v) is float for v in obj):
             return "[" + ", ".join(map(format_double, obj)) + "]"
-        return "[" + ", ".join(_render(v) for v in obj) + "]"
+        return "[" + ", ".join(dumps(v) for v in obj) + "]"
     # numpy scalars and arrays
     if hasattr(obj, "tolist"):
-        return _render(obj.tolist())
+        return dumps(obj.tolist())
     raise TypeError(f"cannot serialize {type(obj)!r}")
-
-
-def dumps(obj) -> str:
-    """Serialize to JSON text with the 17-digit float format."""
-    return _render(obj)
 
 
 def dump(obj, path) -> None:

@@ -1,42 +1,30 @@
-import os
 from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 from scipy.linalg.lapack import dtfttr
 
 from fracschrod import Domain, Field, assemble, build_grid, c3_bump, sample_function
-from fracschrod.cli import EXPERIMENTS, run
+from fracschrod.cli import EXPERIMENTS, _environment, run
 from fracschrod.fraclap import _Stencil
 from fracschrod.grid import Region
 from fracschrod.solver import _lapack
 
 
-def _blas_build(module) -> str:
-    """Name and version of the BLAS a module was built against."""
-    try:
-        blas = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except (TypeError, KeyError):       # numpy before 1.26, scipy before 1.11
-        return f"{module.__name__} unknown"
-    return f"{module.__name__} {blas['name']} {blas['version']}"
-
-
 def pytest_report_header(config):
-    """The BLAS threading and builds the run holds under, printed at the
-    top of the log: the sha256 pins of test_golden.py hold at two and four
-    OpenBLAS threads but not at one (tests/golden/README.md), numpy and
-    scipy each bring their own OpenBLAS, and OPENBLAS_THREAD_TIMEOUT sets
-    how long their idle threads spin, which moves timings but no output.
-    The line ends with the file of the LAPACK wrappers the solver calls."""
-    threads = ", ".join(f"{name}={os.environ.get(name, 'unset')}"
-                        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                                     "OPENBLAS_THREAD_TIMEOUT"))
-    affinity = getattr(os, "sched_getaffinity", None)
-    cpus = len(affinity(0)) if affinity else os.cpu_count()
-    builds = ", ".join(_blas_build(module) for module in (np, scipy))
-    return (f"BLAS threads: {threads}; usable CPUs: {cpus}; BLAS builds: {builds}; "
-            f"LAPACK wrappers: {_lapack().__file__}")
+    """The run's environment record, as each manifest.json holds it, printed
+    at the top of the log: the sha256 pins of test_golden.py hold at two
+    and four OpenBLAS threads but not at one (tests/golden/README.md), and
+    numpy and scipy each bring their own OpenBLAS.  The line ends with the
+    file of the LAPACK wrappers the solver calls."""
+    env = _environment()
+    threads = ", ".join(f"{name}={'unset' if value is None else value}"
+                        for name, value in env["thread_variables"].items())
+    builds = ", ".join(f"{module} {blas['name']} {blas['version']}"
+                       for module, blas in env["blas"].items())
+    return (f"python {env['python']}, numpy {env['numpy']}, scipy {env['scipy']}; "
+            f"BLAS threads: {threads}; usable CPUs: {env['cpu_affinity']}; "
+            f"BLAS builds: {builds}; LAPACK wrappers: {_lapack().__file__}")
 
 
 def pytest_terminal_summary(terminalreporter):

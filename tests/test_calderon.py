@@ -25,7 +25,6 @@ from fracschrod import (
     evaluate_at,
     linearization_study,
     mass_m,
-    mean_potential,
     neumann_derivative,
     recover_potential,
     sample_function,
@@ -64,51 +63,6 @@ def matrix_and_jacobian(asm, a):
     green = _solve_system(asm.op, a, asm.neumann_lin.T).T
     return (asm.const + asm.neumann_lin @ sols,
             (-sols.T[:, None, :] * green).reshape(-1, len(a)))
-
-
-def test_mean_potential_degenerate_segment(op_small):
-    grid = op_small.grid
-    nl = catalogue("saturating-cubic", 1.0)
-    u = Field.from_values(grid, np.linspace(-1, 1, grid.n_nodes))
-    q = mean_potential(u, u, nl)
-    direct = np.asarray(nl.dq(grid.interior_nodes, u.interior_values))
-    assert np.max(np.abs(q - direct)) <= 1e-13
-
-
-def test_mean_potential_linear_model(op_small):
-    grid = op_small.grid
-    nl = catalogue("linear", 0.7)
-    rng = np.random.default_rng(2)
-    u1 = Field.from_values(grid, rng.standard_normal(grid.n_nodes))
-    u2 = Field.from_values(grid, rng.standard_normal(grid.n_nodes))
-    q = mean_potential(u1, u2, nl)
-    assert np.max(np.abs(q - 0.7)) <= 1e-13
-
-
-def test_mean_potential_unit_segment(op_small):
-    # by the fundamental theorem, the averaged derivative over the segment
-    # from 0 to 1 equals q(1) - q(0) = 1/2 for the saturating model
-    grid = op_small.grid
-    nl = catalogue("saturating-cubic", 1.0)
-    u1 = Field.from_values(grid, np.ones(grid.n_nodes))
-    u2 = Field.zeros(grid)
-    q = mean_potential(u1, u2, nl)
-    assert np.max(np.abs(q - 0.5)) <= 1e-10
-
-
-def test_mean_potential_generic_segment_vs_quadrature(op_small):
-    from scipy.integrate import quad
-
-    grid = op_small.grid
-    nl = catalogue("saturating-cubic", 1.0)
-    hi, lo = 1.7, -0.4
-    u1 = Field.from_values(grid, np.full(grid.n_nodes, hi))
-    u2 = Field.from_values(grid, np.full(grid.n_nodes, lo))
-    q = mean_potential(u1, u2, nl)
-    dq_scalar = lambda t: (3 * t**2 + t**4) / (1 + t**2) ** 2
-    oracle, _ = quad(lambda t: dq_scalar(t * hi + (1 - t) * lo), 0.0, 1.0,
-                     epsabs=1e-13, epsrel=1e-13)
-    assert np.max(np.abs(q - oracle)) <= 1e-10
 
 
 def test_linearized_zero_data(op_small):
@@ -532,11 +486,33 @@ def test_recover_two_bump_potential(op_coarse):
     assert rel < 0.10, rel
 
 
-def test_recover_returns_the_dn_matrix_it_fitted(op_coarse):
+def test_recover_returns_the_dn_matrix_it_fitted(op_coarse, monkeypatch):
+    # the fitted matrix is formed from the accepted evaluation's solutions:
+    # no system is solved (nor, after a rejected trial, factored) after the
+    # last gauss_newton call
+    from fracschrod import calderon
+
     window = recovery_window(op_coarse.grid)
     measurements = dn_map(op_coarse, 0.5 * np.ones(op_coarse.grid.n_interior), window)
+    calls = []
+    gauss_newton = calderon._DnAssembler.gauss_newton
+
+    def evaluation_spy(*args):
+        out = gauss_newton(*args)
+        calls.append("evaluation")
+        return out
+
+    def solve_spy(*args):
+        calls.append("solve")
+        return _solve_system(*args)
+
+    monkeypatch.setattr(calderon._DnAssembler, "gauss_newton", evaluation_spy)
+    monkeypatch.setattr(calderon, "_solve_system", solve_spy)
     result = recover_potential(op_coarse, measurements, lambda_reg=0.0,
                                max_evaluations=20)
+    monkeypatch.undo()
+    assert calls.count("evaluation") == result.n_evaluations
+    assert calls[-1] == "evaluation"
     probes = list(zip(measurements.probe_ids, measurements.probes))
     want = dn_map(op_coarse, result.a_estimate, window, probes)
     assert result.fitted.matrix.tobytes() == want.matrix.tobytes()
@@ -604,17 +580,32 @@ def test_dn_matrix_rejects_non_finite_entries(op_coarse):
 
 def test_recover_stagnation(op_coarse):
     # measurements extrapolated beyond the a >= 0 cone: the best fit needs a
-    # negative potential, so the bounded iteration cannot descend
-    from fracschrod.errors import MisfitStagnation
-
+    # negative potential, so a = 0 is the bounded optimum (every gradient
+    # entry >= 0 there) and the iteration returns it, converged, at once
     window = recovery_window(op_coarse.grid)
     ni = op_coarse.grid.n_interior
     m0 = dn_map(op_coarse, np.zeros(ni), window)
     m5 = dn_map(op_coarse, 0.5 * np.ones(ni), window)
     bad = DnLike(m0, 2.0 * m0.matrix - m5.matrix)
+    result = recover_potential(op_coarse, bad, lambda_reg=0.0)
+    assert result.stop == "gradient"
+    assert result.iterations == 0 and result.gradient_norm == 0.0
+    assert np.all(result.a_estimate == 0.0)
+    asm = _DnAssembler(op_coarse, window, list(zip(bad.probe_ids, bad.probes)))
+    grad = asm.gauss_newton(np.zeros(ni), bad.matrix, 0.0)[1]
+    assert np.all(grad >= 0.0)
+
+
+def test_recover_stagnation_without_an_accepted_step(op_coarse):
+    # a start whose projected gradient is nonzero and no accepted step (the
+    # cap allows the evaluation at a = 0 alone): no progress is a named error
+    from fracschrod.errors import MisfitStagnation
+
+    window = recovery_window(op_coarse.grid)
+    measured = dn_map(op_coarse, 0.5 * np.ones(op_coarse.grid.n_interior), window)
     with pytest.raises(MisfitStagnation) as err:
-        recover_potential(op_coarse, bad, lambda_reg=0.0)
-    assert err.value.last_iterate is not None
+        recover_potential(op_coarse, measured, lambda_reg=0.0, max_evaluations=1)
+    assert np.all(err.value.last_iterate == 0.0)
 
 
 def test_recover_noise_robustness(op_coarse):
@@ -768,14 +759,15 @@ def test_compare_banks_mismatch(op_small):
         compare_cauchy_banks(bank1, bank2, tol=1e-10)
 
 
-def scipy_loaded_by(code: str) -> set[str]:
-    """The scipy modules, by full name, loaded by the end of code, run in a
-    fresh interpreter after import fracschrod as fs and import numpy as np."""
+def modules_loaded_by(code: str, package: str = "scipy") -> set[str]:
+    """The modules named package... (scipy's by default), by full name,
+    loaded by the end of code, run in a fresh interpreter after import
+    fracschrod as fs and import numpy as np."""
     src = str(Path(fracschrod.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     code = ("import sys\nimport numpy as np\nimport fracschrod as fs\n" + code
-            + "\nprint(' '.join(m for m in sys.modules if m.startswith('scipy')))")
+            + f"\nprint(' '.join(m for m in sys.modules if m.startswith({package!r})))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
@@ -785,7 +777,7 @@ def scipy_loaded_by(code: str) -> set[str]:
 def test_import_leaves_scipy_optimize_unloaded():
     # the LAPACK wrappers and hyp2f1 load when first called, and nothing
     # loads scipy.optimize, so importing the package loads no scipy module
-    assert scipy_loaded_by("") == set()
+    assert modules_loaded_by("") == set()
 
 
 def assert_lapack_alone(loaded: set[str]) -> None:
@@ -819,11 +811,11 @@ fs.solve_linear(fs.LinearProblem(op, np.zeros(ni), np.ones(ni), g))
 
 def test_forward_2d_loads_no_scipy():
     # a non-stiff Newton solve (FFTs through numpy.fft) and a Neumann trace
-    assert scipy_loaded_by(FORWARD_2D) == set()
+    assert modules_loaded_by(FORWARD_2D) == set()
 
 
 def test_linear_solve_loads_lapack_alone():
-    assert_lapack_alone(scipy_loaded_by(LINEAR_1D))
+    assert_lapack_alone(modules_loaded_by(LINEAR_1D))
 
 
 RECOVER_1D = """
@@ -836,7 +828,7 @@ fs.recover_potential(op, measured, 0.0, max_evaluations=5)
 
 def test_recovery_loads_lapack_alone():
     # the DN map and the recovery need LAPACK's packed Cholesky and LU solve
-    assert_lapack_alone(scipy_loaded_by(RECOVER_1D))
+    assert_lapack_alone(modules_loaded_by(RECOVER_1D))
 
 
 PROBE_1D = """
@@ -848,7 +840,13 @@ assert fs.strong_uniqueness_probe(grid, op, window) > 0
 
 
 def test_probe_loads_lapack_alone():
-    assert_lapack_alone(scipy_loaded_by(PROBE_1D))
+    assert_lapack_alone(modules_loaded_by(PROBE_1D))
+
+
+def test_dn_map_and_recovery_leave_numpy_ma_unloaded():
+    # np.unique on numpy 2.4 imports numpy.ma; the DN set-up finds the
+    # probes' support by a mask instead
+    assert "numpy.ma" not in modules_loaded_by(RECOVER_1D, "numpy")
 
 
 LAPACK_IS_SCIPYS = """
@@ -865,7 +863,7 @@ for name in ("dpftrf", "dpftrs", "dgesv", "dgesdd", "dgesdd_lwork"):
 def test_lapack_is_the_module_scipy_linalg_uses(first):
     # in either import order, one module object: the loader registers what
     # it loads, and returns what scipy.linalg loaded
-    assert "scipy.linalg" in scipy_loaded_by(first + LAPACK_IS_SCIPYS)
+    assert "scipy.linalg" in modules_loaded_by(first + LAPACK_IS_SCIPYS)
 
 
 def _foreign_probes(window, beyond=False):

@@ -1,9 +1,10 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from fracschrod import Domain, build_grid
+from fracschrod import Domain, NewtonConfig, build_grid
 from fracschrod.cli import main
 from fracschrod.solver import _physical_memory
 from conftest import CONFIGS
@@ -53,7 +54,11 @@ def test_solve_getoor_config(tmp_path):
     env = manifest["environment"]
     assert set(env) == {"python", "numpy", "scipy", "blas", "thread_variables",
                         "cpu_affinity"}
-    assert env["numpy"] == np.__version__ and set(env["blas"]) == {"name", "version"}
+    assert env["numpy"] == np.__version__
+    assert set(env["blas"]) == {"numpy", "scipy"}
+    assert all(set(build) == {"name", "version"} for build in env["blas"].values())
+    assert {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+            "OPENBLAS_THREAD_TIMEOUT"} <= set(env["thread_variables"])
     assert env["cpu_affinity"] >= 1
 
 
@@ -108,6 +113,13 @@ def test_malformed_order_rejected(tmp_path):
     (dict(RECOVER, regularization="1e-6"), 1, "Validation"),
     ({"experiment": "probe", "window_sweep": [40.7]}, 1, "Validation"),
     ({"experiment": "forward", "newton": {"max_iters": 2.7}}, 1, "Validation"),
+    # the newton object is NewtonConfig's to check: a string damping ran as
+    # 0.5, a string tolerance was a raw ValueError (exit 2), an unknown key
+    # was ignored and a non-object was a raw AttributeError (exit 2)
+    ({"experiment": "forward", "newton": {"damping": "0.5"}}, 1, "Validation"),
+    ({"experiment": "forward", "newton": {"residual_tol": "x"}}, 1, "Validation"),
+    ({"experiment": "forward", "newton": {"tolerance": 1e-8}}, 1, "Validation"),
+    ({"experiment": "linearize", "newton": [50]}, 1, "Validation"),
 ])
 def test_exit_codes(tmp_path, capsys, override, code, error):
     out = tmp_path / "out"
@@ -210,6 +222,10 @@ def test_forward_with_bank(tmp_path):
     header, rows = read_csv(out / "newton_trace.csv")
     assert header == ["iteration", "residual"]
     assert float(rows[-1][1]) <= 1e-10
+    # the manifest records the Newton settings the run used, defaults included
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["newton"] == asdict(NewtonConfig())
+    assert set(manifest["config"]["newton"]) == {"max_iters", "residual_tol", "damping"}
 
 
 def test_forward_factors_nothing(tmp_path, monkeypatch):
@@ -249,6 +265,8 @@ def test_linearize_linear_model(tmp_path):
     header, rows = read_csv(out / "linearize.csv")
     assert header == ["eta", "e_l2", "e_sup", "converged"]
     assert all(float(r[2]) <= 1e-10 for r in rows)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["newton"] == asdict(NewtonConfig(residual_tol=1e-13))
 
 
 def test_principles_run(tmp_path):
