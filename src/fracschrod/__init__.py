@@ -10,7 +10,6 @@ from .calderon import (
     DnMatrix,
     LinearizationStudy,
     RecoveryResult,
-    canonical_probes,
     compare_cauchy_banks,
     dn_map,
     linearization_study,
@@ -23,7 +22,6 @@ from .cauchy import (
     bank_to_json,
     build_cauchy_bank,
     exterior_identity_check,
-    make_cauchy_datum,
     mass_m,
     neumann_derivative,
 )

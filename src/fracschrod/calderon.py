@@ -66,9 +66,14 @@ class LinearizationStudy:
     norms: tuple[str, str] = ("l2-weighted", "sup")
 
 
+# the study's Newton settings unless the caller gives its own: the
+# difference quotients divide the solves' error by eta
+LINEARIZATION_NEWTON = NewtonConfig(residual_tol=1e-12)
+
+
 def linearization_study(op: NonlocalOperator, nl: Nonlinearity, g: Field,
                         h: Field, eta_schedule,
-                        cfg: NewtonConfig = NewtonConfig(residual_tol=1e-12)
+                        cfg: NewtonConfig = LINEARIZATION_NEWTON
                         ) -> LinearizationStudy:
     """Measure convergence of the difference quotient to the linearization.
 
@@ -113,10 +118,15 @@ def linearization_study(op: NonlocalOperator, nl: Nonlinearity, g: Field,
 
 @dataclass(frozen=True, eq=False)
 class DnMatrix:
-    """Window responses of the linearized problem, one column per probe."""
+    """Window responses of the linearized problem, one column per probe.
+
+    A probe is the unit exterior datum at a window node; probes holds those
+    nodes, an int array in column order (dn_map's default: every window
+    node, ascending).  Any other probe family is a combination of these
+    columns, so it carries no more information."""
 
     window: Window
-    probes: tuple[Field, ...]
+    probes: np.ndarray
     probe_ids: tuple[str, ...]
     matrix: np.ndarray
 
@@ -127,15 +137,18 @@ class DnMatrix:
             raise Validation("response matrix contains non-finite values")
 
 
-def canonical_probes(window: Window) -> list[tuple[str, Field]]:
-    """Per-node unit bumps on the window: the full-information probe basis."""
-    grid = window.grid
-    out = []
-    for idx in window.indices:
-        values = np.zeros(grid.n_nodes)
-        values[idx] = 1.0
-        out.append((f"node-{int(idx)}", Field.from_values(grid, values)))
-    return out
+def _probe_rows(window: Window, probes) -> np.ndarray:
+    """The window row of each probe node.  A node the window lacks, or one
+    given twice, would be a zero or repeated unit column: RankDeficientProbes;
+    anything but a nonempty 1-D integer array is Validation."""
+    nodes = np.asarray(probes)
+    if nodes.ndim != 1 or nodes.size == 0 or not np.issubdtype(nodes.dtype, np.integer):
+        raise Validation(f"probes must be a nonempty 1-D array of window node indices, "
+                         f"got {nodes.dtype} of shape {nodes.shape}")
+    rows = np.minimum(np.searchsorted(window.indices, nodes), window.size - 1)
+    if np.any(window.indices[rows] != nodes) or np.bincount(rows).max() > 1:
+        raise RankDeficientProbes("probe nodes must be distinct nodes of the window")
+    return rows
 
 
 class _DnAssembler:
@@ -149,54 +162,43 @@ class _DnAssembler:
     Gauss-Newton matrix from the Khatri-Rao structure of the Jacobian;
     curvature gives the second derivative its geodesic acceleration needs,
     seen through J^T.  Neither forms J.
-    Set-up forms no array over all N nodes against all p probes: probe
-    values are held at their support and at the window only, and the window
-    rows are formed one batch at a time, each giving the zero-extension
-    term and the Neumann kernel, its interior columns negated.
+    A probe is the unit datum at a window node (nodes, default: every window
+    node), checked before any set-up.  Set-up forms no array over all N
+    nodes against all p probes: the window rows are formed one batch at a
+    time, each giving the Neumann kernel, its interior columns negated, and
+    the zero-extension term at the probe columns.
     """
 
-    def __init__(self, op: NonlocalOperator, window: Window,
-                 probes: list[tuple[str, Field]]):
+    def __init__(self, op: NonlocalOperator, window: Window, nodes=None):
         grid = op.grid
         if not window.grid.same_as(grid):
             raise GridMismatch("window grid differs from operator grid")
+        nodes = window.indices if nodes is None else nodes
+        at = _probe_rows(window, nodes)
         self.op = op
         self.window = window
-        self.ids = tuple(name for name, _ in probes)
-        self.fields = tuple(f for _, f in probes)
-        if not self.fields:
-            raise Validation("at least one probe is needed")
-        for f in self.fields:
-            if not f.grid.same_as(grid):
-                raise GridMismatch("probe grid differs from operator grid")
-            if np.any(f.interior_values != 0.0):
-                raise Validation("probes must be supported on exterior nodes")
-        pw = np.stack([f.values[window.indices] for f in self.fields], axis=1)
-        if np.linalg.matrix_rank(pw) < len(self.fields):
-            raise RankDeficientProbes("probes are dependent as window vectors")
-        mass = mass_m(grid, op.params, window.indices)
+        self.nodes = np.array(nodes, dtype=int)
+        mass = mass_m(grid, op.params, window.indices)[at]
 
         stencil = _Stencil(grid, op.params)
-        # the probes' exterior support and their values there, by exact
-        # columns of -a_ie (a mask: np.unique on numpy 2.4 imports numpy.ma)
-        held = np.zeros(grid.n_nodes, dtype=bool)
-        for f in self.fields:
-            held |= f.values != 0.0
-        support = np.flatnonzero(held)
-        values = np.stack([f.values[support] for f in self.fields], axis=1)
-        self.rhs = stencil.rows(grid.interior_index, support)[0] @ values
+        # exact columns of -a_ie: the unit probes' right-hand sides
+        self.rhs = stencil.rows(grid.interior_index, self.nodes)[0]
         # constant-in-potential part of each column: the Neumann kernel's
         # mass, the kernel mass m and the zero-extension term, by the
-        # operator rows at window nodes; no correction reaches an interior
-        # column from a window node, at least h from the domain (mass_m)
+        # operator rows at window nodes; a probe's column is -w_gj off its
+        # own row and (-sum N_g - m_g) + (sum_j w_gj + tail_g - w_gg) on it.
+        # No correction reaches an interior column from a window node, at
+        # least h from the domain (mass_m)
         self.neumann_lin = np.empty((window.size, grid.n_interior))
-        e0 = np.empty(pw.shape)
+        self.const = np.empty((window.size, self.nodes.size))
+        total = np.empty(window.size)       # sum_j w_gj + tail_g per window row
         for sl in _blocks(window.size, grid.n_nodes):
             rows, tails = stencil.rows(window.indices[sl])
             np.negative(rows[:, grid.interior_index], out=self.neumann_lin[sl])
-            e0[sl] = (pw[sl] * (rows.sum(axis=1) + tails)[:, None]
-                      - rows[:, support] @ values)
-        self.const = pw * -self.neumann_lin.sum(axis=1)[:, None] - mass[:, None] * pw + e0
+            np.negative(rows[:, self.nodes], out=self.const[sl])
+            total[sl] = rows.sum(axis=1) + tails
+        own = (at, np.arange(at.size))
+        self.const[own] = (-self.neumann_lin[at].sum(axis=1) - mass) + (total[at] + self.const[own])
 
     def matrix(self, a: np.ndarray) -> np.ndarray:
         return self.const + self.neumann_lin @ _solve_system(self.op, a, self.rhs)
@@ -247,18 +249,18 @@ class _DnAssembler:
 
 
 def dn_map(op: NonlocalOperator, a: np.ndarray, window: Window,
-           probes: list[tuple[str, Field]] | None = None) -> DnMatrix:
+           probes=None) -> DnMatrix:
     """Assemble the linearized DN matrix for a nonnegative potential.
 
     Column k holds the operator values of the linearized solution driven by
-    probe k, evaluated on the window through the exterior identity.  The
-    potential is checked as the solver checks it, before any set-up.
+    the unit datum at probe node k (default: every window node, ascending),
+    evaluated on the window through the exterior identity.  The potential
+    and the probe nodes are checked before any set-up.
     """
     a = _checked_potential(op, a)
-    if probes is None:
-        probes = canonical_probes(window)
     asm = _DnAssembler(op, window, probes)
-    return DnMatrix(window=window, probes=asm.fields, probe_ids=asm.ids,
+    return DnMatrix(window=window, probes=asm.nodes,
+                    probe_ids=tuple(f"node-{i}" for i in asm.nodes),
                     matrix=asm.matrix(a))
 
 
@@ -340,8 +342,7 @@ def recover_potential(reference_op: NonlocalOperator, measurements: DnMatrix,
             or max_evaluations < 1):
         raise Validation("max_evaluations must be a positive integer")
     ni = reference_op.grid.n_interior
-    asm = _DnAssembler(reference_op, measurements.window,
-                       list(zip(measurements.probe_ids, measurements.probes)))
+    asm = _DnAssembler(reference_op, measurements.window, measurements.probes)
     target = measurements.matrix
 
     a = np.zeros(ni)
@@ -390,7 +391,8 @@ def recover_potential(reference_op: NonlocalOperator, measurements: DnMatrix,
             mu, nu = max(_MU_FLOOR, mu * max(1 / 3, 1 - (2 * rho - 1) ** 3)), 2.0
         else:
             mu, nu = mu * nu, 2 * nu
-    fitted = DnMatrix(asm.window, asm.fields, asm.ids, asm.const + asm.neumann_lin @ sols)
+    fitted = DnMatrix(asm.window, asm.nodes, measurements.probe_ids,
+                      asm.const + asm.neumann_lin @ sols)
     if stop != "gradient" and cost0 > 1e-24 and cost >= cost0 * (1 - 1e-12):
         raise MisfitStagnation("recovery made no progress", last_iterate=a)
     return RecoveryResult(a_estimate=a, fitted=fitted,

@@ -150,13 +150,6 @@ def exterior_identity_check(op: NonlocalOperator, u: Field, g: Field,
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def make_cauchy_datum(op: NonlocalOperator, nl: Nonlinearity, g: Field,
-                      window: Window, cfg: NewtonConfig = NewtonConfig(),
-                      provenance: str = "g") -> CauchyDatum:
-    """Solve the semilinear problem for g and record its Cauchy pair on W."""
-    return build_cauchy_bank(op, nl, [(provenance, g)], window, cfg)[0]
-
-
 def build_cauchy_bank(op: NonlocalOperator, nl: Nonlinearity,
                       probes: list[tuple[str, Field]], window: Window,
                       cfg: NewtonConfig = NewtonConfig()) -> list[CauchyDatum]:

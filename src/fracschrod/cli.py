@@ -28,6 +28,7 @@ import scipy
 
 from . import __version__
 from .calderon import (
+    LINEARIZATION_NEWTON,
     dn_map,
     linearization_study,
     recover_potential,
@@ -177,15 +178,15 @@ def _band(cfg) -> tuple[float, float]:
         raise Validation(f"bad window spec: {err}") from err
 
 
-def _newton(cfg) -> NewtonConfig:
-    """The newton object as a NewtonConfig, which checks its values and
-    holds the defaults; cfg records the settings in full."""
+def _newton(cfg, default: NewtonConfig) -> NewtonConfig:
+    """The newton object's keys over the experiment's default, as a
+    NewtonConfig, which checks its values; cfg records the settings in full."""
     spec = cfg["newton"]
     names = {field.name for field in fields(NewtonConfig)}
     if not isinstance(spec, dict) or not set(spec) <= names:
         raise Validation(f"config newton must be an object with keys among "
                          f"{sorted(names)}, got {spec!r}")
-    newton = NewtonConfig(**spec)
+    newton = replace(default, **spec)
     cfg["newton"] = asdict(newton)
     return newton
 
@@ -208,7 +209,7 @@ def run_solve(cfg: dict, out: Path) -> dict:
 
 def run_forward(cfg: dict, out: Path) -> dict:
     band = _band(cfg) if cfg.get("window") is not None else None
-    newton = _newton(cfg)
+    newton = _newton(cfg, NewtonConfig())
     grid, op = _grid_and_operator(cfg)
     nl = _nonlinearity(cfg)
     g = _bump_field(grid, cfg["exterior_data"])
@@ -267,7 +268,7 @@ def run_principles(cfg: dict, out: Path) -> dict:
 
 
 def run_linearize(cfg: dict, out: Path) -> dict:
-    newton = _newton(cfg)
+    newton = _newton(cfg, LINEARIZATION_NEWTON)
     grid, op = _grid_and_operator(cfg)
     nl = _nonlinearity(cfg)
     g = _bump_field(grid, cfg["exterior_data"])

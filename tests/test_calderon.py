@@ -18,7 +18,6 @@ from fracschrod import (
     build_cauchy_bank,
     build_grid,
     c3_bump,
-    canonical_probes,
     catalogue,
     compare_cauchy_banks,
     dn_map,
@@ -169,12 +168,15 @@ def test_dn_map_2d_is_the_exterior_identity(grid_2d):
     # mass and the operator rows, each evaluated on its own
     op = assemble(grid_2d, 0.5)
     window = annulus_window(grid_2d, grid_2d.h, 0.5)
-    probes = canonical_probes(window)[::37]
+    nodes = window.indices[::37]
     a = 0.5 * np.exp(-np.sum(grid_2d.interior_nodes ** 2, axis=1))
-    dn = dn_map(op, a, window, probes)
+    dn = dn_map(op, a, window, nodes)
     idx = window.indices
     mass = mass_m(grid_2d, op.params, idx)
-    for column, (_, probe) in zip(dn.matrix.T, probes):
+    for column, node in zip(dn.matrix.T, nodes):
+        values = np.zeros(grid_2d.n_nodes)
+        values[node] = 1.0
+        probe = Field.from_values(grid_2d, values)
         v = solve_linearized(op, a, probe)
         want = (neumann_derivative(grid_2d, op.params, v, idx) - mass * v.values[idx]
                 + evaluate_at(op, probe, idx))
@@ -183,7 +185,7 @@ def test_dn_map_2d_is_the_exterior_identity(grid_2d):
 
 @pytest.mark.parametrize("h", [1.0 / 8, 1.0 / 16])
 def test_dn_map_reflection_symmetry(h):
-    # the domain, window, and canonical probes are symmetric about 0, so the
+    # the domain, window, and window-node probes are symmetric about 0, so the
     # response of the zero potential commutes with the reflection; holds at
     # both resolutions
     grid = build_grid(Domain.interval(-1, 1), h, 4.0)
@@ -212,13 +214,48 @@ def test_dn_map_monotone_in_potential(op_coarse):
     assert np.all(deltas > 0) or np.all(deltas < 0)
 
 
-def test_dn_map_rank_deficient_probes(op_coarse):
+@pytest.mark.parametrize("pick, error", [
+    (lambda w, n: w.indices[[0, 1, 0]], RankDeficientProbes),
+    (lambda w, n: np.array([w.indices[0], n - 1]), RankDeficientProbes),
+    (lambda w, n: np.array([w.indices[0], n]), RankDeficientProbes),
+    (lambda w, n: np.array([w.indices[0], -1]), RankDeficientProbes),
+    (lambda w, n: w.indices[:2].astype(float), Validation),
+    (lambda w, n: w.indices[:0], Validation),
+    (lambda w, n: w.indices[:4].reshape(2, 2), Validation),
+], ids=["repeated", "outside-the-window", "past-the-grid", "negative", "float",
+        "empty", "two-dimensional"])
+def test_bad_probe_nodes_are_refused_before_set_up(op_coarse, monkeypatch, pick, error):
+    # a repeated node or one the window lacks gives a repeated or zero unit
+    # column, a rank-deficient probe family; the window [h, 1] stops short
+    # of the grid's last node, n - 1
+    from fracschrod import calderon
+
+    def no_stencil(*args):
+        raise AssertionError("the DN set-up built a stencil before the probes were checked")
+
+    grid = op_coarse.grid
+    window = recovery_window(grid)
+    probes = pick(window, grid.n_nodes)
+    monkeypatch.setattr(calderon, "_Stencil", no_stencil)
+    with pytest.raises(error, match="probe"):
+        dn_map(op_coarse, np.zeros(grid.n_interior), window, probes)
+    measured = DnMatrix(window, probes, ("p",) * len(probes),
+                        np.zeros((window.size, len(probes))))
+    with pytest.raises(error, match="probe"):
+        recover_potential(op_coarse, measured, 0.0)
+
+
+def test_dn_set_up_runs_no_svd(op_coarse, monkeypatch):
+    # unit probes at distinct window nodes are independent by construction:
+    # the set-up checks the nodes, not the rank of their window block
+    def no_svd(*args, **kwargs):
+        raise AssertionError("the DN set-up ran an SVD")
+
+    monkeypatch.setattr(np.linalg, "matrix_rank", no_svd)
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
     window = recovery_window(op_coarse.grid)
-    probes = canonical_probes(window)[:2]
-    probes.append(probes[0])
-    with pytest.raises(RankDeficientProbes):
-        dn_map(op_coarse, np.zeros(op_coarse.grid.n_interior), window,
-               probes=probes)
+    dn = dn_map(op_coarse, np.zeros(op_coarse.grid.n_interior), window)
+    assert dn.matrix.shape == (window.size, window.size)
 
 
 @pytest.mark.parametrize("a, error", [
@@ -240,7 +277,7 @@ def test_dn_map_locally_injective(op_coarse):
     # the potential-to-response map has a trivial-kernel Jacobian at a = 0.5
     grid = op_coarse.grid
     window = recovery_window(grid)
-    asm = _DnAssembler(op_coarse, window, canonical_probes(window))
+    asm = _DnAssembler(op_coarse, window)
     jac = matrix_and_jacobian(asm, 0.5 * np.ones(grid.n_interior))[1]
     sigma_min = float(np.linalg.svd(jac, compute_uv=False)[-1])
     print(f"\ndn-map jacobian sigma_min at a=0.5: {sigma_min:.3e}")
@@ -256,7 +293,7 @@ def test_jacobian_reuses_the_factor_of_the_last_potential(op_coarse, monkeypatch
     grid = op_coarse.grid
     window = recovery_window(grid)
     a = two_bump_potential(grid)
-    fresh = calderon._DnAssembler(op_coarse, window, canonical_probes(window))
+    fresh = calderon._DnAssembler(op_coarse, window)
     target = fresh.matrix(0.5 * np.ones(grid.n_interior))
     want = fresh.gauss_newton(a, target, 1e-6)
     calls = []
@@ -264,7 +301,7 @@ def test_jacobian_reuses_the_factor_of_the_last_potential(op_coarse, monkeypatch
     monkeypatch.setattr(solver, "_factor_system",
                         lambda *args: calls.append(1) or factor_system(*args))
     op = assemble(grid, op_coarse.params.s)
-    asm = calderon._DnAssembler(op, window, canonical_probes(window))
+    asm = calderon._DnAssembler(op, window)
     asm.matrix(a)
     got = asm.gauss_newton(a.copy(), target, 1e-6)
     assert got[0] == want[0]
@@ -279,7 +316,7 @@ def test_jacobian_is_the_derivative_of_the_matrix(op_coarse):
     # does; central differences with step 1e-5 (measured: 1.5e-9 relative)
     grid = op_coarse.grid
     window = recovery_window(grid)
-    asm = _DnAssembler(op_coarse, window, canonical_probes(window))
+    asm = _DnAssembler(op_coarse, window)
     a = two_bump_potential(grid)
     jac = matrix_and_jacobian(asm, a)[1]
     step = 1e-5
@@ -290,19 +327,19 @@ def test_jacobian_is_the_derivative_of_the_matrix(op_coarse):
 
 
 def _recovery_windows(grid):
-    """The recovery window with its canonical probes (k p residuals > ni),
+    """The recovery window with a probe at every node (k p residuals > ni),
     and its first four nodes with one probe (4 residuals < ni, a singular
     Gauss-Newton matrix)."""
     window = recovery_window(grid)
     short = Window(grid, window.indices[:4])
-    return {"full": (window, canonical_probes(window)),
-            "one-probe": (short, canonical_probes(short)[:1])}
+    return {"full": (window, None),
+            "one-probe": (short, short.indices[:1])}
 
 
 @pytest.fixture(scope="module")
 def op_2d_quarter():
     """(-1,1)^2 at h = 1/4, R = 3: ni = 49 unknowns against 176 window
-    nodes and 176 canonical probes."""
+    nodes and 176 probes."""
     return assemble(build_grid(Domain.box((-1.0, -1.0), (1.0, 1.0)), 0.25, 3.0), 0.5)
 
 
@@ -325,7 +362,7 @@ def test_reduced_problem_has_the_full_cost_gradient_and_gauss_newton_matrix(
     if case == "2d":
         op = op_2d_quarter
         window = recovery_window(op.grid)
-        probes = canonical_probes(window)
+        probes = None
         a = two_bump_potential_2d(op.grid)
     else:
         op = op_coarse
@@ -362,7 +399,7 @@ def test_curvature_is_j_transpose_of_the_second_derivative(op_coarse, op_2d_quar
     else:
         op, a = op_coarse, two_bump_potential(op_coarse.grid)
     window = recovery_window(op.grid)
-    asm = _DnAssembler(op, window, canonical_probes(window))
+    asm = _DnAssembler(op, window)
     v = np.random.default_rng(32).standard_normal(len(a))
     system = dense_interior(op) + np.diag(op.tail + a)
     inner = np.linalg.solve(system, asm.rhs)
@@ -513,8 +550,7 @@ def test_recover_returns_the_dn_matrix_it_fitted(op_coarse, monkeypatch):
     monkeypatch.undo()
     assert calls.count("evaluation") == result.n_evaluations
     assert calls[-1] == "evaluation"
-    probes = list(zip(measurements.probe_ids, measurements.probes))
-    want = dn_map(op_coarse, result.a_estimate, window, probes)
+    want = dn_map(op_coarse, result.a_estimate, window, measurements.probes)
     assert result.fitted.matrix.tobytes() == want.matrix.tobytes()
     assert result.fitted.probe_ids == want.probe_ids
     assert result.misfit == float(np.linalg.norm(want.matrix - measurements.matrix))
@@ -559,7 +595,8 @@ def test_recover_takes_a_numpy_float_lambda(op_coarse):
 
 
 def test_empty_probe_list_rejected(op_coarse):
-    # np.stack raised a bare "need at least one array to stack"
+    # np.stack raised a bare "need at least one array to stack" when probes
+    # were fields
     grid = op_coarse.grid
     window = recovery_window(grid)
     with pytest.raises(Validation, match="probe"):
@@ -591,7 +628,7 @@ def test_recover_stagnation(op_coarse):
     assert result.stop == "gradient"
     assert result.iterations == 0 and result.gradient_norm == 0.0
     assert np.all(result.a_estimate == 0.0)
-    asm = _DnAssembler(op_coarse, window, list(zip(bad.probe_ids, bad.probes)))
+    asm = _DnAssembler(op_coarse, window, bad.probes)
     grad = asm.gauss_newton(np.zeros(ni), bad.matrix, 0.0)[1]
     assert np.all(grad >= 0.0)
 
@@ -844,8 +881,8 @@ def test_probe_loads_lapack_alone():
 
 
 def test_dn_map_and_recovery_leave_numpy_ma_unloaded():
-    # np.unique on numpy 2.4 imports numpy.ma; the DN set-up finds the
-    # probes' support by a mask instead
+    # np.unique on numpy 2.4 imports numpy.ma; the DN set-up finds repeated
+    # probe nodes by np.bincount instead
     assert "numpy.ma" not in modules_loaded_by(RECOVER_1D, "numpy")
 
 
@@ -866,40 +903,20 @@ def test_lapack_is_the_module_scipy_linalg_uses(first):
     assert "scipy.linalg" in modules_loaded_by(first + LAPACK_IS_SCIPYS)
 
 
-def _foreign_probes(window, beyond=False):
-    """Unit probes at the window's node indices, built on the h/2 grid with
-    the same R, where those indices are exterior nodes too; with beyond,
-    the first also carries the h/2 grid's last node, past the window
-    grid's node count."""
-    grid = window.grid
-    fine = build_grid(grid.domain, grid.h / 2, grid.R)
-    probes = []
-    for idx in window.indices:
-        values = np.zeros(fine.n_nodes)
-        values[idx] = 1.0
-        if beyond and not probes:
-            values[-1] = 1.0
-        probes.append((f"node-{idx}", Field.from_values(fine, values)))
-    return probes
+def test_recovery_rejects_a_window_of_another_grid(op_coarse, monkeypatch):
+    # the probes are nodes of the measurements' window, so its grid is
+    # theirs: one with the same h and a larger R is refused before set-up
+    from fracschrod import calderon
 
+    def no_stencil(*args):
+        raise AssertionError("the DN set-up built a stencil before the window was checked")
 
-@pytest.mark.parametrize("beyond", [False, True])
-def test_dn_map_rejects_probes_of_another_grid(op_coarse, beyond):
-    # without beyond the DN matrix came back silently, with it as a bare
-    # IndexError
-    window = recovery_window(op_coarse.grid)
-    probes = _foreign_probes(window, beyond)
-    with pytest.raises(GridMismatch, match="probe grid"):
-        dn_map(op_coarse, np.zeros(op_coarse.grid.n_interior), window, probes)
-
-
-def test_recovery_rejects_probes_of_another_grid(op_coarse):
-    window = recovery_window(op_coarse.grid)
-    probes = _foreign_probes(window)
-    measured = DnMatrix(window, tuple(f for _, f in probes),
-                        tuple(name for name, _ in probes),
-                        np.zeros((window.size, len(probes))))
-    with pytest.raises(GridMismatch, match="probe grid"):
+    grid = op_coarse.grid
+    other = build_grid(grid.domain, grid.h, grid.R + 1.0)
+    window = recovery_window(other)
+    measured = DnMatrix(window, window.indices, (), np.zeros((window.size, window.size)))
+    monkeypatch.setattr(calderon, "_Stencil", no_stencil)
+    with pytest.raises(GridMismatch, match="window grid"):
         recover_potential(op_coarse, measured, 0.0)
 
 

@@ -18,7 +18,6 @@ from fracschrod import (
     catalogue,
     evaluate_at,
     exterior_identity_check,
-    make_cauchy_datum,
     mass_m,
     neumann_derivative,
     solve_linear,
@@ -165,8 +164,8 @@ def test_identity_requires_matching_exterior(op_small):
 def test_cauchy_datum_zero_data(op_small):
     grid = op_small.grid
     window = annulus_window(grid, 0.5, 1.0)
-    datum = make_cauchy_datum(op_small, catalogue("saturating-cubic", 1.0),
-                              Field.zeros(grid), window)
+    [datum] = build_cauchy_bank(op_small, catalogue("saturating-cubic", 1.0),
+                                [("g", Field.zeros(grid))], window)
     assert np.all(datum.trace == 0.0)
     assert np.all(datum.neumann == 0.0)
 
@@ -175,7 +174,7 @@ def test_cauchy_datum_linear_composition(op_small):
     grid = op_small.grid
     window = annulus_window(grid, 0.5, 1.0)
     g = exterior_bump(grid, 1.5, 0.3, 0.7)
-    datum = make_cauchy_datum(op_small, catalogue("zero"), g, window)
+    [datum] = build_cauchy_bank(op_small, catalogue("zero"), [("g", g)], window)
     lin = solve_linear(LinearProblem(op=op_small, a=np.zeros(grid.n_interior),
                                      f=np.zeros(grid.n_interior), g=g))
     direct = neumann_derivative(grid, op_small.params, lin, window.indices)
@@ -191,8 +190,7 @@ def test_cauchy_data_nonhomogeneous(op_medium):
     cfg = NewtonConfig(residual_tol=1e-12)
     g1 = exterior_bump(grid, 1.5, 0.4, 1.0)
     g2 = exterior_bump(grid, 1.5, 0.4, 2.0)
-    d1 = make_cauchy_datum(op_medium, nl, g1, window, cfg)
-    d2 = make_cauchy_datum(op_medium, nl, g2, window, cfg)
+    d1, d2 = build_cauchy_bank(op_medium, nl, [("g1", g1), ("g2", g2)], window, cfg)
     assert np.max(np.abs(d2.neumann - 2.0 * d1.neumann)) > 1e-6
 
 
@@ -363,11 +361,13 @@ def test_cauchy_entry_points_reject_a_window_of_another_grid(op_small, entry, k)
     window = _foreign_windows(grid)[k]
     nl = catalogue("zero")
     g = exterior_bump(grid, 1.5, 0.3)
+    # a bank of one datum, and an empty bank: the window is checked before
+    # any probe is solved, not per probe
     with pytest.raises(GridMismatch, match="window"):
         if entry == "datum":
-            make_cauchy_datum(op_small, nl, g, window)
-        elif entry == "bank":
             build_cauchy_bank(op_small, nl, [("g", g)], window)
+        elif entry == "bank":
+            build_cauchy_bank(op_small, nl, [], window)
         else:
             u = solve_linear(LinearProblem(op=op_small, a=np.zeros(grid.n_interior),
                                            f=np.zeros(grid.n_interior), g=g))

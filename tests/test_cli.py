@@ -269,6 +269,27 @@ def test_linearize_linear_model(tmp_path):
     assert manifest["config"]["newton"] == asdict(NewtonConfig(residual_tol=1e-13))
 
 
+def test_linearize_defaults_to_the_study_newton_settings(tmp_path):
+    # without a newton object the run uses linearization_study's own
+    # default, not the forward solve's residual_tol 1e-10, and records it
+    from fracschrod.calderon import LINEARIZATION_NEWTON
+
+    cfg = {
+        "experiment": "linearize",
+        "domain": {"kind": "interval-1d", "lower": [-1.0], "upper": [1.0]},
+        "s": 0.5, "h": 1.0 / 8, "R": 3.0,
+        "nonlinearity": {"name": "linear", "a": 1.0},
+        "exterior_data": [{"center": [1.5], "width": 0.3, "amplitude": 1.0}],
+        "eta_schedule": [1e-1, 1e-2],
+    }
+    out = tmp_path / "out"
+    assert main(["linearize", "--config", write_config(tmp_path, cfg),
+                 "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["newton"]["residual_tol"] == 1e-12
+    assert manifest["config"]["newton"] == asdict(LINEARIZATION_NEWTON)
+
+
 def test_principles_run(tmp_path):
     cfg = {
         "experiment": "principles",

@@ -24,7 +24,6 @@ from fracschrod import (
     assemble,
     build_grid,
     c3_bump,
-    canonical_probes,
     catalogue,
     neumann_derivative,
     sample_function,
@@ -80,8 +79,9 @@ def test_no_call_forms_a_dense_exterior_block(traced_assembly):
     ni = grid.n_interior
     dense = ni * grid.n_exterior * 8
     g = Field.from_values(grid, np.where(grid.labels == Region.EXTERIOR, 0.5, 0.0))
-    # the 132 nodes one step off the domain (measured: 27.5 MiB for the DN
-    # set-up, against 44.9 MiB for a dense exterior block)
+    # the 132 nodes one step off the domain (measured: 20.0 MiB for the DN
+    # set-up, 27.5 MiB with probe fields, against 44.9 MiB for a dense
+    # exterior block)
     window = annulus_window(grid, grid.h, grid.h)
     peaks = {"assemble": assembly_peak}
     calls = {
@@ -90,7 +90,7 @@ def test_no_call_forms_a_dense_exterior_block(traced_assembly):
             op=op, a=np.full(ni, 0.25), f=np.ones(ni), g=g)),
         "solve_semilinear": lambda: solve_semilinear(
             op, catalogue("saturating-cubic", 1.0), g),
-        "_DnAssembler": lambda: _DnAssembler(op, window, canonical_probes(window)),
+        "_DnAssembler": lambda: _DnAssembler(op, window),
     }
     for name, call in calls.items():
         peaks[name] = traced_peak(call)[1]
@@ -132,7 +132,7 @@ def test_solve_and_dn_assembly_share_one_factor(traced_assembly):
     op = assemble(grid, 0.5)
     ni = grid.n_interior
     window = annulus_window(grid, grid.h, grid.h)
-    asm = _DnAssembler(op, window, canonical_probes(window)[:2])
+    asm = _DnAssembler(op, window, window.indices[:2])
 
     def solve_then_dn_matrix():
         solve_linear(LinearProblem(op=op, a=np.full(ni, 0.25), f=np.ones(ni),
@@ -181,24 +181,24 @@ def test_apply_peak_is_one_block(traced_assembly):
 
 
 def test_dn_assembler_keeps_its_three_arrays(traced_assembly):
-    # the window rows, one batch at a time, the probe values at their
-    # support and the exact exterior columns are set-up temporaries: the
+    # the window rows, one batch at a time, are set-up temporaries: the
     # assembler keeps the Neumann kernel, filled from the window rows'
     # interior columns, the probe right-hand sides and the constant part,
     # and forms no N x p or k x N array (measured: 29.3 MiB retained of a
-    # 78.5 MiB peak with 1220 probes; 87.4 MiB with a separate gather of the
-    # Neumann kernel, 205 MiB with the N-wide arrays)
+    # 42.0 MiB peak with 1220 window-node probes; 78.5 MiB with probe fields'
+    # values at their support and a dense rank check of the window block,
+    # 87.4 MiB with a separate gather of the Neumann kernel, 205 MiB with
+    # the N-wide arrays)
     op, _ = traced_assembly
     window = annulus_window(op.grid, op.grid.h, 0.5)
-    probes = canonical_probes(window)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        asm = _DnAssembler(op, window, probes)
+        asm = _DnAssembler(op, window)
         held, peak = (m - base for m in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
-    assert len(probes) == 1220
+    assert asm.nodes.size == 1220
     assert held <= asm.neumann_lin.nbytes + asm.rhs.nbytes + asm.const.nbytes + 2**20
     assert peak <= 82 * 2**20
 
@@ -207,7 +207,7 @@ def test_dn_assembler_keeps_its_three_arrays(traced_assembly):
 def test_gauss_newton_holds_no_jacobian(h, bound_mib):
     # one recovery evaluation holds the probe and Green solves (ni x p and
     # ni x k), the k x p residual and ni x ni products, never the (k p) x ni
-    # Jacobian: at h = 1/4 (ni = 49, 176 canonical probes on a 176-node
+    # Jacobian: at h = 1/4 (ni = 49, 176 window-node probes on a 176-node
     # window) the stack [J | r] with its Tikhonov rows was 31025 x 50, 11.8
     # MiB, and at h = 1/8 (ni = 225, 708 probes) 501489 x 226, 865 MiB
     # (measured: 0.57 and 7.7 MiB)
@@ -215,7 +215,7 @@ def test_gauss_newton_holds_no_jacobian(h, bound_mib):
     op = assemble(grid, 0.5)
     ni = grid.n_interior
     window = annulus_window(grid, grid.h, 1.0)
-    asm = _DnAssembler(op, window, canonical_probes(window))
+    asm = _DnAssembler(op, window)
     target = asm.matrix(np.full(ni, 0.5))
     a = np.linspace(0.0, 1.0, ni)
     _, peak = traced_peak(asm.gauss_newton, a, target, 1e-6)
