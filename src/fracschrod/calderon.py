@@ -23,7 +23,6 @@ its smallest singular value is the quantitative surrogate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
@@ -36,13 +35,15 @@ from .errors import (
     RankDeficientProbes,
     SingularSystem,
     Validation,
+    _finite_integer,
+    _finite_real,
 )
 from .cauchy import CauchyDatum, mass_m
 from .fraclap import NonlocalOperator, _blocks, _Stencil
 from .grid import Field, Grid, Window
 from .nonlinearity import Nonlinearity
-from .solver import (LinearProblem, NewtonConfig, _checked_potential, _finite_real,
-                     _lapack, _solve_system, solve_linear, solve_semilinear)
+from .solver import (LinearProblem, NewtonConfig, _checked_potential, _lapack,
+                     _solve_system, solve_linear, solve_semilinear)
 
 
 def solve_linearized(op: NonlocalOperator, dq_at_ug: np.ndarray,
@@ -338,8 +339,8 @@ def recover_potential(reference_op: NonlocalOperator, measurements: DnMatrix,
     lam = _finite_real(lambda_reg)
     if lam is None or lam < 0:
         raise Validation("lambda_reg must be a finite nonnegative real number")
-    if (isinstance(max_evaluations, bool) or not isinstance(max_evaluations, Integral)
-            or max_evaluations < 1):
+    cap = _finite_integer(max_evaluations)
+    if cap is None or cap < 1:
         raise Validation("max_evaluations must be a positive integer")
     ni = reference_op.grid.n_interior
     asm = _DnAssembler(reference_op, measurements.window, measurements.probes)
@@ -355,7 +356,7 @@ def recover_potential(reference_op: NonlocalOperator, measurements: DnMatrix,
         gradient_norm = float(np.max(np.abs(grad[free]), initial=0.0))
         if stop is None:
             stop = ("gradient" if gradient_norm == 0.0
-                    else "cap" if evaluations >= max_evaluations
+                    else "cap" if evaluations >= cap
                     else "damping" if mu > _MU_STOP else None)
         if stop is not None:
             break

@@ -35,7 +35,7 @@ from .calderon import (
     strong_uniqueness_probe,
 )
 from .cauchy import bank_to_json, build_cauchy_bank
-from .errors import ConfigParse, ToolkitError, Validation
+from .errors import ConfigParse, ToolkitError, Validation, _finite_integer, _finite_real
 from .fraclap import assemble
 from .grid import (_AXES, Domain, Field, Region, Window, annulus_window, build_grid,
                    c3_bump, sample_function)
@@ -44,7 +44,6 @@ from .serialize import dump, write_csv
 from .solver import (
     LinearProblem,
     NewtonConfig,
-    _finite_real,
     _full_field,
     build_barrier,
     check_comparison,
@@ -87,23 +86,30 @@ def _integer(literal: str) -> int:
     return int(literal)
 
 
-def _whole(value, key: str, low: int | None = None) -> int:
-    """A config number as an int, refused unless integral and at least low
-    (int() would truncate 2.5 to 2, and a negative trial count runs none)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1:
-        raise Validation(f"config {key} must be an integer, got {value!r}")
-    if low is not None and value < low:
-        raise Validation(f"config {key} must be at least {low}, got {value}")
-    return int(value)
-
-
-def _nonnegative(value, key: str) -> float:
-    """A config number as a float, refused unless real, finite and at least
-    0 (a negative noise level ran noiseless, and true ran as 1)."""
-    number = _finite_real(value)
-    if number is None or number < 0:
-        raise Validation(f"config {key} must be a nonnegative number, got {value!r}")
+def _number(value, key: str, low: float | None = None, integer: bool = False):
+    """A config number by _finite_real (_finite_integer if integer), >= low, else Validation."""
+    number = (_finite_integer if integer else _finite_real)(value)
+    if number is None or (low is not None and number < low):
+        raise Validation(f"config {key} must be {'an integer' if integer else 'a finite number'}"
+                         f"{'' if low is None else f' >= {low}'}, got {value!r}")
     return number
+
+
+def _object(value, key: str, required, optional=()) -> dict:
+    """value if a JSON object with the keys required and any of optional, else Validation."""
+    keys = {*required, *optional}
+    if not isinstance(value, dict) or not set(required) <= set(value) <= keys:
+        needed = f", {sorted(required)} required" if required else ""
+        raise Validation(f"config {key} must be an object with keys among {sorted(keys)}"
+                         f"{needed}, got {value!r}")
+    return value
+
+
+def _array(value, key: str, read) -> list:
+    """A JSON array, each entry read by read(entry, key[k]), else Validation."""
+    if not isinstance(value, list):
+        raise Validation(f"config {key} must be an array, got {value!r}")
+    return [read(entry, f"{key}[{k}]") for k, entry in enumerate(value)]
 
 
 def _load_config(path: str) -> dict:
@@ -117,91 +123,79 @@ def _load_config(path: str) -> dict:
         raise ConfigParse(f"config is not valid JSON: {err}") from err
     if not isinstance(raw, dict):
         raise ConfigParse("config must be a JSON object")
-    cfg = dict(DEFAULTS)
-    cfg.update(raw)
-    return cfg
-
-
-def _require(cfg: dict, *keys):
-    for key in keys:
-        if key not in cfg:
-            raise Validation(f"config key {key!r} is required for this experiment")
+    return {**DEFAULTS, **raw}
 
 
 def _domain(cfg) -> Domain:
-    spec = cfg.get("domain")
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise Validation("config needs a domain object with a kind")
+    spec = _object(cfg.get("domain"), "domain", ("kind", "lower", "upper"))
+    bounds = [tuple(_array(spec[side], f"domain.{side}", _number)) for side in ("lower", "upper")]
     try:
-        return Domain(spec["kind"], tuple(spec["lower"]), tuple(spec["upper"]))
-    except (KeyError, TypeError, ValueError) as err:
+        return Domain(spec["kind"], *bounds)
+    except (TypeError, ValueError) as err:
         raise Validation(f"bad domain spec: {err}") from err
 
 
 def _grid_and_operator(cfg):
-    _require(cfg, "domain", "s", "h", "R")
-    grid = build_grid(_domain(cfg), float(cfg["h"]), float(cfg["R"]))
-    op = assemble(grid, float(cfg["s"]))
-    return grid, op
+    h, R, s = (_number(cfg.get(key), key) for key in ("h", "R", "s"))
+    grid = build_grid(_domain(cfg), h, R)
+    return grid, assemble(grid, s)
 
 
-def _profile_values(spec: dict, grid) -> np.ndarray:
-    """The profile at the interior nodes."""
-    kind = spec.get("kind", "constant")
-    if kind == "constant":
-        return np.full(grid.n_interior, float(spec.get("value", 0.0)))
-    if kind == "bumps":
-        return _bump_field(grid, spec.get("bumps", []), Region.INTERIOR).interior_values
-    raise Validation(f"unknown profile kind {kind!r}")
+def _bump(spec, key: str):
+    """A bump object {center, width, amplitude} as c3_bump's profile."""
+    _object(spec, key, ("center", "width"), ("amplitude",))
+    return c3_bump(_array(spec["center"], f"{key}.center", _number),
+                   _number(spec["width"], f"{key}.width"),
+                   _number(spec.get("amplitude", 1.0), f"{key}.amplitude"))
 
 
 def _bump_field(grid, bumps: list, region: Region = Region.EXTERIOR) -> Field:
     """The sum of the bumps' fields, each sampled on region."""
     total = np.zeros(grid.n_nodes)
-    for b in bumps:
-        try:
-            f = c3_bump(b["center"], float(b["width"]), float(b.get("amplitude", 1.0)))
-        except (KeyError, TypeError, ValueError) as err:
-            raise Validation(f"bad bump spec: {err}") from err
+    for f in bumps:
         total += sample_function(grid, f, region).values
     return Field.from_values(grid, total)
 
 
+def _profile(spec, key: str):
+    """A profile object as the function of a grid giving its interior values."""
+    kind = _object(spec, key, (), ("kind", "value", "bumps")).get("kind", "constant")
+    if kind == "constant":
+        value = _number(spec.get("value", 0.0), f"{key}.value")
+        return lambda grid: np.full(grid.n_interior, value)
+    if kind == "bumps":
+        bumps = _array(spec.get("bumps", []), f"{key}.bumps", _bump)
+        return lambda grid: _bump_field(grid, bumps, Region.INTERIOR).interior_values
+    raise Validation(f"unknown profile kind {kind!r}")
+
+
 def _band(cfg) -> tuple[float, float]:
-    """The window's distance band (inner, outer), read before any work."""
-    spec = cfg.get("window")
-    if not isinstance(spec, dict):
-        raise Validation("config needs a window object {inner, outer}")
-    try:
-        return float(spec["inner"]), float(spec["outer"])
-    except (KeyError, TypeError, ValueError) as err:
-        raise Validation(f"bad window spec: {err}") from err
+    """The window's distance band (inner, outer)."""
+    spec = _object(cfg.get("window"), "window", ("inner", "outer"))
+    return _number(spec["inner"], "window.inner"), _number(spec["outer"], "window.outer")
 
 
 def _newton(cfg, default: NewtonConfig) -> NewtonConfig:
     """The newton object's keys over the experiment's default, as a
     NewtonConfig, which checks its values; cfg records the settings in full."""
-    spec = cfg["newton"]
-    names = {field.name for field in fields(NewtonConfig)}
-    if not isinstance(spec, dict) or not set(spec) <= names:
-        raise Validation(f"config newton must be an object with keys among "
-                         f"{sorted(names)}, got {spec!r}")
+    spec = _object(cfg["newton"], "newton", (), [field.name for field in fields(NewtonConfig)])
     newton = replace(default, **spec)
     cfg["newton"] = asdict(newton)
     return newton
 
 
 def _nonlinearity(cfg):
-    spec = cfg.get("nonlinearity", {"name": "zero"})
-    return catalogue(spec.get("name", "zero"), spec.get("a", 1.0))
+    spec = _object(cfg["nonlinearity"], "nonlinearity", (), ("name", "a"))
+    return catalogue(spec.get("name", "zero"), _number(spec.get("a", 1.0), "nonlinearity.a"))
 
 
 def run_solve(cfg: dict, out: Path) -> dict:
+    potential = _profile(cfg["potential"], "potential")
+    source = _profile(cfg["source"], "source")
+    bumps = _array(cfg["exterior_data"], "exterior_data", _bump)
     grid, op = _grid_and_operator(cfg)
-    a = _profile_values(cfg["potential"], grid)
-    f = _profile_values(cfg["source"], grid)
-    g = _bump_field(grid, cfg["exterior_data"])
-    u = solve_linear(LinearProblem(op=op, a=a, f=f, g=g))
+    u = solve_linear(LinearProblem(op=op, a=potential(grid), f=source(grid),
+                                   g=_bump_field(grid, bumps)))
     solution_to_csv(out / "solution.csv", u)
     return {"nodes": grid.n_nodes,
             "max_abs_u": float(np.max(np.abs(u.interior_values)))}
@@ -210,10 +204,10 @@ def run_solve(cfg: dict, out: Path) -> dict:
 def run_forward(cfg: dict, out: Path) -> dict:
     band = _band(cfg) if cfg.get("window") is not None else None
     newton = _newton(cfg, NewtonConfig())
-    grid, op = _grid_and_operator(cfg)
     nl = _nonlinearity(cfg)
-    g = _bump_field(grid, cfg["exterior_data"])
-    sol = solve_semilinear(op, nl, g, newton)
+    bumps = _array(cfg["exterior_data"], "exterior_data", _bump)
+    grid, op = _grid_and_operator(cfg)
+    sol = solve_semilinear(op, nl, _bump_field(grid, bumps), newton)
     solution_to_csv(out / "solution.csv", sol.u)
     trace_to_csv(out / "newton_trace.csv", sol.residuals)
     summary = {"iterations": sol.iterations,
@@ -221,8 +215,7 @@ def run_forward(cfg: dict, out: Path) -> dict:
                "final_residual": float(sol.residuals[-1])}
     if band is not None:
         window = annulus_window(grid, *band)
-        probes = [(f"g-{k}", _bump_field(grid, [bump_spec]))
-                  for k, bump_spec in enumerate(cfg["exterior_data"])]
+        probes = [(f"g-{k}", _bump_field(grid, [bump])) for k, bump in enumerate(bumps)]
         bank = build_cauchy_bank(op, nl, probes, window, newton)
         dump(bank_to_json(bank), out / "cauchy_bank.json")
         summary["bank_size"] = len(bank)
@@ -232,8 +225,8 @@ def run_forward(cfg: dict, out: Path) -> dict:
 
 
 def run_principles(cfg: dict, out: Path) -> dict:
-    rng = np.random.default_rng(_whole(cfg["seed"], "seed", 0))
-    trials = _whole(cfg["trials"], "trials", 0)
+    rng = np.random.default_rng(_number(cfg["seed"], "seed", 0, integer=True))
+    trials = _number(cfg["trials"], "trials", 0, integer=True)
     grid, op = _grid_and_operator(cfg)
     ni, ne = grid.n_interior, grid.n_exterior
     rows = []
@@ -269,11 +262,13 @@ def run_principles(cfg: dict, out: Path) -> dict:
 
 def run_linearize(cfg: dict, out: Path) -> dict:
     newton = _newton(cfg, LINEARIZATION_NEWTON)
-    grid, op = _grid_and_operator(cfg)
     nl = _nonlinearity(cfg)
-    g = _bump_field(grid, cfg["exterior_data"])
-    h = _bump_field(grid, cfg["probe_data"] or cfg["exterior_data"])
-    study = linearization_study(op, nl, g, h, cfg["eta_schedule"], newton)
+    bumps = _array(cfg["exterior_data"], "exterior_data", _bump)
+    directions = _array(cfg["probe_data"], "probe_data", _bump) or bumps
+    etas = _array(cfg["eta_schedule"], "eta_schedule", _number)
+    grid, op = _grid_and_operator(cfg)
+    study = linearization_study(op, nl, _bump_field(grid, bumps),
+                                _bump_field(grid, directions), etas, newton)
     write_csv(out / "linearize.csv", ["eta", "e_l2", "e_sup", "converged"],
               [(float(e), float(l2), float(sup), int(conv))
                for e, l2, sup, conv in zip(study.etas, study.errors_l2,
@@ -284,12 +279,13 @@ def run_linearize(cfg: dict, out: Path) -> dict:
 
 def run_recover(cfg: dict, out: Path) -> dict:
     band = _band(cfg)
-    seed = _whole(cfg["seed"], "seed", 0)
-    noise = _nonnegative(cfg["noise"], "noise")
-    lambda_reg = _nonnegative(cfg["regularization"], "regularization")
+    seed = _number(cfg["seed"], "seed", 0, integer=True)
+    noise = _number(cfg["noise"], "noise", 0)
+    lambda_reg = _number(cfg["regularization"], "regularization", 0)
+    truth = _profile(cfg["truth"], "truth")
     grid, op = _grid_and_operator(cfg)
     window = annulus_window(grid, *band)
-    a_true = _profile_values(cfg["truth"], grid)
+    a_true = truth(grid)
     measurements = dn_map(op, a_true, window)
     if noise > 0:
         rng = np.random.default_rng(seed)
@@ -313,15 +309,15 @@ def run_recover(cfg: dict, out: Path) -> dict:
 
 
 def run_probe(cfg: dict, out: Path) -> dict:
-    sizes = cfg.get("window_sweep")
+    sizes = _array(cfg.get("window_sweep"), "window_sweep",
+                   lambda size, key: _number(size, key, 1, integer=True))
     if not sizes:
         raise Validation("probe experiment needs window_sweep: [sizes...]")
-    sizes = [_whole(size, "window_sweep entry") for size in sizes]
     grid, op = _grid_and_operator(cfg)
     order = np.argsort(grid.domain.distance(grid.exterior_nodes), kind="stable")
     rows = []
     for size in sizes:
-        if size < 1 or size > grid.n_exterior:
+        if size > grid.n_exterior:
             raise Validation(f"window size {size} out of range")
         idx = np.sort(grid.exterior_index[order[:size]])
         window = Window(grid, idx)

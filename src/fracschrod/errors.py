@@ -5,6 +5,9 @@ so callers (the CLI in particular) can report the failing condition by
 class name in machine-readable error records.
 """
 
+import math
+from numbers import Integral, Real
+
 
 class ToolkitError(Exception):
     """Base class for all toolkit errors."""
@@ -125,4 +128,26 @@ class ConfigParse(ToolkitError):
 
 
 class Validation(ToolkitError):
-    """Experiment configuration failed validation."""
+    """Experiment configuration or an argument failed validation."""
+
+
+def _finite_real(value) -> float | None:
+    """value as a float if it is a real number other than a bool and a float
+    holds it finitely, else None (True would run as 1, a string or array
+    raises bare in a comparison, and an int past the float range overflows)."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        return None
+    try:
+        value = float(value)
+    except OverflowError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+def _finite_integer(value) -> int | None:
+    """value as an int if _finite_real reads it and it is integral, else
+    None: 2.0 reads as 2, and 2.5, True and "2" are None."""
+    number = _finite_real(value)
+    if number is None or not number.is_integer():
+        return None
+    return int(value) if isinstance(value, Integral) else int(number)

@@ -56,7 +56,6 @@ import os
 import sys
 import weakref
 from dataclasses import dataclass
-from numbers import Integral, Real
 
 import numpy as np
 
@@ -69,24 +68,13 @@ from .errors import (
     SingularSystem,
     StepNotConverged,
     Validation,
+    _finite_integer,
+    _finite_real,
 )
 from .fraclap import NonlocalOperator, _dst, apply_operator
 from .grid import _AXES, Field, Grid
 from .nonlinearity import Nonlinearity
 from .serialize import write_csv
-
-
-def _finite_real(value) -> float | None:
-    """value as a float if it is a real number other than a bool and a float
-    holds it finitely, else None (True would run as 1, a string or array
-    raises bare in a comparison, and an int past the float range overflows)."""
-    if isinstance(value, bool) or not isinstance(value, Real):
-        return None
-    try:
-        value = float(value)
-    except OverflowError:
-        return None
-    return value if np.isfinite(value) else None
 
 
 def _checked_potential(op: NonlocalOperator, a) -> np.ndarray:
@@ -137,10 +125,11 @@ class NewtonConfig:
     damping: float = 0.5
 
     def __post_init__(self):
-        # a bool is an Integral, and True would run as 1 iteration
-        if (isinstance(self.max_iters, bool) or not isinstance(self.max_iters, Integral)
-                or self.max_iters < 0):
+        # True would run as 1 iteration, and 2.5 fail inside Newton
+        iters = _finite_integer(self.max_iters)
+        if iters is None or iters < 0:
             raise Validation("max_iters must be a nonnegative integer")
+        object.__setattr__(self, "max_iters", iters)
         # an infinite tolerance accepts the zero interior after 0 iterations
         tol = _finite_real(self.residual_tol)
         if tol is None or tol <= 0:

@@ -442,6 +442,10 @@ def test_each_evaluation_is_one_reduced_call(op_coarse, monkeypatch, case, lambd
     capped = recover_potential(op_coarse, measured, lambda_reg, max_evaluations=4)
     assert len(shapes) == capped.n_evaluations == 4
     assert capped.stop == "cap"
+    # an integral float is an integer cap
+    shapes.clear()
+    capped = recover_potential(op_coarse, measured, lambda_reg, max_evaluations=2.0)
+    assert len(shapes) == capped.n_evaluations == 2
 
 
 def test_recovery_on_the_seed_that_broke_trf():

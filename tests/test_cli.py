@@ -82,7 +82,9 @@ def test_malformed_order_rejected(tmp_path):
 
 @pytest.mark.parametrize("override, code, error", [
     ({"s": 1.2}, 1, "OrderOutOfRange"),   # a ToolkitError
-    ({"h": "abc"}, 2, "ValueError"),      # anything else
+    # a string spacing was a raw ValueError (exit 2); test_non_toolkit_error
+    # keeps exit 2 covered
+    ({"h": "abc"}, 1, "Validation"),
     ({"potential": {"kind": "constant", "value": float("nan")}}, 1, "Validation"),
     ({"exterior_data": [{"width": 0.4}]}, 1, "Validation"),
     ({"exterior_data": [{"center": [1.5], "width": "wide"}]}, 1, "Validation"),
@@ -120,6 +122,33 @@ def test_malformed_order_rejected(tmp_path):
     ({"experiment": "forward", "newton": {"residual_tol": "x"}}, 1, "Validation"),
     ({"experiment": "forward", "newton": {"tolerance": 1e-8}}, 1, "Validation"),
     ({"experiment": "linearize", "newton": [50]}, 1, "Validation"),
+    # a value of the wrong JSON kind was a raw AttributeError or TypeError
+    # (exit 2) ...
+    ({"potential": 3}, 1, "Validation"),
+    (dict(RECOVER, truth=[1]), 1, "Validation"),
+    ({"experiment": "forward", "nonlinearity": 3}, 1, "Validation"),
+    ({"exterior_data": 5}, 1, "Validation"),
+    ({"experiment": "linearize", "probe_data": 3}, 1, "Validation"),
+    ({"experiment": "probe", "window_sweep": 5}, 1, "Validation"),
+    # ... or a raw ValueError, UFuncTypeError or TypeError (exit 2) ...
+    ({"experiment": "linearize", "eta_schedule": "abc"}, 1, "Validation"),
+    ({"experiment": "forward", "nonlinearity": {"name": "linear", "a": "x"}},
+     1, "Validation"),
+    ({"domain": {"kind": "interval-1d", "lower": ["-1"], "upper": ["1"]}},
+     1, "Validation"),
+    ({"domain": {"kind": "interval-1d", "lower": [False], "upper": [1.0]}},
+     1, "Validation"),
+    # ... and a string or bool ran as the number it spells
+    ({"h": "0.125"}, 1, "Validation"),
+    ({"potential": {"kind": "constant", "value": "0.5"}}, 1, "Validation"),
+    ({"potential": {"kind": "constant", "value": True}}, 1, "Validation"),
+    ({"exterior_data": [{"center": ["1.5"], "width": 0.4}]}, 1, "Validation"),
+    ({"exterior_data": [{"center": [1.5], "width": "0.4"}]}, 1, "Validation"),
+    ({"exterior_data": [{"center": [1.5], "width": 0.4, "amplitude": "1"}]},
+     1, "Validation"),
+    (dict(RECOVER, window={"inner": "0.5", "outer": 1.0}), 1, "Validation"),
+    ({"R": True}, 1, "Validation"),
+    ({"s": True}, 1, "Validation"),
 ])
 def test_exit_codes(tmp_path, capsys, override, code, error):
     out = tmp_path / "out"
@@ -129,6 +158,44 @@ def test_exit_codes(tmp_path, capsys, override, code, error):
     record = json.loads((out / "error.json").read_text())
     assert record["error"] == error and record["experiment"] == experiment
     assert json.loads(capsys.readouterr().err) == record
+
+
+def test_non_toolkit_error(tmp_path, capsys, monkeypatch):
+    # an error that is not a ToolkitError, a fault of the program rather
+    # than of the config, exits 2 and is recorded by its class name
+    from fracschrod import cli
+
+    def broken(cfg, out):
+        raise ZeroDivisionError("a fault")
+
+    monkeypatch.setitem(cli._RUNNERS, "solve", broken)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", write_config(tmp_path, GETOOR),
+                 "--out", str(out)]) == 2
+    record = json.loads((out / "error.json").read_text())
+    assert record == {"error": "ZeroDivisionError", "message": "a fault",
+                      "experiment": "solve"}
+    assert json.loads(capsys.readouterr().err) == record
+
+
+@pytest.mark.parametrize("experiment, override", [
+    ("forward", {"newton": {"max_iters": 50.0}}),
+    ("principles", {"h": 0.25, "trials": 3.0, "seed": 2.0}),
+])
+def test_integral_floats_read_as_integers(tmp_path, experiment, override):
+    # every integer key reads 2.0 as 2, newton.max_iters included, and the
+    # manifest records the integer
+    cfg = dict(GETOOR, experiment=experiment, **override)
+    out = tmp_path / "out"
+    assert main([experiment, "--config", write_config(tmp_path, cfg),
+                 "--out", str(out)]) == 0
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    if experiment == "forward":
+        assert config["newton"]["max_iters"] == 50
+        assert isinstance(config["newton"]["max_iters"], int)
+    else:
+        summary = json.loads((out / "manifest.json").read_text())["summary"]
+        assert summary["trials"] == 3
 
 
 @pytest.mark.parametrize("override", [

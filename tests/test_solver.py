@@ -361,6 +361,9 @@ def test_bad_max_iters_rejected(max_iters):
     with pytest.raises(Validation, match="max_iters"):
         NewtonConfig(max_iters=max_iters)
     assert NewtonConfig(max_iters=np.int64(0)).max_iters == 0
+    # an integral float is an integer, as for every other integer setting
+    assert NewtonConfig(max_iters=2.0).max_iters == 2
+    assert isinstance(NewtonConfig(max_iters=2.0).max_iters, int)
 
 
 @pytest.mark.parametrize("field, value", [
