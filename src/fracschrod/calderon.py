@@ -445,9 +445,17 @@ class BankComparison:
 
 def compare_cauchy_banks(bank1: list[CauchyDatum], bank2: list[CauchyDatum],
                          tol: float) -> BankComparison:
-    """Per-probe sup distance between paired Cauchy data; equal iff all <= tol."""
+    """Per-probe sup distance between paired Cauchy data; equal iff all <= tol.
+
+    tol must be a finite real >= 0 (Validation); banks of different sizes,
+    probes or windows, or empty banks, raise BankMismatch."""
+    tol = _finite_real(tol)
+    if tol is None or tol < 0:
+        raise Validation("tol must be a finite nonnegative real number")
     if len(bank1) != len(bank2):
         raise BankMismatch("banks have different sizes")
+    if not bank1:
+        raise BankMismatch("empty banks have no Cauchy data to compare")
     ids1 = tuple(d.provenance for d in bank1)
     ids2 = tuple(d.provenance for d in bank2)
     if ids1 != ids2:

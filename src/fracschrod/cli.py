@@ -9,7 +9,17 @@ wall-clock time, next to experiment-specific CSV files whose numeric
 content is byte-identical across runs for a fixed config and seed and BLAS
 thread count (with OPENBLAS_NUM_THREADS=1 the getoor solve/ values move by
 up to 7.33e-15 from the two-thread run).  Failures exit nonzero and leave
-a machine-readable error record naming the error class.
+a machine-readable error record naming the error class: 1 for a
+ToolkitError, 2 for anything else, a fault of the program.
+
+A config is a JSON object with keys among CONFIG_KEYS.  Each value is read
+by one rule for its kind before the grid is built: a number by _number, on
+errors._finite_real, and an integer (seed, trials, window_sweep entries)
+by _number on errors._finite_integer, so 2.0 reads as 2; an object by
+_object, which refuses unknown and missing keys, and an array by _array.
+The newton object's values are NewtonConfig's to check, by the same two
+readers.  Anything else raises Validation.  The load hooks _finite and
+_integer refuse a non-finite literal anywhere in the file.
 """
 
 from __future__ import annotations
@@ -68,6 +78,10 @@ DEFAULTS = {
     "noise": 0.0,
     "truth": {"kind": "constant", "value": 0.5},
 }
+# the keys a config may have; any other is refused, as a misspelt key would
+# run on its default
+CONFIG_KEYS = frozenset(DEFAULTS) | {"experiment", "domain", "s", "h", "R",
+                                     "window", "window_sweep"}
 
 
 def _finite(literal: str) -> float:
@@ -97,11 +111,13 @@ def _number(value, key: str, low: float | None = None, integer: bool = False):
 
 def _object(value, key: str, required, optional=()) -> dict:
     """value if a JSON object with the keys required and any of optional, else Validation."""
+    if not isinstance(value, dict):
+        raise Validation(f"config {key} must be an object, got {value!r}")
     keys = {*required, *optional}
-    if not isinstance(value, dict) or not set(required) <= set(value) <= keys:
-        needed = f", {sorted(required)} required" if required else ""
-        raise Validation(f"config {key} must be an object with keys among {sorted(keys)}"
-                         f"{needed}, got {value!r}")
+    unknown, missing = sorted(set(value) - keys), sorted(set(required) - set(value))
+    if unknown or missing:
+        raise Validation(f"config {key}: unknown keys {unknown}, missing keys {missing}; "
+                         f"the keys are {sorted(keys)}")
     return value
 
 
@@ -123,7 +139,7 @@ def _load_config(path: str) -> dict:
         raise ConfigParse(f"config is not valid JSON: {err}") from err
     if not isinstance(raw, dict):
         raise ConfigParse("config must be a JSON object")
-    return {**DEFAULTS, **raw}
+    return {**DEFAULTS, **_object(raw, "file", (), CONFIG_KEYS)}
 
 
 def _domain(cfg) -> Domain:

@@ -1,8 +1,15 @@
-"""Exception hierarchy for the toolkit.
+"""Exception hierarchy for the toolkit, and the readers of outside numbers.
 
-Every failure mode raised by the library is a subclass of ``ToolkitError``,
-so callers (the CLI in particular) can report the failing condition by
-class name in machine-readable error records.
+The solvers, measurements and CLI raise subclasses of ``ToolkitError``, so
+callers (the CLI in particular) can report the failing condition by class
+name in machine-readable error records.  The exceptions are ``ValueError``:
+``grid.Domain``, ``fraclap.FracParams`` and ``fraclap.cns`` raise it for a
+bad kind, bound or dimension, and the operator blocks' products for an
+operand of the wrong shape.
+
+A number from outside (a config value or a caller's argument) is read by
+_finite_real, and an integer by _finite_integer; each caller raises
+Validation, with its own bounds, when they return None.
 """
 
 import math

@@ -16,7 +16,7 @@ coefficient values c = a(x):
 
 Each has r = 1, delta = 2.5 and tight m0, mu and b0 (see catalogue);
 dataclasses.replace(catalogue(...), delta=...) gives other constants.
-Coefficients a may be nonnegative scalars or callables of the node
+Coefficients a may be finite nonnegative scalars or callables of the node
 coordinates.  Evaluation functions are pure and reentrant.
 """
 
@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidRange, NegativeCoefficient, UnknownModel, Validation
+from .errors import InvalidRange, NegativeCoefficient, UnknownModel, Validation, _finite_real
 from .grid import Domain
 
 
@@ -50,12 +50,15 @@ class Nonlinearity:
 
 
 def _coefficient(a, a_sup):
-    """Normalize the coefficient profile; returns (callable, sup bound)."""
+    """Normalize the coefficient profile; returns (callable, sup bound).  A
+    scalar must be a finite real (Validation) and >= 0 (NegativeCoefficient)."""
     if callable(a):
         if a_sup is None:
             raise Validation("a_sup is required for callable coefficients")
         return a, float(a_sup)
-    a_val = float(a)
+    a_val = _finite_real(a)
+    if a_val is None:
+        raise Validation(f"coefficient a must be a finite real number or a callable, got {a!r}")
     if a_val < 0:
         raise NegativeCoefficient(f"a = {a_val}")
     return (lambda x: np.full(np.atleast_2d(x).shape[0], a_val)), a_val
@@ -103,7 +106,7 @@ def catalogue(name: str, a=1.0, *, a_sup: float | None = None) -> Nonlinearity:
 
     dataclasses.replace(catalogue(...), delta=...) gives other constants.
     """
-    if name not in _MODELS:
+    if not isinstance(name, str) or name not in _MODELS:
         raise UnknownModel(f"{name!r}; available: {', '.join(_MODELS)}")
     q, dq, b0, dq_sup = _MODELS[name]
     coeff, sup = _coefficient(a, a_sup)

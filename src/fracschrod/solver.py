@@ -493,7 +493,11 @@ def check_linf_bound(u: Field, f: np.ndarray, g: Field,
 
 
 def check_comparison(u1: Field, u2: Field, tol: float = 1e-10) -> bool:
-    """Componentwise ordering of two solutions on interior nodes."""
+    """Componentwise ordering of two solutions on interior nodes, up to a
+    finite tol >= 0 (Validation)."""
+    tol = _finite_real(tol)
+    if tol is None or tol < 0:
+        raise Validation("tol must be a finite nonnegative real number")
     if not u1.grid.same_as(u2.grid):
         raise GridMismatch("solutions live on different grids")
     return bool(np.all(u1.interior_values >= u2.interior_values - tol))

@@ -788,6 +788,26 @@ def test_compare_banks_distinct_potentials(op_small):
     assert report.max_distance > 1e-8
 
 
+def test_compare_empty_banks_is_a_bank_mismatch():
+    # empty banks are otherwise supported (build_cauchy_bank with no probes
+    # returns [], and bank_to_json writes it); comparing two was a bare
+    # ValueError from max() of no distances
+    with pytest.raises(BankMismatch, match="empty"):
+        compare_cauchy_banks([], [], tol=1e-10)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1.0])
+def test_compare_banks_refuses_a_tolerance_that_is_not_finite_and_nonnegative(
+        op_small, tol):
+    # either tolerance reported a bank unequal to itself
+    grid = op_small.grid
+    bank = build_cauchy_bank(op_small, catalogue("zero"),
+                             [("g-0", exterior_bump(grid, 1.5, 0.3))],
+                             annulus_window(grid, 0.5, 1.0))
+    with pytest.raises(Validation, match="tol"):
+        compare_cauchy_banks(bank, bank, tol=tol)
+
+
 def test_compare_banks_mismatch(op_small):
     grid = op_small.grid
     window = annulus_window(grid, 0.5, 1.0)

@@ -149,6 +149,9 @@ def test_malformed_order_rejected(tmp_path):
     (dict(RECOVER, window={"inner": "0.5", "outer": 1.0}), 1, "Validation"),
     ({"R": True}, 1, "Validation"),
     ({"s": True}, 1, "Validation"),
+    # a misspelt top-level key ran on the default: this recovery ran
+    # noiseless and reported inverse_crime true
+    (dict(RECOVER, noize=0.1), 1, "Validation"),
 ])
 def test_exit_codes(tmp_path, capsys, override, code, error):
     out = tmp_path / "out"

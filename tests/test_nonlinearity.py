@@ -110,6 +110,16 @@ def test_catalogue_errors():
         catalogue("linear", -1.0)
     with pytest.raises(Validation):
         catalogue("linear", lambda x: np.ones(len(np.atleast_2d(x))))
+    with pytest.raises(UnknownModel):     # was a bare TypeError: unhashable
+        catalogue(["linear"])
+
+
+@pytest.mark.parametrize("a", [float("nan"), float("inf"), "0.5", True])
+def test_catalogue_refuses_a_coefficient_that_is_not_a_finite_real(a):
+    # nan built mu = nan and failed later as JacobianSingular, inf gave
+    # m0 = inf, and "0.5" and True ran as numbers
+    with pytest.raises(Validation, match="coefficient"):
+        catalogue("linear", a)
 
 
 def test_conditions_saturating_cubic_all_pass():

@@ -6,11 +6,13 @@ from functools import reduce
 from pathlib import Path
 
 import fracschrod
+from fracschrod.cli import CONFIG_KEYS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
 ENTRY_POINTS = re.search(r"^Measurement-side entry points.*?\n\n", README.read_text(),
                          re.M | re.S)
+KEYS = re.search(r"^Top-level config keys: (.*?)\.  ", README.read_text(), re.M | re.S)
 
 
 def test_readme_has_python_blocks():
@@ -32,3 +34,10 @@ def test_readme_entry_points_resolve():
                if reduce(lambda obj, attr: getattr(obj, attr, None),
                          name.split("."), fracschrod) is None]
     assert missing == []
+
+
+def test_readme_config_keys_are_the_cli_keys():
+    # the README lists each top-level key the CLI accepts, and no other
+    names = re.findall(r"`([^`]+)`", KEYS.group(1))
+    assert len(names) == len(set(names))
+    assert set(names) == CONFIG_KEYS

@@ -741,6 +741,16 @@ def test_comparison_equal_and_shifted(op_small):
     assert np.all(u3.interior_values > u1.interior_values)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), -1.0])
+def test_comparison_refuses_a_tolerance_that_is_not_finite_and_nonnegative(op_small, tol):
+    # tol = nan returned False for a solution against itself
+    grid = op_small.grid
+    u = solve_linear(LinearProblem(op=op_small, a=np.zeros(grid.n_interior),
+                                   f=np.ones(grid.n_interior), g=Field.zeros(grid)))
+    with pytest.raises(Validation, match="tol"):
+        check_comparison(u, u, tol=tol)
+
+
 def test_comparison_random_ordered_trials(op_small):
     grid = op_small.grid
     rng = np.random.default_rng(12)
