@@ -35,8 +35,7 @@ from .errors import (
     RankDeficientProbes,
     SingularSystem,
     Validation,
-    _finite_integer,
-    _finite_real,
+    _number,
 )
 from .cauchy import CauchyDatum, mass_m
 from .fraclap import NonlocalOperator, _blocks, _Stencil
@@ -80,9 +79,10 @@ def linearization_study(op: NonlocalOperator, nl: Nonlinearity, g: Field,
 
     For each eta, solves the semilinear problem at data g + eta h, forms
     w = (u_{g+eta h} - u_g)/eta, and records the distance to the linearized
-    solution in both norms.  A diverging solve is recorded, not fatal.
+    solution in both norms.  A diverging solve is recorded, not fatal.  Each
+    eta is read by errors._number.
     """
-    etas = [float(e) for e in eta_schedule]
+    etas = [_number(e, f"eta_schedule[{k}]") for k, e in enumerate(eta_schedule)]
     if len(etas) < 2 or not all(x > y > 0 for x, y in zip(etas, etas[1:])):
         raise InvalidRange("eta schedule must be strictly decreasing and positive")
 
@@ -336,12 +336,8 @@ def recover_potential(reference_op: NonlocalOperator, measurements: DnMatrix,
     MisfitStagnation (carrying the last iterate) is raised when no step
     lowered the cost, and SingularSystem when a damped step cannot be solved.
     """
-    lam = _finite_real(lambda_reg)
-    if lam is None or lam < 0:
-        raise Validation("lambda_reg must be a finite nonnegative real number")
-    cap = _finite_integer(max_evaluations)
-    if cap is None or cap < 1:
-        raise Validation("max_evaluations must be a positive integer")
+    lam = _number(lambda_reg, "lambda_reg", 0)
+    cap = _number(max_evaluations, "max_evaluations", 1, integer=True)
     ni = reference_op.grid.n_interior
     asm = _DnAssembler(reference_op, measurements.window, measurements.probes)
     target = measurements.matrix
@@ -449,9 +445,7 @@ def compare_cauchy_banks(bank1: list[CauchyDatum], bank2: list[CauchyDatum],
 
     tol must be a finite real >= 0 (Validation); banks of different sizes,
     probes or windows, or empty banks, raise BankMismatch."""
-    tol = _finite_real(tol)
-    if tol is None or tol < 0:
-        raise Validation("tol must be a finite nonnegative real number")
+    tol = _number(tol, "tol", 0)
     if len(bank1) != len(bank2):
         raise BankMismatch("banks have different sizes")
     if not bank1:

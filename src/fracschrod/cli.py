@@ -13,13 +13,14 @@ a machine-readable error record naming the error class: 1 for a
 ToolkitError, 2 for anything else, a fault of the program.
 
 A config is a JSON object with keys among CONFIG_KEYS.  Each value is read
-by one rule for its kind before the grid is built: a number by _number, on
-errors._finite_real, and an integer (seed, trials, window_sweep entries)
-by _number on errors._finite_integer, so 2.0 reads as 2; an object by
-_object, which refuses unknown and missing keys, and an array by _array.
-The newton object's values are NewtonConfig's to check, by the same two
-readers.  Anything else raises Validation.  The load hooks _finite and
-_integer refuse a non-finite literal anywhere in the file.
+by one rule for its kind before the grid is built: a number by
+errors._number, the library's reader, and an integer (seed, trials,
+window_sweep entries) by errors._number with integer=True, so 2.0 reads as
+2; an object by _object, which refuses unknown and missing keys, and an
+array by _array.  A key path names the value in every message, from
+"config".  The domain's and the newton object's values are Domain's and
+NewtonConfig's to read.  Anything else raises Validation.  The load hooks
+_finite and _integer refuse a non-finite literal anywhere in the file.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .calderon import (
     strong_uniqueness_probe,
 )
 from .cauchy import bank_to_json, build_cauchy_bank
-from .errors import ConfigParse, ToolkitError, Validation, _finite_integer, _finite_real
+from .errors import ConfigParse, ToolkitError, Validation, _number
 from .fraclap import assemble
 from .grid import (_AXES, Domain, Field, Region, Window, annulus_window, build_grid,
                    c3_bump, sample_function)
@@ -100,23 +101,14 @@ def _integer(literal: str) -> int:
     return int(literal)
 
 
-def _number(value, key: str, low: float | None = None, integer: bool = False):
-    """A config number by _finite_real (_finite_integer if integer), >= low, else Validation."""
-    number = (_finite_integer if integer else _finite_real)(value)
-    if number is None or (low is not None and number < low):
-        raise Validation(f"config {key} must be {'an integer' if integer else 'a finite number'}"
-                         f"{'' if low is None else f' >= {low}'}, got {value!r}")
-    return number
-
-
 def _object(value, key: str, required, optional=()) -> dict:
     """value if a JSON object with the keys required and any of optional, else Validation."""
     if not isinstance(value, dict):
-        raise Validation(f"config {key} must be an object, got {value!r}")
+        raise Validation(f"{key} must be an object, got {value!r}")
     keys = {*required, *optional}
     unknown, missing = sorted(set(value) - keys), sorted(set(required) - set(value))
     if unknown or missing:
-        raise Validation(f"config {key}: unknown keys {unknown}, missing keys {missing}; "
+        raise Validation(f"{key}: unknown keys {unknown}, missing keys {missing}; "
                          f"the keys are {sorted(keys)}")
     return value
 
@@ -124,7 +116,7 @@ def _object(value, key: str, required, optional=()) -> dict:
 def _array(value, key: str, read) -> list:
     """A JSON array, each entry read by read(entry, key[k]), else Validation."""
     if not isinstance(value, list):
-        raise Validation(f"config {key} must be an array, got {value!r}")
+        raise Validation(f"{key} must be an array, got {value!r}")
     return [read(entry, f"{key}[{k}]") for k, entry in enumerate(value)]
 
 
@@ -139,20 +131,16 @@ def _load_config(path: str) -> dict:
         raise ConfigParse(f"config is not valid JSON: {err}") from err
     if not isinstance(raw, dict):
         raise ConfigParse("config must be a JSON object")
-    return {**DEFAULTS, **_object(raw, "file", (), CONFIG_KEYS)}
+    return {**DEFAULTS, **_object(raw, "config", (), CONFIG_KEYS)}
 
 
 def _domain(cfg) -> Domain:
-    spec = _object(cfg.get("domain"), "domain", ("kind", "lower", "upper"))
-    bounds = [tuple(_array(spec[side], f"domain.{side}", _number)) for side in ("lower", "upper")]
-    try:
-        return Domain(spec["kind"], *bounds)
-    except (TypeError, ValueError) as err:
-        raise Validation(f"bad domain spec: {err}") from err
+    spec = _object(cfg.get("domain"), "config domain", ("kind", "lower", "upper"))
+    return Domain(spec["kind"], spec["lower"], spec["upper"])
 
 
 def _grid_and_operator(cfg):
-    h, R, s = (_number(cfg.get(key), key) for key in ("h", "R", "s"))
+    h, R, s = (_number(cfg.get(key), f"config {key}") for key in ("h", "R", "s"))
     grid = build_grid(_domain(cfg), h, R)
     return grid, assemble(grid, s)
 
@@ -187,28 +175,29 @@ def _profile(spec, key: str):
 
 def _band(cfg) -> tuple[float, float]:
     """The window's distance band (inner, outer)."""
-    spec = _object(cfg.get("window"), "window", ("inner", "outer"))
-    return _number(spec["inner"], "window.inner"), _number(spec["outer"], "window.outer")
+    spec = _object(cfg.get("window"), "config window", ("inner", "outer"))
+    return tuple(_number(spec[side], f"config window.{side}") for side in ("inner", "outer"))
 
 
 def _newton(cfg, default: NewtonConfig) -> NewtonConfig:
     """The newton object's keys over the experiment's default, as a
     NewtonConfig, which checks its values; cfg records the settings in full."""
-    spec = _object(cfg["newton"], "newton", (), [field.name for field in fields(NewtonConfig)])
+    spec = _object(cfg["newton"], "config newton", (), [f.name for f in fields(NewtonConfig)])
     newton = replace(default, **spec)
     cfg["newton"] = asdict(newton)
     return newton
 
 
 def _nonlinearity(cfg):
-    spec = _object(cfg["nonlinearity"], "nonlinearity", (), ("name", "a"))
-    return catalogue(spec.get("name", "zero"), _number(spec.get("a", 1.0), "nonlinearity.a"))
+    spec = _object(cfg["nonlinearity"], "config nonlinearity", (), ("name", "a"))
+    return catalogue(spec.get("name", "zero"),
+                     _number(spec.get("a", 1.0), "config nonlinearity.a"))
 
 
 def run_solve(cfg: dict, out: Path) -> dict:
-    potential = _profile(cfg["potential"], "potential")
-    source = _profile(cfg["source"], "source")
-    bumps = _array(cfg["exterior_data"], "exterior_data", _bump)
+    potential = _profile(cfg["potential"], "config potential")
+    source = _profile(cfg["source"], "config source")
+    bumps = _array(cfg["exterior_data"], "config exterior_data", _bump)
     grid, op = _grid_and_operator(cfg)
     u = solve_linear(LinearProblem(op=op, a=potential(grid), f=source(grid),
                                    g=_bump_field(grid, bumps)))
@@ -221,7 +210,7 @@ def run_forward(cfg: dict, out: Path) -> dict:
     band = _band(cfg) if cfg.get("window") is not None else None
     newton = _newton(cfg, NewtonConfig())
     nl = _nonlinearity(cfg)
-    bumps = _array(cfg["exterior_data"], "exterior_data", _bump)
+    bumps = _array(cfg["exterior_data"], "config exterior_data", _bump)
     grid, op = _grid_and_operator(cfg)
     sol = solve_semilinear(op, nl, _bump_field(grid, bumps), newton)
     solution_to_csv(out / "solution.csv", sol.u)
@@ -241,8 +230,8 @@ def run_forward(cfg: dict, out: Path) -> dict:
 
 
 def run_principles(cfg: dict, out: Path) -> dict:
-    rng = np.random.default_rng(_number(cfg["seed"], "seed", 0, integer=True))
-    trials = _number(cfg["trials"], "trials", 0, integer=True)
+    rng = np.random.default_rng(_number(cfg["seed"], "config seed", 0, integer=True))
+    trials = _number(cfg["trials"], "config trials", 0, integer=True)
     grid, op = _grid_and_operator(cfg)
     ni, ne = grid.n_interior, grid.n_exterior
     rows = []
@@ -279,9 +268,9 @@ def run_principles(cfg: dict, out: Path) -> dict:
 def run_linearize(cfg: dict, out: Path) -> dict:
     newton = _newton(cfg, LINEARIZATION_NEWTON)
     nl = _nonlinearity(cfg)
-    bumps = _array(cfg["exterior_data"], "exterior_data", _bump)
-    directions = _array(cfg["probe_data"], "probe_data", _bump) or bumps
-    etas = _array(cfg["eta_schedule"], "eta_schedule", _number)
+    bumps = _array(cfg["exterior_data"], "config exterior_data", _bump)
+    directions = _array(cfg["probe_data"], "config probe_data", _bump) or bumps
+    etas = _array(cfg["eta_schedule"], "config eta_schedule", _number)
     grid, op = _grid_and_operator(cfg)
     study = linearization_study(op, nl, _bump_field(grid, bumps),
                                 _bump_field(grid, directions), etas, newton)
@@ -295,10 +284,10 @@ def run_linearize(cfg: dict, out: Path) -> dict:
 
 def run_recover(cfg: dict, out: Path) -> dict:
     band = _band(cfg)
-    seed = _number(cfg["seed"], "seed", 0, integer=True)
-    noise = _number(cfg["noise"], "noise", 0)
-    lambda_reg = _number(cfg["regularization"], "regularization", 0)
-    truth = _profile(cfg["truth"], "truth")
+    seed = _number(cfg["seed"], "config seed", 0, integer=True)
+    noise = _number(cfg["noise"], "config noise", 0)
+    lambda_reg = _number(cfg["regularization"], "config regularization", 0)
+    truth = _profile(cfg["truth"], "config truth")
     grid, op = _grid_and_operator(cfg)
     window = annulus_window(grid, *band)
     a_true = truth(grid)
@@ -321,11 +310,11 @@ def run_recover(cfg: dict, out: Path) -> dict:
             "evaluations": result.n_evaluations, "iterations": result.iterations,
             "damping": result.damping, "stop": result.stop,
             "gradient_norm": result.gradient_norm,
-            "inverse_crime": noise == 0.0}
+            "inverse_crime": True}
 
 
 def run_probe(cfg: dict, out: Path) -> dict:
-    sizes = _array(cfg.get("window_sweep"), "window_sweep",
+    sizes = _array(cfg.get("window_sweep"), "config window_sweep",
                    lambda size, key: _number(size, key, 1, integer=True))
     if not sizes:
         raise Validation("probe experiment needs window_sweep: [sizes...]")

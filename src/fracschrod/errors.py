@@ -1,15 +1,19 @@
-"""Exception hierarchy for the toolkit, and the readers of outside numbers.
+"""Exception hierarchy for the toolkit, and the one reader of outside numbers.
 
 The solvers, measurements and CLI raise subclasses of ``ToolkitError``, so
 callers (the CLI in particular) can report the failing condition by class
-name in machine-readable error records.  The exceptions are ``ValueError``:
-``grid.Domain``, ``fraclap.FracParams`` and ``fraclap.cns`` raise it for a
-bad kind, bound or dimension, and the operator blocks' products for an
-operand of the wrong shape.
+name in machine-readable error records.  ``Validation`` is also a
+``ValueError``: ``grid.Domain``, ``fraclap.FracParams`` and ``fraclap.cns``
+raise it for a bad kind, bound or dimension.  A bare ``ValueError``
+remains only for an operand of the wrong shape in the operator blocks'
+products and the solver's factor, a fault of the program.
 
 A number from outside (a config value or a caller's argument) is read by
-_finite_real, and an integer by _finite_integer; each caller raises
-Validation, with its own bounds, when they return None.
+_number, on _finite_real, and an integer by _number on _finite_integer;
+it raises Validation naming the value unless the number is finite and at
+least its lower bound.  Outside this module only grid.build_grid calls
+the two primitives, to raise its own NonFiniteGrid.  Each strict bound
+(a positive tolerance, s in (0, 1)) is one comparison after the read.
 """
 
 import math
@@ -27,7 +31,7 @@ class NonPositiveSpacing(ToolkitError):
 
 
 class NonFiniteGrid(ToolkitError):
-    """Grid spacing h or truncation radius R is NaN or infinite."""
+    """Grid spacing h or truncation radius R is not a finite real number."""
 
 
 class TruncationTooSmall(ToolkitError):
@@ -134,7 +138,7 @@ class ConfigParse(ToolkitError):
     """Experiment configuration could not be parsed."""
 
 
-class Validation(ToolkitError):
+class Validation(ToolkitError, ValueError):
     """Experiment configuration or an argument failed validation."""
 
 
@@ -158,3 +162,12 @@ def _finite_integer(value) -> int | None:
     if number is None or not number.is_integer():
         return None
     return int(value) if isinstance(value, Integral) else int(number)
+
+
+def _number(value, key: str, low: float | None = None, integer: bool = False):
+    """value by _finite_real (_finite_integer if integer), >= low, else Validation naming key."""
+    number = (_finite_integer if integer else _finite_real)(value)
+    if number is None or (low is not None and number < low):
+        raise Validation(f"{key} must be {'an integer' if integer else 'a finite number'}"
+                         f"{'' if low is None else f' >= {low}'}, got {value!r}")
+    return number

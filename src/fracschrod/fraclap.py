@@ -62,6 +62,8 @@ from .errors import (
     NonPositiveRadius,
     OrderOutOfRange,
     SingularOverlap,
+    Validation,
+    _number,
 )
 from .grid import _DIMENSIONS, _TOL, Field, Grid, Region, _node_indices
 
@@ -79,19 +81,22 @@ __all__ = [
 
 
 def cns(n: int, s: float) -> float:
-    """Normalization constant Gamma(n/2+s) 4^s / (|Gamma(-s)| pi^(n/2))."""
+    """Normalization constant Gamma(n/2+s) 4^s / (|Gamma(-s)| pi^(n/2)).  s
+    and the integer n >= 1 are read by errors._number; s outside (0, 1)
+    raises OrderOutOfRange."""
+    s = _number(s, "order s")
     if not 0.0 < s < 1.0:
         raise OrderOutOfRange(f"s = {s} must lie in (0, 1)")
-    if n < 1:
-        raise ValueError(f"dimension n = {n} must be >= 1")
+    n = _number(n, "dimension n", 1, integer=True)
     return gamma(n / 2 + s) * 4.0**s / (abs(gamma(-s)) * pi ** (n / 2))
 
 
 @dataclass(frozen=True)
 class FracParams:
     """Dimension n, fractional order s, and the kernel normalization
-    constant cns(n, s), computed here.  n must be a dimension of
-    grid._DIMENSIONS (ValueError); s outside (0, 1) raises OrderOutOfRange."""
+    constant cns(n, s), computed here, which reads both.  n must be a
+    dimension of grid._DIMENSIONS (Validation); s outside (0, 1) raises
+    OrderOutOfRange."""
 
     n: int
     s: float
@@ -99,7 +104,7 @@ class FracParams:
 
     def __post_init__(self):
         if self.n not in _DIMENSIONS.values():
-            raise ValueError(f"only n in {set(_DIMENSIONS.values())} supported, "
+            raise Validation(f"only n in {set(_DIMENSIONS.values())} supported, "
                              f"got {self.n}")
         object.__setattr__(self, "cns", cns(self.n, self.s))
 
@@ -725,10 +730,11 @@ def apply_operator(op: NonlocalOperator, u: Field, farfield: float = 0.0) -> np.
     than its size.  The exterior part is (a_ie @ u_e) - u_i * rowsum(a_ie).
     Constants with matching far-field are therefore annihilated to the
     roundoff of the exterior product (far below 1e-12 at the sizes the
-    acceptance gate checks), not exactly.
+    acceptance gate checks), not exactly.  farfield is read by errors._number.
     """
     if not u.grid.same_as(op.grid):
         raise GridMismatch("field grid differs from operator grid")
+    farfield = _number(farfield, "farfield")
     ui = u.interior_values
     w = ui - np.mean(ui)
     out = op.a_ie @ u.exterior_values - ui * op.a_ie.row_sums
@@ -745,9 +751,11 @@ def evaluate_at(op: NonlocalOperator, u: Field, indices,
     stencil rows are formed once and each is reduced by one BLAS dot, a
     (1, N) @ (N, 1) matmul, so every value is bit-identical to
     np.dot(w, u_g - u) + tail (u_g - farfield) over that node's row.
+    farfield is read by errors._number.
     """
     if not u.grid.same_as(op.grid):
         raise GridMismatch("field grid differs from operator grid")
+    farfield = _number(farfield, "farfield")
     indices = _node_indices(op.grid, indices)
     stencil = _Stencil(op.grid, op.params)
     out = np.empty(indices.size)

@@ -28,6 +28,8 @@ from .errors import (
     SpacingMismatch,
     TruncationTooSmall,
     Validation,
+    _finite_real,
+    _number,
 )
 
 _TOL = 1e-9  # lattice classification tolerance, relative to h
@@ -52,6 +54,9 @@ class Domain:
         kind: a key of _DIMENSIONS, which gives the number of bounds per side
         lower: per-axis lower bounds
         upper: per-axis upper bounds
+
+    Each bound is read by errors._number and stored as a float; a bad
+    kind, bound count or bound raises Validation.
     """
 
     kind: str
@@ -59,22 +64,25 @@ class Domain:
     upper: tuple[float, ...]
 
     def __post_init__(self):
-        if self.kind not in _DIMENSIONS:
-            raise ValueError(f"unknown domain kind {self.kind!r}")
+        if not isinstance(self.kind, str) or self.kind not in _DIMENSIONS:
+            raise Validation(f"unknown domain kind {self.kind!r}")
         expect = _DIMENSIONS[self.kind]
-        if len(self.lower) != expect or len(self.upper) != expect:
-            raise ValueError(f"{self.kind} needs {expect} bound(s) per side")
+        for side in ("lower", "upper"):
+            bounds = getattr(self, side)
+            if not isinstance(bounds, (tuple, list, np.ndarray)) or len(bounds) != expect:
+                raise Validation(f"{self.kind} needs {expect} bound(s) per side")
+            object.__setattr__(self, side, tuple(_number(b, f"domain {side}") for b in bounds))
         for lo, hi in zip(self.lower, self.upper):
             if not hi > lo:
-                raise ValueError("upper bound must exceed lower bound on every axis")
+                raise Validation("upper bound must exceed lower bound on every axis")
 
     @staticmethod
     def interval(lo: float, hi: float) -> "Domain":
-        return Domain("interval-1d", (float(lo),), (float(hi),))
+        return Domain("interval-1d", (lo,), (hi,))
 
     @staticmethod
     def box(lower: tuple[float, float], upper: tuple[float, float]) -> "Domain":
-        return Domain("box-2d", tuple(map(float, lower)), tuple(map(float, upper)))
+        return Domain("box-2d", lower, upper)
 
     @property
     def dim(self) -> int:
@@ -237,14 +245,15 @@ def build_grid(domain: Domain, h: float, R: float) -> Grid:
     """Construct the node set for a domain, spacing, and truncation radius.
 
     The lattice is anchored at the domain center, so identical inputs always
-    produce identical node orderings.  Raises NonPositiveSpacing, NonFiniteGrid,
-    TruncationTooSmall (R below the domain diameter) or SpacingMismatch (h
-    does not divide the domain extent) before any array, then EmptyInterior.
+    produce identical node orderings.  Raises NonFiniteGrid (h or R not a
+    finite real number), NonPositiveSpacing, TruncationTooSmall (R below the
+    domain diameter) or SpacingMismatch (h does not divide the domain
+    extent) before any array, then EmptyInterior.
     """
+    if _finite_real(h) is None or _finite_real(R) is None:
+        raise NonFiniteGrid(f"h = {h!r} and R = {R!r} must be finite real numbers")
     if not h > 0:
         raise NonPositiveSpacing(f"h = {h}")
-    if not (np.isfinite(h) and np.isfinite(R)):
-        raise NonFiniteGrid(f"h = {h} and R = {R} must be finite")
     if R < domain.diameter * (1 - 1e-12):
         raise TruncationTooSmall(
             f"R = {R} must reach at least the domain diameter {domain.diameter}")
@@ -286,10 +295,13 @@ def build_grid(domain: Domain, h: float, R: float) -> Grid:
 def sample_function(grid: Grid, f, region: Region = Region.ALL) -> Field:
     """Sample a scalar function of coordinates onto a Field.
 
-    Values outside the selected region are zero.  1D functions receive a
-    scalar coordinate, 2D functions receive (x, y).  A bump from c3_bump is
-    evaluated on all the region's points in one call, with the same bits.
+    Values outside the selected region are zero; a region that is not a
+    Region raises Validation.  1D functions receive a scalar coordinate, 2D
+    functions receive (x, y).  A bump from c3_bump is evaluated on all the
+    region's points in one call, with the same bits.
     """
+    if not isinstance(region, Region):
+        raise Validation(f"region must be a Region, got {region!r}")
     if region == Region.ALL:
         mask = np.ones(grid.n_nodes, dtype=bool)
     else:
@@ -354,19 +366,24 @@ def c3_bump(center, width: float, amplitude: float = 1.0):
     r = |x - center| / width, which vanishes to third order at the support
     edge.  Works for 1D (scalar center) and 2D (pair center); a point
     whose dimension differs from the center's raises Validation, and so
-    does a width that is not positive.  The profile takes one point as
-    profile(*coords), or an (m, n) array of points as profile.at(points).
+    does a center component, width or amplitude that errors._number
+    refuses, or a width that is not positive.  The profile takes one point
+    as profile(*coords), or an (m, n) array of points as profile.at(points).
     """
-    c = np.atleast_1d(np.asarray(center, dtype=float))
+    c = np.atleast_1d(np.asarray(center, dtype=object))
     if c.ndim != 1:
         raise Validation(f"bump center must be a point, got shape {c.shape}")
+    width = _number(width, "bump width")
     if not width > 0:
         raise Validation(f"bump width must be positive, got {width}")
-    return _Bump(tuple(c.tolist()), float(width), float(amplitude))
+    return _Bump(tuple(_number(ci, "bump center component") for ci in c), width,
+                 _number(amplitude, "bump amplitude"))
 
 
 def annulus_window(grid: Grid, inner: float, outer: float) -> Window:
-    """All exterior nodes whose distance to the domain lies in [inner, outer]."""
+    """All exterior nodes whose distance to the domain lies in [inner, outer],
+    each bound read by errors._number."""
+    inner, outer = _number(inner, "window inner"), _number(outer, "window outer")
     d = grid.domain.distance(grid.exterior_nodes)
     sel = (d >= inner - 1e-12) & (d <= outer + 1e-12)
     return Window(grid, _freeze(grid.exterior_index[np.flatnonzero(sel)]))

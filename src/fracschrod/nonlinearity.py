@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidRange, NegativeCoefficient, UnknownModel, Validation, _finite_real
+from .errors import InvalidRange, NegativeCoefficient, UnknownModel, _number
 from .grid import Domain
 
 
@@ -51,14 +51,11 @@ class Nonlinearity:
 
 def _coefficient(a, a_sup):
     """Normalize the coefficient profile; returns (callable, sup bound).  A
-    scalar must be a finite real (Validation) and >= 0 (NegativeCoefficient)."""
+    callable needs a_sup, and a scalar is read, by errors._number
+    (Validation); a_sup must be >= 0 and a scalar >= 0 (NegativeCoefficient)."""
     if callable(a):
-        if a_sup is None:
-            raise Validation("a_sup is required for callable coefficients")
-        return a, float(a_sup)
-    a_val = _finite_real(a)
-    if a_val is None:
-        raise Validation(f"coefficient a must be a finite real number or a callable, got {a!r}")
+        return a, _number(a_sup, "a_sup of a callable coefficient", 0)
+    a_val = _number(a, "coefficient a (or a callable)")
     if a_val < 0:
         raise NegativeCoefficient(f"a = {a_val}")
     return (lambda x: np.full(np.atleast_2d(x).shape[0], a_val)), a_val
@@ -179,8 +176,12 @@ def check_conditions(nl: Nonlinearity, x_box: Domain, t_max: float,
 
     The superlinearity condition is a statement for all |t| >= r and can
     only be sampled on a compact range; it is checked on r <= |t| <= t_max.
-    Raises InvalidRange when t_max < r or n_samples < 100.
+    t_max, the integer n_samples and the integer seed >= 0 are read by
+    errors._number (Validation); InvalidRange when t_max < r or n_samples < 100.
     """
+    t_max = _number(t_max, "t_max")
+    n_samples = _number(n_samples, "n_samples", integer=True)
+    seed = _number(seed, "seed", 0, integer=True)
     if t_max < nl.r:
         raise InvalidRange(f"t_max = {t_max} must be >= r = {nl.r}")
     if n_samples < 100:
@@ -244,8 +245,8 @@ def check_conditions(nl: Nonlinearity, x_box: Domain, t_max: float,
         continuity=continuity, growth=growth, small_t_limit=small_t,
         superlinearity=superlinearity, derivative_bounds=derivative_bounds,
         derivative_consistency=consistency,
-        x_bounds=(tuple(x_box.lower), tuple(x_box.upper)), t_max=float(t_max),
-        n_samples=int(n_samples), seed=int(seed), asymptotic_note=note)
+        x_bounds=(tuple(x_box.lower), tuple(x_box.upper)), t_max=t_max,
+        n_samples=n_samples, seed=seed, asymptotic_note=note)
 
 
 def delta_window(n: int, s: float) -> tuple[float, float]:
@@ -253,7 +254,9 @@ def delta_window(n: int, s: float) -> tuple[float, float]:
 
     Metadata only: it powers the variational existence argument and has no
     effect on the discrete solvers.  The upper end is +inf when n <= 2s.
+    s and the integer n >= 1 are read by errors._number.
     """
+    n, s = _number(n, "dimension n", 1, integer=True), _number(s, "order s")
     if n - 2 * s <= 0:
         return 2.0, float("inf")
     return 2.0, (2.0 * n - 2.0 * s) / (n - 2.0 * s)

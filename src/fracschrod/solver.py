@@ -68,8 +68,7 @@ from .errors import (
     SingularSystem,
     StepNotConverged,
     Validation,
-    _finite_integer,
-    _finite_real,
+    _number,
 )
 from .fraclap import NonlocalOperator, _dst, apply_operator
 from .grid import _AXES, Field, Grid
@@ -126,17 +125,13 @@ class NewtonConfig:
 
     def __post_init__(self):
         # True would run as 1 iteration, and 2.5 fail inside Newton
-        iters = _finite_integer(self.max_iters)
-        if iters is None or iters < 0:
-            raise Validation("max_iters must be a nonnegative integer")
+        iters = _number(self.max_iters, "max_iters", 0, integer=True)
         object.__setattr__(self, "max_iters", iters)
         # an infinite tolerance accepts the zero interior after 0 iterations
-        tol = _finite_real(self.residual_tol)
-        if tol is None or tol <= 0:
-            raise Validation("residual_tol must be a finite positive real number")
-        damping = _finite_real(self.damping)
-        if damping is None or not 0.0 < damping < 1.0:
-            raise Validation("damping must be a real number in (0, 1)")
+        if not _number(self.residual_tol, "residual_tol") > 0:
+            raise Validation(f"residual_tol must be positive, got {self.residual_tol!r}")
+        if not 0.0 < _number(self.damping, "damping") < 1.0:
+            raise Validation(f"damping must lie in (0, 1), got {self.damping!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,7 +294,7 @@ def solve_linear(problem: LinearProblem) -> Field:
 # Newton's linear step: CG stops once ||r||_2 <= _CG_RTOL ||b||_2, and
 # raises StepNotConverged after _CG_MAX_ITERS iterations.  It runs only
 # while max dq is at most (_CG_MAX_KAPPA - 1) times the row-sum bound
-# lam0 <= lambda_min(J0)
+# lam0 <= lambda_min(J0), a bound on cond(J0^-1 J) (see _newton_step)
 _CG_RTOL = 1e-13
 _CG_MAX_ITERS = 500
 _CG_MAX_KAPPA = 4.0
@@ -311,9 +306,8 @@ def _newton_step(op: NonlocalOperator, dq: np.ndarray, rhs: np.ndarray,
     took, 0 for a direct solve.
 
     J0 = a_ii + diag(tail) is an M-matrix, so its smallest eigenvalue is at
-    least its smallest row sum, lam0 = min(tail - rowsum(a_ie)) (Gershgorin),
-    and with dq >= 0, x^T J x / x^T J0 x lies in [1, kappa], kappa = 1 +
-    max dq / lam0.  While kappa <= _CG_MAX_KAPPA the step is conjugate
+    least its smallest row sum, lam0 = min(tail - rowsum(a_ie)) (Gershgorin).
+    While max dq <= (_CG_MAX_KAPPA - 1) lam0 the step is conjugate
     gradients preconditioned by P = Q diag(lambda) Q, the optimal tau matrix
     of J (Bini and Di Benedetto), with Q the orthonormal multilevel DST-I
     over the interior box: lambda = diag(Q J Q) is tau
@@ -325,8 +319,17 @@ def _newton_step(op: NonlocalOperator, dq: np.ndarray, rhs: np.ndarray,
     Toeplitz with Toeplitz blocks plus a diagonal, and its tau matrix keeps
     the count nearly flat: at s = 1/2, 9 to 14 per step in 2D from h = 2^-3
     to 2^-7 (T. Chan's optimal circulant took 17 to 33), and 9 or 10 at
-    s = 0.9 (the circulant up to 64).  A stiffer step is solved against a
+    s = 0.9 (the circulant up to 64).  Any other step is solved against a
     Cholesky factor of J, kept with the operator.
+
+    The switch bounds the condition number of J0^-1 J, whose quotients
+    x^T J x / x^T J0 x lie in [1, 1 + max dq / lam0]: that bound set the
+    count of CG preconditioned by J0's factor, as Newton's was until the
+    tau matrix replaced it (by way of T. Chan's circulant).  Under tau the
+    count follows the variation of dq, not its size: forced past the switch
+    at 2D h = 2^-5 and 1D h = 2^-8, s from 1/4 to 0.9, a constant dq of
+    4 lam0 or 1e5 takes 3 to 10 iterations, a Gaussian bump of height 1e3
+    takes 36 to 314, and one of height 1e5 mostly misses 500.
     """
     lam0 = np.min(op.tail - op.a_ie.row_sums)
     if np.max(dq) > (_CG_MAX_KAPPA - 1.0) * lam0:
@@ -369,8 +372,8 @@ def solve_semilinear(op: NonlocalOperator, nl: Nonlinearity, g: Field,
     the sup-norm of the nonlinear residual per iteration, for
     convergence-order checks.  A negative or non-finite dq on an iterate
     raises JacobianSingular.  A linear step whose Jacobian J = J0 + diag(dq)
-    is within a condition factor 4 of J0 = a_ii + diag(tail) (bounded by
-    1 + max dq / min row sum of J0) is CG preconditioned by the optimal tau
+    has max dq at most 3 times the least row sum of J0 = a_ii + diag(tail)
+    (see _newton_step for what that bounds) is CG preconditioned by the optimal tau
     matrix of J, whose eigenvalues lie within J's spectrum; their
     off-diagonal part is computed once per call, so such a solve factors
     nothing (at s = 1/2, 10-12 iterations per step in 1D at h =
@@ -495,9 +498,7 @@ def check_linf_bound(u: Field, f: np.ndarray, g: Field,
 def check_comparison(u1: Field, u2: Field, tol: float = 1e-10) -> bool:
     """Componentwise ordering of two solutions on interior nodes, up to a
     finite tol >= 0 (Validation)."""
-    tol = _finite_real(tol)
-    if tol is None or tol < 0:
-        raise Validation("tol must be a finite nonnegative real number")
+    tol = _number(tol, "tol", 0)
     if not u1.grid.same_as(u2.grid):
         raise GridMismatch("solutions live on different grids")
     return bool(np.all(u1.interior_values >= u2.interior_values - tol))

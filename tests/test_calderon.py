@@ -154,6 +154,14 @@ def test_linearization_schedule_validation(op_small):
         linearization_study(op_small, nl, g, g, [1e-2, 1e-1])
 
 
+def test_linearization_schedule_is_read(op_small):
+    # a schedule of strings ran as the numbers they spell
+    nl = catalogue("linear", 1.0)
+    g = exterior_bump(op_small.grid, 1.5, 0.4, 1.0)
+    with pytest.raises(Validation, match=r"eta_schedule\[0\]"):
+        linearization_study(op_small, nl, g, g, ["0.1", "0.01"])
+
+
 def test_dn_map_deterministic(op_coarse):
     window = recovery_window(op_coarse.grid)
     a = 0.5 * np.ones(op_coarse.grid.n_interior)

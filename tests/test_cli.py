@@ -402,6 +402,17 @@ def test_recover_run(tmp_path):
     assert header == ["x", "a_true", "a_estimate"]
 
 
+def test_noisy_recover_run_records_the_inverse_crime(tmp_path):
+    # noise does not remove the crime: the data still come from dn_map of
+    # the operator the recovery inverts (a noisy run recorded false)
+    out = tmp_path / "out"
+    cfg = dict(GETOOR, **RECOVER, noise=0.01, seed=3)
+    assert main(["recover", "--config", write_config(tmp_path, cfg),
+                 "--out", str(out)]) == 0
+    summary = json.loads((out / "manifest.json").read_text())["summary"]
+    assert summary["inverse_crime"] is True
+
+
 def test_recover_config_reaches_its_truth(cli_outputs):
     # configs/recover.json fits noiseless data, which determine its truth:
     # the estimate must reach it, not stop at the evaluation cap 2.03e-2

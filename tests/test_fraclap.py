@@ -26,6 +26,7 @@ from fracschrod.errors import (
     NonPositiveRadius,
     OrderOutOfRange,
     SingularOverlap,
+    Validation,
 )
 from fracschrod.cauchy import neumann_derivative
 from fracschrod.fraclap import _blocks, _Stencil
@@ -664,3 +665,23 @@ def test_evaluate_at_annihilates_constants(stencil_op):
     constant = Field.from_values(grid, np.full(grid.n_nodes, 1.7))
     got = evaluate_at(stencil_op, constant, grid.exterior_index, farfield=1.7)
     assert np.all(got == 0.0)
+
+
+@pytest.mark.parametrize("make", [lambda grid: FracParams(True, 0.5),
+                                  lambda grid: FracParams(1, "0.5"),
+                                  lambda grid: assemble(grid, "0.5")])
+def test_order_and_dimension_are_read(op_small, make):
+    # n = True built a 1D constant, and a string order raised a bare TypeError
+    with pytest.raises(Validation):
+        make(op_small.grid)
+
+
+@pytest.mark.parametrize("evaluate", [
+    lambda op, u, far: apply_operator(op, u, farfield=far),
+    lambda op, u, far: evaluate_at(op, u, op.grid.exterior_index[:3], farfield=far),
+])
+@pytest.mark.parametrize("farfield", [float("nan"), "0"])
+def test_farfield_is_read(op_small, evaluate, farfield):
+    # nan returned NaN values, and "0" raised a bare UFuncTypeError
+    with pytest.raises(Validation, match="farfield"):
+        evaluate(op_small, Field.zeros(op_small.grid), farfield)

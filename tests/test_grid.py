@@ -23,6 +23,7 @@ from fracschrod.errors import (
     TruncationTooSmall,
     Validation,
 )
+from fracschrod.grid import _Bump
 from fracschrod.serialize import dumps
 from conftest import GRIDS_2D
 
@@ -176,7 +177,7 @@ def test_sample_nonfinite_rejected():
     with pytest.raises(NonFiniteSample, match=r"at \(1\.5,\)$"):
         sample_function(grid, lambda x: float("nan") if x > 1.4 else 0.0)
     with pytest.raises(NonFiniteSample, match=r"at \(-2\.0,\)$"):
-        sample_function(grid, c3_bump(1.5, 0.25, float("inf")), Region.EXTERIOR)
+        sample_function(grid, _Bump((1.5,), 0.25, float("inf")), Region.EXTERIOR)
     box = build_grid(Domain.box((-1, -1), (1, 1)), 0.5, 3.0)
     with pytest.raises(NonFiniteSample, match=r"at \(-0\.5, 0\.0\)$"):
         sample_function(box, lambda x, y: float("nan") if x < y else 0.0, Region.INTERIOR)
@@ -295,3 +296,51 @@ def test_domain_geometry():
         Domain("interval-1d", (-1.0, -1.0), (1.0, 1.0))
     with pytest.raises(ValueError, match="unknown domain kind 'box-3d'"):
         Domain("box-3d", (-1.0,) * 3, (1.0,) * 3)
+
+
+@pytest.mark.parametrize("h, R", [(True, 3.0), ("0.25", 3.0), (float("nan"), 3.0),
+                                  (0.25, "3.0"), (0.25, True)])
+def test_spacing_or_radius_that_is_not_a_finite_real(h, R):
+    # h = True ran as h = 1.0, a string raised a bare TypeError, nan raised
+    # NonPositiveSpacing, and R = True ran into TruncationTooSmall as R = 1
+    with pytest.raises(NonFiniteGrid):
+        build_grid(Domain.interval(-1, 1), h, R)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Domain.interval("-1", "1"),
+    lambda: Domain("interval-1d", ("a",), ("b",)),
+    lambda: Domain.interval(-np.inf, 1),
+    lambda: Domain(["interval-1d"], (-1.0,), (1.0,)),
+    lambda: Domain("interval-1d", -1.0, 1.0),
+])
+def test_domain_reads_its_kind_and_bounds(make):
+    # the strings constructed (compared as strings), -inf constructed and
+    # failed at build_grid as a domain of diameter inf, and a list kind or
+    # a scalar side raised a bare TypeError
+    with pytest.raises(Validation):
+        make()
+
+
+def test_annulus_window_reads_its_band():
+    # a string bound raised a bare TypeError in the comparison
+    grid = build_grid(Domain.interval(-1, 1), 0.25, 3.0)
+    with pytest.raises(Validation, match="window inner"):
+        annulus_window(grid, "0.25", 1.0)
+
+
+@pytest.mark.parametrize("args", [([1.5], "0.4"), ([1.5], 0.4, "2"), (["1.5"], 0.4),
+                                  ([1.5], float("inf")), ([1.5], 0.4, float("nan"))])
+def test_c3_bump_reads_center_width_and_amplitude(args):
+    # a string width raised a bare TypeError, a string amplitude or center
+    # ran as the number it spells, and an infinite width made a constant
+    with pytest.raises(Validation, match="bump"):
+        c3_bump(*args)
+
+
+@pytest.mark.parametrize("region", ["EXTERIOR", None])
+def test_sample_function_refuses_a_region_that_is_not_a_region(region):
+    # either ran and returned an all-zero field
+    grid = build_grid(Domain.interval(-1, 1), 0.25, 3.0)
+    with pytest.raises(Validation, match="region"):
+        sample_function(grid, c3_bump(1.5, 0.4), region)

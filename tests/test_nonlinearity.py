@@ -232,3 +232,28 @@ def test_delta_window():
     lo, hi = delta_window(2, 0.5)
     assert (lo, hi) == (2.0, 3.0)
     assert delta_window(1, 0.75)[1] == float("inf")
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"t_max": True}, {"t_max": float("nan")}, {"t_max": float("inf")},
+    {"t_max": 10.0, "n_samples": 1000.5}, {"t_max": 10.0, "seed": -1},
+    {"t_max": 10.0, "seed": 1.5},
+])
+def test_conditions_read_their_arguments(kwargs):
+    # t_max = True ran as 1, nan or inf raised a bare OverflowError, and the
+    # others a bare TypeError or ValueError from the generator
+    with pytest.raises(Validation):
+        check_conditions(catalogue("linear", 1.0), BOX, **kwargs)
+
+
+@pytest.mark.parametrize("a_sup", ["2", float("nan"), -1.0])
+def test_catalogue_reads_the_bound_of_a_callable_coefficient(a_sup):
+    # "2" ran as 2.0, and nan or -1 built a model claiming m0 = 1.0
+    with pytest.raises(Validation, match="a_sup"):
+        catalogue("linear", lambda x: np.ones(len(np.atleast_2d(x))), a_sup=a_sup)
+
+
+def test_delta_window_reads_its_order():
+    # a string order raised a bare TypeError
+    with pytest.raises(Validation, match="order s"):
+        delta_window(2, "0.5")

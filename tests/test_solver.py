@@ -568,10 +568,10 @@ def test_cg_step_failures_are_named(op_small, monkeypatch):
 @pytest.mark.parametrize("s", [0.5, 0.9])
 @pytest.mark.parametrize("a", [1e4, 1e8])
 def test_stiff_newton_step_is_direct(monkeypatch, s, a):
-    # a potential far above J0's row sums bounds the condition of CG's
-    # system poorly (at 1D h=2^-11, s=0.9, a=1e8, CG preconditioned by J0
-    # needed 2047 iterations), so each step is a direct solve, factored once
-    # and kept, which a linear solve at the same potential reuses
+    # a potential above 3 times J0's least row sum sends each step to a
+    # direct solve (the switch bounds cond(J0^-1 J), the measure of the J0
+    # preconditioner CG no longer uses), factored once and kept, which a
+    # linear solve at the same potential reuses
     grid = build_grid(Domain.interval(-1.0, 1.0), 2.0**-6, 4.0)
     op = assemble(grid, s)
     g = exterior_bump(grid, 1.5, 0.4, 1.0)
