@@ -36,6 +36,7 @@ from .errors import (
     SingularSystem,
     Validation,
     _number,
+    _values,
 )
 from .cauchy import CauchyDatum, mass_m
 from .fraclap import NonlocalOperator, _blocks, _Stencil
@@ -48,9 +49,7 @@ from .solver import (LinearProblem, NewtonConfig, _checked_potential, _lapack,
 def solve_linearized(op: NonlocalOperator, dq_at_ug: np.ndarray,
                      h: Field) -> Field:
     """Solve the linearized problem: potential dq(x, u_g), source 0, data h."""
-    ni = op.grid.n_interior
-    return solve_linear(LinearProblem(op=op, a=np.asarray(dq_at_ug, dtype=float),
-                                      f=np.zeros(ni), g=h))
+    return solve_linear(LinearProblem(op=op, a=dq_at_ug, f=np.zeros(op.grid.n_interior), g=h))
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,10 +78,10 @@ def linearization_study(op: NonlocalOperator, nl: Nonlinearity, g: Field,
 
     For each eta, solves the semilinear problem at data g + eta h, forms
     w = (u_{g+eta h} - u_g)/eta, and records the distance to the linearized
-    solution in both norms.  A diverging solve is recorded, not fatal.  Each
-    eta is read by errors._number.
+    solution in both norms.  A diverging solve is recorded, not fatal.  The
+    schedule is read by errors._values as a 1-D array.
     """
-    etas = [_number(e, f"eta_schedule[{k}]") for k, e in enumerate(eta_schedule)]
+    etas = _values(eta_schedule, "eta_schedule", (None,)).tolist()
     if len(etas) < 2 or not all(x > y > 0 for x, y in zip(etas, etas[1:])):
         raise InvalidRange("eta schedule must be strictly decreasing and positive")
 
@@ -92,8 +91,7 @@ def linearization_study(op: NonlocalOperator, nl: Nonlinearity, g: Field,
     base = solve_semilinear(op, nl, g, cfg)
     # the Newton solves' CG steps factor nothing; the linearized system at
     # dq(u_g) is the one factor
-    dq_ref = np.asarray(nl.dq(grid.interior_nodes, base.u.interior_values))
-    u_star = solve_linearized(op, dq_ref, h)
+    u_star = solve_linearized(op, nl.dq(grid.interior_nodes, base.u.interior_values), h)
     scale = grid.h ** (grid.dim / 2.0)
 
     errors_l2, errors_sup, converged = [], [], []
@@ -124,7 +122,8 @@ class DnMatrix:
     A probe is the unit exterior datum at a window node; probes holds those
     nodes, an int array in column order (dn_map's default: every window
     node, ascending).  Any other probe family is a combination of these
-    columns, so it carries no more information."""
+    columns, so it carries no more information.  The matrix is read by
+    errors._values, one row per window node and one column per probe."""
 
     window: Window
     probes: np.ndarray
@@ -132,10 +131,8 @@ class DnMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        if self.matrix.shape != (self.window.size, len(self.probes)):
-            raise GridMismatch("response matrix shape does not match probes")
-        if not np.all(np.isfinite(self.matrix)):
-            raise Validation("response matrix contains non-finite values")
+        object.__setattr__(self, "matrix", _values(
+            self.matrix, "response matrix", (self.window.size, len(self.probes))))
 
 
 def _probe_rows(window: Window, probes) -> np.ndarray:

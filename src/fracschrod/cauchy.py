@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatch, Validation, WindowTouchesBoundary
+from .errors import GridMismatch, Validation, WindowTouchesBoundary, _values
 from .fraclap import FracParams, NonlocalOperator, _Stencil, evaluate_at
 from .grid import Field, Grid, Region, Window, _node_indices
 from .nonlinearity import Nonlinearity
@@ -39,8 +39,9 @@ from .solver import NewtonConfig, solve_semilinear
 
 @dataclass(frozen=True, eq=False)
 class CauchyDatum:
-    """Paired exterior trace and Neumann trace on a window, with the CG
-    iterations of each Newton step of the solve behind it."""
+    """Paired exterior trace and Neumann trace on a window, each read by
+    errors._values, with the CG iterations of each Newton step of the
+    solve behind it."""
 
     window: Window
     trace: np.ndarray
@@ -49,11 +50,8 @@ class CauchyDatum:
     cg_iterations: tuple[int, ...] = ()
 
     def __post_init__(self):
-        k = self.window.size
-        if self.trace.shape != (k,) or self.neumann.shape != (k,):
-            raise GridMismatch("trace and neumann must match the window size")
-        if not (np.all(np.isfinite(self.trace)) and np.all(np.isfinite(self.neumann))):
-            raise Validation("Cauchy datum contains non-finite values")
+        for name in ("trace", "neumann"):
+            object.__setattr__(self, name, _values(getattr(self, name), name, (self.window.size,)))
 
 
 def _exterior_indices(grid: Grid, params: FracParams, indices) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Exception hierarchy for the toolkit, and the one reader of outside numbers.
+"""Exception hierarchy for the toolkit, and the one reader of outside numbers and arrays.
 
 The solvers, measurements and CLI raise subclasses of ``ToolkitError``, so
 callers (the CLI in particular) can report the failing condition by class
@@ -14,10 +14,16 @@ it raises Validation naming the value unless the number is finite and at
 least its lower bound.  Outside this module only grid.build_grid calls
 the two primitives, to raise its own NonFiniteGrid.  Each strict bound
 (a positive tolerance, s in (0, 1)) is one comparison after the read.
+An array from outside (a field's values, a potential, a source, a DN
+matrix, a Cauchy datum, an eta schedule) is read by _values, with one
+pass for finiteness, one for the lower bound, and a copy only to convert
+to float64.
 """
 
 import math
 from numbers import Integral, Real
+
+import numpy as np
 
 
 class ToolkitError(Exception):
@@ -171,3 +177,33 @@ def _number(value, key: str, low: float | None = None, integer: bool = False):
         raise Validation(f"{key} must be {'an integer' if integer else 'a finite number'}"
                          f"{'' if low is None else f' >= {low}'}, got {value!r}")
     return number
+
+
+def _values(values, key: str, shape: tuple, low: float | None = None, nonfinite=Validation):
+    """values as a float64 array of shape (None matches any length), else
+    Validation naming key: its entries must be real numbers (no bool,
+    complex, string or object entries, no ragged list), finite (else
+    nonfinite) and >= low; a wrong length is GridMismatch.  A float64 array
+    is returned as is."""
+    try:
+        arr = np.asarray(values)
+    except (TypeError, ValueError) as err:
+        raise Validation(f"{key} must be an array of real numbers: {err}") from None
+    if arr.dtype.kind not in "iuf":
+        at = f": {_entry(key, arr, 0)}" if arr.ndim and arr.size and arr.dtype != object else ""
+        raise Validation(f"{key} must hold real numbers, got dtype {arr.dtype}{at}")
+    if arr.ndim != len(shape):
+        raise Validation(f"{key} must be a {len(shape)}-D array, got shape {arr.shape}")
+    if any(n not in (None, m) for n, m in zip(shape, arr.shape)):
+        raise GridMismatch(f"{key} must have shape {shape}, got {arr.shape}")
+    arr = arr.astype(np.float64, copy=False)
+    if not (finite := np.isfinite(arr)).all():
+        raise nonfinite(f"{key} has a non-finite entry: {_entry(key, arr, np.argmin(finite))}")
+    if low is not None and (arr < low).any():
+        raise Validation(f"{key} must be >= {low}, got {_entry(key, arr, np.argmax(arr < low))}")
+    return arr
+
+
+def _entry(key: str, arr: np.ndarray, k) -> str:
+    """'key[i, j] = value' for the entry of arr at flat index k."""
+    return f"{key}[{', '.join(map(str, np.unravel_index(k, arr.shape)))}] = {arr.flat[k].item()!r}"

@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import (
     EmptyInterior,
-    GridMismatch,
     NonFiniteGrid,
     NonFiniteSample,
     NonPositiveSpacing,
@@ -30,6 +29,7 @@ from .errors import (
     Validation,
     _finite_real,
     _number,
+    _values,
 )
 
 _TOL = 1e-9  # lattice classification tolerance, relative to h
@@ -170,17 +170,16 @@ class Grid:
 
 @dataclass(frozen=True, eq=False)
 class Field:
-    """Real values attached to every node of a grid."""
+    """Real values attached to every node of a grid, read by
+    errors._values (a non-finite value is NonFiniteSample); a float64
+    array is kept as given, from_values keeps a read-only copy."""
 
     grid: Grid
     values: np.ndarray
 
     def __post_init__(self):
-        if self.values.shape != (self.grid.n_nodes,):
-            raise GridMismatch(
-                f"field length {self.values.shape} != node count {self.grid.n_nodes}")
-        if not np.all(np.isfinite(self.values)):
-            raise NonFiniteSample("field contains non-finite values")
+        object.__setattr__(self, "values", _values(
+            self.values, "field values", (self.grid.n_nodes,), nonfinite=NonFiniteSample))
 
     @staticmethod
     def zeros(grid: Grid) -> "Field":
@@ -188,7 +187,9 @@ class Field:
 
     @staticmethod
     def from_values(grid: Grid, values) -> "Field":
-        return Field(grid, _freeze(np.array(values, dtype=float)))
+        field = Field(grid, values)
+        object.__setattr__(field, "values", _freeze(field.values.copy()))
+        return field
 
     @property
     def interior_values(self) -> np.ndarray:

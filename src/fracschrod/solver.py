@@ -69,6 +69,7 @@ from .errors import (
     StepNotConverged,
     Validation,
     _number,
+    _values,
 )
 from .fraclap import NonlocalOperator, _dst, apply_operator
 from .grid import _AXES, Field, Grid
@@ -77,24 +78,18 @@ from .serialize import write_csv
 
 
 def _checked_potential(op: NonlocalOperator, a) -> np.ndarray:
-    """a as floats, checked as every solve at a potential checks it: one
-    value per interior node of op (GridMismatch), finite and >= 0 (Validation)."""
-    a = np.asarray(a, dtype=float)
-    if a.shape != (op.grid.n_interior,):
-        raise GridMismatch("potential a must have one value per interior node")
-    if not np.all(np.isfinite(a)):
-        raise Validation("potential a must be finite")
-    if np.any(a < 0):
-        raise Validation("potential a must be nonnegative")
-    return a
+    """a read as every solve at a potential reads it: errors._values, one
+    value per interior node of op, >= 0."""
+    return _values(a, "potential a", (op.grid.n_interior,), 0)
 
 
 @dataclass(frozen=True, eq=False)
 class LinearProblem:
     """Data for L u + a u = f with exterior values g.
 
-    a and f are per-interior-node arrays; g is a full nodal field that
-    vanishes on interior nodes.  The potential must be nonnegative.
+    a and f are per-interior-node arrays, read by errors._values; g is a
+    full nodal field that vanishes on interior nodes.  The potential must
+    be nonnegative.
     """
 
     op: NonlocalOperator
@@ -103,18 +98,12 @@ class LinearProblem:
     g: Field
 
     def __post_init__(self):
-        a = _checked_potential(self.op, self.a)
-        f = np.asarray(self.f, dtype=float)
-        if f.shape != a.shape:
-            raise GridMismatch("source f must have one value per interior node")
-        if not np.all(np.isfinite(f)):
-            raise Validation("source f must be finite")
+        object.__setattr__(self, "a", _checked_potential(self.op, self.a))
+        object.__setattr__(self, "f", _values(self.f, "source f per interior node", self.a.shape))
         if not self.g.grid.same_as(self.op.grid):
             raise GridMismatch("exterior data lives on a different grid")
         if np.any(self.g.interior_values != 0.0):
             raise Validation("exterior data must vanish on interior nodes")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "f", f)
 
 
 @dataclass(frozen=True)
@@ -480,14 +469,13 @@ def check_linf_bound(u: Field, f: np.ndarray, g: Field,
     """Evaluate the sup-norm estimate |u| <= |g|_inf + C |f|_inf.
 
     Returns (lhs, rhs, pass) with an 1e-8 slack on the comparison.  g and
-    the barrier must live on u's grid and f hold one value per interior
-    node (GridMismatch).
+    the barrier must live on u's grid (GridMismatch), and f is read by
+    errors._values, one value per interior node.
     """
     grid = u.grid
     if not (g.grid.same_as(grid) and barrier.phi.grid.same_as(grid)):
         raise GridMismatch("exterior data or barrier lives on a different grid")
-    if np.shape(f) != (grid.n_interior,):
-        raise GridMismatch("source f must have one value per interior node")
+    f = _values(f, "source f per interior node", (grid.n_interior,))
     lhs = float(np.max(np.abs(u.interior_values)))
     g_sup = float(np.max(np.abs(g.exterior_values))) if g.grid.n_exterior else 0.0
     f_sup = float(np.max(np.abs(f))) if len(f) else 0.0

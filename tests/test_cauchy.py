@@ -372,3 +372,16 @@ def test_cauchy_entry_points_reject_a_window_of_another_grid(op_small, entry, k)
             u = solve_linear(LinearProblem(op=op_small, a=np.zeros(grid.n_interior),
                                            f=np.zeros(grid.n_interior), g=g))
             exterior_identity_check(op_small, u, g, window)
+
+
+def test_cauchy_datum_reads_lists():
+    # a list raised a bare AttributeError ('list' object has no attribute 'shape')
+    grid = build_grid(Domain.interval(-1, 1), 0.25, 2.0)
+    window = annulus_window(grid, 0.5, 1.0)
+    values = [0.5] * window.size
+    datum = cauchy.CauchyDatum(window, trace=values, neumann=values, provenance="p")
+    assert datum.trace.dtype == np.float64 and datum.trace.tolist() == values
+    assert datum.neumann.dtype == np.float64 and datum.neumann.tolist() == values
+    with pytest.raises(Validation, match="neumann"):
+        cauchy.CauchyDatum(window, trace=values, neumann=["0.5"] * window.size,
+                           provenance="p")

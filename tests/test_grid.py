@@ -344,3 +344,37 @@ def test_sample_function_refuses_a_region_that_is_not_a_region(region):
     grid = build_grid(Domain.interval(-1, 1), 0.25, 3.0)
     with pytest.raises(Validation, match="region"):
         sample_function(grid, c3_bump(1.5, 0.4), region)
+
+
+# the grid of the array-reader rows: 1D (-1, 1), h = 1/4, R = 2, 15 nodes
+QUARTER = build_grid(Domain.interval(-1, 1), 0.25, 2.0)
+
+
+@pytest.mark.parametrize("values", [
+    ["1"] * QUARTER.n_nodes,               # ran as 1.0
+    [True] * QUARTER.n_nodes,              # ran as 1.0
+    [1j] * QUARTER.n_nodes,                # a bare TypeError
+    [[0.0]] + [0.0] * (QUARTER.n_nodes - 1),   # a ragged list: a bare ValueError
+], ids=["strings", "bools", "complex", "ragged"])
+def test_field_refuses_values_that_are_not_real_numbers(values):
+    with pytest.raises(Validation, match="field values"):
+        Field.from_values(QUARTER, values)
+
+
+def test_field_reads_a_list_of_floats():
+    # a list raised a bare AttributeError ('list' object has no attribute 'shape')
+    field = Field(QUARTER, [0.0] * QUARTER.n_nodes)
+    assert field.values.dtype == np.float64
+    assert field.values.tolist() == [0.0] * QUARTER.n_nodes
+
+
+def test_field_stores_the_bytes_it_is_given():
+    values = np.linspace(-1.0, 1.0, QUARTER.n_nodes)
+    values[0], values[1] = -0.0, 5e-324
+    kept = Field(QUARTER, values)
+    assert kept.values is values
+    copied = Field.from_values(QUARTER, values)
+    assert copied.values.tobytes() == values.tobytes()
+    assert not np.shares_memory(copied.values, values) and not copied.values.flags.writeable
+    values[2] = 7.0
+    assert copied.values[2] != 7.0

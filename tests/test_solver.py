@@ -828,3 +828,38 @@ def test_linf_bound_rejects_data_of_another_grid(op_small):
                          Field.zeros(other), barrier)
     with pytest.raises(GridMismatch, match="per interior node"):
         check_linf_bound(u, np.ones(5), u, barrier)
+
+
+def _quarter_op():
+    """The operator of the array-reader rows: 1D (-1, 1), h = 1/4, R = 2, s = 1/2."""
+    return assemble(build_grid(Domain.interval(-1, 1), 0.25, 2.0), 0.5)
+
+
+@pytest.mark.parametrize("name, entry, key", [
+    ("a", "0.5", "potential a"),      # ran as 0.5
+    ("a", True, "potential a"),       # ran as 1.0
+    ("a", 0.5 + 0j, "potential a"),   # a bare TypeError
+    ("f", "1", "source f"),           # ran as 1.0
+])
+def test_linear_problem_refuses_arrays_that_are_not_real_numbers(name, entry, key):
+    op = _quarter_op()
+    ni = op.grid.n_interior
+    data = {"a": np.zeros(ni), "f": np.zeros(ni), name: [entry] * ni}
+    with pytest.raises(Validation, match=key):
+        LinearProblem(op=op, g=Field.zeros(op.grid), **data)
+
+
+def test_barrier_refuses_a_potential_of_strings():
+    # ["0.5"] * ni ran as 0.5
+    op = _quarter_op()
+    with pytest.raises(Validation, match="potential a"):
+        build_barrier(op, ["0.5"] * op.grid.n_interior)
+
+
+def test_linf_bound_refuses_a_source_of_strings():
+    # a bare numpy UFuncTypeError from np.abs
+    op = _quarter_op()
+    grid = op.grid
+    barrier = build_barrier(op, np.zeros(grid.n_interior))
+    with pytest.raises(Validation, match="source f"):
+        check_linf_bound(Field.zeros(grid), ["1"] * grid.n_interior, Field.zeros(grid), barrier)
