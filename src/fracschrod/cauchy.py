@@ -153,7 +153,10 @@ def build_cauchy_bank(op: NonlocalOperator, nl: Nonlinearity,
                       cfg: NewtonConfig = NewtonConfig()) -> list[CauchyDatum]:
     """One Cauchy datum per probing exterior datum, every Neumann trace from
     one stencil of op (at 2D h=2^-7 a stencil takes 64-103 ms to build and
-    holds 57 MiB).  The window is checked before any solve."""
+    holds 57 MiB).  The window, and that nl is a Nonlinearity (Validation),
+    are checked before any solve."""
+    if not isinstance(nl, Nonlinearity):
+        raise Validation(f"nl must be a Nonlinearity, got {type(nl).__name__}")
     if not window.grid.same_as(op.grid):
         raise GridMismatch("window grid differs from operator grid")
     indices = _exterior_indices(op.grid, op.params, window.indices)

@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidRange, NegativeCoefficient, UnknownModel, _number
+from .errors import InvalidRange, NegativeCoefficient, UnknownModel, Validation, _number
 from .grid import Domain
 
 
@@ -178,7 +178,13 @@ def check_conditions(nl: Nonlinearity, x_box: Domain, t_max: float,
     only be sampled on a compact range; it is checked on r <= |t| <= t_max.
     t_max, the integer n_samples and the integer seed >= 0 are read by
     errors._number (Validation); InvalidRange when t_max < r or n_samples < 100.
+    An nl that is not a Nonlinearity, or an x_box that is not a Domain, is
+    Validation.
     """
+    if not isinstance(nl, Nonlinearity):
+        raise Validation(f"nl must be a Nonlinearity, got {type(nl).__name__}")
+    if not isinstance(x_box, Domain):
+        raise Validation(f"x_box must be a Domain, got {type(x_box).__name__}")
     t_max = _number(t_max, "t_max")
     n_samples = _number(n_samples, "n_samples", integer=True)
     seed = _number(seed, "seed", 0, integer=True)

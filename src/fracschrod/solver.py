@@ -374,8 +374,11 @@ def solve_semilinear(op: NonlocalOperator, nl: Nonlinearity, g: Field,
     cond(J) 1e-13, the bound of a direct solve with 1e-13 in place of the
     unit roundoff.
     After 500 iterations, or on a curvature p^T J p <= 0, it raises
-    StepNotConverged, a NewtonDiverged.
+    StepNotConverged, a NewtonDiverged.  An nl that is not a Nonlinearity
+    is Validation.
     """
+    if not isinstance(nl, Nonlinearity):
+        raise Validation(f"nl must be a Nonlinearity, got {type(nl).__name__}")
     grid = op.grid
     if not g.grid.same_as(grid):
         raise GridMismatch("exterior data lives on a different grid")

@@ -1003,3 +1003,11 @@ def test_linearization_refuses_a_scalar_schedule():
     g = exterior_bump(op.grid, 1.5, 0.4, 1.0)
     with pytest.raises(Validation, match="eta_schedule"):
         linearization_study(op, catalogue("linear", 1.0), g, g, 0.1)
+
+
+def test_linearization_refuses_a_nonlinearity_that_is_not_one():
+    # a bare AttributeError from solve_semilinear: 'str' object has no attribute 'q'
+    op = _quarter_op()
+    g = exterior_bump(op.grid, 1.5, 0.4, 1.0)
+    with pytest.raises(Validation, match="Nonlinearity"):
+        linearization_study(op, "linear", g, g, [0.1, 0.01])

@@ -385,3 +385,15 @@ def test_cauchy_datum_reads_lists():
     with pytest.raises(Validation, match="neumann"):
         cauchy.CauchyDatum(window, trace=values, neumann=["0.5"] * window.size,
                            provenance="p")
+
+
+def test_cauchy_bank_refuses_a_nonlinearity_that_is_not_one(op_small, monkeypatch):
+    # a bare AttributeError from solve_semilinear: 'str' object has no attribute 'q'
+    def no_stencil(*args):
+        raise AssertionError("the bank built its stencil before reading nl")
+
+    monkeypatch.setattr(cauchy, "_Stencil", no_stencil)
+    grid = op_small.grid
+    window = annulus_window(grid, 0.5, 1.0)
+    with pytest.raises(Validation, match="Nonlinearity"):
+        build_cauchy_bank(op_small, "linear", [("g", exterior_bump(grid, 1.5, 0.3))], window)

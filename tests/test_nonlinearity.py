@@ -257,3 +257,11 @@ def test_delta_window_reads_its_order():
     # a string order raised a bare TypeError
     with pytest.raises(Validation, match="order s"):
         delta_window(2, "0.5")
+
+
+def test_check_conditions_refuses_a_box_that_is_not_a_domain():
+    # a bare AttributeError: 'list' object has no attribute 'lower'
+    with pytest.raises(Validation, match="Domain"):
+        check_conditions(catalogue("linear", 1.0), [(-1,), (1,)], 10.0)
+    with pytest.raises(Validation, match="Nonlinearity"):
+        check_conditions("linear", BOX, 10.0)

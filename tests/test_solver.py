@@ -863,3 +863,10 @@ def test_linf_bound_refuses_a_source_of_strings():
     barrier = build_barrier(op, np.zeros(grid.n_interior))
     with pytest.raises(Validation, match="source f"):
         check_linf_bound(Field.zeros(grid), ["1"] * grid.n_interior, Field.zeros(grid), barrier)
+
+
+def test_semilinear_refuses_a_nonlinearity_that_is_not_one():
+    # a bare AttributeError: 'str' object has no attribute 'q'
+    op = _quarter_op()
+    with pytest.raises(Validation, match="Nonlinearity"):
+        solve_semilinear(op, "linear", Field.zeros(op.grid))
