@@ -55,6 +55,13 @@ def op_small():
 
 
 @pytest.fixture(scope="session")
+def op_quarter():
+    """s=0.5 on (-1,1), h=1/4, R=2: 15 nodes, 7 interior, for argument checks."""
+    grid = build_grid(Domain.interval(-1.0, 1.0), 0.25, 2.0)
+    return assemble(grid, 0.5)
+
+
+@pytest.fixture(scope="session")
 def op_coarse():
     """s=0.5 on (-1,1), h=1/8, R=4: the recovery-scale operator."""
     grid = build_grid(Domain.interval(-1.0, 1.0), 1.0 / 8, 4.0)

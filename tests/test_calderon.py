@@ -966,30 +966,23 @@ def test_linearization_rejects_a_direction_of_another_grid(op_small, monkeypatch
                             [1e-1, 1e-2])
 
 
-def _quarter_op():
-    """The operator of the array-reader rows: 1D (-1, 1), h = 1/4, R = 2, s = 1/2."""
-    return assemble(build_grid(Domain.interval(-1, 1), 0.25, 2.0), 0.5)
-
-
-def test_dn_map_refuses_a_potential_of_strings():
+def test_dn_map_refuses_a_potential_of_strings(op_quarter):
     # ["0.5"] * ni ran as 0.5
-    op = _quarter_op()
-    window = annulus_window(op.grid, 0.5, 1.0)
+    window = annulus_window(op_quarter.grid, 0.5, 1.0)
     with pytest.raises(Validation, match="potential a"):
-        dn_map(op, ["0.5"] * op.grid.n_interior, window)
+        dn_map(op_quarter, ["0.5"] * op_quarter.grid.n_interior, window)
 
 
-def test_solve_linearized_refuses_a_potential_of_strings():
+def test_solve_linearized_refuses_a_potential_of_strings(op_quarter):
     # ["0.1"] * ni ran as 0.1
-    op = _quarter_op()
     with pytest.raises(Validation, match="potential a"):
-        solve_linearized(op, ["0.1"] * op.grid.n_interior, Field.zeros(op.grid))
+        solve_linearized(op_quarter, ["0.1"] * op_quarter.grid.n_interior,
+                         Field.zeros(op_quarter.grid))
 
 
-def test_dn_matrix_reads_a_list_of_lists():
+def test_dn_matrix_reads_a_list_of_lists(op_quarter):
     # a list raised a bare AttributeError ('list' object has no attribute 'shape')
-    op = _quarter_op()
-    window = annulus_window(op.grid, 0.5, 1.0)
+    window = annulus_window(op_quarter.grid, 0.5, 1.0)
     rows = [[float(i == j) for j in range(window.size)] for i in range(window.size)]
     dn = DnMatrix(window, window.indices, (), rows)
     assert dn.matrix.dtype == np.float64 and dn.matrix.tolist() == rows
@@ -997,17 +990,15 @@ def test_dn_matrix_reads_a_list_of_lists():
         DnMatrix(window, window.indices, (), [["1"] * window.size] * window.size)
 
 
-def test_linearization_refuses_a_scalar_schedule():
+def test_linearization_refuses_a_scalar_schedule(op_quarter):
     # a bare TypeError: 'float' object is not iterable
-    op = _quarter_op()
-    g = exterior_bump(op.grid, 1.5, 0.4, 1.0)
+    g = exterior_bump(op_quarter.grid, 1.5, 0.4, 1.0)
     with pytest.raises(Validation, match="eta_schedule"):
-        linearization_study(op, catalogue("linear", 1.0), g, g, 0.1)
+        linearization_study(op_quarter, catalogue("linear", 1.0), g, g, 0.1)
 
 
-def test_linearization_refuses_a_nonlinearity_that_is_not_one():
+def test_linearization_refuses_a_nonlinearity_that_is_not_one(op_quarter):
     # a bare AttributeError from solve_semilinear: 'str' object has no attribute 'q'
-    op = _quarter_op()
-    g = exterior_bump(op.grid, 1.5, 0.4, 1.0)
+    g = exterior_bump(op_quarter.grid, 1.5, 0.4, 1.0)
     with pytest.raises(Validation, match="Nonlinearity"):
-        linearization_study(op, "linear", g, g, [0.1, 0.01])
+        linearization_study(op_quarter, "linear", g, g, [0.1, 0.01])

@@ -830,43 +830,34 @@ def test_linf_bound_rejects_data_of_another_grid(op_small):
         check_linf_bound(u, np.ones(5), u, barrier)
 
 
-def _quarter_op():
-    """The operator of the array-reader rows: 1D (-1, 1), h = 1/4, R = 2, s = 1/2."""
-    return assemble(build_grid(Domain.interval(-1, 1), 0.25, 2.0), 0.5)
-
-
 @pytest.mark.parametrize("name, entry, key", [
     ("a", "0.5", "potential a"),      # ran as 0.5
     ("a", True, "potential a"),       # ran as 1.0
     ("a", 0.5 + 0j, "potential a"),   # a bare TypeError
     ("f", "1", "source f"),           # ran as 1.0
 ])
-def test_linear_problem_refuses_arrays_that_are_not_real_numbers(name, entry, key):
-    op = _quarter_op()
-    ni = op.grid.n_interior
+def test_linear_problem_refuses_arrays_that_are_not_real_numbers(op_quarter, name, entry, key):
+    ni = op_quarter.grid.n_interior
     data = {"a": np.zeros(ni), "f": np.zeros(ni), name: [entry] * ni}
     with pytest.raises(Validation, match=key):
-        LinearProblem(op=op, g=Field.zeros(op.grid), **data)
+        LinearProblem(op=op_quarter, g=Field.zeros(op_quarter.grid), **data)
 
 
-def test_barrier_refuses_a_potential_of_strings():
+def test_barrier_refuses_a_potential_of_strings(op_quarter):
     # ["0.5"] * ni ran as 0.5
-    op = _quarter_op()
     with pytest.raises(Validation, match="potential a"):
-        build_barrier(op, ["0.5"] * op.grid.n_interior)
+        build_barrier(op_quarter, ["0.5"] * op_quarter.grid.n_interior)
 
 
-def test_linf_bound_refuses_a_source_of_strings():
+def test_linf_bound_refuses_a_source_of_strings(op_quarter):
     # a bare numpy UFuncTypeError from np.abs
-    op = _quarter_op()
-    grid = op.grid
-    barrier = build_barrier(op, np.zeros(grid.n_interior))
+    grid = op_quarter.grid
+    barrier = build_barrier(op_quarter, np.zeros(grid.n_interior))
     with pytest.raises(Validation, match="source f"):
         check_linf_bound(Field.zeros(grid), ["1"] * grid.n_interior, Field.zeros(grid), barrier)
 
 
-def test_semilinear_refuses_a_nonlinearity_that_is_not_one():
+def test_semilinear_refuses_a_nonlinearity_that_is_not_one(op_quarter):
     # a bare AttributeError: 'str' object has no attribute 'q'
-    op = _quarter_op()
     with pytest.raises(Validation, match="Nonlinearity"):
-        solve_semilinear(op, "linear", Field.zeros(op.grid))
+        solve_semilinear(op_quarter, "linear", Field.zeros(op_quarter.grid))
